@@ -10,7 +10,6 @@ import (
 
 	"routesync/internal/bench"
 	"routesync/internal/des"
-	"routesync/internal/netsim"
 	"routesync/internal/runner"
 )
 
@@ -85,10 +84,8 @@ func runBench(outDir string) error {
 		{"NetsimBGP/N=1000/K=8", func(b *testing.B) { bench.NetsimBGP(b, 1000, 8) }},
 		{"NetsimExchange/K=2", func(b *testing.B) { bench.NetsimExchange(b, 2) }},
 		{"NetsimExchange/K=4", func(b *testing.B) { bench.NetsimExchange(b, 4) }},
-		{"NetsimLowLookahead/mode=conservative/K=1", func(b *testing.B) { bench.NetsimLowLookahead(b, netsim.SyncConservative, 1) }},
-		{"NetsimLowLookahead/mode=conservative/K=4", func(b *testing.B) { bench.NetsimLowLookahead(b, netsim.SyncConservative, 4) }},
-		{"NetsimLowLookahead/mode=optimistic/K=1", func(b *testing.B) { bench.NetsimLowLookahead(b, netsim.SyncOptimistic, 1) }},
-		{"NetsimLowLookahead/mode=optimistic/K=4", func(b *testing.B) { bench.NetsimLowLookahead(b, netsim.SyncOptimistic, 4) }},
+		{"NetsimLowLookahead/mode=conservative/K=1", func(b *testing.B) { bench.NetsimLowLookahead(b, 1) }},
+		{"NetsimLowLookahead/mode=conservative/K=4", func(b *testing.B) { bench.NetsimLowLookahead(b, 4) }},
 	}
 	bf := benchFile{
 		GoVersion: runtime.Version(),

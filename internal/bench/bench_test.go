@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"routesync/internal/des"
-	"routesync/internal/netsim"
 )
 
 // Wrappers exposing the shared benchmark bodies to `go test -bench`.
@@ -86,10 +85,10 @@ func BenchmarkNetsimBGP(b *testing.B) {
 }
 
 func BenchmarkNetsimLowLookahead(b *testing.B) {
-	for _, mode := range []netsim.SyncMode{netsim.SyncConservative, netsim.SyncOptimistic} {
-		for _, k := range []int{1, 4} {
-			b.Run(fmt.Sprintf("mode=%s/K=%d", mode, k), func(b *testing.B) { NetsimLowLookahead(b, mode, k) })
-		}
+	// The mode= segment keeps the names matching the committed
+	// BENCH_*.json baselines; benchguard skips names it cannot find.
+	for _, k := range []int{1, 4} {
+		b.Run(fmt.Sprintf("mode=conservative/K=%d", k), func(b *testing.B) { NetsimLowLookahead(b, k) })
 	}
 }
 

@@ -105,17 +105,13 @@ func NetsimChurn(b *testing.B, k int) {
 
 // NetsimLowLookahead measures one steady-state second of the metro-LAN
 // scenario — broadcast segments joined by 100 µs bridges, the lookahead
-// regime where conservative windowing degenerates — under the given
-// synchronization mode on k logical processes. The conservative/optimistic
-// ns/op pair at K=4 in BENCH_*.json is the Time-Warp engine's payoff on
-// this topology; the optimistic rows exercise checkpoint saves, rollback
-// replay and serial-instant commits every window, all on warm pools at
-// 0 allocs/op (snapshot buffers, outboxes and the packet pool reach their
+// regime where bounded windows are smallest — on k logical processes, at
+// 0 allocs/op on warm pools (outboxes and the packet pool reach their
 // high-water marks during the untimed warmup).
-func NetsimLowLookahead(b *testing.B, mode netsim.SyncMode, k int) {
+func NetsimLowLookahead(b *testing.B, k int) {
 	const horizon, warmup = 1400.0, 600.0
 	build := func() *experiments.MetroLANScenario {
-		sc := experiments.BuildMetroLAN(8, 6, k, 1, horizon, nil, netsim.WithSyncMode(mode))
+		sc := experiments.BuildMetroLAN(8, 6, k, 1, horizon, nil)
 		sc.Net.RunUntil(warmup)
 		return sc
 	}

@@ -117,10 +117,6 @@ type Simulator struct {
 	backend   Backend
 	seq       uint64
 	processed uint64
-	// lastFired is the timestamp of the most recently executed event
-	// (-Inf before the first); checkpoint/rewind and the optimistic
-	// coordinator use it to detect execution past a commit bound.
-	lastFired Time
 	running   bool
 	stopped   bool
 	obs       Observer
@@ -134,7 +130,7 @@ func New() *Simulator {
 // NewBackend returns a Simulator with the clock at zero using the given
 // event-queue backend.
 func NewBackend(b Backend) *Simulator {
-	return &Simulator{backend: b, lastFired: math.Inf(-1)}
+	return &Simulator{backend: b}
 }
 
 // Backend returns the event-queue backend this Simulator runs on.
@@ -370,7 +366,6 @@ func (s *Simulator) Step() bool {
 	s.qRemove(slot)
 	ev := &s.pool[slot]
 	s.now = ev.at
-	s.lastFired = ev.at
 	fn := ev.fn
 	s.release(slot)
 	s.processed++

@@ -139,12 +139,7 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 	}
 
 	blockSize := (ases + k - 1) / k
-	// Pinned conservative: the path-vector agents do not register
-	// rollback checkpoints yet, so the optimistic engine (including an
-	// ambient ROUTESYNC_SYNC_MODE=optimistic sweep) must not speculate
-	// through their RIB state. Lifting this needs pathvector (and
-	// linkstate) Checkpointable implementations.
-	nw.Partition(k, netsim.OwnerByBlock(blockSize, k, k), netsim.WithSyncMode(netsim.SyncConservative))
+	nw.Partition(k, netsim.OwnerByBlock(blockSize, k, k))
 
 	sc := &BGPScenario{
 		Net: nw, Graph: g,

@@ -132,12 +132,8 @@ func churnLink(a, b *netsim.Node) *netsim.Link {
 // meanUp sets the mean up-time of both the flapped links and the
 // churned routers; outage lengths are fixed (churnMeanDown) so the
 // sweep varies only how often failures arrive.
-//
-// Optional partition options select the synchronization mode (the
-// optimistic determinism tests pass netsim.WithSyncMode); by default the
-// ambient ROUTESYNC_SYNC_MODE applies.
-func BuildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer, opts ...netsim.PartitionOption) *ChurnScenario {
-	return buildChurn(numAS, perAS, k, seed, meanUp, pol, horizon, obs, true, opts...)
+func BuildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer) *ChurnScenario {
+	return buildChurn(numAS, perAS, k, seed, meanUp, pol, horizon, obs, true)
 }
 
 // BuildChurnBench is BuildChurn without the age-of-information monitor:
@@ -145,11 +141,11 @@ func BuildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy
 // observers or sampling events. The benchmark harness uses it to measure
 // the simulator itself — monitor bookkeeping appends to result slices on
 // every route change, which would show up as measurement allocations.
-func BuildChurnBench(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer, opts ...netsim.PartitionOption) *ChurnScenario {
-	return buildChurn(numAS, perAS, k, seed, meanUp, pol, horizon, obs, false, opts...)
+func BuildChurnBench(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer) *ChurnScenario {
+	return buildChurn(numAS, perAS, k, seed, meanUp, pol, horizon, obs, false)
 }
 
-func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer, withMonitor bool, opts ...netsim.PartitionOption) *ChurnScenario {
+func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer, withMonitor bool) *ChurnScenario {
 	if numAS < 4 || perAS < 3 {
 		panic("experiments: BuildChurn needs at least 4 domains of 3 routers")
 	}
@@ -172,7 +168,7 @@ func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy
 		CPU:          &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4},
 		Chords:       1,
 	})
-	nw.Partition(k, netsim.OwnerByBlock(perAS, numAS, k), opts...)
+	nw.Partition(k, netsim.OwnerByBlock(perAS, numAS, k))
 
 	sc := &ChurnScenario{
 		Net:        nw,

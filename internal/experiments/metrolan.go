@@ -12,13 +12,10 @@ import (
 // partition engine: broadcast segments joined by ~100 µs bridges, so the
 // conservative engine's window size (the lookahead) is four orders of
 // magnitude below the routing-protocol period that actually spaces the
-// cross-segment traffic. Conservative runs pay a barrier per 100 µs of
-// progress near every event cluster; the optimistic engine's adaptive
-// leases stretch toward the real traffic gap and commit the same events
-// in a tiny fraction of the rounds. The benchmark harness
+// cross-segment traffic, and a run pays a barrier per 100 µs of progress
+// near every event cluster. The benchmark harness
 // (internal/bench.NetsimLowLookahead → out/BENCH_*.json) times this
-// build under both modes; the determinism and window-ratio properties
-// are tested in internal/netsim and internal/experiments.
+// build; its K-invariance is tested in internal/experiments.
 
 // MetroLANScenario is one built instance of the metro-LAN scenario,
 // exposed so tests and the benchmark harness run exactly the same thing.
@@ -43,11 +40,7 @@ func (s *MetroLANScenario) Run() { s.Net.RunUntil(s.Horizon) }
 // processes along segment boundaries — with an end-to-end ping stream
 // between interior hosts of segment 0 and the antipodal segment. It does
 // not run it.
-//
-// Optional partition options select the synchronization mode (the
-// optimistic determinism tests pass netsim.WithSyncMode); by default the
-// ambient ROUTESYNC_SYNC_MODE applies.
-func BuildMetroLAN(segments, perSeg, k int, seed int64, horizon float64, obs des.Observer, opts ...netsim.PartitionOption) *MetroLANScenario {
+func BuildMetroLAN(segments, perSeg, k int, seed int64, horizon float64, obs des.Observer) *MetroLANScenario {
 	if segments < 2 || perSeg < 3 {
 		panic("experiments: BuildMetroLAN needs at least 2 segments of 3 hosts")
 	}
@@ -67,15 +60,7 @@ func BuildMetroLAN(segments, perSeg, k int, seed int64, horizon float64, obs des
 		HostsPerSeg: perSeg,
 		CPU:         &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4},
 	})
-	// Cap the optimistic lease at half a second: cross-segment traffic
-	// (pings at ~1 s, routing updates every 2.5–7.5 s across many
-	// gateways) rarely leaves longer quiet gaps, so the cap costs no
-	// rounds while bounding rollback depth and every speculation
-	// buffer's high-water mark. Callers' opts can still override it.
-	popts := append([]netsim.PartitionOption{
-		netsim.WithOptimisticConfig(netsim.OptimisticConfig{MaxLease: 0.5}),
-	}, opts...)
-	nw.Partition(k, netsim.OwnerByBlock(perSeg, segments, k), popts...)
+	nw.Partition(k, netsim.OwnerByBlock(perSeg, segments, k))
 
 	sc := &MetroLANScenario{
 		Net:        nw,

@@ -20,8 +20,8 @@ type metroLANSnap struct {
 	stats    []routing.Stats
 }
 
-func runMetroLAN(seg, per, k int, horizon float64, opts ...netsim.PartitionOption) (metroLANSnap, netsim.SyncStats) {
-	sc := BuildMetroLAN(seg, per, k, 3, horizon, nil, opts...)
+func runMetroLAN(seg, per, k int, horizon float64) (metroLANSnap, netsim.SyncStats) {
+	sc := BuildMetroLAN(seg, per, k, 3, horizon, nil)
 	sc.Run()
 	snap := metroLANSnap{ping: sc.Pinger.Result(), counters: sc.Net.Counters()}
 	// Lost pings record NaN RTTs, which reflect.DeepEqual treats as
@@ -37,11 +37,11 @@ func runMetroLAN(seg, per, k int, horizon float64, opts ...netsim.PartitionOptio
 	return snap, sc.Net.SyncStats()
 }
 
-// TestMetroLANOptimisticKInvariant is the determinism gate for the
-// low-lookahead scenario: optimistic runs at every partition count are
-// bit-identical to the sequential reference — ping RTT timeline, network
-// counters, and every agent's protocol statistics.
-func TestMetroLANOptimisticKInvariant(t *testing.T) {
+// TestMetroLANKInvariant is the determinism gate for the low-lookahead
+// scenario: partitioned runs at every K are bit-identical to the K=1
+// reference — ping RTT timeline, network counters, and every agent's
+// protocol statistics — while crossing many 100 µs bridge windows.
+func TestMetroLANKInvariant(t *testing.T) {
 	const seg, per = 8, 6
 	const horizon = 15.0
 	ref, _ := runMetroLAN(seg, per, 1, horizon)
@@ -52,10 +52,10 @@ func TestMetroLANOptimisticKInvariant(t *testing.T) {
 		t.Fatal("all pings lost; the bridged topology never converged")
 	}
 	for _, k := range []int{1, 2, 4} {
-		name := fmt.Sprintf("optimistic/k=%d", k)
-		got, stats := runMetroLAN(seg, per, k, horizon, netsim.WithSyncMode(netsim.SyncOptimistic))
-		if stats.Mode != netsim.SyncOptimistic {
-			t.Fatalf("%s: mode = %v", name, stats.Mode)
+		name := fmt.Sprintf("k=%d", k)
+		got, stats := runMetroLAN(seg, per, k, horizon)
+		if k > 1 && stats.Windows < 100 {
+			t.Errorf("%s: %d windows, want ≥100 bridge-bounded windows", name, stats.Windows)
 		}
 		if !reflect.DeepEqual(got.counters, ref.counters) {
 			t.Errorf("%s: counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
@@ -66,37 +66,5 @@ func TestMetroLANOptimisticKInvariant(t *testing.T) {
 		if !reflect.DeepEqual(got.stats, ref.stats) {
 			t.Errorf("%s: agent stats diverge", name)
 		}
-	}
-}
-
-// TestMetroLANWindowRatio pins the performance property the optimistic
-// engine exists for: on the low-lookahead metro-LAN topology, where the
-// conservative window (the 100 µs bridge delay) is four orders of
-// magnitude below the traffic spacing, the optimistic engine commits the
-// same run in at least 10× fewer synchronization rounds at K=4, while
-// actually exercising its rollback machinery.
-func TestMetroLANWindowRatio(t *testing.T) {
-	const seg, per = 16, 6
-	const horizon = 20.0
-	cons, cstats := runMetroLAN(seg, per, 4, horizon, netsim.WithSyncMode(netsim.SyncConservative))
-	opt, ostats := runMetroLAN(seg, per, 4, horizon, netsim.WithSyncMode(netsim.SyncOptimistic))
-	if !reflect.DeepEqual(opt.counters, cons.counters) {
-		t.Fatalf("modes diverge:\n got %+v\nwant %+v", opt.counters, cons.counters)
-	}
-	if cstats.Windows == 0 || ostats.Windows == 0 {
-		t.Fatalf("degenerate window counts: conservative=%d optimistic=%d", cstats.Windows, ostats.Windows)
-	}
-	ratio := float64(cstats.Windows) / float64(ostats.Windows)
-	t.Logf("conservative windows=%d optimistic windows=%d ratio=%.1f rollbacks=%d",
-		cstats.Windows, ostats.Windows, ratio, ostats.Rollbacks)
-	if ratio < 10 {
-		t.Errorf("window ratio %.1f < 10 (conservative=%d, optimistic=%d)",
-			ratio, cstats.Windows, ostats.Windows)
-	}
-	if ostats.Rollbacks == 0 {
-		t.Error("optimistic run had no rollbacks; the scenario no longer stresses speculation")
-	}
-	if ostats.MaxGVTLag <= 0 {
-		t.Errorf("MaxGVTLag = %v, want > 0", ostats.MaxGVTLag)
 	}
 }

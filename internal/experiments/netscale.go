@@ -82,10 +82,7 @@ func (s *NetScaleScenario) Run() { s.Net.RunUntil(s.Horizon) }
 // via reverse BFS. Every update is still a real packet contending for
 // real links and legacy router CPUs, so the scenario exhibits the
 // paper's loss mechanism at scale without Θ(N²) routing state.
-// Optional partition options select the synchronization mode (the
-// optimistic determinism tests pass netsim.WithSyncMode); by default the
-// ambient ROUTESYNC_SYNC_MODE applies.
-func BuildNetScale(routers, perAS, k int, seed int64, horizon float64, obs des.Observer, opts ...netsim.PartitionOption) *NetScaleScenario {
+func BuildNetScale(routers, perAS, k int, seed int64, horizon float64, obs des.Observer) *NetScaleScenario {
 	if perAS < 3 {
 		panic("experiments: BuildNetScale needs domains of at least 3 routers")
 	}
@@ -139,7 +136,7 @@ func BuildNetScale(routers, perAS, k int, seed int64, horizon float64, obs des.O
 		default:
 			return base(dstRouter.ID)
 		}
-	}, opts...)
+	})
 
 	sc := &NetScaleScenario{
 		Net:        nw,
@@ -171,13 +168,6 @@ func BuildNetScale(routers, perAS, k int, seed int64, horizon float64, obs des.O
 			ag.OnSend = func(at float64, trig bool) {
 				sc.SendTimes[slot] = append(sc.SendTimes[slot], at)
 			}
-			// The recorder is append-only from nd's logical process, so
-			// its rollback checkpoint is just a length to truncate to.
-			saved := 0
-			nw.RegisterCheckpoint(nd, netsim.CheckpointFuncs{
-				Save:    func() { saved = len(sc.SendTimes[slot]) },
-				Restore: func() { sc.SendTimes[slot] = sc.SendTimes[slot][:saved] },
-			})
 			// Synchronized start — the paper's post-restart condition the
 			// jitter must break up.
 			ag.Start(1)

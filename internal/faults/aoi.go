@@ -59,59 +59,6 @@ type agentMon struct {
 
 	sampleFn func() // hoisted: one closure per observer, not per sample
 	faultFn  func()
-
-	// ckpt shadows the rollback state for optimistic partitioned runs.
-	// outages/ages/atFault are append-only, so their checkpoints are just
-	// lengths to truncate back to; the per-destination edge trackers are
-	// mutated in place and need full copies.
-	ckpt agentMonCkpt
-}
-
-type agentMonCkpt struct {
-	reachable []bool
-	everUp    []bool
-	firstUpAt []float64
-	lostAt    []float64
-	lostNext  []netsim.NodeID
-
-	outages   int
-	resurrect int
-	ages      int
-	holes     int
-	samples   int
-	atFault   int
-}
-
-// SaveCheckpoint implements netsim.Checkpointable.
-func (am *agentMon) SaveCheckpoint() {
-	c := &am.ckpt
-	c.reachable = append(c.reachable[:0], am.reachable...)
-	c.everUp = append(c.everUp[:0], am.everUp...)
-	c.firstUpAt = append(c.firstUpAt[:0], am.firstUpAt...)
-	c.lostAt = append(c.lostAt[:0], am.lostAt...)
-	c.lostNext = append(c.lostNext[:0], am.lostNext...)
-	c.outages = len(am.outages)
-	c.resurrect = am.resurrect
-	c.ages = len(am.ages)
-	c.holes = am.holes
-	c.samples = am.samples
-	c.atFault = len(am.atFault)
-}
-
-// RestoreCheckpoint implements netsim.Checkpointable.
-func (am *agentMon) RestoreCheckpoint() {
-	c := &am.ckpt
-	copy(am.reachable, c.reachable)
-	copy(am.everUp, c.everUp)
-	copy(am.firstUpAt, c.firstUpAt)
-	copy(am.lostAt, c.lostAt)
-	copy(am.lostNext, c.lostNext)
-	am.outages = am.outages[:c.outages]
-	am.resurrect = c.resurrect
-	am.ages = am.ages[:c.ages]
-	am.holes = c.holes
-	am.samples = c.samples
-	am.atFault = am.atFault[:c.atFault]
 }
 
 // NewMonitor creates a monitor for the given destination set.
@@ -157,7 +104,6 @@ func (m *Monitor) Observe(ag *routing.Agent) {
 		}
 		am.routeChange(dest, reachable)
 	}
-	ag.Node().Net().RegisterCheckpoint(ag.Node(), am)
 	m.agents = append(m.agents, am)
 }
 

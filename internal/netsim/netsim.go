@@ -102,14 +102,12 @@ type Packet struct {
 	// payload arena, sized by its high-water mark. home is the pool that
 	// allocated the slot — a release on a foreign logical process parks
 	// the slot for repatriation at the next window barrier instead of
-	// adopting it. regIdx is the slot's position in its pool's live
-	// registry when tracking is on (optimistic mode), -1 otherwise.
+	// adopting it.
 	gen        uint32
 	pooled     bool
 	live       bool
 	payloadBuf []byte
 	home       *pktPool
-	regIdx     int32
 }
 
 // Hop is one record-route entry.
@@ -243,11 +241,9 @@ type Network struct {
 	parts   []*partition
 	// lookahead is the minimum cross-partition link delay (see Lookahead).
 	lookahead float64
-	// optCfg is the resolved optimistic lease configuration; syncStats
-	// accumulates per-round synchronization counters (both modes).
+	// syncStats accumulates per-window synchronization counters.
 	// syncObs is the SyncObserver view of obs, cached at SetObserver so
-	// the per-round notification costs one nil check.
-	optCfg    OptimisticConfig
+	// the per-window notification costs one nil check.
 	syncStats SyncStats
 	syncObs   SyncObserver
 	// phantomPktSeq numbers packets whose src is not a real node.

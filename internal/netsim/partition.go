@@ -39,15 +39,10 @@ type boundaryEvent struct {
 
 // windowCmd is one coordinator→worker instruction: run a window to wend
 // (strictly before, or inclusive for the final horizon pass), or quit.
-// save first checkpoints the logical process (optimistic speculation);
-// rollback first restores the round-start checkpoint, turning the window
-// into a deterministic replay up to the commit bound.
 type windowCmd struct {
 	wend      float64
 	inclusive bool
 	quit      bool
-	save      bool
-	rollback  bool
 }
 
 // arrival is a pooled boundary-arrival slot: the event payload plus a
@@ -88,30 +83,6 @@ type partition struct {
 	// RunUntil call allocates neither channels nor closures.
 	start chan windowCmd
 	runFn func()
-
-	// Optimistic-mode state (see optimistic.go). ckp/snap are the
-	// round-start checkpoint of the simulator and of this LP's netsim
-	// state; chk holds component checkpoint hooks (RegisterCheckpoint);
-	// allArr registers every arrival slot ever minted so a rollback can
-	// restore slots recycled by speculatively fired arrivals; lease is
-	// the adaptive speculation bound and rolled the current round's
-	// rollback flag; ownedLinks/ownedLANs are the media directions this
-	// LP checkpoints, precomputed at Partition.
-	ckp        des.Checkpoint
-	snap       lpSnap
-	chk        []Checkpointable
-	allArr     []*arrival
-	lease      float64
-	rolled     bool
-	ownedLinks []ownedLinkDir
-	ownedLANs  []*LAN
-}
-
-// ownedLinkDir is one link transmit direction owned by a logical process
-// (the direction whose sender the LP owns).
-type ownedLinkDir struct {
-	l *Link
-	d int
 }
 
 func (p *partition) send(e boundaryEvent) { p.outbox = append(p.outbox, e) }
@@ -134,7 +105,6 @@ func (p *partition) getArrival() *arrival {
 		p.arrLive--
 		e.link.deliverTo(e.dst, e.pkt)
 	}
-	p.allArr = append(p.allArr, ar)
 	return ar
 }
 
@@ -144,18 +114,14 @@ func (p *partition) getArrival() *arrival {
 // workloads attached afterwards schedule through their nodes and land on
 // the owning partition's simulator automatically.
 //
-// Options select the synchronization mode (WithSyncMode, WithOptimistic);
-// without one the ROUTESYNC_SYNC_MODE environment variable decides,
-// defaulting to conservative.
-//
 // Constraints checked here:
 //   - every LAN must be wholly inside one partition (broadcast delivery
 //     is synchronous within a segment);
-//   - in conservative mode, every link between partitions must have
-//     Delay > 0 — that delay is the lookahead the bounded-window advance
-//     is built on. Optimistic mode accepts zero-delay boundary links
-//     (same-instant cross-LP cascades are resolved serially).
-func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOption) {
+//   - every link between partitions must have Delay > 0 — that delay is
+//     the lookahead the bounded-window advance is built on;
+//   - ROUTESYNC_SYNC_MODE, if set, must say "conservative" (see
+//     SyncModeEnv).
+func (n *Network) Partition(k int, owner func(NodeID) int) {
 	if k < 1 {
 		panic("netsim: Partition needs k >= 1")
 	}
@@ -165,10 +131,7 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 	if n.Sim.Pending() > 0 {
 		panic("netsim: Partition called with events already scheduled; partition before attaching agents and workloads")
 	}
-	po := partitionOpts{mode: DefaultSyncMode()}
-	for _, opt := range opts {
-		opt(&po)
-	}
+	checkSyncModeEnv()
 	parts := make([]*partition, k)
 	for i := range parts {
 		sim := des.NewBackend(n.Sim.Backend())
@@ -182,12 +145,6 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 				if cmd.quit {
 					n.wdone.Done()
 					return
-				}
-				if cmd.save {
-					p.saveRound()
-				}
-				if cmd.rollback {
-					p.restoreRound()
 				}
 				if cmd.inclusive {
 					p.sim.RunUntil(cmd.wend)
@@ -219,8 +176,8 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 			switch med := m.(type) {
 			case *Link:
 				if med.ends[0].part != med.ends[1].part {
-					if med.cfg.Delay <= 0 && po.mode == SyncConservative {
-						panic(fmt.Sprintf("netsim: link %v—%v crosses partitions with zero delay; conservative mode needs Delay > 0 for lookahead (optimistic mode accepts zero-delay boundary links)",
+					if med.cfg.Delay <= 0 {
+						panic(fmt.Sprintf("netsim: link %v—%v crosses partitions with zero delay; boundary links need Delay > 0 for lookahead",
 							med.ends[0], med.ends[1]))
 					}
 					if med.cfg.Delay < lookahead {
@@ -240,17 +197,6 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 	}
 	n.parts = parts
 	n.lookahead = lookahead
-	n.syncStats.Mode = po.mode
-	if po.mode == SyncOptimistic {
-		n.optCfg = po.opt.withDefaults(lookahead)
-		for _, p := range parts {
-			p.pool.track = true
-			p.lease = n.optCfg.InitialLease
-		}
-		if k > 1 {
-			n.initSnapshots()
-		}
-	}
 }
 
 // NumPartitions returns the number of logical processes (0 while
@@ -285,14 +231,6 @@ func (n *Network) exchange() {
 		for i := range p.outbox {
 			e := p.outbox[i]
 			dp := e.dst.part
-			if p.pool.track && e.pkt.pooled && e.pkt.regIdx >= 0 {
-				// The packet changes logical process: move its live-registry
-				// membership to the receiver so the receiver's rollback
-				// snapshots cover it from here on.
-				p.pool.regRemove(e.pkt)
-				e.pkt.regIdx = int32(len(dp.pool.live))
-				dp.pool.live = append(dp.pool.live, e.pkt)
-			}
 			ar := dp.getArrival()
 			ar.e = e
 			dp.sim.ScheduleKeyed(e.at, e.key, "boundary-arrival", ar.fn)
@@ -344,11 +282,6 @@ func (n *Network) runPartitioned(horizon float64) {
 
 	for _, p := range n.parts {
 		go p.runFn()
-	}
-
-	if n.syncStats.Mode == SyncOptimistic {
-		n.runOptimistic(horizon)
-		return
 	}
 
 	for {

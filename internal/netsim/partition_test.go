@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"routesync/internal/des"
@@ -28,7 +29,7 @@ type deliveryRecord struct {
 // CBR + bursty traffic pattern crossing domain boundaries, then runs it
 // in several RunUntil slices (exercising leftover boundary events between
 // calls). owner == nil runs unpartitioned.
-func runScaleTopo(t *testing.T, backend des.Backend, k int, opts ...PartitionOption) partitionSnapshot {
+func runScaleTopo(t *testing.T, backend des.Backend, k int) partitionSnapshot {
 	t.Helper()
 	nw := newNetworkBackend(7, backend)
 	const numAS, perAS = 6, 5
@@ -51,7 +52,7 @@ func runScaleTopo(t *testing.T, backend des.Backend, k int, opts ...PartitionOpt
 	nw.InstallStaticRoutes()
 
 	if k > 0 {
-		nw.Partition(k, OwnerByBlock(perAS, numAS, k), opts...)
+		nw.Partition(k, OwnerByBlock(perAS, numAS, k))
 	}
 
 	// Mid-run faults through the keyed event layer: flap two backbone
@@ -83,13 +84,6 @@ func runScaleTopo(t *testing.T, backend des.Backend, k int, opts ...PartitionOpt
 			perSink[si] = append(perSink[si],
 				deliveryRecord{At: sink.Now(), Src: p.Src, Seq: p.Seq, ID: p.ID})
 		}
-		// Append-only recorder: its optimistic-rollback checkpoint is a
-		// length to truncate to (no-op in conservative runs).
-		saved := 0
-		nw.RegisterCheckpoint(sink, CheckpointFuncs{
-			Save:    func() { saved = len(perSink[si]) },
-			Restore: func() { perSink[si] = perSink[si][:saved] },
-		})
 	}
 
 	// Traffic: CBR host↔host both ways, plus bursts from every gateway to
@@ -198,23 +192,34 @@ func TestPartitionValidation(t *testing.T) {
 		nw.Partition(2, func(id NodeID) int { return int(id) })
 	})
 	t.Run("zero-delay-boundary", func(t *testing.T) {
-		// Pinned conservative: only that mode needs positive lookahead
-		// (the suite may be swept with ROUTESYNC_SYNC_MODE=optimistic).
 		nw := NewNetwork(1)
 		a := nw.NewNode("a", nil)
 		b := nw.NewNode("b", nil)
 		nw.Connect(a, b, LinkConfig{Delay: 0})
 		defer expectPanic(t, "zero-delay boundary link")
-		nw.Partition(2, func(id NodeID) int { return int(id) }, WithSyncMode(SyncConservative))
+		nw.Partition(2, func(id NodeID) int { return int(id) })
 	})
-	t.Run("zero-delay-boundary-optimistic-ok", func(t *testing.T) {
+	for _, v := range []string{"optimistic", "Conservative", "bogus"} {
+		t.Run("sync-mode-env="+v, func(t *testing.T) {
+			t.Setenv(SyncModeEnv, v)
+			nw := NewNetwork(1)
+			nw.NewNode("a", nil)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "optimistic sync mode was removed") {
+					t.Fatalf("%s=%q: panic = %q, want the removed-mode message", SyncModeEnv, v, msg)
+				}
+			}()
+			nw.Partition(1, func(NodeID) int { return 0 })
+		})
+	}
+	t.Run("sync-mode-env=conservative", func(t *testing.T) {
+		t.Setenv(SyncModeEnv, "conservative")
 		nw := NewNetwork(1)
-		a := nw.NewNode("a", nil)
-		b := nw.NewNode("b", nil)
-		nw.Connect(a, b, LinkConfig{Delay: 0})
-		nw.Partition(2, func(id NodeID) int { return int(id) }, WithSyncMode(SyncOptimistic))
-		if nw.Lookahead() != 0 {
-			t.Fatalf("Lookahead = %v, want 0", nw.Lookahead())
+		nw.NewNode("a", nil)
+		nw.Partition(1, func(NodeID) int { return 0 })
+		if nw.SyncMode() != SyncConservative {
+			t.Fatalf("SyncMode = %v", nw.SyncMode())
 		}
 	})
 	t.Run("owner-range", func(t *testing.T) {

@@ -49,11 +49,6 @@ type pktPool struct {
 	// network-wide live-packet count is Σ created − Σ (free + foreign),
 	// which stays correct while slots await repatriation.
 	created uint64
-	// track enables the live registry (optimistic mode only): every
-	// drawn slot is indexed in live so a rollback can snapshot and
-	// restore exactly the packets in flight on this logical process.
-	track bool
-	live  []*Packet
 }
 
 func (pp *pktPool) get() *Packet {
@@ -65,11 +60,7 @@ func (pp *pktPool) get() *Packet {
 		pkt.live = true
 	} else {
 		pp.created++
-		pkt = &Packet{pooled: true, live: true, home: pp, regIdx: -1}
-	}
-	if pp.track {
-		pkt.regIdx = int32(len(pp.live))
-		pp.live = append(pp.live, pkt)
+		pkt = &Packet{pooled: true, live: true, home: pp}
 	}
 	return pkt
 }
@@ -80,21 +71,6 @@ func (pp *pktPool) put(pkt *Packet) {
 		return
 	}
 	pp.foreign = append(pp.foreign, pkt)
-}
-
-// regRemove drops pkt from the live registry by swap-remove. Only called
-// when tracking is on; the releasing logical process is always the
-// registry owner (cross-partition packets change registries at the
-// exchange barrier, before the receiving LP can touch them).
-func (pp *pktPool) regRemove(pkt *Packet) {
-	i := pkt.regIdx
-	last := len(pp.live) - 1
-	moved := pp.live[last]
-	pp.live[i] = moved
-	moved.regIdx = i
-	pp.live[last] = nil
-	pp.live = pp.live[:last]
-	pkt.regIdx = -1
 }
 
 // repatriate returns every foreign slot to its home pool's free list.
@@ -137,11 +113,7 @@ func (n *Network) releaseAt(nd *Node, pkt *Packet) {
 	// its high-water mark.
 	pkt.Payload = nil
 	pkt.Hops = pkt.Hops[:0]
-	pp := n.poolFor(nd)
-	if pp.track {
-		pp.regRemove(pkt)
-	}
-	pp.put(pkt)
+	n.poolFor(nd).put(pkt)
 }
 
 // ReleasePacket returns a packet this node's logical process owns to the

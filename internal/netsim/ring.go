@@ -38,28 +38,3 @@ func (r *ring[T]) pop() T {
 	r.n--
 	return v
 }
-
-// snapshot appends the ring's contents in pop order to dst[:0] and
-// returns it — the checkpoint primitive for in-flight windows. dst is
-// reused across rounds, so a warm snapshot allocates nothing.
-func (r *ring[T]) snapshot(dst []T) []T {
-	dst = dst[:0]
-	for i := 0; i < r.n; i++ {
-		dst = append(dst, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return dst
-}
-
-// restore replaces the ring's contents with src in pop order, reusing
-// the existing buffer.
-func (r *ring[T]) restore(src []T) {
-	var zero T
-	for i := range r.buf {
-		r.buf[i] = zero
-	}
-	r.head = 0
-	r.n = 0
-	for _, v := range src {
-		r.push(v)
-	}
-}

@@ -317,7 +317,7 @@ type MetroLANConfig struct {
 	// bridge). The bridge delay is the synchronization lookahead when the
 	// build is partitioned along segment boundaries — deliberately tiny
 	// relative to any routing-protocol period, which is what makes this
-	// the low-lookahead stress topology for the optimistic engine.
+	// the low-lookahead stress topology for the partition engine.
 	Bridge LinkConfig
 	// CPU configures every router's CPU; nil means no CPU model.
 	CPU *CPUConfig
@@ -342,10 +342,8 @@ type MetroLAN struct {
 //
 // The interesting property is the ratio between the bridge delay (the
 // partitioned lookahead, ~100 µs) and the inter-segment traffic gap
-// (routing periods, seconds): a conservative engine must barrier every
-// lookahead even though virtually no window moves a boundary packet,
-// while an optimistic engine's leases stretch toward the real traffic
-// spacing.
+// (routing periods, seconds): the partitioned run must barrier every
+// lookahead even though virtually no window moves a boundary packet.
 func (n *Network) BuildMetroLAN(cfg MetroLANConfig) *MetroLAN {
 	if cfg.Segments < 1 || cfg.HostsPerSeg < 2 {
 		panic("netsim: BuildMetroLAN needs segments of at least 2 hosts")

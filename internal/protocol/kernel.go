@@ -66,24 +66,6 @@ func (f *FIFO[T]) Pop() T {
 	return v
 }
 
-// Snapshot appends the queued items, in pop order, to dst[:0] and
-// returns it — the checkpoint primitive for optimistic execution. dst is
-// reused across rounds, so a warm snapshot allocates nothing.
-func (f *FIFO[T]) Snapshot(dst []T) []T {
-	return append(dst[:0], f.buf[f.head:]...)
-}
-
-// Restore replaces the queue's contents with src in pop order, reusing
-// the backing array.
-func (f *FIFO[T]) Restore(src []T) {
-	var zero T
-	for i := range f.buf {
-		f.buf[i] = zero
-	}
-	f.buf = append(f.buf[:0], src...)
-	f.head = 0
-}
-
 // recvItem is one received packet awaiting CPU processing. The agent
 // owns the packet (netsim transferred it at OnRouting) and the kernel
 // holds it by generation-checked handle until the work completes, then
@@ -210,59 +192,6 @@ type Kernel[A any] struct {
 	Enc []byte
 
 	hooks Hooks[A]
-
-	// ckpt is the kernel's optimistic-rollback shadow (see SaveCheckpoint).
-	ckpt kernelCkpt[A]
-}
-
-// kernelCkpt shadows the kernel state a rolled-back logical process must
-// restore: timer handles (valid across a des rewind by the checkpoint
-// contract), lifecycle counters, the private random stream, and the
-// in-flight CPU work queues. Enc is pure intra-event scratch and hooks
-// are immutable, so neither is saved.
-type kernelCkpt[A any] struct {
-	timerEv     des.Event
-	sweepEv     des.Event
-	waitEv      des.Event
-	lastExpiry  float64
-	stopped     bool
-	gen         uint64
-	timerResets uint64
-	rState      int64
-	recvQ       []recvItem[A]
-	prepQ       []prepItem
-}
-
-// SaveCheckpoint implements netsim.Checkpointable; the owning logical
-// process calls it at each optimistic round boundary.
-func (k *Kernel[A]) SaveCheckpoint() {
-	c := &k.ckpt
-	c.timerEv = k.timerEv
-	c.sweepEv = k.sweepEv
-	c.waitEv = k.waitEv
-	c.lastExpiry = k.lastExpiry
-	c.stopped = k.stopped
-	c.gen = k.gen
-	c.timerResets = k.timerResets
-	c.rState = k.r.State()
-	c.recvQ = k.recvQ.Snapshot(c.recvQ)
-	c.prepQ = k.prepQ.Snapshot(c.prepQ)
-}
-
-// RestoreCheckpoint implements netsim.Checkpointable, rolling the kernel
-// back to its SaveCheckpoint state.
-func (k *Kernel[A]) RestoreCheckpoint() {
-	c := &k.ckpt
-	k.timerEv = c.timerEv
-	k.sweepEv = c.sweepEv
-	k.waitEv = c.waitEv
-	k.lastExpiry = c.lastExpiry
-	k.stopped = c.stopped
-	k.gen = c.gen
-	k.timerResets = c.timerResets
-	k.r.Seed(c.rState)
-	k.recvQ.Restore(c.recvQ)
-	k.prepQ.Restore(c.prepQ)
 }
 
 // New creates a kernel on cfg.Node and installs hooks.Receive as the
@@ -317,9 +246,6 @@ func New[A any](cfg Config, hooks Hooks[A]) *Kernel[A] {
 		}
 	}
 	cfg.Node.OnRouting = hooks.Receive
-	// In optimistic partitioned runs the kernel's state must roll back
-	// with its logical process; elsewhere this is a no-op.
-	cfg.Node.Net().RegisterCheckpoint(cfg.Node, k)
 	return k
 }
 

@@ -125,34 +125,6 @@ type Agent struct {
 	// internal/faults hangs off this hook; nil costs one predictable
 	// branch per transition.
 	OnRouteChange func(dest netsim.NodeID, metric uint32, reachable bool)
-
-	// ckpt shadows the agent's rollback state (table, trigger holdoff,
-	// counters); the kernel checkpoints its own state separately.
-	ckpt agentCkpt
-}
-
-type agentCkpt struct {
-	lastTrig float64
-	stats    Stats
-	table    tableCkpt
-}
-
-// SaveCheckpoint implements netsim.Checkpointable for optimistic
-// partitioned runs.
-func (a *Agent) SaveCheckpoint() {
-	// First save: stock the route pool to the destination universe, so
-	// restore/replay churn never grows it mid-round (O(1) once warm).
-	a.table.Prewarm(a.k.Node().Net().NumNodes())
-	a.ckpt.lastTrig = a.lastTrig
-	a.ckpt.stats = a.stats
-	a.table.saveInto(&a.ckpt.table)
-}
-
-// RestoreCheckpoint implements netsim.Checkpointable.
-func (a *Agent) RestoreCheckpoint() {
-	a.lastTrig = a.ckpt.lastTrig
-	a.stats = a.ckpt.stats
-	a.table.restoreFrom(&a.ckpt.table)
 }
 
 // NewAgent creates an agent on node and installs its receive hook. Call
@@ -208,7 +180,6 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 			a.lastTrig = a.k.Node().Now() - a.cfg.TriggerHoldoff
 		},
 	})
-	node.Net().RegisterCheckpoint(node, a)
 	return a
 }
 

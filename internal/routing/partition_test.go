@@ -61,16 +61,8 @@ func runRoutingAS(backend des.Backend, k int) routingPartitionSnap {
 			ag := NewAgent(topo.Routers[a][i], cfg)
 			j := idx
 			// Each OnSend fires only on the owning logical process, so the
-			// per-agent slices are goroutine-confined. The recorder is
-			// append-only; its rollback checkpoint (exercised when the
-			// suite is swept with ROUTESYNC_SYNC_MODE=optimistic) is a
-			// length to truncate to.
+			// per-agent slices are goroutine-confined.
 			ag.OnSend = func(at float64, trig bool) { sends[j] = append(sends[j], at) }
-			saved := 0
-			n.RegisterCheckpoint(topo.Routers[a][i], netsim.CheckpointFuncs{
-				Save:    func() { saved = len(sends[j]) },
-				Restore: func() { sends[j] = sends[j][:saved] },
-			})
 			ag.Start(float64(idx) * 0.83)
 			agents = append(agents, ag)
 			idx++

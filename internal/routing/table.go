@@ -148,65 +148,6 @@ func (t *Table) Reset() {
 	t.sortedOK = false
 }
 
-// tableCkpt shadows a table's contents for optimistic rollback: route
-// values and hold-down windows, flattened into reusable buffers.
-type tableCkpt struct {
-	routes []Route
-	holds  []holdEntry
-}
-
-type holdEntry struct {
-	dest netsim.NodeID
-	till float64
-}
-
-// saveInto flattens the table into c, reusing c's buffers.
-func (t *Table) saveInto(c *tableCkpt) {
-	c.routes = c.routes[:0]
-	for _, r := range t.routes {
-		c.routes = append(c.routes, *r)
-	}
-	c.holds = c.holds[:0]
-	for dest, till := range t.holdTill {
-		c.holds = append(c.holds, holdEntry{dest, till})
-	}
-}
-
-// restoreFrom rebuilds the table from c in place: current Route structs
-// recycle onto the free list and the saved values repopulate through it,
-// so a warm restore allocates nothing. The rebuilt map's iteration order
-// differs from the original, which is unobservable — every consumer
-// either sorts (Expire's result lists) or reads the destination-ordered
-// cached view (ExportInto).
-func (t *Table) restoreFrom(c *tableCkpt) {
-	for dest, r := range t.routes {
-		t.free = append(t.free, r)
-		delete(t.routes, dest)
-	}
-	for i := range c.routes {
-		t.routes[c.routes[i].Dest] = t.newRoute(c.routes[i])
-	}
-	for dest := range t.holdTill {
-		delete(t.holdTill, dest)
-	}
-	for _, h := range c.holds {
-		t.holdTill[h.dest] = h.till
-	}
-	t.sorted = t.sorted[:0]
-	t.sortedOK = false
-}
-
-// Prewarm grows the table's Route pool (live + free) to at least n
-// structs. Rollback restores and route churn pop the free list at their
-// transient maxima; stocking it to the destination universe up front
-// keeps the steady state allocation-free instead of letting the pool's
-// high-water mark creep one struct at a time.
-func (t *Table) Prewarm(n int) {
-	for have := len(t.routes) + len(t.free); have < n; have++ {
-		t.free = append(t.free, &Route{})
-	}
-}
-
 // ApplyResult reports what an incoming update changed.
 //
 // Installed and Unreachable are backed by scratch the table reuses: they

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"routesync/internal/des"
@@ -21,14 +20,9 @@ type Metrics struct {
 	rounds    atomic.Uint64
 	maxDepth  atomic.Int64
 
-	// Partition-coordination counters, fed by netsim.SyncObserver
-	// callbacks (one per window/round, from the coordinator only).
-	// The float maxima are stored as math.Float64bits so the CAS max
-	// works on non-negative values.
-	syncWindows   atomic.Uint64
-	syncRollbacks atomic.Uint64
-	rollbackDepth atomic.Uint64
-	gvtLag        atomic.Uint64
+	// syncWindows counts partition windows, fed by netsim.SyncObserver
+	// callbacks (one per window, from the coordinator only).
+	syncWindows atomic.Uint64
 }
 
 // EventScheduled implements des.Observer.
@@ -52,32 +46,10 @@ func (m *Metrics) RoundCompleted(now float64, size int) {
 	m.rounds.Add(1)
 }
 
-// SyncWindow implements netsim.SyncObserver: one call per coordination
-// round of a partitioned run. Conservative windows carry zero lag and
-// rollbacks; optimistic rounds report the commit frontier's lag and any
-// rollback work the round paid for.
+// SyncWindow implements netsim.SyncObserver: one call per window of a
+// partitioned run.
 func (m *Metrics) SyncWindow(gvt, lag float64, rollbacks int, maxDepth float64) {
 	m.syncWindows.Add(1)
-	if rollbacks > 0 {
-		m.syncRollbacks.Add(uint64(rollbacks))
-	}
-	bumpFloat(&m.rollbackDepth, maxDepth)
-	bumpFloat(&m.gvtLag, lag)
-}
-
-// bumpFloat is a CAS max over non-negative float64 values stored as
-// bits (for non-negative IEEE-754 values, bit order is value order).
-func bumpFloat(a *atomic.Uint64, v float64) {
-	if v <= 0 {
-		return
-	}
-	bits := math.Float64bits(v)
-	for {
-		cur := a.Load()
-		if bits <= cur || a.CompareAndSwap(cur, bits) {
-			return
-		}
-	}
 }
 
 // bumpDepth is a CAS max: concurrent engines (replications on the job
@@ -105,16 +77,8 @@ type MetricsSnapshot struct {
 	// shift to a backend switch. Empty when the experiment scheduled no
 	// DES events.
 	DESBackend string `json:"des_backend,omitempty"`
-	// SyncWindows counts partition coordination rounds (conservative
-	// windows or optimistic commit rounds); SyncRollbacks the LP
-	// rollbacks paid across them. RollbackDepthMax and GVTLagMax are the
-	// deepest single rollback and the furthest any LP clock ran past a
-	// commit frontier, in simulated seconds — the realized bounded-
-	// rollback envelope for the run.
-	SyncWindows      uint64  `json:"sync_windows,omitempty"`
-	SyncRollbacks    uint64  `json:"sync_rollbacks,omitempty"`
-	RollbackDepthMax float64 `json:"rollback_depth_max,omitempty"`
-	GVTLagMax        float64 `json:"gvt_lag_max,omitempty"`
+	// SyncWindows counts partition windows (barrier rounds).
+	SyncWindows uint64 `json:"sync_windows,omitempty"`
 }
 
 // Snapshot returns the current counts, or nil if nothing was observed —
@@ -131,9 +95,6 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 		EventQueuePeakDepth: m.maxDepth.Load(),
 		RoundsCompleted:     m.rounds.Load(),
 		SyncWindows:         m.syncWindows.Load(),
-		SyncRollbacks:       m.syncRollbacks.Load(),
-		RollbackDepthMax:    math.Float64frombits(m.rollbackDepth.Load()),
-		GVTLagMax:           math.Float64frombits(m.gvtLag.Load()),
 	}
 	if *s == (MetricsSnapshot{}) {
 		return nil

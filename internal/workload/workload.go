@@ -102,24 +102,6 @@ type Pinger struct {
 	cfg  PingConfig
 	sent []float64 // send time per seq
 	rtt  []float64
-
-	// Rollback shadows for optimistic partitioned runs: both send times
-	// and reply RTTs are recorded by events at src's node, so the pinger
-	// checkpoints with src's logical process.
-	ckptSent []float64
-	ckptRtt  []float64
-}
-
-// SaveCheckpoint implements netsim.Checkpointable.
-func (p *Pinger) SaveCheckpoint() {
-	p.ckptSent = append(p.ckptSent[:0], p.sent...)
-	p.ckptRtt = append(p.ckptRtt[:0], p.rtt...)
-}
-
-// RestoreCheckpoint implements netsim.Checkpointable.
-func (p *Pinger) RestoreCheckpoint() {
-	copy(p.sent, p.ckptSent)
-	copy(p.rtt, p.ckptRtt)
 }
 
 // NewPinger wires a pinger from src to dst: the echo responder is
@@ -160,7 +142,6 @@ func NewPinger(src, dst *netsim.Node, cfg PingConfig) *Pinger {
 			p.rtt[seq] = t
 		}
 	}
-	src.Net().RegisterCheckpoint(src, p)
 	return p
 }
 
