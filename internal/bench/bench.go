@@ -151,14 +151,15 @@ func TickerStorm(b *testing.B) {
 }
 
 // PeriodicStep measures one cluster firing of the Periodic Messages model
-// at population n. The heap engine makes this O(k log N) in the cluster
-// size k rather than O(N log N) in the population. The configuration
-// pins the system in the desynchronized steady state so k measures the
-// engine, not the physics: Tp scales with n (n=20 gives the paper's
-// 121 s) to hold the expiry density per Tc window constant — at the
-// paper's fixed Tp = 121 an n=1000 system saturates (N·Tc ≈ Tp) — and
-// Tr = Tp/20 is jitter far above the synchronization threshold, since a
-// benchmark long enough to synchronize would silently switch to
+// at population n on the engine EngineAuto picks: the heap engine at
+// n=20, O(k log N) in the cluster size k, and the bucket engine from
+// n=100 on, O(k) — either way not O(N log N) in the population. The
+// configuration pins the system in the desynchronized steady state so k
+// measures the engine, not the physics: Tp scales with n (n=20 gives
+// the paper's 121 s) to hold the expiry density per Tc window constant —
+// at the paper's fixed Tp = 121 an n=1000 system saturates (N·Tc ≈ Tp)
+// — and Tr = Tp/20 is jitter far above the synchronization threshold,
+// since a benchmark long enough to synchronize would silently switch to
 // measuring O(N) clusters on every engine.
 func PeriodicStep(b *testing.B, n int) {
 	sys := periodic.New(PeriodicBenchConfig(n))
@@ -183,11 +184,11 @@ func PeriodicStepObserved(b *testing.B, n int) {
 	}
 }
 
-// PeriodicStepLargeN is PeriodicStep at populations past the EngineAuto
-// threshold, where the structure-of-arrays bucket engine takes over: one
-// cluster firing at N = 10k–100k, still 0 allocs/op in steady state.
-// The engine is pinned explicitly so the benchmark keeps measuring the
-// bucket path even if the auto threshold moves.
+// PeriodicStepLargeN is PeriodicStep at the populations the
+// structure-of-arrays bucket engine was built for: one cluster firing at
+// N = 10k–100k, still 0 allocs/op in steady state. The engine is pinned
+// explicitly so the benchmark keeps measuring the bucket path wherever
+// the auto threshold (N ≥ 50) sits.
 func PeriodicStepLargeN(b *testing.B, n int) {
 	cfg := PeriodicBenchConfig(n)
 	cfg.Engine = periodic.EngineBucket

@@ -8,7 +8,6 @@ import (
 	"routesync/internal/des"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
-	"routesync/internal/parallel"
 	"routesync/internal/pathvector"
 	"routesync/internal/stats"
 	"routesync/internal/trace"
@@ -37,8 +36,12 @@ type BGPConfig struct {
 	MRAIs []float64
 	// Horizon is the simulated duration per run; zero means 160 s.
 	Horizon float64
-	// Jobs requests K logical processes (0: one per CPU). Results do not
-	// depend on it.
+	// Jobs is the worker budget (0: one per CPU). Cells — one per
+	// (jitter arm, MRAI, size) point — run concurrently first, and
+	// workers left over when there are fewer cells than workers split
+	// each cell into logical processes. Results do not depend on it;
+	// memory does, since up to min(Jobs, cells) scenarios are alive at
+	// once (two 10000-AS cells at Jobs 2).
 	Jobs int
 	// Seed drives topology and jitter randomness.
 	Seed int64
@@ -363,7 +366,36 @@ func ExtBGP(cfg BGPConfig) *Result {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	k := parallel.Workers(cfg.Jobs)
+	type cell struct {
+		jit  string
+		mrai float64
+		size int
+	}
+	var cells []cell
+	for _, jit := range bgpJitters {
+		for _, mrai := range cfg.MRAIs {
+			for _, size := range cfg.Sizes {
+				cells = append(cells, cell{jit, mrai, size})
+			}
+		}
+	}
+	type cellOut struct {
+		ases                                int
+		cluster, burst, storm, moves, reach float64
+	}
+	outs := runCells(len(cells), cfg.Jobs, func(i, k int) cellOut {
+		c := cells[i]
+		sc := BuildBGP(c.size, k, c.mrai, c.jit, cfg.Seed, cfg.Horizon, cfg.Obs)
+		sc.Run()
+		return cellOut{
+			ases:    sc.ASes,
+			cluster: sc.SyncClusterFraction(),
+			burst:   sc.BurstRatio(),
+			storm:   sc.StormLength(),
+			moves:   sc.StormChanges(),
+			reach:   sc.ReachFraction(sc.ProbeOrigin),
+		}
+	})
 
 	res := &Result{
 		ID:    "ext_bgp",
@@ -379,27 +411,24 @@ func ExtBGP(cfg BGPConfig) *Result {
 			sync := stats.Series{Name: "round sync cluster (" + tag + ")"}
 			burst := stats.Series{Name: "peak/mean burst (" + tag + ")"}
 			storm := stats.Series{Name: "storm length s (" + tag + ")"}
-			for _, size := range cfg.Sizes {
-				sc := BuildBGP(size, k, mrai, jit, cfg.Seed, cfg.Horizon, cfg.Obs)
-				sc.Run()
-				n := float64(sc.ASes)
-				cl := sc.SyncClusterFraction()
-				br := sc.BurstRatio()
-				sl := sc.StormLength()
-				sync.Append(n, cl)
-				burst.Append(n, br)
-				storm.Append(n, sl)
+			for range cfg.Sizes {
+				o := outs[0]
+				outs = outs[1:]
+				n := float64(o.ases)
+				sync.Append(n, o.cluster)
+				burst.Append(n, o.burst)
+				storm.Append(n, o.storm)
 				// A storm still in flight at the horizon is censored: some
 				// ASes still hold a stale route to the withdrawn prefix, so
 				// the reported length is a lower bound.
 				censored := ""
-				if sc.ReachFraction(sc.ProbeOrigin) > 0 {
+				if o.reach > 0 {
 					censored = ", censored at run end"
 				}
 				// No K, wall time, or backend here: artifacts must be
 				// identical for every -jobs value and both DES backends.
 				res.Notef("N=%d %s: round cluster %.0f%%, peak/mean burst %.1f, storm %.1fs (%.2f changes/AS%s), reach(probe) post-withdraw %.0f%%",
-					sc.ASes, tag, 100*cl, br, sl, sc.StormChanges(), censored, 100*sc.ReachFraction(sc.ProbeOrigin))
+					o.ases, tag, 100*o.cluster, o.burst, o.storm, o.moves, censored, 100*o.reach)
 			}
 			series = append(series, sync, burst, storm)
 		}

@@ -7,7 +7,6 @@ import (
 	"routesync/internal/faults"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
-	"routesync/internal/parallel"
 	"routesync/internal/routing"
 	"routesync/internal/stats"
 	"routesync/internal/trace"
@@ -39,8 +38,11 @@ type ChurnConfig struct {
 	MeanUps []float64
 	// Horizon is the simulated duration per run; zero means 400 s.
 	Horizon float64
-	// Jobs requests K logical processes (0: one per CPU). Results do not
-	// depend on it.
+	// Jobs is the worker budget (0: one per CPU). Cells — one per
+	// (policy, up-time) point — run concurrently first, and workers left
+	// over when there are fewer cells than workers split each cell into
+	// logical processes. Results do not depend on it; memory does, since
+	// up to min(Jobs, cells) scenarios are alive at once.
 	Jobs int
 	// Seed drives every random stream: timer jitter and fault timelines.
 	Seed int64
@@ -274,7 +276,40 @@ func ExtChurn(cfg ChurnConfig) *Result {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	k := parallel.Workers(cfg.Jobs)
+	type cell struct {
+		pol    ChurnPolicy
+		meanUp float64
+	}
+	var cells []cell
+	for _, pol := range churnPolicies {
+		for _, meanUp := range cfg.MeanUps {
+			cells = append(cells, cell{pol, meanUp})
+		}
+	}
+	type cellOut struct {
+		outages, resurrections         int
+		p95, age, stale50, avail, loss float64
+	}
+	outs := runCells(len(cells), cfg.Jobs, func(i, k int) cellOut {
+		c := cells[i]
+		sc := BuildChurn(cfg.NumAS, cfg.RoutersPerAS, k, cfg.Seed, c.meanUp, c.pol, cfg.Horizon, cfg.Obs)
+		sc.Run()
+		mon := sc.Monitor
+		durs := mon.OutageDurations()
+		p95 := math.NaN()
+		if len(durs) > 0 {
+			p95 = stats.Quantile(durs, 0.95)
+		}
+		return cellOut{
+			outages:       len(durs),
+			resurrections: mon.Resurrections(),
+			p95:           p95,
+			age:           stats.Mean(mon.Ages()),
+			stale50:       stats.Quantile(mon.StalenessAtFailures(), 0.5),
+			avail:         mon.Availability(),
+			loss:          sc.Pinger.Result().LossRate(),
+		}
+	})
 
 	res := &Result{
 		ID:    "ext_churn",
@@ -288,22 +323,13 @@ func ExtChurn(cfg ChurnConfig) *Result {
 		outage := stats.Series{Name: "p95 outage (s), " + pol.Label()}
 		age := stats.Series{Name: "mean route age (s), " + pol.Label()}
 		for _, meanUp := range cfg.MeanUps {
-			sc := BuildChurn(cfg.NumAS, cfg.RoutersPerAS, k, cfg.Seed, meanUp, pol, cfg.Horizon, cfg.Obs)
-			sc.Run()
+			o := outs[0]
+			outs = outs[1:]
 			rate := 3600 / (meanUp + churnMeanDown)
-			mon := sc.Monitor
-			durs := mon.OutageDurations()
-			p95 := math.NaN()
-			if len(durs) > 0 {
-				p95 = stats.Quantile(durs, 0.95)
-			}
-			outage.Append(rate, p95)
-			age.Append(rate, stats.Mean(mon.Ages()))
-			pr := sc.Pinger.Result()
+			outage.Append(rate, o.p95)
+			age.Append(rate, o.age)
 			res.Notef("%s, %.0f failures/h: %d outages (p95 %.1f s), mean age %.2f s, staleness at failure p50 %.2f s, availability %.4f, resurrections %d, ping loss %.2f%%",
-				pol.Label(), rate, len(durs), p95, stats.Mean(mon.Ages()),
-				stats.Quantile(mon.StalenessAtFailures(), 0.5), mon.Availability(),
-				mon.Resurrections(), 100*pr.LossRate())
+				pol.Label(), rate, o.outages, o.p95, o.age, o.stale50, o.avail, o.resurrections, 100*o.loss)
 		}
 		series = append(series, outage, age)
 	}

@@ -7,7 +7,6 @@ import (
 	"routesync/internal/des"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
-	"routesync/internal/parallel"
 	"routesync/internal/routing"
 	"routesync/internal/stats"
 	"routesync/internal/trace"
@@ -35,8 +34,11 @@ type NetScaleConfig struct {
 	// Horizon is the simulated duration per size; zero means 150 s
 	// (five RIP periods).
 	Horizon float64
-	// Jobs requests K logical processes (0: one per CPU). Results do not
-	// depend on it.
+	// Jobs is the worker budget (0: one per CPU). Cells — one per size —
+	// run concurrently first, and workers left over when there are fewer
+	// cells than workers split each cell into logical processes. Results
+	// do not depend on it; memory does, since up to min(Jobs, cells)
+	// scenarios are alive at once.
 	Jobs int
 	// Seed drives topology-independent randomness (timer jitter streams).
 	Seed int64
@@ -251,7 +253,25 @@ func ExtNetScale(cfg NetScaleConfig) *Result {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	k := parallel.Workers(cfg.Jobs)
+	type cellOut struct {
+		routers, domains   int
+		loss, rtt, upd, cl float64
+		forwarded          uint64
+	}
+	outs := runCells(len(cfg.Sizes), cfg.Jobs, func(i, k int) cellOut {
+		sc := BuildNetScale(cfg.Sizes[i], cfg.RoutersPerAS, k, cfg.Seed, cfg.Horizon, cfg.Obs)
+		sc.Run()
+		pr := sc.Pinger.Result()
+		return cellOut{
+			routers:   sc.Routers,
+			domains:   sc.NumAS,
+			loss:      pr.LossRate(),
+			rtt:       pr.RTTQuantile(0.5),
+			upd:       sc.UpdatesPerRouter(),
+			cl:        sc.SyncClusterFraction(routing.RIP().Period, 1),
+			forwarded: sc.Net.Counters().Forwarded,
+		}
+	})
 
 	res := &Result{
 		ID:    "ext_netscale",
@@ -264,23 +284,17 @@ func ExtNetScale(cfg NetScaleConfig) *Result {
 	rtt := stats.Series{Name: "ping p50 RTT (s)"}
 	upd := stats.Series{Name: "updates per router"}
 	sync := stats.Series{Name: "largest 1s update cluster (fraction)"}
-	for _, size := range cfg.Sizes {
-		sc := BuildNetScale(size, cfg.RoutersPerAS, k, cfg.Seed, cfg.Horizon, cfg.Obs)
-		sc.Run()
-		pr := sc.Pinger.Result()
-		cl := sc.SyncClusterFraction(routing.RIP().Period, 1)
-		n := float64(sc.Routers)
-		loss.Append(n, pr.LossRate())
-		rtt.Append(n, pr.RTTQuantile(0.5))
-		upd.Append(n, sc.UpdatesPerRouter())
-		sync.Append(n, cl)
-		cnt := sc.Net.Counters()
+	for _, o := range outs {
+		n := float64(o.routers)
+		loss.Append(n, o.loss)
+		rtt.Append(n, o.rtt)
+		upd.Append(n, o.upd)
+		sync.Append(n, o.cl)
 		// No K, wall time, or lookahead here: artifacts must be identical
 		// for every -jobs value (the partition engine guarantees the data
 		// is, and lookahead is +Inf at K=1).
 		res.Notef("N=%d (%d domains): ping loss %.2f%%, p50 RTT %.1f ms, %.1f updates/router, largest 1s cluster %.0f%%, %d pkts forwarded",
-			sc.Routers, sc.NumAS,
-			100*pr.LossRate(), 1e3*pr.RTTQuantile(0.5), sc.UpdatesPerRouter(), 100*cl, cnt.Forwarded)
+			o.routers, o.domains, 100*o.loss, 1e3*o.rtt, o.upd, 100*o.cl, o.forwarded)
 	}
 	res.Series = []stats.Series{loss, rtt, upd, sync}
 	return res

@@ -86,6 +86,38 @@ func fig1Shared(spec *runner.Spec) fig1Out {
 	}).(fig1Out)
 }
 
+// figNetScale, figChurn and figBGP derive the sweep drivers'
+// configurations: the full sweep, or a reduced one under -quick.
+func figNetScale(spec *runner.Spec) NetScaleConfig {
+	cfg := NetScaleConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
+	if spec.Quick {
+		cfg.Sizes = []int{500, 1000}
+		cfg.Horizon = 65
+	}
+	return cfg
+}
+
+func figChurn(spec *runner.Spec) ChurnConfig {
+	cfg := ChurnConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
+	if spec.Quick {
+		cfg.NumAS = 4
+		cfg.RoutersPerAS = 6
+		cfg.MeanUps = []float64{60, 30}
+		cfg.Horizon = 220
+	}
+	return cfg
+}
+
+func figBGP(spec *runner.Spec) BGPConfig {
+	cfg := BGPConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
+	if spec.Quick {
+		cfg.Sizes = []int{300, 800}
+		cfg.MRAIs = []float64{0, 5}
+		cfg.Horizon = 120
+	}
+	return cfg
+}
+
 // fig registers one figure driver under the "figures" tag. The driver's
 // Result supplies the title and notes; finishResult writes the files
 // when the spec asks for them.
@@ -247,31 +279,13 @@ func registerFigures(reg *runner.Registry) {
 		return ExtTriggered(nil, horizon, 1)
 	})
 	fig(reg, "ext_netscale", runner.CostExpensive, func(spec *runner.Spec) *Result {
-		cfg := NetScaleConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
-		if spec.Quick {
-			cfg.Sizes = []int{500, 1000}
-			cfg.Horizon = 65
-		}
-		return ExtNetScale(cfg)
+		return ExtNetScale(figNetScale(spec))
 	})
 	fig(reg, "ext_churn", runner.CostExpensive, func(spec *runner.Spec) *Result {
-		cfg := ChurnConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
-		if spec.Quick {
-			cfg.NumAS = 4
-			cfg.RoutersPerAS = 6
-			cfg.MeanUps = []float64{60, 30}
-			cfg.Horizon = 220
-		}
-		return ExtChurn(cfg)
+		return ExtChurn(figChurn(spec))
 	})
 	fig(reg, "ext_bgp", runner.CostExpensive, func(spec *runner.Spec) *Result {
-		cfg := BGPConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
-		if spec.Quick {
-			cfg.Sizes = []int{300, 800}
-			cfg.MRAIs = []float64{0, 5}
-			cfg.Horizon = 120
-		}
-		return ExtBGP(cfg)
+		return ExtBGP(figBGP(spec))
 	})
 	fig(reg, "ext_largen", runner.CostExpensive, func(spec *runner.Spec) *Result {
 		ns, rounds := []int(nil), 0

@@ -11,9 +11,10 @@ import (
 type Engine int
 
 const (
-	// EngineAuto picks the bucket engine for N >= bucketEngineMinN and
-	// the heap engine below it — the heap's cache-friendly constant wins
-	// at small N, the bucket engine's O(k) coupling scan at large N.
+	// EngineAuto picks the bucket engine for N >= bucketEngineMinN (50)
+	// and the heap engine below it — the heap's cache-friendly constant
+	// wins at a few dozen routers, the bucket engine's O(k) coupling
+	// scan from about 50 up.
 	EngineAuto Engine = iota
 	// EngineHeap is the indexed binary heap keyed by (expiry, id).
 	EngineHeap
@@ -38,8 +39,11 @@ func (e Engine) String() string {
 }
 
 // bucketEngineMinN is the population size at which EngineAuto switches
-// from the heap to the bucket engine.
-const bucketEngineMinN = 4096
+// from the heap to the bucket engine: the measured crossover of ns per
+// firing (EXPERIMENTS.md, "Periodic engine"). The heap wins at N = 20
+// by about 1.14×, the two tie around N = 32–40, and the bucket engine
+// wins from N = 50 on (median ratio 0.92 at N = 50 and 64, 0.88 at 100).
+const bucketEngineMinN = 50
 
 // bucketMaxVB caps day indices so arithmetic on far-future expiries
 // cannot overflow int64.

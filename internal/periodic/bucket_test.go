@@ -10,10 +10,10 @@ import (
 // TestBucketMatchesHeap differential-tests the structure-of-arrays bucket
 // engine against the heap engine: for a grid of seeds, reset rules and
 // start states — with a TriggerUpdate injected mid-run — the two engines
-// must produce identical Event sequences, bit for bit. N is forced well
-// below the EngineAuto threshold so the test covers the engine override
-// too; ties are exercised by the synchronized start (every expiry equal)
-// and the trigger (every expiry collapsed to now).
+// must produce identical Event sequences, bit for bit. N is below the
+// EngineAuto threshold so the test covers the engine override too; ties
+// are exercised by the synchronized start (every expiry equal) and the
+// trigger (every expiry collapsed to now).
 func TestBucketMatchesHeap(t *testing.T) {
 	const (
 		n      = 25
@@ -103,6 +103,19 @@ func TestBucketMatchesHeapLargeN(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineAutoThreshold pins where EngineAuto switches engines: the
+// heap engine just below bucketEngineMinN, the bucket engine from it on.
+func TestEngineAutoThreshold(t *testing.T) {
+	for _, c := range []struct {
+		n          int
+		wantBucket bool
+	}{{bucketEngineMinN - 1, false}, {bucketEngineMinN, true}, {1000, true}} {
+		if got := New(Paper(c.n, 0.5, 1)).useBucket; got != c.wantBucket {
+			t.Errorf("EngineAuto at N=%d: bucket engine %v, want %v", c.n, got, c.wantBucket)
+		}
 	}
 }
 
