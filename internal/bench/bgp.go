@@ -25,7 +25,7 @@ func PathVectorUpdate(b *testing.B) {
 	na := net.NewNode("asA", cpu)
 	nb := net.NewNode("asB", cpu)
 	l := net.Connect(na, nb, netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64})
-	origins := []netsim.NodeID{na.ID, nb.ID}
+	origins := pathvector.NewOriginSet([]netsim.NodeID{na.ID, nb.ID})
 	for i, nd := range []*netsim.Node{na, nb} {
 		ag := pathvector.NewAgent(nd, pathvector.Config{
 			Origins:       origins,

@@ -175,11 +175,12 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 		panic("experiments: unknown BGP jitter arm " + jit)
 	}
 
+	originSet := pathvector.NewOriginSet(origins)
 	sc.Agents = make([]*pathvector.Agent, ases)
 	sc.FlushTimes = make([][]float64, ases)
 	for i, nd := range g.Nodes {
 		cfg := pathvector.Config{
-			Origins:       origins,
+			Origins:       originSet,
 			Peers:         peers[i],
 			RefreshPeriod: bgpRefreshPeriod,
 			Jitter:        refreshJit,

@@ -45,7 +45,9 @@ type CPUConfig struct {
 }
 
 // CPU models the router processor: routing-update work occupies it for
-// real simulated time, serialized FIFO.
+// real simulated time, serialized FIFO. Each work item completes with
+// one event: Occupy's drains the input queue, OccupyThen's drains it
+// and then runs the item's callback.
 type CPU struct {
 	node      *Node
 	cfg       CPUConfig
@@ -63,8 +65,14 @@ type CPU struct {
 	// steps holds packets popped for per-packet ForwardCost work whose
 	// cpu-work-done event has not fired yet (FIFO: completions are
 	// scheduled in pop order at monotone times).
-	steps   ring[*Packet]
+	steps ring[*Packet]
+	// thens holds the callbacks of OccupyThen items whose completion
+	// event has not fired yet. Completions land at monotone times under
+	// increasing node keys, so they fire in push order and the hoisted
+	// thenFn pops the head.
+	thens   ring[func()]
 	drainFn func() // hoisted method value; scheduled on every Occupy
+	thenFn  func() // hoisted OccupyThen completion: drain, then callback
 	stepFn  func() // hoisted per-packet forward-cost completion
 	// TotalBusy accumulates occupied seconds, for utilization reports.
 	TotalBusy float64
@@ -79,6 +87,11 @@ func newCPU(nd *Node, cfg CPUConfig) *CPU {
 	}
 	c := &CPU{node: nd, cfg: cfg}
 	c.drainFn = c.drain
+	c.thenFn = func() {
+		fn := c.thens.pop()
+		c.drain()
+		fn()
+	}
 	c.stepFn = func() {
 		pkt := c.steps.pop()
 		c.node.dispatch(pkt)
@@ -104,16 +117,7 @@ func (c *CPU) BlocksForwarding() bool {
 // Occupy appends d seconds of work to the CPU's FIFO backlog and returns
 // the absolute time this work item completes. Negative d panics.
 func (c *CPU) Occupy(d float64) float64 {
-	if d < 0 {
-		panic("netsim: negative CPU occupancy")
-	}
-	now := c.node.Now()
-	if c.busyUntil < now {
-		c.busyUntil = now
-	}
-	c.busyUntil += d
-	c.TotalBusy += d
-	done := c.busyUntil
+	done := c.occupy(d)
 	// Schedule a drain at this work item's completion; the drain is a
 	// no-op if further work arrived in the meantime (a later drain will
 	// handle the queue).
@@ -123,10 +127,28 @@ func (c *CPU) Occupy(d float64) float64 {
 
 // OccupyThen is Occupy plus a completion callback, used by routing agents
 // to re-arm their timers only after their processing finishes (the
-// paper's §3 step 3 coupling).
+// paper's §3 step 3 coupling). The item completes with a single event
+// that drains the input queue and then runs fn, so callbacks run in
+// call order.
 func (c *CPU) OccupyThen(d float64, fn func()) {
-	done := c.Occupy(d)
-	c.node.Schedule(done, "cpu-work-done", fn)
+	done := c.occupy(d)
+	c.thens.push(fn)
+	c.node.Schedule(done, "cpu-work-done", c.thenFn)
+}
+
+// occupy appends d seconds to the backlog and returns its completion
+// time.
+func (c *CPU) occupy(d float64) float64 {
+	if d < 0 {
+		panic("netsim: negative CPU occupancy")
+	}
+	now := c.node.Now()
+	if c.busyUntil < now {
+		c.busyUntil = now
+	}
+	c.busyUntil += d
+	c.TotalBusy += d
+	return c.busyUntil
 }
 
 // qlen returns the current input-queue occupancy.

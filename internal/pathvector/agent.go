@@ -1,8 +1,10 @@
 package pathvector
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"routesync/internal/des"
 	"routesync/internal/jitter"
@@ -62,13 +64,60 @@ type PeerConfig struct {
 // flush path allocation-free.
 const MaxOrigins = 64
 
+// OriginSet is the bounded prefix set: the ASes that originate a prefix,
+// each identified by its node id, in the order that indexes every
+// agent's RIB. A dense index over 0..max id resolves an id to its
+// position without hashing. Build one per scenario and share it
+// read-only between every agent (and every logical process).
+type OriginSet struct {
+	ids []netsim.NodeID
+	idx []int8 // idx[id] is id's position in ids, or -1
+}
+
+// NewOriginSet builds the set from ids, in order. It panics on a
+// negative or duplicate id, and on more than MaxOrigins ids.
+func NewOriginSet(ids []netsim.NodeID) *OriginSet {
+	if len(ids) > MaxOrigins {
+		panic(fmt.Sprintf("pathvector: %d origins exceed MaxOrigins (%d)", len(ids), MaxOrigins))
+	}
+	maxID := netsim.NodeID(-1)
+	for _, id := range ids {
+		if id < 0 {
+			panic(fmt.Sprintf("pathvector: negative origin id %d", id))
+		}
+		maxID = max(maxID, id)
+	}
+	s := &OriginSet{ids: slices.Clone(ids), idx: make([]int8, maxID+1)}
+	for i := range s.idx {
+		s.idx[i] = -1
+	}
+	for i, id := range ids {
+		if s.idx[id] >= 0 {
+			panic(fmt.Sprintf("pathvector: duplicate origin id %d", id))
+		}
+		s.idx[id] = int8(i)
+	}
+	return s
+}
+
+// Len returns the number of origins.
+func (s *OriginSet) Len() int { return len(s.ids) }
+
+// index returns id's position in the set, or -1 when id is not an
+// origin. Ids come off the wire, so any value is safe.
+func (s *OriginSet) index(id netsim.NodeID) int {
+	if uint(id) >= uint(len(s.idx)) {
+		return -1
+	}
+	return int(s.idx[id])
+}
+
 // Config assembles a path-vector agent.
 type Config struct {
-	// Origins is the bounded prefix set, shared by every agent in the
-	// network: the ASes that originate a prefix, each identified by its
-	// node id. At most MaxOrigins. Order must be identical across
-	// agents (it indexes the RIB).
-	Origins []netsim.NodeID
+	// Origins is the bounded prefix set (see NewOriginSet). Every agent
+	// in the network must share the same set: its order indexes the RIB
+	// and the wire's origin ids resolve through it.
+	Origins *OriginSet
 	// Peers lists the BGP sessions in deterministic order.
 	Peers []PeerConfig
 	// RefreshPeriod is the periodic re-advertisement interval: each AS
@@ -171,12 +220,15 @@ type Agent struct {
 	k   *protocol.Kernel[pvAux]
 	cfg Config
 
-	peers     []peerState
-	peerByID  map[netsim.NodeID]int
-	origins   []netsim.NodeID
-	originIdx map[netsim.NodeID]int
-	selfIdx   int  // index of own prefix in origins, or -1
-	localUp   bool // own prefix currently originated
+	peers []peerState
+	// peerIDs holds the neighbors' ids in ascending order and peerAt the
+	// matching indexes into peers: receive resolves a sender by binary
+	// search (hubs have 100+ sessions).
+	peerIDs []netsim.NodeID
+	peerAt  []int
+	origins *OriginSet
+	selfIdx int  // index of own prefix in origins, or -1
+	localUp bool // own prefix currently originated
 
 	adjIn [][]adjSlot // [origin][peer]
 	best  []int       // [origin] → bestSelf, bestNone, or peer index
@@ -193,13 +245,15 @@ type Agent struct {
 	OnBestChange func(origin netsim.NodeID, path []netsim.NodeID)
 }
 
-// NewAgent creates an agent on node. Call Start to begin.
+// NewAgent creates an agent on node. Call Start to begin. It panics on
+// an invalid configuration, including two peers that reach the same
+// neighbor.
 func NewAgent(node *netsim.Node, cfg Config) *Agent {
 	if cfg.RefreshPeriod <= 0 {
 		panic("pathvector: refresh period must be positive")
 	}
-	if len(cfg.Origins) == 0 || len(cfg.Origins) > MaxOrigins {
-		panic(fmt.Sprintf("pathvector: origin set must have 1..%d entries", MaxOrigins))
+	if cfg.Origins == nil || cfg.Origins.Len() == 0 {
+		panic("pathvector: empty origin set")
 	}
 	if cfg.PrepareCost < 0 || cfg.ProcessCost < 0 || cfg.MRAI < 0 {
 		panic("pathvector: negative costs or MRAI")
@@ -214,13 +268,13 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		cfg.HoldFactor = 4
 	}
 	a := &Agent{
-		cfg:       cfg,
-		peerByID:  make(map[netsim.NodeID]int, len(cfg.Peers)),
-		origins:   cfg.Origins,
-		originIdx: make(map[netsim.NodeID]int, len(cfg.Origins)),
-		selfIdx:   -1,
+		cfg:     cfg,
+		origins: cfg.Origins,
+		selfIdx: cfg.Origins.index(node.ID),
 	}
+	a.localUp = a.selfIdx >= 0
 	a.peers = make([]peerState, len(cfg.Peers))
+	a.peerAt = make([]int, len(cfg.Peers))
 	for i, pc := range cfg.Peers {
 		if pc.Link == nil {
 			panic("pathvector: peer without a link")
@@ -232,20 +286,21 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 			rel:   pc.Rel,
 			label: fmt.Sprintf("pv-mrai(%s->%s)", node.Name, peer.Name),
 		}
-		a.peerByID[peer.ID] = i
+		a.peerAt[i] = i
 	}
-	for i, o := range cfg.Origins {
-		a.originIdx[o] = i
-		if o == node.ID {
-			a.selfIdx = i
-			a.localUp = true
+	slices.SortFunc(a.peerAt, func(x, y int) int { return cmp.Compare(a.peers[x].id, a.peers[y].id) })
+	a.peerIDs = make([]netsim.NodeID, len(a.peerAt))
+	for i, pi := range a.peerAt {
+		a.peerIDs[i] = a.peers[pi].id
+		if i > 0 && a.peerIDs[i-1] == a.peerIDs[i] {
+			panic(fmt.Sprintf("pathvector: %s has two sessions to neighbor %d", node.Name, a.peerIDs[i]))
 		}
 	}
-	a.adjIn = make([][]adjSlot, len(cfg.Origins))
+	a.adjIn = make([][]adjSlot, cfg.Origins.Len())
 	for i := range a.adjIn {
 		a.adjIn[i] = make([]adjSlot, len(cfg.Peers))
 	}
-	a.best = make([]int, len(cfg.Origins))
+	a.best = make([]int, cfg.Origins.Len())
 	for i := range a.best {
 		a.best[i] = bestNone
 	}
@@ -384,8 +439,8 @@ func (a *Agent) AnnounceLocal() {
 // Reachable reports whether the agent currently has a route to origin,
 // and the AS-path length (0 for a self-originated prefix).
 func (a *Agent) Reachable(origin netsim.NodeID) (bool, int) {
-	o, ok := a.originIdx[origin]
-	if !ok {
+	o := a.origins.index(origin)
+	if o < 0 {
 		return false, 0
 	}
 	switch b := a.best[o]; b {
@@ -402,8 +457,8 @@ func (a *Agent) Reachable(origin netsim.NodeID) (bool, int) {
 // first, origin last) onto dst and returns it; self-originated and
 // unreachable prefixes append nothing.
 func (a *Agent) BestPath(dst []netsim.NodeID, origin netsim.NodeID) []netsim.NodeID {
-	o, ok := a.originIdx[origin]
-	if !ok {
+	o := a.origins.index(origin)
+	if o < 0 {
 		return dst
 	}
 	if b := a.best[o]; b >= 0 {
@@ -420,7 +475,7 @@ func (a *Agent) BestPath(dst []netsim.NodeID, origin netsim.NodeID) []netsim.Nod
 // neighbor whose RIB is unchanged by our refresh stays silent, so hold
 // renewal is Θ(degree) per period, not a network-wide wave.
 func (a *Agent) refresh() {
-	for o := range a.origins {
+	for o := range a.best {
 		if a.best[o] != bestNone {
 			a.markDirtyAll(o)
 		}
@@ -466,14 +521,14 @@ func (a *Agent) flushPeer(p *peerState) {
 		bit := uint64(1) << uint(o)
 		if a.exportable(o, p) {
 			var err error
-			buf, err = AppendAdvertise(buf, a.origins[o], node.ID, a.bestPathFor(o))
+			buf, err = AppendAdvertise(buf, a.origins.ids[o], node.ID, a.bestPathFor(o))
 			if err != nil {
 				panic(err) // paths are bounded by the topology diameter
 			}
 			p.advOut |= bit
 			adv++
 		} else if p.advOut&bit != 0 {
-			buf = AppendWithdraw(buf, a.origins[o])
+			buf = AppendWithdraw(buf, a.origins.ids[o])
 			p.advOut &^= bit
 			wdr++
 		}
@@ -560,8 +615,8 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 		a.k.Node().ReleasePacket(pkt)
 		return
 	}
-	pi, ok := a.peerByID[router]
-	if !ok || a.peers[pi].link != via {
+	i, ok := slices.BinarySearch(a.peerIDs, router)
+	if !ok || a.peers[a.peerAt[i]].link != via {
 		// Not a configured session (or a spoofed arrival on the wrong
 		// link): not our update.
 		a.stats.Malformed++
@@ -569,7 +624,7 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 		return
 	}
 	a.stats.Received++
-	a.k.Process(pkt, via, pvAux{peer: pi}, a.cfg.ProcessCost)
+	a.k.Process(pkt, via, pvAux{peer: a.peerAt[i]}, a.cfg.ProcessCost)
 }
 
 // process is the kernel's processing completion: integrate each entry,
@@ -582,8 +637,8 @@ func (a *Agent) process(pkt *netsim.Packet, _ netsim.Medium, aux pvAux) {
 	changed := false
 	for c := NewCursor(pkt.Payload); c.Next(); {
 		a.stats.Entries++
-		o, ok := a.originIdx[c.Origin()]
-		if !ok {
+		o := a.origins.index(c.Origin())
+		if o < 0 {
 			continue // outside the configured origin set
 		}
 		if c.Withdraw() {
@@ -605,33 +660,36 @@ func (a *Agent) process(pkt *netsim.Packet, _ netsim.Medium, aux pvAux) {
 // reporting whether the stored route changed. Loop detection happens
 // here: a path already containing our AS is treated as a withdrawal
 // from that peer (the route is unusable, and if we previously used it,
-// selection must move off it).
+// selection must move off it). One walk over the wire path checks for
+// the loop, compares against the stored path and overwrites it in
+// place; a loop found part-way leaves the slot cleared, so the partial
+// write never shows.
 func (a *Agent) integrate(o, peer int, c *Cursor, now float64) bool {
-	node := a.k.Node()
+	self := a.k.Node().ID
+	slot := &a.adjIn[o][peer]
 	n := c.PathLen()
-	for i := 0; i < n; i++ {
-		if c.PathAt(i) == node.ID {
+	same := slot.has && len(slot.path) == n
+	if cap(slot.path) < n {
+		// Grow to exactly n; same is already false (the stored path is
+		// shorter).
+		slot.path = make([]netsim.NodeID, 0, n)
+	}
+	path := slot.path[:n]
+	for i := range path {
+		h := c.PathAt(i)
+		if h == self {
 			a.stats.LoopRejected++
 			return a.clearAdj(o, peer)
 		}
-	}
-	slot := &a.adjIn[o][peer]
-	same := slot.has && len(slot.path) == n
-	if same {
-		for i := 0; i < n; i++ {
-			if slot.path[i] != c.PathAt(i) {
-				same = false
-				break
-			}
+		if path[i] != h {
+			path[i] = h
+			same = false
 		}
 	}
+	slot.path = path
 	slot.updated = now
 	if same {
 		return false // pure refresh: renew the hold timer, change nothing
-	}
-	slot.path = slot.path[:0]
-	for i := 0; i < n; i++ {
-		slot.path = append(slot.path, c.PathAt(i))
 	}
 	slot.has = true
 	return true
@@ -687,7 +745,7 @@ func (a *Agent) reselect(o, touched int) bool {
 	a.stats.BestChanges++
 	a.markDirtyAll(o)
 	if a.OnBestChange != nil {
-		a.OnBestChange(a.origins[o], a.bestPathFor(o))
+		a.OnBestChange(a.origins.ids[o], a.bestPathFor(o))
 	}
 	return true
 }
@@ -700,7 +758,7 @@ func (a *Agent) sweep() {
 	now := a.k.Node().Now()
 	hold := a.cfg.HoldFactor * a.cfg.RefreshPeriod
 	changed := false
-	for o := range a.origins {
+	for o := range a.adjIn {
 		row := a.adjIn[o]
 		touched := false
 		for p := range row {
@@ -719,4 +777,3 @@ func (a *Agent) sweep() {
 		a.flushIdlePeers()
 	}
 }
-

@@ -1,6 +1,8 @@
 package pathvector
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"routesync/internal/jitter"
@@ -21,10 +23,11 @@ func buildChain(t *testing.T, k int, cfg Config) (*netsim.Network, []*Agent) {
 	for i := 0; i+1 < k; i++ {
 		links[i] = net.Connect(nodes[i], nodes[i+1], netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64})
 	}
-	origins := make([]netsim.NodeID, k)
+	ids := make([]netsim.NodeID, k)
 	for i, nd := range nodes {
-		origins[i] = nd.ID
+		ids[i] = nd.ID
 	}
+	origins := NewOriginSet(ids)
 	agents := make([]*Agent, k)
 	for i, nd := range nodes {
 		c := cfg
@@ -102,7 +105,7 @@ func TestGaoRexfordValley(t *testing.T) {
 	lAs := net.Connect(coreA, stubA, lc) // provider—customer
 	lBs := net.Connect(coreB, stubB, lc) // provider—customer
 
-	origins := []netsim.NodeID{stubA.ID, stubB.ID}
+	origins := NewOriginSet([]netsim.NodeID{stubA.ID, stubB.ID})
 	mk := func(nd *netsim.Node, peers []PeerConfig, seed int64) *Agent {
 		c := cfg
 		c.Origins = origins
@@ -161,7 +164,7 @@ func TestLocalPrefOverridesPathLength(t *testing.T) {
 	lMO := net.Connect(mid, origin, lc)  // origin is mid's customer
 	lSO := net.Connect(self, origin, lc) // self—origin peering
 
-	origins := []netsim.NodeID{origin.ID}
+	origins := NewOriginSet([]netsim.NodeID{origin.ID})
 	mk := func(nd *netsim.Node, peers []PeerConfig, seed int64) *Agent {
 		c := cfg
 		c.Origins = origins
@@ -222,7 +225,7 @@ func TestLoopRejection(t *testing.T) {
 	l01 := net.Connect(nodes[0], nodes[1], lc)
 	l12 := net.Connect(nodes[1], nodes[2], lc)
 	l02 := net.Connect(nodes[0], nodes[2], lc)
-	origins := []netsim.NodeID{nodes[0].ID, nodes[1].ID, nodes[2].ID}
+	origins := NewOriginSet([]netsim.NodeID{nodes[0].ID, nodes[1].ID, nodes[2].ID})
 	// All peers of each other: every route is peer-learned, so nothing is
 	// re-exported (Gao–Rexford) — the loop check still guards the direct
 	// advertisements that include the receiver.
@@ -382,4 +385,68 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("PeekHeader accepted a %d-byte truncation of %d", cut, len(buf))
 		}
 	}
+}
+
+// mustPanic runs fn and fails unless it panics with a message
+// containing want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one mentioning %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one mentioning %q", msg, want)
+		}
+	}()
+	fn()
+}
+
+func TestOriginSetIndex(t *testing.T) {
+	s := NewOriginSet([]netsim.NodeID{9, 2, 40})
+	for id, want := range map[netsim.NodeID]int{9: 0, 2: 1, 40: 2, 0: -1, 3: -1, 41: -1, 1 << 40: -1, -5: -1} {
+		if got := s.index(id); got != want {
+			t.Fatalf("index(%d) = %d, want %d", id, got, want)
+		}
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", s.Len())
+	}
+}
+
+func TestOriginSetDuplicatePanics(t *testing.T) {
+	mustPanic(t, "duplicate origin id 4", func() { NewOriginSet([]netsim.NodeID{4, 1, 4}) })
+}
+
+func TestOriginSetNegativePanics(t *testing.T) {
+	mustPanic(t, "negative origin id -1", func() { NewOriginSet([]netsim.NodeID{0, -1}) })
+}
+
+func TestOriginSetTooManyPanics(t *testing.T) {
+	ids := make([]netsim.NodeID, MaxOrigins+1)
+	for i := range ids {
+		ids[i] = netsim.NodeID(i)
+	}
+	NewOriginSet(ids[:MaxOrigins])
+	mustPanic(t, "exceed MaxOrigins", func() { NewOriginSet(ids) })
+}
+
+// TestAgentDuplicateNeighborPanics: two sessions over parallel links to
+// the same neighbor are a configuration error, not a silent overwrite
+// (updates over the first link would count as Malformed).
+func TestAgentDuplicateNeighborPanics(t *testing.T) {
+	net := netsim.NewNetwork(3)
+	lc := netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64}
+	a := net.NewNode("a", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+	b := net.NewNode("b", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+	c := net.NewNode("c", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+	l1 := net.Connect(a, b, lc)
+	l2 := net.Connect(a, c, lc)
+	l3 := net.Connect(a, b, lc)
+	cfg := defaultCfg()
+	cfg.Origins = NewOriginSet([]netsim.NodeID{a.ID})
+	cfg.Peers = []PeerConfig{{Link: l1, Rel: RelPeer}, {Link: l2, Rel: RelPeer}, {Link: l3, Rel: RelCustomer}}
+	mustPanic(t, "two sessions to neighbor", func() { NewAgent(a, cfg) })
 }
