@@ -45,9 +45,9 @@ type CPUConfig struct {
 }
 
 // CPU models the router processor: routing-update work occupies it for
-// real simulated time, serialized FIFO. Each work item completes with
-// one event: Occupy's drains the input queue, OccupyThen's drains it
-// and then runs the item's callback.
+// real simulated time, serialized FIFO. Every work item completes with
+// one event that drains the input queue and then runs the item's
+// callback (a no-op for Occupy).
 type CPU struct {
 	node      *Node
 	cfg       CPUConfig
@@ -66,14 +66,13 @@ type CPU struct {
 	// cpu-work-done event has not fired yet (FIFO: completions are
 	// scheduled in pop order at monotone times).
 	steps ring[*Packet]
-	// thens holds the callbacks of OccupyThen items whose completion
-	// event has not fired yet. Completions land at monotone times under
-	// increasing node keys, so they fire in push order and the hoisted
-	// thenFn pops the head.
-	thens   ring[func()]
-	drainFn func() // hoisted method value; scheduled on every Occupy
-	thenFn  func() // hoisted OccupyThen completion: drain, then callback
-	stepFn  func() // hoisted per-packet forward-cost completion
+	// thens holds the callbacks of work items whose completion event has
+	// not fired yet. Completions land at monotone times under increasing
+	// node keys, so they fire in push order and the hoisted thenFn pops
+	// the head.
+	thens  ring[func()]
+	thenFn func() // hoisted completion of every item: drain, then callback
+	stepFn func() // hoisted per-packet forward-cost completion
 	// TotalBusy accumulates occupied seconds, for utilization reports.
 	TotalBusy float64
 }
@@ -86,7 +85,6 @@ func newCPU(nd *Node, cfg CPUConfig) *CPU {
 		panic("netsim: negative forward cost")
 	}
 	c := &CPU{node: nd, cfg: cfg}
-	c.drainFn = c.drain
 	c.thenFn = func() {
 		fn := c.thens.pop()
 		c.drain()
@@ -114,31 +112,24 @@ func (c *CPU) BlocksForwarding() bool {
 	return c.cfg.Mode == CPUModeLegacy && c.Busy()
 }
 
+// nop is the completion callback of Occupy's work items.
+var nop = func() {}
+
 // Occupy appends d seconds of work to the CPU's FIFO backlog and returns
 // the absolute time this work item completes. Negative d panics.
 func (c *CPU) Occupy(d float64) float64 {
-	done := c.occupy(d)
-	// Schedule a drain at this work item's completion; the drain is a
-	// no-op if further work arrived in the meantime (a later drain will
-	// handle the queue).
-	c.node.Schedule(done, "cpu-drain", c.drainFn)
-	return done
+	c.OccupyThen(d, nop)
+	return c.busyUntil
 }
 
 // OccupyThen is Occupy plus a completion callback, used by routing agents
 // to re-arm their timers only after their processing finishes (the
 // paper's §3 step 3 coupling). The item completes with a single event
-// that drains the input queue and then runs fn, so callbacks run in
-// call order.
+// that drains the input queue and then runs fn; the drain is a no-op if
+// further work arrived in the meantime (a later completion handles the
+// queue). Completions land at monotone times under increasing node
+// keys, so callbacks run in call order. Negative d panics.
 func (c *CPU) OccupyThen(d float64, fn func()) {
-	done := c.occupy(d)
-	c.thens.push(fn)
-	c.node.Schedule(done, "cpu-work-done", c.thenFn)
-}
-
-// occupy appends d seconds to the backlog and returns its completion
-// time.
-func (c *CPU) occupy(d float64) float64 {
 	if d < 0 {
 		panic("netsim: negative CPU occupancy")
 	}
@@ -148,7 +139,8 @@ func (c *CPU) occupy(d float64) float64 {
 	}
 	c.busyUntil += d
 	c.TotalBusy += d
-	return c.busyUntil
+	c.thens.push(fn)
+	c.node.Schedule(c.busyUntil, "cpu-work-done", c.thenFn)
 }
 
 // qlen returns the current input-queue occupancy.

@@ -50,7 +50,7 @@ func TestCPUCompletionOrder(t *testing.T) {
 				e.r.CPU.OccupyThen(0, e.then("C", nil))
 			},
 			// A and B complete while Occupy's work is still queued, so
-			// the packets wait for Occupy's own drain at 1.7, which
+			// the packets wait for Occupy's completion at 1.7, which
 			// runs before C's completion at the same instant.
 			want: []string{"A@1.500", "B@1.500", "p0@1.700", "p1@1.700", "C@1.700"},
 		},
@@ -127,9 +127,9 @@ func TestCPUCompletionOrder(t *testing.T) {
 	}
 }
 
-// TestCPUOccupyThenOneEvent checks that an OccupyThen item costs exactly
-// one fired event (Occupy keeps its own drain event), and that a warm
-// OccupyThen cycle allocates nothing.
+// TestCPUOccupyThenOneEvent checks that every work item, OccupyThen's or
+// Occupy's, costs exactly one fired event, and that a warm OccupyThen
+// cycle allocates nothing.
 func TestCPUOccupyThenOneEvent(t *testing.T) {
 	n := NewNetwork(62)
 	r := n.NewNode("r", &CPUConfig{})
