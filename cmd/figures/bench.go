@@ -62,12 +62,12 @@ func runBench(outDir string) error {
 		{"PeriodicStep/N=100", func(b *testing.B) { bench.PeriodicStep(b, 100) }},
 		{"PeriodicStep/N=1000", func(b *testing.B) { bench.PeriodicStep(b, 1000) }},
 		{"PeriodicStepObserved/N=100", func(b *testing.B) { bench.PeriodicStepObserved(b, 100) }},
-		{"PeriodicStepLargeN/N=10000", func(b *testing.B) { bench.PeriodicStepLargeN(b, 10000) }},
-		{"PeriodicStepLargeN/N=100000", func(b *testing.B) { bench.PeriodicStepLargeN(b, 100000) }},
+		{"PeriodicStepLargeN/N=10000", func(b *testing.B) { bench.PeriodicStep(b, 10000) }},
+		{"PeriodicStepLargeN/N=100000", func(b *testing.B) { bench.PeriodicStep(b, 100000) }},
 		{"ClusterGrow/N=20", func(b *testing.B) { bench.ClusterGrow(b, 20) }},
 		{"ClusterGrow/N=1000", func(b *testing.B) { bench.ClusterGrow(b, 1000) }},
 		{"ClusterGrowSorted/N=1000", func(b *testing.B) { bench.ClusterGrowSorted(b, 1000) }},
-		{"ClusterPartition/N=1000", func(b *testing.B) { bench.ClusterPartition(b, 1000) }},
+		{"PeriodicLargestPending/N=1000", func(b *testing.B) { bench.PeriodicLargestPending(b, 1000) }},
 		{"NetsimForward", bench.NetsimForward},
 		{"NetsimScale/N=500/K=1", func(b *testing.B) { bench.NetsimScale(b, 500, 1) }},
 		{"NetsimScale/N=500/K=2", func(b *testing.B) { bench.NetsimScale(b, 500, 2) }},

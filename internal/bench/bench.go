@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -151,8 +150,8 @@ func TickerStorm(b *testing.B) {
 }
 
 // PeriodicStep measures one cluster firing of the Periodic Messages model
-// at population n on the engine EngineAuto picks: the heap engine at
-// n=20, O(k log N) in the cluster size k, and the bucket engine from
+// at population n on the engine periodic.New picks by n: the heap engine
+// at n=20, O(k log N) in the cluster size k, and the bucket engine from
 // n=100 on, O(k) — either way not O(N log N) in the population. The
 // configuration pins the system in the desynchronized steady state so k
 // measures the engine, not the physics: Tp scales with n (n=20 gives
@@ -176,22 +175,6 @@ func PeriodicStep(b *testing.B, n int) {
 func PeriodicStepObserved(b *testing.B, n int) {
 	cfg := PeriodicBenchConfig(n)
 	cfg.Observer = &benchObserver{}
-	sys := periodic.New(cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Step()
-	}
-}
-
-// PeriodicStepLargeN is PeriodicStep at the populations the
-// structure-of-arrays bucket engine was built for: one cluster firing at
-// N = 10k–100k, still 0 allocs/op in steady state. The engine is pinned
-// explicitly so the benchmark keeps measuring the bucket path wherever
-// the auto threshold (N ≥ 50) sits.
-func PeriodicStepLargeN(b *testing.B, n int) {
-	cfg := PeriodicBenchConfig(n)
-	cfg.Engine = periodic.EngineBucket
 	sys := periodic.New(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -236,12 +219,7 @@ func ClusterGrow(b *testing.B, n int) {
 // admission scan, no copy, no allocation.
 func ClusterGrowSorted(b *testing.B, n int) {
 	ms := benchMembers(n)
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Expiry != ms[j].Expiry {
-			return ms[i].Expiry < ms[j].Expiry
-		}
-		return ms[i].ID < ms[j].ID
-	})
+	cluster.SortMembers(ms)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -249,13 +227,13 @@ func ClusterGrowSorted(b *testing.B, n int) {
 	}
 }
 
-// ClusterPartition measures the full pending-state decomposition used by
-// LargestPending sampling.
-func ClusterPartition(b *testing.B, n int) {
-	ms := benchMembers(n)
+// PeriodicLargestPending measures the pending-state decomposition behind
+// LargestPending sampling: one sort of the n expiries and one cluster walk.
+func PeriodicLargestPending(b *testing.B, n int) {
+	sys := periodic.New(PeriodicBenchConfig(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cluster.Partition(ms, 0.11)
+		sys.LargestPending()
 	}
 }

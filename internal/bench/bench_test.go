@@ -38,9 +38,11 @@ func BenchmarkPeriodicStepObserved(b *testing.B) {
 	}
 }
 
+// BenchmarkPeriodicStepLargeN is PeriodicStep at bucket-engine scale,
+// under the name the committed BENCH_*.json snapshots record.
 func BenchmarkPeriodicStepLargeN(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { PeriodicStepLargeN(b, n) })
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { PeriodicStep(b, n) })
 	}
 }
 
@@ -56,9 +58,9 @@ func BenchmarkClusterGrowSorted(b *testing.B) {
 	}
 }
 
-func BenchmarkClusterPartition(b *testing.B) {
+func BenchmarkPeriodicLargestPending(b *testing.B) {
 	for _, n := range []int{20, 1000} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { ClusterPartition(b, n) })
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { PeriodicLargestPending(b, n) })
 	}
 }
 

@@ -9,12 +9,10 @@
 // paper's cluster graphs (Figs 6–8).
 package cluster
 
-import "sort"
-
-// bucketSortMinLen is the input size at which SortMembers switches from
-// comparison sorting to the linear-time bucket path. Below it the
-// constant factors of bucketing lose to sort.Slice.
-const bucketSortMinLen = 2048
+import (
+	"cmp"
+	"slices"
+)
 
 // Member pairs a router id with its timer-expiry time.
 type Member struct {
@@ -37,15 +35,6 @@ type Cluster struct {
 // Size returns the number of members.
 func (c Cluster) Size() int { return len(c.Members) }
 
-// IDs returns the member router ids in expiry order.
-func (c Cluster) IDs() []int {
-	ids := make([]int, len(c.Members))
-	for i, m := range c.Members {
-		ids[i] = m.ID
-	}
-	return ids
-}
-
 // Grow computes the cluster seeded by the earliest expiry in pending,
 // applying the fixed-point rule: sort expiries ascending; with k current
 // members and window [t, t+k·Tc), admit the next expiry iff it is
@@ -54,8 +43,9 @@ func (c Cluster) IDs() []int {
 // yields only exact ties).
 //
 // Grow does not mutate pending. It is the reference implementation — the
-// heap-based engine in internal/periodic is differential-tested against
-// it — and is equivalent to sorting pending and calling GrowSorted.
+// periodic package's test-only reference stepper, which both engines are
+// differential-tested against, is built on it — and is equivalent to
+// sorting pending and calling GrowSorted.
 func Grow(pending []Member, tc float64) Cluster {
 	if len(pending) == 0 {
 		panic("cluster: Grow with no pending members")
@@ -89,131 +79,16 @@ func GrowSorted(sorted []Member, tc float64) Cluster {
 	}
 }
 
-// SortMembers orders members in place by (Expiry, ID) ascending — the model's
-// deterministic firing order. Large inputs take a linear-time
-// range-partitioned bucket sort (the large-N engine and LargestPending
-// sort full router populations every query); small or degenerate inputs
-// take a comparison sort. Both paths produce the identical total order,
-// so the choice is invisible to callers.
+// SortMembers orders members in place by (Expiry, ID) ascending — the
+// model's deterministic firing order, which the periodic engines' heap and
+// day-bucket orders reproduce exactly.
 func SortMembers(ms []Member) {
-	if len(ms) >= bucketSortMinLen && bucketSort(ms) {
-		return
-	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Expiry != ms[j].Expiry {
-			return ms[i].Expiry < ms[j].Expiry
+	slices.SortFunc(ms, func(a, b Member) int {
+		if c := cmp.Compare(a.Expiry, b.Expiry); c != 0 {
+			return c
 		}
-		return ms[i].ID < ms[j].ID // deterministic tie-break
+		return cmp.Compare(a.ID, b.ID)
 	})
-}
-
-// memberLess is the (Expiry, ID) order shared by every sort path.
-func memberLess(a, b Member) bool {
-	if a.Expiry != b.Expiry {
-		return a.Expiry < b.Expiry
-	}
-	return a.ID < b.ID
-}
-
-// bucketSort sorts ms by distributing members into len(ms) equal-width
-// expiry ranges (a counting-sort scatter), then ordering each range.
-// Because the bucket index is a monotone function of the expiry, the
-// concatenation of sorted buckets is globally sorted. Returns false —
-// input untouched — when the expiries are non-finite or span zero, where
-// range partitioning is meaningless; the caller falls back to the
-// comparison sort.
-func bucketSort(ms []Member) bool {
-	lo, hi := ms[0].Expiry, ms[0].Expiry
-	for _, m := range ms {
-		if m.Expiry-m.Expiry != 0 { // NaN or ±Inf
-			return false
-		}
-		if m.Expiry < lo {
-			lo = m.Expiry
-		}
-		if m.Expiry > hi {
-			hi = m.Expiry
-		}
-	}
-	span := hi - lo
-	if !(span > 0) {
-		return false // all expiries tie; nothing to partition by
-	}
-	nb := len(ms)
-	scale := float64(nb) / span
-	bucketOf := func(e float64) int {
-		b := int((e - lo) * scale)
-		if b >= nb {
-			b = nb - 1 // e == hi
-		}
-		return b
-	}
-	count := make([]int32, nb+1)
-	for _, m := range ms {
-		count[bucketOf(m.Expiry)+1]++
-	}
-	for b := 1; b <= nb; b++ {
-		count[b] += count[b-1]
-	}
-	pos := count[:nb]
-	tmp := make([]Member, nb)
-	for _, m := range ms {
-		b := bucketOf(m.Expiry)
-		tmp[pos[b]] = m
-		pos[b]++
-	}
-	// pos[b] now holds each bucket's end offset; walk the ranges and sort
-	// them. Average occupancy is one, so nearly every range is trivial;
-	// skewed distributions can still pile members into one range, where an
-	// insertion sort would go quadratic — hand those to sort.Slice.
-	start := 0
-	for b := 0; b < nb; b++ {
-		end := int(pos[b])
-		if n := end - start; n > 1 {
-			run := tmp[start:end]
-			if n <= 32 {
-				for i := 1; i < n; i++ {
-					for j := i; j > 0 && memberLess(run[j], run[j-1]); j-- {
-						run[j], run[j-1] = run[j-1], run[j]
-					}
-				}
-			} else {
-				sort.Slice(run, func(i, j int) bool { return memberLess(run[i], run[j]) })
-			}
-		}
-		start = end
-	}
-	copy(ms, tmp)
-	return true
-}
-
-// Partition decomposes a full set of expiries into consecutive clusters by
-// sorting once and repeatedly applying GrowSorted to the remaining tail.
-// It is used for post-hoc analysis of a round's state (e.g. counting
-// clusters, sizes). The returned clusters' Members slices share one
-// backing array private to this call.
-func Partition(pending []Member, tc float64) []Cluster {
-	rest := append([]Member(nil), pending...)
-	SortMembers(rest)
-	var out []Cluster
-	for len(rest) > 0 {
-		c := GrowSorted(rest, tc)
-		out = append(out, c)
-		rest = rest[c.Size():]
-	}
-	return out
-}
-
-// Largest returns the maximum cluster size in a partition, or 0 for an
-// empty partition.
-func Largest(parts []Cluster) int {
-	best := 0
-	for _, c := range parts {
-		if c.Size() > best {
-			best = c.Size()
-		}
-	}
-	return best
 }
 
 // RoundTracker accumulates the largest cluster observed per round window.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -32,8 +31,8 @@ func TestGrowPair(t *testing.T) {
 	if c.End != 100+2*tc {
 		t.Fatalf("End = %v, want %v", c.End, 100+2*tc)
 	}
-	if ids := c.IDs(); ids[0] != 0 || ids[1] != 1 {
-		t.Fatalf("IDs = %v", ids)
+	if c.Members[0].ID != 0 || c.Members[1].ID != 1 {
+		t.Fatalf("members = %+v", c.Members)
 	}
 }
 
@@ -69,8 +68,8 @@ func TestGrowZeroTcExactTies(t *testing.T) {
 	if c.Size() != 2 {
 		t.Fatalf("zero-Tc cluster size = %d, want 2 (exact ties only)", c.Size())
 	}
-	if ids := c.IDs(); ids[0] != 0 || ids[1] != 2 {
-		t.Fatalf("tie-break by ID failed: %v", ids)
+	if c.Members[0].ID != 0 || c.Members[1].ID != 2 {
+		t.Fatalf("tie-break by ID failed: %+v", c.Members)
 	}
 }
 
@@ -127,58 +126,6 @@ func TestGrowProperties(t *testing.T) {
 	}
 }
 
-func TestPartitionCoversAll(t *testing.T) {
-	if err := quick.Check(func(seed int64) bool {
-		r := rng.New(seed)
-		tc := r.Uniform(0.01, 0.3)
-		n := 1 + r.Intn(50)
-		members := make([]Member, n)
-		for i := range members {
-			members[i] = Member{ID: i, Expiry: r.Uniform(0, 10)}
-		}
-		parts := Partition(members, tc)
-		total := 0
-		seen := make(map[int]bool)
-		for _, c := range parts {
-			total += c.Size()
-			for _, m := range c.Members {
-				if seen[m.ID] {
-					return false // duplicated member
-				}
-				seen[m.ID] = true
-			}
-		}
-		return total == n
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPartitionOrdering(t *testing.T) {
-	members := []Member{
-		{ID: 0, Expiry: 0}, {ID: 1, Expiry: 0.05}, // cluster 1
-		{ID: 2, Expiry: 5},                                               // lone
-		{ID: 3, Expiry: 9}, {ID: 4, Expiry: 9.02}, {ID: 5, Expiry: 9.15}, // cluster 3
-	}
-	parts := Partition(members, 0.11)
-	if len(parts) != 3 {
-		t.Fatalf("parts = %d, want 3", len(parts))
-	}
-	sizes := []int{parts[0].Size(), parts[1].Size(), parts[2].Size()}
-	if sizes[0] != 2 || sizes[1] != 1 || sizes[2] != 3 {
-		t.Fatalf("sizes = %v, want [2 1 3]", sizes)
-	}
-	if Largest(parts) != 3 {
-		t.Fatalf("Largest = %d", Largest(parts))
-	}
-}
-
-func TestLargestEmpty(t *testing.T) {
-	if Largest(nil) != 0 {
-		t.Fatal("Largest(nil) != 0")
-	}
-}
-
 func TestRoundTracker(t *testing.T) {
 	rt := NewRoundTracker(10)
 	rt.Observe(1, 2)
@@ -227,94 +174,61 @@ func BenchmarkGrow20(b *testing.B) {
 	}
 }
 
-// TestBucketSortMatchesComparison cross-checks the large-input bucket
-// path of SortMembers against the comparison sort on adversarial expiry
-// distributions: uniform, heavy exact ties, skew (most mass in one
-// range), already sorted, reversed, and sizes straddling the path
-// threshold.
-func TestBucketSortMatchesComparison(t *testing.T) {
+// TestSortMembers checks SortMembers on adversarial expiry sets: the
+// output must be in (Expiry, ID) order and a permutation of the input,
+// both judged against a reference written here.
+func TestSortMembers(t *testing.T) {
+	const n = 3000
 	r := rng.New(11)
-	gen := map[string]func(n int) []Member{
-		"uniform": func(n int) []Member {
-			ms := make([]Member, n)
-			for i := range ms {
-				ms[i] = Member{ID: i, Expiry: r.Uniform(0, 1000)}
-			}
-			return ms
-		},
-		"ties": func(n int) []Member {
-			ms := make([]Member, n)
-			for i := range ms {
-				ms[i] = Member{ID: i, Expiry: float64(r.Intn(5))}
-			}
-			return ms
-		},
-		"skew": func(n int) []Member {
-			ms := make([]Member, n)
-			for i := range ms {
-				e := r.Uniform(0, 1) // nearly all in the lowest bucket...
-				if i == 0 {
-					e = 1e9 // ...except one far outlier stretching the range
-				}
-				ms[i] = Member{ID: i, Expiry: e}
-			}
-			return ms
-		},
-		"sorted": func(n int) []Member {
-			ms := make([]Member, n)
-			for i := range ms {
-				ms[i] = Member{ID: i, Expiry: float64(i) * 0.001}
-			}
-			return ms
-		},
-		"reversed": func(n int) []Member {
-			ms := make([]Member, n)
-			for i := range ms {
-				ms[i] = Member{ID: i, Expiry: float64(n-i) * 0.001}
-			}
-			return ms
-		},
-	}
-	for name, g := range gen {
-		for _, n := range []int{bucketSortMinLen - 1, bucketSortMinLen, 3 * bucketSortMinLen} {
-			ms := g(n)
-			want := append([]Member(nil), ms...)
-			sort.Slice(want, func(i, j int) bool { return memberLess(want[i], want[j]) })
-			SortMembers(ms)
-			for i := range ms {
-				if ms[i] != want[i] {
-					t.Fatalf("%s/n=%d: index %d = %+v, want %+v", name, n, i, ms[i], want[i])
-				}
-			}
+	gen := func(expiry func(i int) float64) []Member {
+		ms := make([]Member, n)
+		for i := range ms {
+			ms[i] = Member{ID: i, Expiry: expiry(i)}
 		}
+		return ms
 	}
-}
-
-// TestBucketSortDegenerate checks the fallbacks: all-equal expiries and
-// non-finite values must still come out fully sorted by (Expiry, ID).
-func TestBucketSortDegenerate(t *testing.T) {
-	n := bucketSortMinLen
-	allEqual := make([]Member, n)
-	for i := range allEqual {
-		allEqual[i] = Member{ID: n - i, Expiry: 7}
-	}
-	SortMembers(allEqual)
-	for i := range allEqual {
-		if allEqual[i].ID != i+1 {
-			t.Fatalf("all-equal: index %d has ID %d", i, allEqual[i].ID)
-		}
-	}
-
-	withInf := make([]Member, n)
-	for i := range withInf {
-		withInf[i] = Member{ID: i, Expiry: float64(n - i)}
-	}
+	withInf := gen(func(i int) float64 { return float64(n - i) })
 	withInf[3].Expiry = math.Inf(1)
 	withInf[5].Expiry = math.Inf(-1)
-	SortMembers(withInf)
-	for i := 1; i < n; i++ {
-		if memberLess(withInf[i], withInf[i-1]) {
-			t.Fatalf("with-inf: out of order at %d: %+v after %+v", i, withInf[i], withInf[i-1])
-		}
+	cases := map[string][]Member{
+		"uniform": gen(func(int) float64 { return r.Uniform(0, 1000) }),
+		"ties":    gen(func(int) float64 { return float64(r.Intn(5)) }),
+		"skew": gen(func(i int) float64 {
+			if i == 0 {
+				return 1e9 // one far outlier; the rest crowd into [0, 1)
+			}
+			return r.Uniform(0, 1)
+		}),
+		"sorted":    gen(func(i int) float64 { return float64(i) * 0.001 }),
+		"reversed":  gen(func(i int) float64 { return float64(n-i) * 0.001 }),
+		"all-equal": gen(func(int) float64 { return 7 }),
+		"with-inf":  withInf,
+	}
+	// Reverse the IDs of the all-equal case so the ID tie-break has work.
+	for i, m := range cases["all-equal"] {
+		cases["all-equal"][i].ID = n - 1 - m.ID
+	}
+	for name, ms := range cases {
+		t.Run(name, func(t *testing.T) {
+			count := make(map[Member]int, len(ms))
+			for _, m := range ms {
+				count[m]++
+			}
+			SortMembers(ms)
+			for i := 1; i < len(ms); i++ {
+				a, b := ms[i-1], ms[i]
+				if a.Expiry > b.Expiry || (a.Expiry == b.Expiry && a.ID >= b.ID) {
+					t.Fatalf("out of order at %d: %+v after %+v", i, b, a)
+				}
+			}
+			for _, m := range ms {
+				count[m]--
+			}
+			for m, c := range count {
+				if c != 0 {
+					t.Fatalf("not a permutation: %+v count off by %d", m, c)
+				}
+			}
+		})
 	}
 }

@@ -44,9 +44,12 @@ func PaperParams(tr float64, seed int64) Params {
 // ErrBadParams reports invalid Params.
 var ErrBadParams = errors.New("core: invalid parameters")
 
-// Validate checks the parameters.
+// Validate checks the parameters. Tp, Tr and Tc must be finite: NaN
+// passes every ordered comparison below.
 func (p Params) Validate() error {
 	switch {
+	case !finite(p.Tp) || !finite(p.Tr) || !finite(p.Tc):
+		return fmt.Errorf("%w: non-finite Tp=%g Tr=%g Tc=%g", ErrBadParams, p.Tp, p.Tr, p.Tc)
 	case p.N < 1:
 		return fmt.Errorf("%w: N=%d", ErrBadParams, p.N)
 	case p.Tp <= 0:
@@ -60,6 +63,8 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func (p Params) config(start periodic.StartState) periodic.Config {
 	return periodic.Config{

@@ -26,6 +26,30 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestParamsValidateNonFinite rejects NaN and ±Inf in each of Tp, Tr and
+// Tc, both in Validate and at Simulate's entry.
+func TestParamsValidateNonFinite(t *testing.T) {
+	for _, field := range []string{"Tp", "Tr", "Tc"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := PaperParams(0.1, 1)
+			switch field {
+			case "Tp":
+				p.Tp = v
+			case "Tr":
+				p.Tr = v
+			case "Tc":
+				p.Tc = v
+			}
+			if err := p.Validate(); !errors.Is(err, ErrBadParams) {
+				t.Errorf("%s=%v: Validate = %v, want ErrBadParams", field, v, err)
+			}
+			if _, err := Simulate(p, SimOptions{Horizon: 1e3}); !errors.Is(err, ErrBadParams) {
+				t.Errorf("%s=%v: Simulate err = %v, want ErrBadParams", field, v, err)
+			}
+		}
+	}
+}
+
 func TestSimulateSynchronizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")

@@ -1,45 +1,13 @@
 package periodic
 
 import (
-	"fmt"
 	"math"
 
 	"routesync/internal/cluster"
 )
 
-// Engine selects the Step implementation behind a System.
-type Engine int
-
-const (
-	// EngineAuto picks the bucket engine for N >= bucketEngineMinN (50)
-	// and the heap engine below it — the heap's cache-friendly constant
-	// wins at a few dozen routers, the bucket engine's O(k) coupling
-	// scan from about 50 up.
-	EngineAuto Engine = iota
-	// EngineHeap is the indexed binary heap keyed by (expiry, id).
-	EngineHeap
-	// EngineBucket is the structure-of-arrays large-N engine: flat expiry
-	// and day arrays, bucketed next-expiry lookup via intrusive linked
-	// lists, O(k) work per cluster firing amortized over a round.
-	EngineBucket
-)
-
-// String returns the engine name.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineHeap:
-		return "heap"
-	case EngineBucket:
-		return "bucket"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// bucketEngineMinN is the population size at which EngineAuto switches
-// from the heap to the bucket engine: the measured crossover of ns per
+// bucketEngineMinN is the population size at which New switches from
+// the heap to the bucket engine: the measured crossover of ns per
 // firing (EXPERIMENTS.md, "Periodic engine"). The heap wins at N = 20
 // by about 1.14×, the two tie around N = 32–40, and the bucket engine
 // wins from N = 50 on (median ratio 0.92 at N = 50 and 64, 0.88 at 100).

@@ -10,10 +10,10 @@ import (
 // TestBucketMatchesHeap differential-tests the structure-of-arrays bucket
 // engine against the heap engine: for a grid of seeds, reset rules and
 // start states — with a TriggerUpdate injected mid-run — the two engines
-// must produce identical Event sequences, bit for bit. N is below the
-// EngineAuto threshold so the test covers the engine override too; ties
-// are exercised by the synchronized start (every expiry equal) and the
-// trigger (every expiry collapsed to now).
+// must produce identical Event sequences, bit for bit. N is below
+// bucketEngineMinN, so the bucket engine runs where New would not pick
+// it; ties are exercised by the synchronized start (every expiry equal)
+// and the trigger (every expiry collapsed to now).
 func TestBucketMatchesHeap(t *testing.T) {
 	const (
 		n      = 25
@@ -33,10 +33,7 @@ func TestBucketMatchesHeap(t *testing.T) {
 						Start:  start,
 						Seed:   seed,
 					}
-					cfg.Engine = EngineHeap
-					heap := New(cfg)
-					cfg.Engine = EngineBucket
-					bucket := New(cfg)
+					heap, bucket := newSystem(cfg, false), newSystem(cfg, true)
 					for i := 0; i < steps; i++ {
 						if i == trigAt {
 							heap.TriggerUpdate()
@@ -70,8 +67,8 @@ func TestBucketMatchesHeap(t *testing.T) {
 }
 
 // TestBucketMatchesHeapLargeN replays the two engines at a population
-// above the EngineAuto threshold — the scale the bucket engine exists
-// for — including the saturated synchronized start where a single
+// above bucketEngineMinN — the scale the bucket engine exists for —
+// including the saturated synchronized start where a single
 // cluster holds every router and the candidate sort sees N-way ties.
 func TestBucketMatchesHeapLargeN(t *testing.T) {
 	n := 6000
@@ -89,12 +86,10 @@ func TestBucketMatchesHeapLargeN(t *testing.T) {
 				Start:  start,
 				Seed:   7,
 			}
-			cfg.Engine = EngineHeap
-			heap := New(cfg)
-			cfg.Engine = EngineAuto // must resolve to bucket at this N
-			bucket := New(cfg)
+			heap := newSystem(cfg, false)
+			bucket := New(cfg) // must pick the bucket engine at this N
 			if !bucket.useBucket {
-				t.Fatalf("EngineAuto did not pick the bucket engine at N=%d", n)
+				t.Fatalf("New did not pick the bucket engine at N=%d", n)
 			}
 			for i := 0; i < steps; i++ {
 				he, be := heap.Step(), bucket.Step()
@@ -106,7 +101,7 @@ func TestBucketMatchesHeapLargeN(t *testing.T) {
 	}
 }
 
-// TestEngineAutoThreshold pins where EngineAuto switches engines: the
+// TestEngineAutoThreshold pins where New switches engines: the
 // heap engine just below bucketEngineMinN, the bucket engine from it on.
 func TestEngineAutoThreshold(t *testing.T) {
 	for _, c := range []struct {
@@ -114,7 +109,7 @@ func TestEngineAutoThreshold(t *testing.T) {
 		wantBucket bool
 	}{{bucketEngineMinN - 1, false}, {bucketEngineMinN, true}, {1000, true}} {
 		if got := New(Paper(c.n, 0.5, 1)).useBucket; got != c.wantBucket {
-			t.Errorf("EngineAuto at N=%d: bucket engine %v, want %v", c.n, got, c.wantBucket)
+			t.Errorf("New at N=%d: bucket engine %v, want %v", c.n, got, c.wantBucket)
 		}
 	}
 }
@@ -123,10 +118,7 @@ func TestEngineAutoThreshold(t *testing.T) {
 // the expiry set is overridden wholesale, including exact ties.
 func TestBucketSetExpiries(t *testing.T) {
 	cfg := Paper(10, 0.5, 42)
-	cfg.Engine = EngineHeap
-	heap := New(cfg)
-	cfg.Engine = EngineBucket
-	bucket := New(cfg)
+	heap, bucket := newSystem(cfg, false), newSystem(cfg, true)
 	phases := []float64{5, 1, 5, 3, 1, 8, 1, 3, 5, 2}
 	heap.SetExpiries(phases)
 	bucket.SetExpiries(phases)
@@ -134,16 +126,6 @@ func TestBucketSetExpiries(t *testing.T) {
 		he, be := heap.Step(), bucket.Step()
 		if !eventsEqual(he, be) {
 			t.Fatalf("step %d diverged:\nheap:   %+v\nbucket: %+v", i, he, be)
-		}
-	}
-}
-
-// TestEngineString pins the engine names used in docs and benchmarks.
-func TestEngineString(t *testing.T) {
-	cases := map[Engine]string{EngineAuto: "auto", EngineHeap: "heap", EngineBucket: "bucket"}
-	for e, want := range cases {
-		if e.String() != want {
-			t.Errorf("Engine(%d).String() = %q, want %q", int(e), e.String(), want)
 		}
 	}
 }

@@ -2,83 +2,208 @@ package periodic
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"routesync/internal/cluster"
 	"routesync/internal/jitter"
 )
 
+// stepReference is the original sort-based Step: rebuild the full member
+// set and apply cluster.Grow. It is the executable specification both
+// engines are differential-tested against. A System driven by it must be
+// stepped only through it, with referenceNextExpiry in place of
+// NextExpiry, because it leaves the engine's index stale.
+func (s *System) stepReference() Event {
+	for i := range s.members {
+		s.members[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
+	}
+	c := cluster.Grow(s.members, s.cfg.Tc)
+	s.now = c.End
+	ev := Event{
+		Start:    c.Start,
+		End:      c.End,
+		Members:  s.evMembers[:c.Size()],
+		Expiries: s.evExpiries[:c.Size()],
+	}
+	for i, m := range c.Members {
+		ev.Members[i] = m.ID
+		ev.Expiries[i] = m.Expiry
+		delay := s.cfg.Jitter.Delay(s.r, m.ID)
+		var next float64
+		switch s.cfg.Reset {
+		case ResetOnExpiry:
+			next = m.Expiry + delay
+			if next < c.End {
+				next = c.End
+			}
+		default: // ResetAfterProcessing, the paper's rule
+			next = c.End + delay
+		}
+		s.expiry[m.ID] = next
+	}
+	ev.Next = s.referenceNextExpiry()
+	s.steps++
+	if s.cfg.Observer != nil {
+		s.cfg.Observer.RoundCompleted(s.now, c.Size())
+	}
+	for _, fn := range s.onEvent {
+		fn(ev)
+	}
+	return ev
+}
+
+// referenceNextExpiry is NextExpiry by a linear scan of every expiry.
+func (s *System) referenceNextExpiry() float64 {
+	min := math.Inf(1)
+	for _, e := range s.expiry {
+		if e < min {
+			min = e
+		}
+	}
+	return min
+}
+
 // TestHeapMatchesReference differential-tests the heap engine against the
-// sort-based reference (stepReference via s.ref): for a grid of seeds,
-// reset rules and start states — with a TriggerUpdate injected mid-run —
-// the two engines must produce identical Event sequences, bit for bit.
+// sort-based reference (stepReference): for a grid of seeds, reset rules
+// and start states — with a TriggerUpdate injected mid-run — the two must
+// produce identical Event sequences, bit for bit. The lattice case puts
+// router i at i·Tc, so router 1 sits exactly on the first window's end
+// t + k·Tc, which the admission test must exclude.
 func TestHeapMatchesReference(t *testing.T) {
-	const (
-		n      = 25
-		steps  = 400
-		trigAt = 137 // step index at which both runs inject TriggerUpdate
-	)
+	const n = 25
 	for seed := int64(1); seed <= 12; seed++ {
 		for _, reset := range []TimerReset{ResetAfterProcessing, ResetOnExpiry} {
 			for _, start := range []StartState{StartUnsynchronized, StartSynchronized} {
 				name := fmt.Sprintf("seed=%d/%v/%v", seed, reset, start)
 				t.Run(name, func(t *testing.T) {
-					cfg := Config{
+					compareHeapReference(t, Config{
 						N:      n,
 						Tc:     0.11,
 						Jitter: jitter.Uniform{Tp: 121, Tr: 0.5},
 						Reset:  reset,
 						Start:  start,
 						Seed:   seed,
-					}
-					heap := New(cfg)
-					ref := New(cfg)
-					ref.ref = true
-					for i := 0; i < steps; i++ {
-						if i == trigAt {
-							heap.TriggerUpdate()
-							ref.TriggerUpdate()
-						}
-						he, re := heap.Step(), ref.Step()
-						if !eventsEqual(he, re) {
-							t.Fatalf("step %d diverged:\nheap: %+v\nref:  %+v", i, he, re)
-						}
-					}
-					if heap.Now() != ref.Now() {
-						t.Fatalf("Now diverged: heap %v ref %v", heap.Now(), ref.Now())
-					}
-					hex, rex := heap.Expiries(), ref.Expiries()
-					for id := range hex {
-						if hex[id] != rex[id] {
-							t.Fatalf("router %d final expiry diverged: heap %v ref %v",
-								id, hex[id], rex[id])
-						}
-					}
-					if hl, rl := heap.LargestPending(), ref.LargestPending(); hl != rl {
-						t.Fatalf("LargestPending diverged: heap %d ref %d", hl, rl)
-					}
+					}, nil)
 				})
 			}
 		}
+	}
+	t.Run("lattice", func(t *testing.T) {
+		cfg := Paper(n, 0.5, 1)
+		phases := make([]float64, n)
+		for i := range phases {
+			phases[i] = float64(i) * cfg.Tc
+		}
+		compareHeapReference(t, cfg, phases)
+	})
+}
+
+// compareHeapReference steps a heap-engine System and a reference System
+// built from cfg — from phases when non-nil — 400 times, injecting a
+// TriggerUpdate at step 137, and fails on the first difference.
+func compareHeapReference(t *testing.T, cfg Config, phases []float64) {
+	const (
+		steps  = 400
+		trigAt = 137
+	)
+	heap, ref := newSystem(cfg, false), newSystem(cfg, false)
+	if phases != nil {
+		heap.SetExpiries(phases)
+		ref.SetExpiries(phases)
+	}
+	for i := 0; i < steps; i++ {
+		if i == trigAt {
+			heap.TriggerUpdate()
+			ref.TriggerUpdate()
+		}
+		he, re := heap.Step(), ref.stepReference()
+		if !eventsEqual(he, re) {
+			t.Fatalf("step %d diverged:\nheap: %+v\nref:  %+v", i, he, re)
+		}
+	}
+	if heap.Now() != ref.Now() {
+		t.Fatalf("Now diverged: heap %v ref %v", heap.Now(), ref.Now())
+	}
+	hex, rex := heap.Expiries(), ref.Expiries()
+	for id := range hex {
+		if hex[id] != rex[id] {
+			t.Fatalf("router %d final expiry diverged: heap %v ref %v", id, hex[id], rex[id])
+		}
+	}
+	if hl, rl := heap.LargestPending(), ref.LargestPending(); hl != rl {
+		t.Fatalf("LargestPending diverged: heap %d ref %d", hl, rl)
 	}
 }
 
 // TestHeapMatchesReferenceSetExpiries checks the heap is rebuilt correctly
 // when the expiry set is overridden wholesale, including exact ties.
 func TestHeapMatchesReferenceSetExpiries(t *testing.T) {
-	cfg := Paper(10, 0.5, 42)
-	heap := New(cfg)
-	ref := New(cfg)
-	ref.ref = true
 	// Bespoke phases with duplicates to exercise the (expiry, id) tie-break.
-	phases := []float64{5, 1, 5, 3, 1, 8, 1, 3, 5, 2}
-	heap.SetExpiries(phases)
-	ref.SetExpiries(phases)
-	for i := 0; i < 50; i++ {
-		he, re := heap.Step(), ref.Step()
-		if !eventsEqual(he, re) {
-			t.Fatalf("step %d diverged:\nheap: %+v\nref:  %+v", i, he, re)
+	compareHeapReference(t, Paper(10, 0.5, 42), []float64{5, 1, 5, 3, 1, 8, 1, 3, 5, 2})
+}
+
+// FuzzPeriodicEngines replays the heap engine, the bucket engine and the
+// reference stepper from one fuzzed configuration: seed, N in 1..200, Tr,
+// reset rule, start state, the step at which TriggerUpdate fires (none
+// when it is past the run), and optional lattice phases — router i at
+// lattice[i mod len]·Tc, which lands expiries exactly on window ends and
+// exact ties. Inputs are clamped to valid configs — Tp = 121 s exceeds
+// 200·Tc — and all three must emit bit-identical Events, NextExpiry
+// values and final expiries. The seed corpus in
+// testdata/fuzz/FuzzPeriodicEngines is drawn from the differential grid
+// of TestHeapMatchesReference and TestBucketMatchesHeap.
+func FuzzPeriodicEngines(f *testing.F) {
+	const steps = 300
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, tr float64, resetOnExpiry, synchronized bool, trigAt uint16, lattice []byte) {
+		if math.IsNaN(tr) || math.IsInf(tr, 0) {
+			tr = 0
 		}
-	}
+		cfg := Config{
+			N:      1 + int(n)%200,
+			Tc:     0.11,
+			Jitter: jitter.Uniform{Tp: 121, Tr: math.Mod(math.Abs(tr), 121)},
+			Seed:   seed,
+		}
+		if resetOnExpiry {
+			cfg.Reset = ResetOnExpiry
+		}
+		if synchronized {
+			cfg.Start = StartSynchronized
+		}
+		heap, bucket, ref := newSystem(cfg, false), newSystem(cfg, true), newSystem(cfg, false)
+		if len(lattice) > 0 {
+			phases := make([]float64, cfg.N)
+			for i := range phases {
+				phases[i] = float64(lattice[i%len(lattice)]) * cfg.Tc
+			}
+			heap.SetExpiries(phases)
+			bucket.SetExpiries(phases)
+			ref.SetExpiries(phases)
+		}
+		for i := 0; i < steps; i++ {
+			if i == int(trigAt) {
+				heap.TriggerUpdate()
+				bucket.TriggerUpdate()
+				ref.TriggerUpdate()
+			}
+			he, be, re := heap.Step(), bucket.Step(), ref.stepReference()
+			if !eventsEqual(he, re) || !eventsEqual(be, re) {
+				t.Fatalf("step %d diverged:\nheap:   %+v\nbucket: %+v\nref:    %+v", i, he, be, re)
+			}
+			hn, bn, rn := heap.NextExpiry(), bucket.NextExpiry(), ref.referenceNextExpiry()
+			if hn != rn || bn != rn {
+				t.Fatalf("step %d NextExpiry diverged: heap %v bucket %v ref %v", i, hn, bn, rn)
+			}
+		}
+		hex, bex, rex := heap.Expiries(), bucket.Expiries(), ref.Expiries()
+		for id := range rex {
+			if hex[id] != rex[id] || bex[id] != rex[id] {
+				t.Fatalf("router %d final expiry diverged: heap %v bucket %v ref %v",
+					id, hex[id], bex[id], rex[id])
+			}
+		}
+	})
 }
 
 func eventsEqual(a, b Event) bool {

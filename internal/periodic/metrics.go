@@ -28,19 +28,26 @@ func (s *System) OrderParameter() float64 {
 // ClusterSizes returns the sorted (descending) sizes of the clusters in
 // the current pending-timer partition.
 func (s *System) ClusterSizes() []int {
+	var sizes []int
+	s.pendingClusters(func(size int) { sizes = append(sizes, size) })
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	return sizes
+}
+
+// pendingClusters sorts the pending expirations into (expiry, id) order
+// and partitions them into consecutive clusters, calling fn with each
+// cluster's size in firing order.
+func (s *System) pendingClusters(fn func(size int)) {
 	ms := s.analysis
 	for i := range ms {
 		ms[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
 	}
 	cluster.SortMembers(ms)
-	var sizes []int
 	for len(ms) > 0 {
-		c := cluster.GrowSorted(ms, s.cfg.Tc)
-		sizes = append(sizes, c.Size())
-		ms = ms[c.Size():]
+		k := cluster.GrowSorted(ms, s.cfg.Tc).Size()
+		fn(k)
+		ms = ms[k:]
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
 }
 
 // PhaseEntropy returns the normalized Shannon entropy of the pending

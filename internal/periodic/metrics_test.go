@@ -3,8 +3,10 @@ package periodic
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"routesync/internal/jitter"
+	"routesync/internal/rng"
 )
 
 func TestOrderParameterSynchronized(t *testing.T) {
@@ -63,6 +65,31 @@ func TestClusterSizesPartition(t *testing.T) {
 	}
 	if total != 5 {
 		t.Fatalf("sizes don't cover all routers: %v", sizes)
+	}
+}
+
+// TestClusterSizesCoversAll: on random phases and Tc, the pending-cluster
+// sizes are positive and sum to N, so every router is counted once.
+func TestClusterSizesCoversAll(t *testing.T) {
+	if err := quick.Check(func(seed int64) bool {
+		r := rng.New(seed)
+		n := 1 + r.Intn(50)
+		s := New(Config{N: n, Tc: r.Uniform(0.01, 0.3), Jitter: jitter.Uniform{Tp: 121, Tr: 1}, Seed: seed})
+		phases := make([]float64, n)
+		for i := range phases {
+			phases[i] = r.Uniform(0, 10)
+		}
+		s.SetExpiries(phases)
+		total := 0
+		for _, k := range s.ClusterSizes() {
+			if k < 1 {
+				return false
+			}
+			total += k
+		}
+		return total == n
+	}, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -135,6 +162,19 @@ func TestOrderParameterBounds(t *testing.T) {
 			if r < -1e-12 || r > 1+1e-12 || math.IsNaN(r) {
 				t.Fatalf("R = %v out of bounds", r)
 			}
+		}
+	}
+}
+
+// TestLargestPendingZeroAllocs pins LargestPending's sort-and-walk at 0
+// allocs/op on a heap-engine and a bucket-engine system; RunUntilBroken
+// calls it after every Step.
+func TestLargestPendingZeroAllocs(t *testing.T) {
+	for _, n := range []int{20, 1000} {
+		tp := 6.05 * float64(n)
+		s := New(Config{N: n, Tc: 0.11, Jitter: jitter.Uniform{Tp: tp, Tr: tp / 20}, Seed: 1})
+		if a := testing.AllocsPerRun(100, func() { s.LargestPending() }); a != 0 {
+			t.Errorf("N=%d: LargestPending allocs/op = %v, want 0", n, a)
 		}
 	}
 }

@@ -94,10 +94,6 @@ type Config struct {
 	// Seed drives all randomness. Two runs with equal Config replay
 	// identically.
 	Seed int64
-	// Engine selects the Step implementation. The zero value (EngineAuto)
-	// picks by N; the choice never affects results, only speed — all
-	// engines replay bit-identically.
-	Engine Engine
 	// Observer, when non-nil, is notified after every cluster firing.
 	// Unlike OnEvent callbacks it receives only scalars, so counting
 	// rounds costs no allocations. Nil (the default) costs one branch.
@@ -166,8 +162,7 @@ type System struct {
 	// heap is a binary min-heap of router ids keyed by (expiry, id) — the
 	// model's deterministic firing order. Step pops one cluster (k
 	// members) and pushes the re-armed timers back, so each firing costs
-	// O(k log N) instead of the O(N log N) full sort, and NextExpiry is an
-	// O(1) peek.
+	// O(k log N) instead of the O(N log N) full sort.
 	heap []int32
 	// scratch buffers reused across steps
 	members []cluster.Member
@@ -182,27 +177,34 @@ type System struct {
 	// engine; bucket holds its state.
 	useBucket bool
 	bucket    bucketState
-	// ref switches Step to the original sort-based engine
-	// (cluster.Grow over the full expiry set). The heap engine is
-	// differential-tested against it; it is settable only from
-	// package-internal tests.
-	ref bool
 }
 
 // New constructs a System from cfg. It panics on invalid configuration:
-// N < 1, Tc < 0, nil Jitter, or a jitter policy whose mean period does not
-// exceed N·Tc (the network would spend all its time processing updates).
-func New(cfg Config) *System {
+// N < 1, Tc negative or non-finite, nil Jitter, a non-finite jitter mean,
+// or a mean period that does not exceed N·Tc (the network would spend all
+// its time processing updates).
+//
+// The engine is chosen by N alone: the heap below bucketEngineMinN, the
+// bucket engine from it on. Both replay bit-identically.
+func New(cfg Config) *System { return newSystem(cfg, cfg.N >= bucketEngineMinN) }
+
+// newSystem is New with the engine forced; the differential tests use it
+// to run both engines at the same N.
+func newSystem(cfg Config, bucket bool) *System {
 	if cfg.N < 1 {
 		panic("periodic: need at least one router")
 	}
-	if cfg.Tc < 0 {
-		panic("periodic: negative Tc")
+	if cfg.Tc < 0 || math.IsNaN(cfg.Tc) || math.IsInf(cfg.Tc, 1) {
+		panic("periodic: Tc must be finite and non-negative")
 	}
 	if cfg.Jitter == nil {
 		panic("periodic: nil jitter policy")
 	}
-	if cfg.Jitter.Mean() <= float64(cfg.N)*cfg.Tc {
+	mean := cfg.Jitter.Mean()
+	if math.IsNaN(mean) || math.IsInf(mean, 0) {
+		panic("periodic: non-finite mean period")
+	}
+	if mean <= float64(cfg.N)*cfg.Tc {
 		panic("periodic: mean period must exceed N*Tc (system otherwise saturates)")
 	}
 	s := &System{
@@ -213,10 +215,9 @@ func New(cfg Config) *System {
 		analysis:   make([]cluster.Member, cfg.N),
 		evMembers:  make([]int, cfg.N),
 		evExpiries: make([]float64, cfg.N),
+		useBucket:  bucket,
 	}
-	s.useBucket = cfg.Engine == EngineBucket ||
-		(cfg.Engine == EngineAuto && cfg.N >= bucketEngineMinN)
-	if s.useBucket {
+	if bucket {
 		s.bucketInit()
 	} else {
 		s.heap = make([]int32, cfg.N)
@@ -225,9 +226,8 @@ func New(cfg Config) *System {
 	case StartSynchronized:
 		// all zero: one size-N cluster fires immediately
 	default:
-		tp := cfg.Jitter.Mean()
 		for i := range s.expiry {
-			s.expiry[i] = s.r.Uniform(0, tp)
+			s.expiry[i] = s.r.Uniform(0, mean)
 		}
 	}
 	s.rebuild()
@@ -252,19 +252,10 @@ func (s *System) Now() float64 { return s.now }
 // Steps returns the number of cluster events processed.
 func (s *System) Steps() uint64 { return s.steps }
 
-// NextExpiry returns the earliest pending timer expiration. With the heap
-// engine this is an O(1) peek; callers inside run loops can avoid even
-// that by reading Event.Next from the previous Step.
+// NextExpiry returns the earliest pending timer expiration, an O(1) read
+// on either engine; callers inside run loops can read Event.Next from the
+// previous Step instead.
 func (s *System) NextExpiry() float64 {
-	if s.ref {
-		min := math.Inf(1)
-		for _, e := range s.expiry {
-			if e < min {
-				min = e
-			}
-		}
-		return min
-	}
 	if s.useBucket {
 		return s.bucket.min
 	}
@@ -306,16 +297,13 @@ func (s *System) TriggerUpdate() {
 
 // Step processes the next cluster firing and returns it.
 func (s *System) Step() Event {
-	if s.ref {
-		return s.stepReference()
-	}
 	if s.useBucket {
 		return s.stepBucket()
 	}
 	// Pop the cluster off the heap. The heap yields routers in
 	// (expiry, id) order, so the admission loop sees exactly the sorted
 	// prefix cluster.Grow would, and the window test below is the same
-	// floating-point expression — the two engines replay bit-identically.
+	// floating-point expression — the engines replay bit-identically.
 	head := s.heapPop()
 	t := s.expiry[head]
 	s.members[0] = cluster.Member{ID: int(head), Expiry: t}
@@ -361,53 +349,6 @@ func (s *System) Step() Event {
 	s.steps++
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.RoundCompleted(s.now, k)
-	}
-	for _, fn := range s.onEvent {
-		fn(ev)
-	}
-	return ev
-}
-
-// stepReference is the original sort-based Step: rebuild the full member
-// set and apply cluster.Grow. It is kept as the executable specification
-// the heap engine is differential-tested against.
-func (s *System) stepReference() Event {
-	for i := range s.members {
-		s.members[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
-	}
-	c := cluster.Grow(s.members, s.cfg.Tc)
-	s.now = c.End
-	ev := Event{
-		Start:    c.Start,
-		End:      c.End,
-		Members:  s.evMembers[:c.Size()],
-		Expiries: s.evExpiries[:c.Size()],
-	}
-	for i, m := range c.Members {
-		ev.Members[i] = m.ID
-		ev.Expiries[i] = m.Expiry
-		delay := s.cfg.Jitter.Delay(s.r, m.ID)
-		var next float64
-		switch s.cfg.Reset {
-		case ResetOnExpiry:
-			next = m.Expiry + delay
-			if next < c.End {
-				next = c.End
-			}
-		default: // ResetAfterProcessing, the paper's rule
-			next = c.End + delay
-		}
-		s.expiry[m.ID] = next
-	}
-	ev.Next = math.Inf(1)
-	for _, e := range s.expiry {
-		if e < ev.Next {
-			ev.Next = e
-		}
-	}
-	s.steps++
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.RoundCompleted(s.now, c.Size())
 	}
 	for _, fn := range s.onEvent {
 		fn(ev)

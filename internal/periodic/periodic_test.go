@@ -18,6 +18,10 @@ func TestNewValidation(t *testing.T) {
 		{"negative Tc", Config{N: 5, Tc: -1, Jitter: jitter.Uniform{Tp: 121, Tr: 0.1}}},
 		{"nil jitter", Config{N: 5, Tc: 0.1}},
 		{"saturating period", Config{N: 100, Tc: 2, Jitter: jitter.Uniform{Tp: 121, Tr: 0.1}}},
+		{"NaN Tc", Config{N: 5, Tc: math.NaN(), Jitter: jitter.Uniform{Tp: 121, Tr: 0.1}}},
+		{"+Inf Tc", Config{N: 5, Tc: math.Inf(1), Jitter: jitter.Uniform{Tp: 121, Tr: 0.1}}},
+		{"NaN mean", Config{N: 5, Tc: 0.1, Jitter: jitter.Uniform{Tp: math.NaN(), Tr: 0.1}}},
+		{"+Inf mean", Config{N: 5, Tc: 0.1, Jitter: jitter.Uniform{Tp: math.Inf(1), Tr: 0.1}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -42,19 +42,8 @@ func (s *System) RunUntilSynchronized(horizon float64) SyncResult {
 // the nominal Tp + Tc round, which would otherwise leave some rounds
 // without a cluster firing and falsely read as desynchronization.
 func (s *System) LargestPending() int {
-	ms := s.analysis
-	for i := range ms {
-		ms[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
-	}
-	cluster.SortMembers(ms)
 	best := 0
-	for len(ms) > 0 {
-		c := cluster.GrowSorted(ms, s.cfg.Tc)
-		if c.Size() > best {
-			best = c.Size()
-		}
-		ms = ms[c.Size():]
-	}
+	s.pendingClusters(func(size int) { best = max(best, size) })
 	return best
 }
 
