@@ -174,40 +174,11 @@ func BenchmarkGrow20(b *testing.B) {
 	}
 }
 
-// TestSortMembers checks SortMembers on adversarial expiry sets: the
-// output must be in (Expiry, ID) order and a permutation of the input,
-// both judged against a reference written here.
-func TestSortMembers(t *testing.T) {
-	const n = 3000
-	r := rng.New(11)
-	gen := func(expiry func(i int) float64) []Member {
-		ms := make([]Member, n)
-		for i := range ms {
-			ms[i] = Member{ID: i, Expiry: expiry(i)}
-		}
-		return ms
-	}
-	withInf := gen(func(i int) float64 { return float64(n - i) })
-	withInf[3].Expiry = math.Inf(1)
-	withInf[5].Expiry = math.Inf(-1)
-	cases := map[string][]Member{
-		"uniform": gen(func(int) float64 { return r.Uniform(0, 1000) }),
-		"ties":    gen(func(int) float64 { return float64(r.Intn(5)) }),
-		"skew": gen(func(i int) float64 {
-			if i == 0 {
-				return 1e9 // one far outlier; the rest crowd into [0, 1)
-			}
-			return r.Uniform(0, 1)
-		}),
-		"sorted":    gen(func(i int) float64 { return float64(i) * 0.001 }),
-		"reversed":  gen(func(i int) float64 { return float64(n-i) * 0.001 }),
-		"all-equal": gen(func(int) float64 { return 7 }),
-		"with-inf":  withInf,
-	}
-	// Reverse the IDs of the all-equal case so the ID tie-break has work.
-	for i, m := range cases["all-equal"] {
-		cases["all-equal"][i].ID = n - 1 - m.ID
-	}
+// checkSortMembers sorts each case with SortMembers and checks that the
+// output is in (Expiry, ID) order and a permutation of the input, both
+// judged against a reference written here.
+func checkSortMembers(t *testing.T, cases map[string][]Member) {
+	t.Helper()
 	for name, ms := range cases {
 		t.Run(name, func(t *testing.T) {
 			count := make(map[Member]int, len(ms))
@@ -231,4 +202,56 @@ func TestSortMembers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sortInput builds n members whose expiries come from expiry.
+func sortInput(n int, expiry func(i int) float64) []Member {
+	ms := make([]Member, n)
+	for i := range ms {
+		ms[i] = Member{ID: i, Expiry: expiry(i)}
+	}
+	return ms
+}
+
+// sortTestLen is the input size of the SortMembers tests. The test names
+// date from a range-bucket path SortMembers used to take on large inputs;
+// the adversarial inputs stay, checked on the one comparison sort.
+const sortTestLen = 3000
+
+// TestBucketSortMatchesComparison checks SortMembers on adversarial
+// expiry distributions: uniform, heavy exact ties, skew (one far outlier,
+// the rest crowded together), already sorted and reversed.
+func TestBucketSortMatchesComparison(t *testing.T) {
+	const n = sortTestLen
+	r := rng.New(11)
+	checkSortMembers(t, map[string][]Member{
+		"uniform": sortInput(n, func(int) float64 { return r.Uniform(0, 1000) }),
+		"ties":    sortInput(n, func(int) float64 { return float64(r.Intn(5)) }),
+		"skew": sortInput(n, func(i int) float64 {
+			if i == 0 {
+				return 1e9 // one far outlier; the rest crowd into [0, 1)
+			}
+			return r.Uniform(0, 1)
+		}),
+		"sorted":   sortInput(n, func(i int) float64 { return float64(i) * 0.001 }),
+		"reversed": sortInput(n, func(i int) float64 { return float64(n-i) * 0.001 }),
+	})
+}
+
+// TestBucketSortDegenerate checks SortMembers on degenerate inputs:
+// all-equal expiries, where only the ID tie-break orders, and non-finite
+// expiries.
+func TestBucketSortDegenerate(t *testing.T) {
+	const n = sortTestLen
+	allEqual := make([]Member, n)
+	for i := range allEqual {
+		allEqual[i] = Member{ID: n - 1 - i, Expiry: 7}
+	}
+	withInf := sortInput(n, func(i int) float64 { return float64(n - i) })
+	withInf[3].Expiry = math.Inf(1)
+	withInf[5].Expiry = math.Inf(-1)
+	checkSortMembers(t, map[string][]Member{
+		"all-equal": allEqual,
+		"with-inf":  withInf,
+	})
 }
