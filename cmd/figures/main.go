@@ -8,9 +8,9 @@
 //	figures -bench [-out dir]
 //
 // The experiments live in the registry under internal/runner (populated
-// by internal/experiments); this command is a thin frontend. Every run
-// maintains <out>/MANIFEST.json — per-experiment params hash, code
-// version, seed, git describe, wall time, and the content hash of each
+// by internal/experiments); this command is the runner's only frontend.
+// Every run maintains <out>/MANIFEST.json — per-experiment params hash,
+// code version, git describe, wall time, and the content hash of each
 // emitted file — and experiments whose manifest entry is up to date are
 // skipped unless -force, so iterating on one figure no longer costs a
 // full regeneration.
@@ -101,13 +101,11 @@ func run() int {
 	}
 
 	opts := runner.Options{
-		Tag:    "figures",
 		Only:   *only,
 		OutDir: *out,
 		Quick:  *quick,
 		Jobs:   *jobs,
 		Force:  *force,
-		Write:  true,
 		Stdout: os.Stdout,
 	}
 	if *progress {

@@ -66,6 +66,18 @@ func (p Params) Validate() error {
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
+// resolveHorizon checks a run horizon and applies the 10^6 s default for
+// zero. A negative or non-finite horizon is an error.
+func resolveHorizon(h float64) (float64, error) {
+	if !finite(h) || h < 0 {
+		return 0, fmt.Errorf("%w: horizon=%g", ErrBadParams, h)
+	}
+	if h == 0 {
+		return 1e6, nil
+	}
+	return h, nil
+}
+
 func (p Params) config(start periodic.StartState) periodic.Config {
 	return periodic.Config{
 		N:      p.N,
@@ -78,7 +90,8 @@ func (p Params) config(start periodic.StartState) periodic.Config {
 
 // SimOptions tunes Simulate.
 type SimOptions struct {
-	// Horizon bounds the run in simulated seconds; zero means 10^6.
+	// Horizon bounds the run in simulated seconds; zero means 10^6, and a
+	// negative or non-finite horizon is an error.
 	Horizon float64
 	// StartSynchronized begins with every timer in phase (the state a
 	// restart storm or triggered-update wave leaves behind); the default
@@ -119,8 +132,9 @@ func Simulate(p Params, opt SimOptions) (*SimReport, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Horizon == 0 {
-		opt.Horizon = 1e6
+	var err error
+	if opt.Horizon, err = resolveHorizon(opt.Horizon); err != nil {
+		return nil, err
 	}
 	if opt.BrokenThreshold == 0 {
 		opt.BrokenThreshold = 2
@@ -324,8 +338,9 @@ func SimulateEnsemble(p Params, replications int, horizon float64, startSynchron
 	if replications < 1 {
 		return nil, fmt.Errorf("%w: replications=%d", ErrBadParams, replications)
 	}
-	if horizon == 0 {
-		horizon = 1e6
+	horizon, err := resolveHorizon(horizon)
+	if err != nil {
+		return nil, err
 	}
 	cfg := p.config(periodic.StartUnsynchronized)
 	var res periodic.EnsembleResult

@@ -96,6 +96,22 @@ func TestSimulateInvalidParams(t *testing.T) {
 	}
 }
 
+func TestSimulateBadHorizon(t *testing.T) {
+	p := PaperParams(0.1, 1)
+	for _, h := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Simulate(p, SimOptions{Horizon: h}); !errors.Is(err, ErrBadParams) {
+			t.Errorf("Simulate(horizon=%v) err = %v, want ErrBadParams", h, err)
+		}
+		if _, err := SimulateEnsemble(p, 2, h, false); !errors.Is(err, ErrBadParams) {
+			t.Errorf("SimulateEnsemble(horizon=%v) err = %v, want ErrBadParams", h, err)
+		}
+	}
+	// Zero still selects the default horizon.
+	if _, err := Simulate(PaperParams(0.1, 5), SimOptions{Horizon: 0}); err != nil {
+		t.Errorf("Simulate(horizon=0) err = %v", err)
+	}
+}
+
 func TestAnalyzeRegimes(t *testing.T) {
 	low, err := Analyze(PaperParams(0.6*0.11, 1))
 	if err != nil {

@@ -5,25 +5,14 @@ import (
 	"routesync/internal/workload"
 )
 
-// This file registers every driver in this package — the paper figures,
-// claims, ablations, extensions, and the command-line tool experiments —
-// with the experiment runner. The cmd/ binaries are thin frontends that
-// select from runner.Default by tag or id; all configuration derivation
-// (quick-vs-paper horizons, replication counts, observer wiring) lives
-// here, next to the drivers it parameterizes.
+// This file registers every figure driver in this package — the paper
+// figures, claims, ablations, and extensions — with the experiment
+// runner. cmd/figures is a thin frontend that selects from
+// runner.Default by id; all configuration derivation (quick-vs-paper
+// horizons, replication counts, observer wiring) lives here, next to the
+// drivers it parameterizes.
 
 func init() { RegisterAll(runner.Default) }
-
-// RegisterAll registers every experiment with reg. Exposed (rather than
-// registering only into runner.Default) so tests can build fresh
-// registries.
-func RegisterAll(reg *runner.Registry) {
-	registerFigures(reg)
-	registerMarkovTool(reg)
-	registerNetexpTool(reg)
-	registerScenarioTool(reg)
-	registerSyncsimTool(reg)
-}
 
 // figModel derives the Periodic Messages model configuration used by the
 // figure drivers (the paper's defaults; Horizon 1e5 at both scales).
@@ -118,176 +107,169 @@ func figBGP(spec *runner.Spec) BGPConfig {
 	return cfg
 }
 
-// fig registers one figure driver under the "figures" tag. The driver's
-// Result supplies the title and notes; finishResult writes the files
-// when the spec asks for them.
-func fig(reg *runner.Registry, id string, cost runner.CostClass, fn func(*runner.Spec) *Result) {
+// fig registers one figure driver. The driver's Result supplies the
+// title and notes; finishResult writes the files.
+func fig(reg *runner.Registry, id string, fn func(*runner.Spec) *Result) {
 	reg.Register(runner.Experiment{
-		ID:   id,
-		Tags: []string{"figures"},
-		Cost: cost,
+		ID: id,
 		Run: func(spec *runner.Spec) (*runner.Artifacts, error) {
 			return finishResult(fn(spec), spec)
 		},
 	})
 }
 
-// finishResult converts a figure Result into runner Artifacts, emitting
-// <id>.csv and <id>.txt when the spec writes files.
+// finishResult writes a figure Result as <id>.csv and <id>.txt and
+// converts it into runner Artifacts.
 func finishResult(r *Result, spec *runner.Spec) (*runner.Artifacts, error) {
+	if err := r.WriteFiles(spec.OutDir); err != nil {
+		return nil, err
+	}
 	points := 0
 	for _, s := range r.Series {
 		points += s.Len()
 	}
-	art := &runner.Artifacts{
+	return &runner.Artifacts{
 		Title:  r.Title,
 		Notes:  r.Notes,
 		Series: len(r.Series),
 		Points: points,
-	}
-	if spec.Write {
-		if err := r.WriteFiles(spec.OutDir); err != nil {
-			return nil, err
-		}
-		art.Files = []string{r.ID + ".csv", r.ID + ".txt"}
-	} else {
-		art.ASCII = r.RenderASCII()
-	}
-	return art, nil
+		Files:  []string{r.ID + ".csv", r.ID + ".txt"},
+	}, nil
 }
 
-// registerFigures registers the paper figures, in-text claims,
-// ablations, and extensions in the order cmd/figures has always printed
-// them.
-func registerFigures(reg *runner.Registry) {
-	fig(reg, "fig01", runner.CostModerate, func(spec *runner.Spec) *Result {
+// RegisterAll registers the paper figures, in-text claims, ablations,
+// and extensions with reg in the order cmd/figures has always printed
+// them. Exposed (rather than registering only into runner.Default) so
+// tests can build fresh registries.
+func RegisterAll(reg *runner.Registry) {
+	fig(reg, "fig01", func(spec *runner.Spec) *Result {
 		return fig1Shared(spec).res
 	})
-	fig(reg, "fig02", runner.CostModerate, func(spec *runner.Spec) *Result {
+	fig(reg, "fig02", func(spec *runner.Spec) *Result {
 		return Fig2(fig1Shared(spec).ping, 200)
 	})
-	fig(reg, "fig03", runner.CostModerate, func(spec *runner.Spec) *Result {
+	fig(reg, "fig03", func(spec *runner.Spec) *Result {
 		r, _ := Fig3(PathConfig{Obs: spec.DESObserver()}, figAudioDur(spec))
 		return r
 	})
-	fig(reg, "fig04", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "fig04", func(spec *runner.Spec) *Result {
 		return Fig4(figModel(spec))
 	})
-	fig(reg, "fig05", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "fig05", func(spec *runner.Spec) *Result {
 		return Fig5(figModel(spec), 0, 0)
 	})
-	fig(reg, "fig06", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "fig06", func(spec *runner.Spec) *Result {
 		return Fig6(figModel(spec))
 	})
-	fig(reg, "fig07", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "fig07", func(spec *runner.Spec) *Result {
 		cfg := figModel(spec)
 		cfg.Horizon = figSweepHorizon(spec)
 		r, _ := Fig7(cfg, nil)
 		return r
 	})
-	fig(reg, "fig08", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "fig08", func(spec *runner.Spec) *Result {
 		cfg := figModel(spec)
 		cfg.Horizon = figSweepHorizon(spec)
 		r, _ := Fig8(cfg, nil, 0)
 		return r
 	})
-	fig(reg, "fig09", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "fig09", func(spec *runner.Spec) *Result {
 		return Fig9(figMarkov(spec), 0)
 	})
-	fig(reg, "fig10", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "fig10", func(spec *runner.Spec) *Result {
 		return Fig10(figMarkov(spec), 0)
 	})
-	fig(reg, "fig11", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "fig11", func(spec *runner.Spec) *Result {
 		return Fig11(figMarkov(spec), 0)
 	})
-	fig(reg, "fig12", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "fig12", func(spec *runner.Spec) *Result {
 		return Fig12(figMarkov(spec), 0, 0, 0)
 	})
-	fig(reg, "fig13", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "fig13", func(spec *runner.Spec) *Result {
 		return Fig13(figMarkov(spec), nil, nil)
 	})
-	fig(reg, "fig14", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "fig14", func(spec *runner.Spec) *Result {
 		return Fig14(figMarkov(spec), 0, 0, 0)
 	})
-	fig(reg, "fig15", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "fig15", func(spec *runner.Spec) *Result {
 		return Fig15(figMarkov(spec), 0, 0, 0)
 	})
-	fig(reg, "claim_parc", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "claim_parc", func(spec *runner.Spec) *Result {
 		return ClaimPARC(0, 1)
 	})
-	fig(reg, "claim_guidance", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "claim_guidance", func(spec *runner.Spec) *Result {
 		return ClaimGuidance()
 	})
-	fig(reg, "ablation_timer_policy", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ablation_timer_policy", func(spec *runner.Spec) *Result {
 		return AblationTimerPolicy(figModel(spec))
 	})
-	fig(reg, "ablation_solver", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ablation_solver", func(spec *runner.Spec) *Result {
 		return AblationSolver(figMarkov(spec), 0)
 	})
-	fig(reg, "ablation_delivery", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ablation_delivery", func(spec *runner.Spec) *Result {
 		return AblationDelivery(nil, 1)
 	})
-	fig(reg, "ablation_queueing", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ablation_queueing", func(spec *runner.Spec) *Result {
 		return AblationQueueing(0, 1)
 	})
-	fig(reg, "ext_coherence", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_coherence", func(spec *runner.Spec) *Result {
 		return ExtCoherence(figModel(spec))
 	})
-	fig(reg, "ext_storm", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_storm", func(spec *runner.Spec) *Result {
 		return ExtStorm(0, 1)
 	})
-	fig(reg, "ext_nsweep", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_nsweep", func(spec *runner.Spec) *Result {
 		seeds := 5
 		if spec.Quick {
 			seeds = 2
 		}
 		return ExtNSweep(0, nil, seeds, 3e6, 1)
 	})
-	fig(reg, "ext_perrouter_fixed", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_perrouter_fixed", func(spec *runner.Spec) *Result {
 		return ExtPerRouterFixed(nil, 1)
 	})
-	fig(reg, "ext_protocols", runner.CostModerate, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_protocols", func(spec *runner.Spec) *Result {
 		return ExtProtocolComparison(0, 0)
 	})
-	fig(reg, "ext_clientserver", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_clientserver", func(spec *runner.Spec) *Result {
 		return ExtClientServer(0, 1)
 	})
-	fig(reg, "ext_externalclock", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_externalclock", func(spec *runner.Spec) *Result {
 		return ExtExternalClock(1)
 	})
-	fig(reg, "ext_tcpsync", runner.CostModerate, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_tcpsync", func(spec *runner.Spec) *Result {
 		return ExtTCPSync(nil, 1)
 	})
-	fig(reg, "ext_threshold", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_threshold", func(spec *runner.Spec) *Result {
 		return ExtThreshold(nil)
 	})
-	fig(reg, "ext_mixed_periods", runner.CostCheap, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_mixed_periods", func(spec *runner.Spec) *Result {
 		return ExtMixedPeriods(0.1, 1e6, 1)
 	})
-	fig(reg, "ext_linkstate", runner.CostModerate, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_linkstate", func(spec *runner.Spec) *Result {
 		horizon := 3e5
 		if spec.Quick {
 			horizon = 5e4
 		}
 		return ExtLinkState(20, horizon, 1)
 	})
-	fig(reg, "ext_triggered", runner.CostModerate, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_triggered", func(spec *runner.Spec) *Result {
 		horizon := 3e6
 		if spec.Quick {
 			horizon = 5e5
 		}
 		return ExtTriggered(nil, horizon, 1)
 	})
-	fig(reg, "ext_netscale", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_netscale", func(spec *runner.Spec) *Result {
 		return ExtNetScale(figNetScale(spec))
 	})
-	fig(reg, "ext_churn", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_churn", func(spec *runner.Spec) *Result {
 		return ExtChurn(figChurn(spec))
 	})
-	fig(reg, "ext_bgp", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_bgp", func(spec *runner.Spec) *Result {
 		return ExtBGP(figBGP(spec))
 	})
-	fig(reg, "ext_largen", runner.CostExpensive, func(spec *runner.Spec) *Result {
+	fig(reg, "ext_largen", func(spec *runner.Spec) *Result {
 		ns, rounds := []int(nil), 0
 		if spec.Quick {
 			ns, rounds = []int{1000, 3162, 10000}, 12

@@ -118,6 +118,9 @@ func PeekHeader(buf []byte) (router netsim.NodeID, triggered, request bool, coun
 		return 0, false, false, 0, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
 	}
 	count = int(binary.BigEndian.Uint16(buf[8:]))
+	if count > MaxEntries {
+		return 0, false, false, 0, fmt.Errorf("%w: %d", ErrTooMany, count)
+	}
 	if len(buf) < headerLen+entryLen*count {
 		return 0, false, false, 0, ErrTruncated
 	}
@@ -142,7 +145,8 @@ func AppendEntries(dst []Entry, buf []byte) []Entry {
 	return dst
 }
 
-// Decode parses a wire message, validating magic, version and length.
+// Decode parses a wire message, validating magic, version, entry count
+// (at most MaxEntries, the most Encode writes) and length.
 func Decode(buf []byte) (Message, error) {
 	var m Message
 	if len(buf) < headerLen {
@@ -158,6 +162,9 @@ func Decode(buf []byte) (Message, error) {
 	m.Request = buf[3]&flagRequest != 0
 	m.Router = netsim.NodeID(binary.BigEndian.Uint32(buf[4:]))
 	count := int(binary.BigEndian.Uint16(buf[8:]))
+	if count > MaxEntries {
+		return m, fmt.Errorf("%w: %d", ErrTooMany, count)
+	}
 	if len(buf) < headerLen+entryLen*count {
 		return m, ErrTruncated
 	}

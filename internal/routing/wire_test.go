@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,14 @@ func TestDecodeErrors(t *testing.T) {
 	badVer[2] = 9
 	if _, err := Decode(badVer); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version: err = %v", err)
+	}
+
+	// A count Encode would refuse is rejected even when the body is there.
+	tooMany := make([]byte, WireSize(MaxEntries+1))
+	copy(tooMany, good[:headerLen])
+	binary.BigEndian.PutUint16(tooMany[8:], MaxEntries+1)
+	if _, err := Decode(tooMany); !errors.Is(err, ErrTooMany) {
+		t.Fatalf("too many entries: err = %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -40,7 +39,6 @@ type ManifestEntry struct {
 	Title       string            `json:"title"`
 	ParamsHash  string            `json:"params_hash"`
 	CodeVersion string            `json:"code_version"`
-	Seed        int64             `json:"seed"`
 	Quick       bool              `json:"quick"`
 	WallSeconds float64           `json:"wall_seconds"`
 	Series      int               `json:"series"`
@@ -99,22 +97,15 @@ func (e *ManifestEntry) UpToDate(dir, paramsHash, codeVersion string) bool {
 	return true
 }
 
-// ParamsHash fingerprints one experiment invocation: the experiment id,
-// the quick/paper scale switch, the base seed, and the frontend's typed
-// overrides. Jobs is deliberately excluded — worker count never changes
-// output. Overrides that JSON-marshal cleanly hash their JSON; anything
-// else falls back to its Go-syntax representation.
-func ParamsHash(id string, quick bool, seed int64, overrides any) string {
+// ParamsHash fingerprints one experiment invocation: the experiment id
+// and the quick/paper scale switch. Jobs is deliberately excluded —
+// worker count never changes output.
+func ParamsHash(id string, quick bool) string {
 	payload := struct {
-		ID        string `json:"id"`
-		Quick     bool   `json:"quick"`
-		Seed      int64  `json:"seed"`
-		Overrides any    `json:"overrides,omitempty"`
-	}{id, quick, seed, overrides}
-	buf, err := json.Marshal(payload)
-	if err != nil {
-		buf = []byte(fmt.Sprintf("%#v", payload))
-	}
+		ID    string `json:"id"`
+		Quick bool   `json:"quick"`
+	}{id, quick}
+	buf, _ := json.Marshal(payload) // a struct of a string and a bool always marshals
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:])[:16]
 }

@@ -17,7 +17,6 @@ func TestManifestRoundTrip(t *testing.T) {
 		Title:       "Ping clustering",
 		ParamsHash:  "abc123",
 		CodeVersion: "deadbeef",
-		Seed:        7,
 		Quick:       true,
 		WallSeconds: 1.25,
 		Series:      2,
@@ -36,7 +35,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal("entry lost in round trip")
 	}
 	if e.Title != "Ping clustering" || e.ParamsHash != "abc123" ||
-		e.CodeVersion != "deadbeef" || e.Seed != 7 || !e.Quick ||
+		e.CodeVersion != "deadbeef" || !e.Quick ||
 		e.WallSeconds != 1.25 || e.Series != 2 || e.Points != 100 ||
 		len(e.Notes) != 1 || e.Files["fig01.csv"] != "ff" {
 		t.Fatalf("round-tripped entry = %+v", e)
@@ -109,29 +108,20 @@ func TestUpToDate(t *testing.T) {
 }
 
 func TestParamsHash(t *testing.T) {
-	base := ParamsHash("fig01", false, 1, nil)
+	base := ParamsHash("fig01", false)
 	if len(base) != 16 || strings.Trim(base, "0123456789abcdef") != "" {
 		t.Fatalf("hash %q is not 16 hex chars", base)
 	}
-	if ParamsHash("fig01", false, 1, nil) != base {
+	if ParamsHash("fig01", false) != base {
 		t.Fatal("equal inputs must hash equally")
 	}
 	for name, h := range map[string]string{
-		"id":        ParamsHash("fig02", false, 1, nil),
-		"quick":     ParamsHash("fig01", true, 1, nil),
-		"seed":      ParamsHash("fig01", false, 2, nil),
-		"overrides": ParamsHash("fig01", false, 1, map[string]int{"n": 20}),
+		"id":    ParamsHash("fig02", false),
+		"quick": ParamsHash("fig01", true),
 	} {
 		if h == base {
 			t.Errorf("changing %s did not change the hash", name)
 		}
-	}
-
-	// Unmarshalable overrides (funcs) fall back to %#v rather than
-	// collapsing to one shared hash.
-	f1 := ParamsHash("fig01", false, 1, struct{ F func() }{})
-	if f1 == base {
-		t.Error("func-bearing overrides should still perturb the hash")
 	}
 }
 

@@ -1,16 +1,13 @@
-// Package runner is the experiment-management layer between the
-// simulation engines and the command-line frontends: a registry of named
-// experiments, a Spec→Artifacts run contract, MANIFEST.json provenance
-// (params hash, code version, git describe, wall time, content hash of
-// every emitted file), incremental re-runs that skip up-to-date
-// experiments, and live progress wiring for the engine observer hooks in
-// internal/des and internal/periodic.
+// Package runner is the experiment-management layer behind cmd/figures:
+// a registry of named experiments, a Spec→Artifacts run contract,
+// MANIFEST.json provenance (params hash, code version, git describe,
+// wall time, content hash of every emitted file), incremental re-runs
+// that skip up-to-date experiments, and live progress wiring for the
+// engine observer hooks in internal/des and internal/periodic.
 //
-// The layer absorbs what used to be private to cmd/figures — the driver
-// table, -only selection, TIMINGS.json bookkeeping, and partial-run index
-// protection — so every frontend (figures, syncsim, markovtool, netexp,
-// scenarios) shares one implementation of -only/-jobs/-quick and
-// deterministic seed-per-index semantics.
+// It owns -only selection, -jobs scheduling with output in registration
+// order, TIMINGS.json bookkeeping, and partial-run index protection. The
+// other command-line tools call their engines directly.
 package runner
 
 import (
@@ -19,57 +16,14 @@ import (
 	"strings"
 )
 
-// CostClass is a coarse wall-time expectation for an experiment at paper
-// scale, used for scheduling hints and registry listings.
-type CostClass int
-
-const (
-	// CostCheap finishes in well under a second.
-	CostCheap CostClass = iota
-	// CostModerate takes on the order of a second.
-	CostModerate
-	// CostExpensive dominates a full regeneration (long sweeps).
-	CostExpensive
-)
-
-// String returns the cost-class name.
-func (c CostClass) String() string {
-	switch c {
-	case CostCheap:
-		return "cheap"
-	case CostModerate:
-		return "moderate"
-	case CostExpensive:
-		return "expensive"
-	default:
-		return fmt.Sprintf("CostClass(%d)", int(c))
-	}
-}
-
-// Experiment is one registered, runnable unit: a figure driver, an
-// analysis table, or a scenario study.
+// Experiment is one registered, runnable unit: a figure driver, a
+// claim, an ablation, or an extension.
 type Experiment struct {
 	// ID is the unique handle used by -only and manifest entries.
 	ID string
-	// Title is the human-readable name shown in listings and cached runs.
-	Title string
-	// Tags group experiments for frontend selection (e.g. "figures").
-	Tags []string
-	// Cost is the expected paper-scale wall time class.
-	Cost CostClass
 	// Run computes the experiment. It must be deterministic in the Spec:
 	// equal Spec fields (ignoring Jobs) must reproduce identical artifacts.
 	Run func(*Spec) (*Artifacts, error)
-}
-
-// tagged reports whether the experiment carries the tag.
-func (e *Experiment) tagged(tag string) bool {
-	for _, t := range e.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
 }
 
 // Registry holds experiments in registration order.
@@ -79,7 +33,7 @@ type Registry struct {
 }
 
 // Default is the package-level registry that internal/experiments
-// populates at init time and the cmd frontends select from.
+// populates at init time and cmd/figures selects from.
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry (tests use fresh instances).
@@ -115,27 +69,12 @@ func (r *Registry) All() []*Experiment {
 	return append([]*Experiment(nil), r.order...)
 }
 
-// Tagged returns the experiments carrying tag, in registration order. An
-// empty tag selects everything.
-func (r *Registry) Tagged(tag string) []*Experiment {
-	if tag == "" {
-		return r.All()
-	}
-	var out []*Experiment
-	for _, e := range r.order {
-		if e.tagged(tag) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Select filters the tag's experiments by a comma-separated id list,
+// Select filters the experiments by a comma-separated id list,
 // preserving registration order. An empty list selects all of them.
 // Unknown ids are an error, not a silent no-op: a typo like `-only fig4`
 // must fail loudly instead of reporting success having run nothing.
-func (r *Registry) Select(tag, only string) ([]*Experiment, error) {
-	pool := r.Tagged(tag)
+func (r *Registry) Select(only string) ([]*Experiment, error) {
+	pool := r.All()
 	if strings.TrimSpace(only) == "" {
 		return pool, nil
 	}

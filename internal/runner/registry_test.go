@@ -41,9 +41,9 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestLookupAndOrder(t *testing.T) {
 	reg := NewRegistry()
-	reg.Register(Experiment{ID: "z", Run: noopRun, Tags: []string{"fig"}})
-	reg.Register(Experiment{ID: "a", Run: noopRun, Tags: []string{"fig"}})
-	reg.Register(Experiment{ID: "m", Run: noopRun, Tags: []string{"tool"}})
+	reg.Register(Experiment{ID: "z", Run: noopRun})
+	reg.Register(Experiment{ID: "a", Run: noopRun})
+	reg.Register(Experiment{ID: "m", Run: noopRun})
 
 	if got := reg.Lookup("a"); got == nil || got.ID != "a" {
 		t.Fatalf("Lookup(a) = %v", got)
@@ -52,7 +52,7 @@ func TestLookupAndOrder(t *testing.T) {
 		t.Fatalf("Lookup(missing) = %v, want nil", got)
 	}
 
-	// All and Tagged preserve registration order, not lexical order.
+	// All preserves registration order, not lexical order.
 	ids := func(es []*Experiment) string {
 		var out []string
 		for _, e := range es {
@@ -63,29 +63,22 @@ func TestLookupAndOrder(t *testing.T) {
 	if got := ids(reg.All()); got != "z,a,m" {
 		t.Fatalf("All order = %s, want z,a,m", got)
 	}
-	if got := ids(reg.Tagged("fig")); got != "z,a" {
-		t.Fatalf("Tagged(fig) = %s, want z,a", got)
-	}
-	if got := ids(reg.Tagged("")); got != "z,a,m" {
-		t.Fatalf("Tagged(\"\") = %s, want z,a,m", got)
-	}
 }
 
 func TestSelect(t *testing.T) {
 	reg := NewRegistry()
 	for _, id := range []string{"fig01", "fig02", "fig03"} {
-		reg.Register(Experiment{ID: id, Run: noopRun, Tags: []string{"figures"}})
+		reg.Register(Experiment{ID: id, Run: noopRun})
 	}
-	reg.Register(Experiment{ID: "tool1", Run: noopRun, Tags: []string{"tools"}})
 
-	// Empty -only selects the whole tag pool.
-	all, err := reg.Select("figures", "")
+	// Empty -only selects every experiment.
+	all, err := reg.Select("")
 	if err != nil || len(all) != 3 {
-		t.Fatalf("Select(figures, \"\") = %d experiments, err %v", len(all), err)
+		t.Fatalf("Select(\"\") = %d experiments, err %v", len(all), err)
 	}
 
 	// Subset selection keeps registration order regardless of list order.
-	sub, err := reg.Select("figures", " fig03 ,fig01")
+	sub, err := reg.Select(" fig03 ,fig01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,30 +87,11 @@ func TestSelect(t *testing.T) {
 	}
 
 	// Unknown ids fail loudly and name the known pool.
-	_, err = reg.Select("figures", "fig01,fig99")
+	_, err = reg.Select("fig01,fig99")
 	if err == nil || !strings.Contains(err.Error(), "unknown figure id(s): fig99") {
 		t.Fatalf("unknown id error = %v", err)
 	}
 	if !strings.Contains(err.Error(), "fig01, fig02, fig03") {
 		t.Fatalf("error should list known ids, got %v", err)
-	}
-
-	// An id outside the tag pool is unknown within that pool.
-	_, err = reg.Select("figures", "tool1")
-	if err == nil || !strings.Contains(err.Error(), "unknown figure id(s): tool1") {
-		t.Fatalf("cross-tag id error = %v", err)
-	}
-}
-
-func TestCostClassString(t *testing.T) {
-	for c, want := range map[CostClass]string{
-		CostCheap:     "cheap",
-		CostModerate:  "moderate",
-		CostExpensive: "expensive",
-		CostClass(9):  "CostClass(9)",
-	} {
-		if got := c.String(); got != want {
-			t.Errorf("CostClass(%d).String() = %q, want %q", int(c), got, want)
-		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // everything needed for the per-experiment stdout block, INDEX.md,
 // TIMINGS.json, and the manifest entry.
 type Artifacts struct {
-	// Title is the human-readable name (falls back to Experiment.Title).
+	// Title is the human-readable name.
 	Title string
 	// Notes are the headline findings printed under the experiment and
 	// recorded in INDEX.md and the manifest.
@@ -26,12 +26,8 @@ type Artifacts struct {
 	// Series and Points count the emitted data for TIMINGS.json.
 	Series int
 	Points int
-	// Files lists the names (relative to Spec.OutDir) this run wrote;
-	// empty when Spec.Write was off.
+	// Files lists the names (relative to Spec.OutDir) this run wrote.
 	Files []string
-	// ASCII is the full human-readable report for tool frontends that
-	// print to stdout instead of writing files.
-	ASCII string
 }
 
 // DriverTiming is one entry of TIMINGS.json (schema unchanged from when
@@ -58,25 +54,15 @@ type TimingsFile struct {
 type Options struct {
 	// Registry to select from; nil means Default.
 	Registry *Registry
-	// Tag restricts the candidate pool (e.g. "figures"); "" means all.
-	Tag string
-	// Only is the comma-separated -only id filter within the pool;
-	// unknown ids are an error. Ignored when IDs is set.
+	// Only is the comma-separated -only id filter; unknown ids are an
+	// error.
 	Only string
-	// IDs selects exactly these experiments in the given order (tool
-	// frontends); unknown ids are an error.
-	IDs []string
 	// OutDir receives emitted files, INDEX.md, TIMINGS.json, and
-	// MANIFEST.json when Write is set.
+	// MANIFEST.json.
 	OutDir string
-	// Quick, Jobs, Seed, and Overrides flow into each experiment's Spec.
-	Quick     bool
-	Jobs      int
-	Seed      int64
-	Overrides any
-	// Write turns on file emission plus the index/timings/manifest
-	// bookkeeping. Tool frontends leave it off and print Artifacts.ASCII.
-	Write bool
+	// Quick and Jobs flow into each experiment's Spec.
+	Quick bool
+	Jobs  int
 	// Force disables the incremental skip: every selected experiment
 	// re-runs even if its manifest entry is up to date.
 	Force bool
@@ -99,10 +85,6 @@ type Options struct {
 type Summary struct {
 	// Experiments holds the selected experiments in emission order.
 	Experiments []*Experiment
-	// Artifacts holds each experiment's artifacts, parallel to
-	// Experiments. Cached experiments get artifacts reconstructed from
-	// the manifest (Notes/Series/Points/Files; no ASCII).
-	Artifacts []*Artifacts
 	// Cached counts experiments skipped as up to date.
 	Cached int
 	// Failed counts experiments whose Run returned an error.
@@ -126,7 +108,7 @@ type expRun struct {
 
 // Run executes the selected experiments on at most Jobs workers, in
 // registration order for selection and emission, with per-experiment
-// incremental skipping against OutDir's manifest when Write is set.
+// incremental skipping against OutDir's manifest.
 //
 // Output files, stdout blocks, and INDEX.md are byte-identical for any
 // Jobs value; a full non-quick run additionally rewrites TIMINGS.json
@@ -142,40 +124,24 @@ func Run(opts Options) (*Summary, error) {
 		errout = os.Stderr
 	}
 
-	pool := reg.Tagged(opts.Tag)
-	var active []*Experiment
-	if len(opts.IDs) > 0 {
-		for _, id := range opts.IDs {
-			e := reg.Lookup(id)
-			if e == nil {
-				return nil, unknownIDs(pool, opts.IDs)
-			}
-			active = append(active, e)
-		}
-	} else {
-		var err error
-		active, err = reg.Select(opts.Tag, opts.Only)
-		if err != nil {
-			return nil, err
-		}
+	active, err := reg.Select(opts.Only)
+	if err != nil {
+		return nil, err
 	}
 
 	sum := &Summary{
 		Experiments: active,
-		Partial:     len(active) != len(pool),
+		Partial:     len(active) != len(reg.order),
 		Workers:     resolvedWorkers(opts.Jobs, len(active)),
 	}
 
 	// The manifest loaded here is read-only for the duration of the run:
 	// workers consult it for skip decisions while the consumer
 	// accumulates fresh entries separately, then the two are merged.
-	var manifest *Manifest
-	if opts.Write {
-		if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
-			return sum, err
-		}
-		manifest = LoadManifest(opts.OutDir)
+	if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
+		return sum, err
 	}
+	manifest := LoadManifest(opts.OutDir)
 	codeVersion := CodeVersion()
 
 	shared := newSharedCache()
@@ -190,22 +156,19 @@ func Run(opts Options) (*Summary, error) {
 	t0 := time.Now()
 	parallel.RunOrdered(len(active), opts.Jobs, func(i int) expRun {
 		e := active[i]
-		paramsHash := ParamsHash(e.ID, opts.Quick, opts.Seed, opts.Overrides)
-		if opts.Write && !opts.Force {
+		paramsHash := ParamsHash(e.ID, opts.Quick)
+		if !opts.Force {
 			if old := manifest.Experiments[e.ID]; old.UpToDate(opts.OutDir, paramsHash, codeVersion) {
 				return expRun{art: old.artifacts(), entry: old, cached: true}
 			}
 		}
 		spec := &Spec{
-			ID:        e.ID,
-			Quick:     opts.Quick,
-			Seed:      opts.Seed,
-			Jobs:      opts.Jobs,
-			OutDir:    opts.OutDir,
-			Write:     opts.Write,
-			Overrides: opts.Overrides,
-			Metrics:   &Metrics{},
-			shared:    shared,
+			ID:      e.ID,
+			Quick:   opts.Quick,
+			Jobs:    opts.Jobs,
+			OutDir:  opts.OutDir,
+			Metrics: &Metrics{},
+			shared:  shared,
 		}
 		inflight.start(e.ID, spec.Metrics)
 		start := time.Now()
@@ -215,44 +178,34 @@ func Run(opts Options) (*Summary, error) {
 		if err != nil {
 			return expRun{err: fmt.Errorf("%s: %w", e.ID, err), seconds: seconds}
 		}
-		if art.Title == "" {
-			art.Title = e.Title
+		entry := &ManifestEntry{
+			Title:       art.Title,
+			ParamsHash:  paramsHash,
+			CodeVersion: codeVersion,
+			Quick:       opts.Quick,
+			WallSeconds: seconds,
+			Series:      art.Series,
+			Points:      art.Points,
+			Notes:       art.Notes,
+			Files:       map[string]string{},
+			Metrics:     spec.Metrics.Snapshot(),
 		}
-		run := expRun{art: art, seconds: seconds}
-		if opts.Write {
-			entry := &ManifestEntry{
-				Title:       art.Title,
-				ParamsHash:  paramsHash,
-				CodeVersion: codeVersion,
-				Seed:        opts.Seed,
-				Quick:       opts.Quick,
-				WallSeconds: seconds,
-				Series:      art.Series,
-				Points:      art.Points,
-				Notes:       art.Notes,
-				Files:       map[string]string{},
-				Metrics:     spec.Metrics.Snapshot(),
+		for _, name := range art.Files {
+			h, herr := HashFile(filepath.Join(opts.OutDir, name))
+			if herr != nil {
+				return expRun{err: fmt.Errorf("%s: %w", e.ID, herr), seconds: seconds}
 			}
-			for _, name := range art.Files {
-				h, herr := HashFile(filepath.Join(opts.OutDir, name))
-				if herr != nil {
-					return expRun{err: fmt.Errorf("%s: %w", e.ID, herr), seconds: seconds}
-				}
-				entry.Files[name] = h
-			}
-			run.entry = entry
+			entry.Files[name] = h
 		}
-		return run
+		return expRun{art: art, entry: entry, seconds: seconds}
 	}, func(i int, run expRun) {
 		e := active[i]
 		if run.err != nil {
 			fmt.Fprintln(errout, run.err)
 			sum.Failed++
-			sum.Artifacts = append(sum.Artifacts, nil)
 			return
 		}
 		art := run.art
-		sum.Artifacts = append(sum.Artifacts, art)
 		seconds := run.seconds
 		if run.cached {
 			sum.Cached++
@@ -269,9 +222,7 @@ func Run(opts Options) (*Summary, error) {
 				fmt.Fprintln(opts.Stdout, "   ", n)
 			}
 		}
-		if run.entry != nil {
-			updates[e.ID] = run.entry
-		}
+		updates[e.ID] = run.entry
 		perDriver = append(perDriver, DriverTiming{
 			ID: e.ID, Title: art.Title, Seconds: seconds,
 			Series: art.Series, Points: art.Points,
@@ -289,34 +240,32 @@ func Run(opts Options) (*Summary, error) {
 		return sum, fmt.Errorf("%d of %d experiments failed", sum.Failed, len(active))
 	}
 
-	if opts.Write {
-		// A partial -only run must not clobber the full-run index or the
-		// full-run timing trajectory, but its manifest entries are still
-		// merged in — that is what makes iterating on one figure cheap.
-		if !sum.Partial {
-			if err := os.WriteFile(filepath.Join(opts.OutDir, "INDEX.md"), []byte(index.String()), 0o644); err != nil {
-				return sum, err
-			}
-			// Sorted by id so the file diffs cleanly across PRs even when
-			// registration order changes.
-			sort.Slice(perDriver, func(i, j int) bool { return perDriver[i].ID < perDriver[j].ID })
-			tf := TimingsFile{
-				Quick:        opts.Quick,
-				Jobs:         opts.Jobs,
-				Workers:      sum.Workers,
-				TotalSeconds: sum.Total.Seconds(),
-				Drivers:      perDriver,
-			}
-			if err := writeJSON(filepath.Join(opts.OutDir, "TIMINGS.json"), tf); err != nil {
-				return sum, err
-			}
-		}
-		for id, entry := range updates {
-			manifest.Experiments[id] = entry
-		}
-		if err := manifest.Write(opts.OutDir); err != nil {
+	// A partial -only run must not clobber the full-run index or the
+	// full-run timing trajectory, but its manifest entries are still
+	// merged in — that is what makes iterating on one figure cheap.
+	if !sum.Partial {
+		if err := os.WriteFile(filepath.Join(opts.OutDir, "INDEX.md"), []byte(index.String()), 0o644); err != nil {
 			return sum, err
 		}
+		// Sorted by id so the file diffs cleanly across PRs even when
+		// registration order changes.
+		sort.Slice(perDriver, func(i, j int) bool { return perDriver[i].ID < perDriver[j].ID })
+		tf := TimingsFile{
+			Quick:        opts.Quick,
+			Jobs:         opts.Jobs,
+			Workers:      sum.Workers,
+			TotalSeconds: sum.Total.Seconds(),
+			Drivers:      perDriver,
+		}
+		if err := writeJSON(filepath.Join(opts.OutDir, "TIMINGS.json"), tf); err != nil {
+			return sum, err
+		}
+	}
+	for id, entry := range updates {
+		manifest.Experiments[id] = entry
+	}
+	if err := manifest.Write(opts.OutDir); err != nil {
+		return sum, err
 	}
 	return sum, nil
 }
@@ -338,38 +287,12 @@ func resolvedWorkers(jobs, experiments int) int {
 // a cached experiment still contributes to stdout, INDEX.md, and
 // TIMINGS.json.
 func (e *ManifestEntry) artifacts() *Artifacts {
-	files := make([]string, 0, len(e.Files))
-	for name := range e.Files {
-		files = append(files, name)
-	}
-	sort.Strings(files)
 	return &Artifacts{
 		Title:  e.Title,
 		Notes:  e.Notes,
 		Series: e.Series,
 		Points: e.Points,
-		Files:  files,
 	}
-}
-
-// unknownIDs builds the standard unknown-id error for an explicit IDs
-// selection, mirroring Select's wording.
-func unknownIDs(pool []*Experiment, ids []string) error {
-	known := map[string]bool{}
-	poolIDs := make([]string, len(pool))
-	for i, e := range pool {
-		known[e.ID] = true
-		poolIDs[i] = e.ID
-	}
-	var unknown []string
-	for _, id := range ids {
-		if !known[id] {
-			unknown = append(unknown, id)
-		}
-	}
-	sort.Strings(unknown)
-	return fmt.Errorf("unknown figure id(s): %s\nknown ids: %s",
-		strings.Join(unknown, ", "), strings.Join(poolIDs, ", "))
 }
 
 // progressBoard tracks in-flight experiments and, when enabled, prints a

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,24 +39,20 @@ func countingRegistry(n int) (*Registry, []*atomic.Int64) {
 		counts[i] = &atomic.Int64{}
 		id := fmt.Sprintf("exp%02d", i)
 		reg.Register(Experiment{
-			ID:    id,
-			Title: "experiment " + id,
-			Tags:  []string{"test"},
+			ID: id,
 			Run: func(spec *Spec) (*Artifacts, error) {
 				counts[i].Add(1)
-				art := &Artifacts{
+				name := spec.ID + ".csv"
+				content := fmt.Sprintf("id=%s quick=%v\n", spec.ID, spec.Quick)
+				if err := os.WriteFile(filepath.Join(spec.OutDir, name), []byte(content), 0o644); err != nil {
+					return nil, err
+				}
+				return &Artifacts{
+					Title:  "experiment " + spec.ID,
 					Notes:  []string{"note for " + spec.ID},
 					Series: 1, Points: 10,
-				}
-				if spec.Write {
-					name := spec.ID + ".csv"
-					content := fmt.Sprintf("id=%s seed=%d quick=%v\n", spec.ID, spec.Seed, spec.Quick)
-					if err := os.WriteFile(filepath.Join(spec.OutDir, name), []byte(content), 0o644); err != nil {
-						return nil, err
-					}
-					art.Files = []string{name}
-				}
-				return art, nil
+					Files: []string{name},
+				}, nil
 			},
 		})
 	}
@@ -73,7 +70,7 @@ func runCounts(counts []*atomic.Int64) []int64 {
 func TestRunIncrementalSkip(t *testing.T) {
 	reg, counts := countingRegistry(3)
 	dir := t.TempDir()
-	opts := Options{Registry: reg, Tag: "test", OutDir: dir, Write: true, Seed: 1}
+	opts := Options{Registry: reg, OutDir: dir}
 
 	// First run executes everything and records the manifest.
 	sum, err := Run(opts)
@@ -101,9 +98,16 @@ func TestRunIncrementalSkip(t *testing.T) {
 	if got := runCounts(counts); got[0] != 1 || got[1] != 1 || got[2] != 1 {
 		t.Fatalf("second run re-executed: counts = %v", got)
 	}
-	// Cached artifacts still carry notes/counts for the index.
-	if a := sum.Artifacts[0]; a == nil || len(a.Notes) != 1 || a.Points != 10 {
-		t.Fatalf("cached artifacts = %+v", a)
+	// Cached experiments still carry notes and counts into the index and
+	// the timings.
+	index, _ := os.ReadFile(filepath.Join(dir, "INDEX.md"))
+	if !strings.Contains(string(index), "- note for exp00\n") {
+		t.Fatalf("cached INDEX.md = %q", index)
+	}
+	var tf TimingsFile
+	buf, _ := os.ReadFile(filepath.Join(dir, "TIMINGS.json"))
+	if err := json.Unmarshal(buf, &tf); err != nil || len(tf.Drivers) != 3 || tf.Drivers[0].Points != 10 {
+		t.Fatalf("cached TIMINGS.json = %s (err %v)", buf, err)
 	}
 
 	// Force re-runs despite an up-to-date manifest.
@@ -116,21 +120,21 @@ func TestRunIncrementalSkip(t *testing.T) {
 		t.Fatalf("forced run counts = %v", got)
 	}
 
-	// A seed change invalidates the params hash for every experiment.
-	reseeded := opts
-	reseeded.Seed = 99
-	sum, err = Run(reseeded)
+	// A scale change invalidates the params hash for every experiment.
+	rescaled := opts
+	rescaled.Quick = true
+	sum, err = Run(rescaled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Cached != 0 {
-		t.Fatalf("seed change still cached %d", sum.Cached)
+		t.Fatalf("scale change still cached %d", sum.Cached)
 	}
 
 	// Deleting one output re-runs exactly that experiment.
 	os.Remove(filepath.Join(dir, "exp01.csv"))
 	before := runCounts(counts)
-	sum, err = Run(reseeded)
+	sum, err = Run(rescaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +146,7 @@ func TestRunIncrementalSkip(t *testing.T) {
 	// Corrupting an output likewise forces a re-run of just that one.
 	os.WriteFile(filepath.Join(dir, "exp02.csv"), []byte("corrupted\n"), 0o644)
 	before = after
-	sum, err = Run(reseeded)
+	sum, err = Run(rescaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestRunIncrementalSkip(t *testing.T) {
 func TestRunPartialProtectsIndexButMergesManifest(t *testing.T) {
 	reg, _ := countingRegistry(3)
 	dir := t.TempDir()
-	opts := Options{Registry: reg, Tag: "test", OutDir: dir, Write: true}
+	opts := Options{Registry: reg, OutDir: dir}
 
 	if _, err := Run(opts); err != nil {
 		t.Fatal(err)
@@ -201,7 +205,7 @@ func TestRunStdoutFormat(t *testing.T) {
 	reg, _ := countingRegistry(2)
 	dir := t.TempDir()
 	var out bytes.Buffer
-	opts := Options{Registry: reg, Tag: "test", OutDir: dir, Write: true, Stdout: &out}
+	opts := Options{Registry: reg, OutDir: dir, Stdout: &out}
 
 	if _, err := Run(opts); err != nil {
 		t.Fatal(err)
@@ -226,7 +230,7 @@ func TestRunStdoutFormat(t *testing.T) {
 func TestRunFailureSkipsBookkeeping(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(Experiment{
-		ID: "ok", Tags: []string{"test"},
+		ID: "ok",
 		Run: func(spec *Spec) (*Artifacts, error) {
 			name := "ok.csv"
 			os.WriteFile(filepath.Join(spec.OutDir, name), []byte("x\n"), 0o644)
@@ -234,14 +238,14 @@ func TestRunFailureSkipsBookkeeping(t *testing.T) {
 		},
 	})
 	reg.Register(Experiment{
-		ID: "boom", Tags: []string{"test"},
+		ID: "boom",
 		Run: func(*Spec) (*Artifacts, error) {
 			return nil, fmt.Errorf("synthetic failure")
 		},
 	})
 	dir := t.TempDir()
 	var errout bytes.Buffer
-	sum, err := Run(Options{Registry: reg, Tag: "test", OutDir: dir, Write: true, Errout: &errout})
+	sum, err := Run(Options{Registry: reg, OutDir: dir, Errout: &errout})
 	if err == nil || !strings.Contains(err.Error(), "1 of 2 experiments failed") {
 		t.Fatalf("err = %v", err)
 	}
@@ -261,20 +265,12 @@ func TestRunFailureSkipsBookkeeping(t *testing.T) {
 	}
 }
 
-func TestRunUnknownIDs(t *testing.T) {
-	reg, _ := countingRegistry(2)
-	_, err := Run(Options{Registry: reg, IDs: []string{"exp00", "nope"}})
-	if err == nil || !strings.Contains(err.Error(), "unknown figure id(s): nope") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestRunSharedCachePerInvocation(t *testing.T) {
 	var computes atomic.Int64
 	reg := NewRegistry()
 	for _, id := range []string{"a", "b"} {
 		reg.Register(Experiment{
-			ID: id, Tags: []string{"test"},
+			ID: id,
 			Run: func(spec *Spec) (*Artifacts, error) {
 				v := spec.Shared("expensive", func() any {
 					computes.Add(1)
@@ -287,7 +283,7 @@ func TestRunSharedCachePerInvocation(t *testing.T) {
 			},
 		})
 	}
-	opts := Options{Registry: reg, Tag: "test"}
+	opts := Options{Registry: reg, OutDir: t.TempDir()}
 	if _, err := Run(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +310,7 @@ func TestRunDeterministicAcrossJobs(t *testing.T) {
 		reg, _ := countingRegistry(4)
 		dir := t.TempDir()
 		var out bytes.Buffer
-		if _, err := Run(Options{Registry: reg, Tag: "test", OutDir: dir, Write: true, Jobs: jobs, Stdout: &out}); err != nil {
+		if _, err := Run(Options{Registry: reg, OutDir: dir, Jobs: jobs, Stdout: &out}); err != nil {
 			t.Fatal(err)
 		}
 		// Emission order is registration order regardless of worker count.

@@ -7,30 +7,19 @@ import (
 	"routesync/internal/periodic"
 )
 
-// Spec carries everything an experiment Run function may depend on. Two
-// Specs that differ only in Jobs (a scheduling knob) must produce
-// identical artifacts; every other field participates in the params hash
-// that drives incremental re-runs.
+// Spec carries everything an experiment Run function may depend on. ID
+// and Quick form the params hash that drives incremental re-runs; the
+// other fields must not change the artifacts.
 type Spec struct {
 	// ID is the id of the experiment being run.
 	ID string
 	// Quick selects reduced horizons and replication counts.
 	Quick bool
-	// Seed is the base seed for experiments that take one (frontends with
-	// a -seed flag). Figure drivers that bake their own seeds ignore it.
-	Seed int64
 	// Jobs bounds inner-replication parallelism (internal/parallel
 	// semantics: 0 means one worker per CPU). Never affects output.
 	Jobs int
-	// OutDir is where WriteFiles-style artifacts land when Write is set.
+	// OutDir is where the experiment writes its files.
 	OutDir string
-	// Write selects file emission; tool frontends run with Write off and
-	// consume the Artifacts.ASCII text instead.
-	Write bool
-	// Overrides carries frontend-specific typed parameters (flag values).
-	// Its concrete type is a contract between a frontend and the
-	// experiments it invokes; nil means defaults.
-	Overrides any
 	// Metrics, when non-nil, accumulates engine observer counts for live
 	// progress lines and the manifest metrics block.
 	Metrics *Metrics

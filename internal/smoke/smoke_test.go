@@ -1,8 +1,8 @@
 // Package smoke exercises the five command-line frontends end to end:
-// each test execs a freshly built binary and checks exit codes, stdout
-// shape, and the incremental-manifest contract that the frontends share
-// through internal/runner. These are the tests that would catch a flag
-// wiring regression no unit test sees.
+// each test execs a freshly built binary and checks exit codes, the
+// tools' exact stdout against golden files, flag validation, and the
+// incremental-manifest contract of cmd/figures. These are the tests that
+// would catch a flag wiring regression no unit test sees.
 package smoke
 
 import (
@@ -58,6 +58,43 @@ func run(t *testing.T, name string, args ...string) (string, string, int) {
 		code = ee.ExitCode()
 	}
 	return stdout.String(), stderr.String(), code
+}
+
+// TestToolGolden pins each tool's stdout byte for byte. The golden files
+// under testdata/ were recorded from the tools' output; regenerate one by
+// running its invocation and redirecting stdout into the file.
+func TestToolGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		cmd    string
+		args   []string
+	}{
+		{"syncsim_run", "syncsim", []string{"-n", "5", "-horizon", "1e4"}},
+		{"syncsim_ensemble", "syncsim", []string{"-n", "10", "-tr", "0.1", "-ensemble", "4", "-horizon", "5e5"}},
+		{"markovtool_table", "markovtool", nil},
+		{"markovtool_sweep_tr", "markovtool", []string{"-sweep", "tr"}},
+		{"markovtool_sweep_n", "markovtool", []string{"-sweep", "n", "-lo", "3", "-hi", "30", "-tr", "0.3"}},
+		{"markovtool_sweep_threshold", "markovtool", []string{"-sweep", "threshold", "-lo", "5", "-hi", "50"}},
+		{"netexp_ping", "netexp", []string{"-scenario", "ping", "-pings", "40", "-routes", "50", "-plot=false"}},
+		{"netexp_audio", "netexp", []string{"-scenario", "audio", "-duration", "60", "-routes", "50"}},
+		{"scenarios_all", "scenarios", []string{"-which", "all"}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := run(t, c.cmd, c.args...)
+			if code != 0 {
+				t.Fatalf("%s %v: exit %d\nstderr: %s", c.cmd, c.args, code, stderr)
+			}
+			if stdout != string(want) {
+				t.Fatalf("%s %v: stdout differs from testdata/%s.golden\ngot:\n%s\nwant:\n%s",
+					c.cmd, c.args, c.golden, stdout, want)
+			}
+		})
+	}
 }
 
 func TestFiguresQuickIncremental(t *testing.T) {
@@ -162,6 +199,23 @@ func TestMarkovtoolSweepValidation(t *testing.T) {
 	}
 }
 
+// TestMarkovtoolBadRange checks that a sweep range that could never
+// finish, or never start, is rejected before any work.
+func TestMarkovtoolBadRange(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sweep", "tr", "-step", "0"},
+		{"-sweep", "tr", "-step", "-0.05"},
+		{"-sweep", "tr", "-step", "NaN"},
+		{"-sweep", "n", "-lo", "NaN"},
+		{"-sweep", "threshold", "-hi", "Inf"},
+	} {
+		stdout, stderr, code := run(t, "markovtool", args...)
+		if code != 1 || stdout != "" || !strings.HasPrefix(stderr, "markovtool: need finite -lo, -hi and -step") {
+			t.Errorf("markovtool %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
+		}
+	}
+}
+
 func TestMarkovtoolTable(t *testing.T) {
 	stdout, stderr, code := run(t, "markovtool")
 	if code != 0 {
@@ -179,6 +233,32 @@ func TestNetexpScenarioValidation(t *testing.T) {
 	}
 	if !strings.Contains(stderr, `unknown scenario "video" (allowed: ping, audio)`) {
 		t.Fatalf("stderr = %q", stderr)
+	}
+}
+
+// TestNetexpBadFlags checks that out-of-range flags fail with one line
+// instead of a panic, and that zero is not silently read as a default.
+func TestNetexpBadFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-routers", "1"}, "netexp: -routers 1: a LAN needs at least 2 routers\n"},
+		{[]string{"-routers", "0"}, "netexp: -routers 0: a LAN needs at least 2 routers\n"},
+		{[]string{"-routes", "-5"}, "netexp: -routes -5 out of range [1, 2048]\n"},
+		{[]string{"-routes", "0"}, "netexp: -routes 0 out of range [1, 2048]\n"},
+		{[]string{"-routes", "2049"}, "netexp: -routes 2049 out of range [1, 2048]\n"},
+		{[]string{"-pings", "0"}, "netexp: -pings 0: need at least 1\n"},
+		{[]string{"-scenario", "audio", "-duration", "0"}, "netexp: -duration 0: need a finite duration > 0\n"},
+		{[]string{"-scenario", "audio", "-duration", "-1"}, "netexp: -duration -1: need a finite duration > 0\n"},
+		{[]string{"-scenario", "audio", "-duration", "NaN"}, "netexp: -duration NaN: need a finite duration > 0\n"},
+	}
+	for _, c := range cases {
+		stdout, stderr, code := run(t, "netexp", c.args...)
+		if code != 1 || stdout != "" || stderr != c.want {
+			t.Errorf("netexp %v: exit %d, stdout %q, stderr %q; want exit 1, stderr %q",
+				c.args, code, stdout, stderr, c.want)
+		}
 	}
 }
 
