@@ -47,6 +47,7 @@ var (
 	ErrBadMagic   = errors.New("linkstate: bad magic")
 	ErrBadVersion = errors.New("linkstate: unsupported version")
 	ErrTooMany    = errors.New("linkstate: too many neighbors")
+	ErrReserved   = errors.New("linkstate: nonzero reserved field")
 )
 
 // Encode serializes an LSA big-endian:
@@ -85,36 +86,28 @@ func EncodeInto(dst []byte, l LSA) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses a wire LSA, validating magic, version and length.
+// Decode parses a wire LSA, validating it as PeekHeader does.
 func Decode(buf []byte) (LSA, error) {
-	var l LSA
-	if len(buf) < headerLen {
-		return l, ErrTruncated
+	origin, seq, err := PeekHeader(buf)
+	if err != nil {
+		return LSA{}, err
 	}
-	if binary.BigEndian.Uint16(buf[0:]) != magic {
-		return l, ErrBadMagic
-	}
-	if buf[2] != version {
-		return l, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
-	}
-	l.Origin = netsim.NodeID(binary.BigEndian.Uint32(buf[4:]))
-	l.Seq = binary.BigEndian.Uint32(buf[8:])
-	count := int(binary.BigEndian.Uint16(buf[12:]))
-	if len(buf) < headerLen+neighLen*count {
-		return l, ErrTruncated
-	}
-	l.Neighbors = make([]netsim.NodeID, count)
+	l := LSA{Origin: origin, Seq: seq}
+	l.Neighbors = make([]netsim.NodeID, binary.BigEndian.Uint16(buf[12:]))
 	for i := range l.Neighbors {
 		l.Neighbors[i] = netsim.NodeID(binary.BigEndian.Uint32(buf[headerLen+neighLen*i:]))
 	}
 	return l, nil
 }
 
-// PeekHeader validates a wire LSA exactly as Decode does and returns its
-// origin and sequence number without allocating the neighbor list. The
-// flooding hot path uses it to recognize duplicates — the common case on
-// a broadcast segment, where every LSA is heard once per neighbor — and
-// defer the full Decode to the rare fresh-LSA path.
+// PeekHeader validates a wire LSA — magic, version, zero reserved
+// fields, a neighbor count Encode would accept, and that the neighbor
+// list is in bounds — and returns its origin and sequence number without
+// allocating the neighbor list. An accepted LSA is exactly what Encode
+// would produce for it, trailing bytes aside. The flooding hot path uses
+// it to recognize duplicates — the common case on a broadcast segment,
+// where every LSA is heard once per neighbor — and defer the full Decode
+// to the rare fresh-LSA path.
 func PeekHeader(buf []byte) (origin netsim.NodeID, seq uint32, err error) {
 	if len(buf) < headerLen {
 		return 0, 0, ErrTruncated
@@ -125,7 +118,13 @@ func PeekHeader(buf []byte) (origin netsim.NodeID, seq uint32, err error) {
 	if buf[2] != version {
 		return 0, 0, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
 	}
+	if buf[3] != 0 || binary.BigEndian.Uint16(buf[14:]) != 0 {
+		return 0, 0, ErrReserved
+	}
 	count := int(binary.BigEndian.Uint16(buf[12:]))
+	if count > MaxNeighbors {
+		return 0, 0, fmt.Errorf("%w: %d", ErrTooMany, count)
+	}
 	if len(buf) < headerLen+neighLen*count {
 		return 0, 0, ErrTruncated
 	}

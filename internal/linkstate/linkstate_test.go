@@ -1,6 +1,7 @@
 package linkstate
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,22 @@ func TestWireErrors(t *testing.T) {
 	}
 	if _, err := Encode(LSA{Neighbors: make([]netsim.NodeID, MaxNeighbors+1)}); !errors.Is(err, ErrTooMany) {
 		t.Fatalf("err = %v", err)
+	}
+	// A count Encode would refuse is refused on the wire too, before the
+	// length check.
+	tooMany := append([]byte(nil), good...)
+	binary.BigEndian.PutUint16(tooMany[12:], MaxNeighbors+1)
+	if _, err := Decode(tooMany); !errors.Is(err, ErrTooMany) {
+		t.Fatalf("err = %v", err)
+	}
+	// Encode zeroes both reserved fields; a frame that sets either is
+	// not one it could have produced.
+	for _, off := range []int{3, 14, 15} {
+		res := append([]byte(nil), good...)
+		res[off] = 1
+		if _, err := Decode(res); !errors.Is(err, ErrReserved) {
+			t.Fatalf("reserved byte %d: err = %v", off, err)
+		}
 	}
 }
 

@@ -33,12 +33,15 @@ type bucketState struct {
 	vb   []int64 // per router: cached day of its pending expiry
 	cur  int64   // day holding the earliest pending expiry
 	min  float64 // the earliest pending expiry itself (NextExpiry cache)
-	cand []int32 // scratch: the current day's candidates, sorted
+	// cand is scratch: the current day's candidates with their expiries
+	// inline, sorted by (expiry, id).
+	cand []cluster.Member
 }
 
-// bvbFor maps an expiry to its day. Monotone in the expiry — float
-// division then floor — which is what makes day-ordered processing agree
-// exactly with the heap's (expiry, id) order: e1 < e2 implies
+// bvbFor maps an expiry to its day: float division, then int64
+// truncation toward zero, so day 0 spans (−w, w). Truncation is still
+// monotone in the expiry, which is what makes day-ordered processing
+// agree exactly with the heap's (expiry, id) order: e1 < e2 implies
 // day(e1) <= day(e2), and equal expiries share a day.
 func (b *bucketState) bvbFor(e float64) int64 {
 	q := e / b.w
@@ -62,7 +65,7 @@ func (s *System) bucketInit() {
 	b.next = make([]int32, s.cfg.N)
 	b.prev = make([]int32, s.cfg.N)
 	b.vb = make([]int64, s.cfg.N)
-	b.cand = make([]int32, 0, s.cfg.N)
+	b.cand = make([]cluster.Member, 0, s.cfg.N)
 	b.w = s.cfg.Jitter.Mean()/float64(s.cfg.N) + s.cfg.Tc
 }
 
@@ -112,6 +115,12 @@ func (s *System) bucketUnlink(id int32) {
 	}
 }
 
+// radixMinDay is the candidate count above which bucketGather radix-sorts
+// a day instead of quicksorting it. Synchronized runs at N = 100–1000
+// were no slower with 64 than with 512 (EXPERIMENTS.md, "Candidate
+// sort"), and 64 keeps the radix path within FuzzPeriodicEngines' N.
+const radixMinDay = 64
+
 // bucketGather fills b.cand with the routers whose expiry falls on the
 // given day, sorted by (expiry, id) — the model's firing order.
 func (s *System) bucketGather(day int64) {
@@ -119,38 +128,115 @@ func (s *System) bucketGather(day int64) {
 	b.cand = b.cand[:0]
 	for id := b.head[int(day)&b.mask]; id >= 0; id = b.next[id] {
 		if b.vb[id] == day {
-			b.cand = append(b.cand, id)
+			b.cand = append(b.cand, cluster.Member{ID: int(id), Expiry: s.expiry[id]})
 		}
 	}
-	if len(b.cand) > 1 {
-		s.sortCand(0, len(b.cand)-1)
+	if n := len(b.cand); n > radixMinDay {
+		radixCand(b.cand, s.scratch())
+	} else if n > 1 {
+		sortCand(b.cand)
 	}
 }
 
+// radixKey maps an expiry to a uint64 whose unsigned order is the
+// expiry's < order: negatives have every bit flipped, the rest get the
+// sign bit set, and −0 is folded onto +0, which < treats as equal.
+// Expiries are never NaN (SetExpiries rejects non-finite values).
+func radixKey(e float64) uint64 {
+	if e == 0 {
+		return 1 << 63
+	}
+	k := math.Float64bits(e)
+	if k>>63 != 0 {
+		return ^k
+	}
+	return k | 1<<63
+}
+
+// radixCand sorts c by (expiry, id) with an LSD radix sort over the
+// eight bytes of radixKey, using tmp (len >= len(c)) as scratch. One
+// counting pass fills every digit's histogram; a digit that every key
+// shares — most high bytes within one day — costs no pass. The passes
+// are stable but the gather order is not by id, so a last scan sorts
+// each run of equal expiries by id. Round 0 of a synchronized start is
+// a single N-way tie: every digit is skipped and that scan does the work.
+func radixCand(c, tmp []cluster.Member) {
+	var counts [8][256]int
+	k0 := radixKey(c[0].Expiry)
+	var diff uint64
+	for _, m := range c {
+		k := radixKey(m.Expiry)
+		diff |= k ^ k0
+		for d := 0; d < 8; d++ {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst := c, tmp[:len(c)]
+	for d := 0; d < 8; d++ {
+		if byte(diff>>(8*d)) == 0 {
+			continue
+		}
+		cnt := &counts[d]
+		off := 0
+		for i, n := range cnt {
+			cnt[i] = off
+			off += n
+		}
+		for _, m := range src {
+			j := byte(radixKey(m.Expiry) >> (8 * d))
+			dst[cnt[j]] = m
+			cnt[j]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &c[0] {
+		copy(c, src)
+	}
+	for i := 0; i < len(c); {
+		j := i + 1
+		for j < len(c) && c[j].Expiry == c[i].Expiry {
+			j++
+		}
+		if j-i > 1 {
+			sortCand(c[i:j])
+		}
+		i = j
+	}
+}
+
+// candLess is the model's firing order on inline keys: earlier expiry,
+// lower id on ties — heapLess without the expiry lookups.
+func candLess(a, b cluster.Member) bool {
+	if a.Expiry != b.Expiry {
+		return a.Expiry < b.Expiry
+	}
+	return a.ID < b.ID
+}
+
 // sortCand is an in-place quicksort (median-of-three, insertion sort for
-// short runs, recursion on the smaller half) over b.cand keyed by
-// (expiry, id). sort.Slice would allocate its closure on every Step;
-// this keeps the hot path at zero.
-func (s *System) sortCand(lo, hi int) {
-	c := s.bucket.cand
+// short runs, recursion on the smaller half) over c keyed by
+// (expiry, id). It allocates nothing, and slices.SortFunc on the same
+// keys measured slower (EXPERIMENTS.md, "Candidate sort").
+func sortCand(c []cluster.Member) {
+	lo, hi := 0, len(c)-1
 	for hi-lo > 11 {
 		mid := int(uint(lo+hi) >> 1)
-		if s.heapLess(c[mid], c[lo]) {
+		if candLess(c[mid], c[lo]) {
 			c[mid], c[lo] = c[lo], c[mid]
 		}
-		if s.heapLess(c[hi], c[mid]) {
+		if candLess(c[hi], c[mid]) {
 			c[hi], c[mid] = c[mid], c[hi]
-			if s.heapLess(c[mid], c[lo]) {
+			if candLess(c[mid], c[lo]) {
 				c[mid], c[lo] = c[lo], c[mid]
 			}
 		}
 		pivot := c[mid]
 		i, j := lo, hi
 		for i <= j {
-			for s.heapLess(c[i], pivot) {
+			for candLess(c[i], pivot) {
 				i++
 			}
-			for s.heapLess(pivot, c[j]) {
+			for candLess(pivot, c[j]) {
 				j--
 			}
 			if i <= j {
@@ -160,15 +246,15 @@ func (s *System) sortCand(lo, hi int) {
 			}
 		}
 		if j-lo < hi-i {
-			s.sortCand(lo, j)
+			sortCand(c[lo : j+1])
 			lo = i
 		} else {
-			s.sortCand(i, hi)
+			sortCand(c[i : hi+1])
 			hi = j
 		}
 	}
 	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && s.heapLess(c[j], c[j-1]); j-- {
+		for j := i; j > lo && candLess(c[j], c[j-1]); j-- {
 			c[j], c[j-1] = c[j-1], c[j]
 		}
 	}
@@ -180,7 +266,9 @@ func (s *System) sortCand(lo, hi int) {
 // expression, the same (expiry, id) order, the same RNG call order — as
 // the heap engine, so the two replay bit-identically. Per round the day
 // cursor advances about one period, i.e. about N days of O(1) checks for
-// N member firings: O(k) amortized per cluster against the heap's
+// N member firings, plus the sort of each day's candidates: O(k) per
+// cluster for days of a few routers, O(k) radix passes for crowded days,
+// and O(k log k) for runs of exactly equal expiries, against the heap's
 // O(k log N).
 func (s *System) stepBucket() Event {
 	b := &s.bucket
@@ -192,11 +280,12 @@ func (s *System) stepBucket() Event {
 		s.bucketGather(day)
 	}
 
-	id := b.cand[ci]
+	members, expiries := s.evMembers, s.evExpiries
+	c := b.cand[ci]
 	ci++
-	s.bucketUnlink(id)
-	t := s.expiry[id]
-	s.members[0] = cluster.Member{ID: int(id), Expiry: t}
+	s.bucketUnlink(int32(c.ID))
+	t := c.Expiry
+	members[0], expiries[0] = c.ID, t
 	k := 1
 	frontier := math.Inf(1)
 	for k < s.cfg.N {
@@ -206,16 +295,15 @@ func (s *System) stepBucket() Event {
 			ci = 0
 			continue
 		}
-		e := s.expiry[b.cand[ci]]
-		if e < t+float64(k)*s.cfg.Tc || e == t {
-			id = b.cand[ci]
+		c = b.cand[ci]
+		if c.Expiry < t+float64(k)*s.cfg.Tc || c.Expiry == t {
 			ci++
-			s.bucketUnlink(id)
-			s.members[k] = cluster.Member{ID: int(id), Expiry: e}
+			s.bucketUnlink(int32(c.ID))
+			members[k], expiries[k] = c.ID, c.Expiry
 			k++
 			continue
 		}
-		frontier = e
+		frontier = c.Expiry
 		break
 	}
 
@@ -224,27 +312,24 @@ func (s *System) stepBucket() Event {
 	ev := Event{
 		Start:    t,
 		End:      end,
-		Members:  s.evMembers[:k],
-		Expiries: s.evExpiries[:k],
+		Members:  members[:k],
+		Expiries: expiries[:k],
 	}
 	rearmMin := math.Inf(1)
-	for i := 0; i < k; i++ {
-		m := s.members[i]
-		ev.Members[i] = m.ID
-		ev.Expiries[i] = m.Expiry
-		delay := s.cfg.Jitter.Delay(s.r, m.ID)
+	for i, id := range ev.Members {
+		delay := s.cfg.Jitter.Delay(s.r, id)
 		var next float64
 		switch s.cfg.Reset {
 		case ResetOnExpiry:
-			next = m.Expiry + delay
+			next = ev.Expiries[i] + delay
 			if next < end {
 				next = end
 			}
 		default: // ResetAfterProcessing, the paper's rule
 			next = end + delay
 		}
-		s.expiry[m.ID] = next
-		s.bucketLink(int32(m.ID))
+		s.expiry[id] = next
+		s.bucketLink(int32(id))
 		if next < rearmMin {
 			rearmMin = next
 		}

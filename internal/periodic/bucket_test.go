@@ -66,36 +66,55 @@ func TestBucketMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestBucketMatchesHeapLargeN replays the two engines at a population
-// above bucketEngineMinN — the scale the bucket engine exists for —
-// including the saturated synchronized start where a single
-// cluster holds every router and the candidate sort sees N-way ties.
+// TestBucketMatchesHeapLargeN replays the two engines at populations
+// above bucketEngineMinN — the scale the bucket engine exists for. At
+// Tr = Tp/20 the synchronized start's first round is one cluster holding
+// every router, a day of N exactly tied expiries. The ext_largen case
+// (Tp = 6.05·N, Tr = 2.5·Tc, synchronized start) keeps the cluster
+// together, so every round re-arms N distinct expiries inside one or two
+// days and the radix sort orders them digit by digit; it must cover at
+// least five rounds.
 func TestBucketMatchesHeapLargeN(t *testing.T) {
 	n := 6000
 	steps := 3 * n // a few full rounds
 	if testing.Short() {
 		n, steps = 4500, 4500
 	}
-	for _, start := range []StartState{StartUnsynchronized, StartSynchronized} {
-		t.Run(start.String(), func(t *testing.T) {
-			tp := 6.05 * float64(n)
+	tp := func(n int) float64 { return 6.05 * float64(n) }
+	cases := []struct {
+		name   string
+		n      int
+		tr     float64
+		start  StartState
+		steps  int
+		rounds int // minimum round windows the steps must cover
+	}{
+		{StartUnsynchronized.String(), n, tp(n) / 20, StartUnsynchronized, steps, 0},
+		{StartSynchronized.String(), n, tp(n) / 20, StartSynchronized, steps, 0},
+		{"ext_largen-synchronized", 2000, 2.5 * 0.11, StartSynchronized, 40, 5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{
-				N:      n,
+				N:      c.n,
 				Tc:     0.11,
-				Jitter: jitter.Uniform{Tp: tp, Tr: tp / 20},
-				Start:  start,
+				Jitter: jitter.Uniform{Tp: tp(c.n), Tr: c.tr},
+				Start:  c.start,
 				Seed:   7,
 			}
 			heap := newSystem(cfg, false)
 			bucket := New(cfg) // must pick the bucket engine at this N
 			if !bucket.useBucket {
-				t.Fatalf("New did not pick the bucket engine at N=%d", n)
+				t.Fatalf("New did not pick the bucket engine at N=%d", c.n)
 			}
-			for i := 0; i < steps; i++ {
+			for i := 0; i < c.steps; i++ {
 				he, be := heap.Step(), bucket.Step()
 				if !eventsEqual(he, be) {
 					t.Fatalf("step %d diverged:\nheap:   %+v\nbucket: %+v", i, he, be)
 				}
+			}
+			if horizon := float64(c.rounds) * heap.RoundWindow(); heap.Now() < horizon {
+				t.Fatalf("%d steps reached t=%v, short of %d rounds (%v)", c.steps, heap.Now(), c.rounds, horizon)
 			}
 		})
 	}

@@ -15,10 +15,11 @@ import (
 // stepped only through it, with referenceNextExpiry in place of
 // NextExpiry, because it leaves the engine's index stale.
 func (s *System) stepReference() Event {
-	for i := range s.members {
-		s.members[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
+	ms := make([]cluster.Member, s.cfg.N)
+	for i := range ms {
+		ms[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
 	}
-	c := cluster.Grow(s.members, s.cfg.Tc)
+	c := cluster.Grow(ms, s.cfg.Tc)
 	s.now = c.End
 	ev := Event{
 		Start:    c.Start,
@@ -77,7 +78,7 @@ func TestHeapMatchesReference(t *testing.T) {
 			for _, start := range []StartState{StartUnsynchronized, StartSynchronized} {
 				name := fmt.Sprintf("seed=%d/%v/%v", seed, reset, start)
 				t.Run(name, func(t *testing.T) {
-					compareHeapReference(t, Config{
+					compareReference(t, false, Config{
 						N:      n,
 						Tc:     0.11,
 						Jitter: jitter.Uniform{Tp: 121, Tr: 0.5},
@@ -95,44 +96,45 @@ func TestHeapMatchesReference(t *testing.T) {
 		for i := range phases {
 			phases[i] = float64(i) * cfg.Tc
 		}
-		compareHeapReference(t, cfg, phases)
+		compareReference(t, false, cfg, phases)
 	})
 }
 
-// compareHeapReference steps a heap-engine System and a reference System
-// built from cfg — from phases when non-nil — 400 times, injecting a
-// TriggerUpdate at step 137, and fails on the first difference.
-func compareHeapReference(t *testing.T, cfg Config, phases []float64) {
+// compareReference steps an engine System — the bucket engine when bucket
+// is set, else the heap — and a reference System built from cfg, from
+// phases when non-nil, 400 times, injecting a TriggerUpdate at step 137,
+// and fails on the first difference.
+func compareReference(t *testing.T, bucket bool, cfg Config, phases []float64) {
 	const (
 		steps  = 400
 		trigAt = 137
 	)
-	heap, ref := newSystem(cfg, false), newSystem(cfg, false)
+	eng, ref := newSystem(cfg, bucket), newSystem(cfg, false)
 	if phases != nil {
-		heap.SetExpiries(phases)
+		eng.SetExpiries(phases)
 		ref.SetExpiries(phases)
 	}
 	for i := 0; i < steps; i++ {
 		if i == trigAt {
-			heap.TriggerUpdate()
+			eng.TriggerUpdate()
 			ref.TriggerUpdate()
 		}
-		he, re := heap.Step(), ref.stepReference()
-		if !eventsEqual(he, re) {
-			t.Fatalf("step %d diverged:\nheap: %+v\nref:  %+v", i, he, re)
+		ee, re := eng.Step(), ref.stepReference()
+		if !eventsEqual(ee, re) {
+			t.Fatalf("step %d diverged:\nengine: %+v\nref:    %+v", i, ee, re)
 		}
 	}
-	if heap.Now() != ref.Now() {
-		t.Fatalf("Now diverged: heap %v ref %v", heap.Now(), ref.Now())
+	if eng.Now() != ref.Now() {
+		t.Fatalf("Now diverged: engine %v ref %v", eng.Now(), ref.Now())
 	}
-	hex, rex := heap.Expiries(), ref.Expiries()
-	for id := range hex {
-		if hex[id] != rex[id] {
-			t.Fatalf("router %d final expiry diverged: heap %v ref %v", id, hex[id], rex[id])
+	eex, rex := eng.Expiries(), ref.Expiries()
+	for id := range eex {
+		if eex[id] != rex[id] {
+			t.Fatalf("router %d final expiry diverged: engine %v ref %v", id, eex[id], rex[id])
 		}
 	}
-	if hl, rl := heap.LargestPending(), ref.LargestPending(); hl != rl {
-		t.Fatalf("LargestPending diverged: heap %d ref %d", hl, rl)
+	if el, rl := eng.LargestPending(), ref.LargestPending(); el != rl {
+		t.Fatalf("LargestPending diverged: engine %d ref %d", el, rl)
 	}
 }
 
@@ -140,19 +142,53 @@ func compareHeapReference(t *testing.T, cfg Config, phases []float64) {
 // when the expiry set is overridden wholesale, including exact ties.
 func TestHeapMatchesReferenceSetExpiries(t *testing.T) {
 	// Bespoke phases with duplicates to exercise the (expiry, id) tie-break.
-	compareHeapReference(t, Paper(10, 0.5, 42), []float64{5, 1, 5, 3, 1, 8, 1, 3, 5, 2})
+	compareReference(t, false, Paper(10, 0.5, 42), []float64{5, 1, 5, 3, 1, 8, 1, 3, 5, 2})
+}
+
+// TestRadixDayMatchesReference puts 100 routers on one bucket day — more
+// than radixMinDay, so the day is radix-sorted — with −0.0 and +0.0,
+// negative phases, exact ties and distinct keys mixed, and checks both
+// engines against the reference. The first cluster holds the whole day,
+// so its Members pin the full sort order.
+func TestRadixDayMatchesReference(t *testing.T) {
+	cfg := Paper(100, 0.5, 3)
+	negZero := math.Copysign(0, -1)
+	phases := make([]float64, cfg.N)
+	for i := range phases {
+		switch i % 4 {
+		case 0:
+			phases[i] = negZero
+		case 1:
+			phases[i] = 0
+		case 2:
+			phases[i] = -0.01 * float64(i%7) // ties, and −0 again at i%7 == 0
+		default:
+			phases[i] = 0.003 * float64(i) // distinct
+		}
+	}
+	probe := newSystem(cfg, true)
+	probe.SetExpiries(phases)
+	if probe.bucketGather(0); len(probe.bucket.cand) != cfg.N || cfg.N <= radixMinDay {
+		t.Fatalf("day 0 holds %d of %d routers; want all, above radixMinDay %d",
+			len(probe.bucket.cand), cfg.N, radixMinDay)
+	}
+	for _, bucket := range []bool{false, true} {
+		compareReference(t, bucket, cfg, phases)
+	}
 }
 
 // FuzzPeriodicEngines replays the heap engine, the bucket engine and the
 // reference stepper from one fuzzed configuration: seed, N in 1..200, Tr,
 // reset rule, start state, the step at which TriggerUpdate fires (none
 // when it is past the run), and optional lattice phases — router i at
-// lattice[i mod len]·Tc, which lands expiries exactly on window ends and
-// exact ties. Inputs are clamped to valid configs — Tp = 121 s exceeds
-// 200·Tc — and all three must emit bit-identical Events, NextExpiry
-// values and final expiries. The seed corpus in
+// ±(b & 0x7f)·Tc for b = lattice[i mod len], negative when b's high bit
+// is set (0x80 gives −0.0), which lands expiries exactly on window ends,
+// on exact ties and before time 0. Inputs are clamped to valid configs
+// — Tp = 121 s exceeds 200·Tc — and all three must emit bit-identical
+// Events, NextExpiry values and final expiries. The seed corpus in
 // testdata/fuzz/FuzzPeriodicEngines is drawn from the differential grid
-// of TestHeapMatchesReference and TestBucketMatchesHeap.
+// of TestHeapMatchesReference and TestBucketMatchesHeap, plus inputs with
+// N above radixMinDay whose days the bucket engine radix-sorts.
 func FuzzPeriodicEngines(f *testing.F) {
 	const steps = 300
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, tr float64, resetOnExpiry, synchronized bool, trigAt uint16, lattice []byte) {
@@ -175,7 +211,11 @@ func FuzzPeriodicEngines(f *testing.F) {
 		if len(lattice) > 0 {
 			phases := make([]float64, cfg.N)
 			for i := range phases {
-				phases[i] = float64(lattice[i%len(lattice)]) * cfg.Tc
+				b := lattice[i%len(lattice)]
+				phases[i] = float64(b&0x7f) * cfg.Tc
+				if b&0x80 != 0 {
+					phases[i] = -phases[i]
+				}
 			}
 			heap.SetExpiries(phases)
 			bucket.SetExpiries(phases)

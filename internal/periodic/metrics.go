@@ -36,9 +36,11 @@ func (s *System) ClusterSizes() []int {
 
 // pendingClusters sorts the pending expirations into (expiry, id) order
 // and partitions them into consecutive clusters, calling fn with each
-// cluster's size in firing order.
+// cluster's size in firing order. It sorts in the analysis scratch, which
+// the bucket engine also borrows inside Step, so it must not be called
+// from within a Step's gathers (see System.analysis).
 func (s *System) pendingClusters(fn func(size int)) {
-	ms := s.analysis
+	ms := s.scratch()
 	for i := range ms {
 		ms[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
 	}

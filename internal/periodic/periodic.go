@@ -164,13 +164,16 @@ type System struct {
 	// members) and pushes the re-armed timers back, so each firing costs
 	// O(k log N) instead of the O(N log N) full sort.
 	heap []int32
-	// scratch buffers reused across steps
-	members []cluster.Member
-	// analysis is a second scratch for LargestPending/ClusterSizes, kept
-	// separate from members so OnEvent observers may call them mid-Step.
+	// analysis is N-sized scratch shared by two users that never overlap:
+	// pendingClusters (LargestPending, ClusterSizes), which runs between
+	// Steps or from observers after a Step's gathers are done, and the
+	// bucket engine's radixCand, which runs only inside bucketGather.
+	// scratch allocates it on first use, so a run that needs neither —
+	// an unsynchronized one that never asks for its clusters — never
+	// holds its 16 B per router.
 	analysis []cluster.Member
 	// evMembers/evExpiries back the Members/Expiries slices of returned
-	// Events, reused every Step.
+	// Events, reused every Step; both engines admit into them directly.
 	evMembers  []int
 	evExpiries []float64
 	// useBucket routes Step through the structure-of-arrays bucket
@@ -211,8 +214,6 @@ func newSystem(cfg Config, bucket bool) *System {
 		cfg:        cfg,
 		r:          rng.New(cfg.Seed),
 		expiry:     make([]float64, cfg.N),
-		members:    make([]cluster.Member, cfg.N),
-		analysis:   make([]cluster.Member, cfg.N),
 		evMembers:  make([]int, cfg.N),
 		evExpiries: make([]float64, cfg.N),
 		useBucket:  bucket,
@@ -232,6 +233,14 @@ func newSystem(cfg Config, bucket bool) *System {
 	}
 	s.rebuild()
 	return s
+}
+
+// scratch returns the analysis buffer, allocating it on first use.
+func (s *System) scratch() []cluster.Member {
+	if s.analysis == nil {
+		s.analysis = make([]cluster.Member, s.cfg.N)
+	}
+	return s.analysis
 }
 
 // rebuild refreshes the active engine's index of the expiry array.
@@ -267,11 +276,17 @@ func (s *System) Expiries() []float64 {
 	return append([]float64(nil), s.expiry...)
 }
 
-// SetExpiries overrides the pending expirations (len must equal N); used
-// by tests and by experiment drivers that construct bespoke phases.
+// SetExpiries overrides the pending expirations (len must equal N, every
+// value finite); used by tests and by experiment drivers that construct
+// bespoke phases.
 func (s *System) SetExpiries(e []float64) {
 	if len(e) != s.cfg.N {
 		panic("periodic: SetExpiries length mismatch")
+	}
+	for _, x := range e {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			panic("periodic: SetExpiries needs finite expiries")
+		}
 	}
 	copy(s.expiry, e)
 	s.rebuild()
@@ -304,14 +319,15 @@ func (s *System) Step() Event {
 	// (expiry, id) order, so the admission loop sees exactly the sorted
 	// prefix cluster.Grow would, and the window test below is the same
 	// floating-point expression — the engines replay bit-identically.
+	members, expiries := s.evMembers, s.evExpiries
 	head := s.heapPop()
 	t := s.expiry[head]
-	s.members[0] = cluster.Member{ID: int(head), Expiry: t}
+	members[0], expiries[0] = int(head), t
 	k := 1
 	for len(s.heap) > 0 {
 		e := s.expiry[s.heap[0]]
 		if e < t+float64(k)*s.cfg.Tc || e == t {
-			s.members[k] = cluster.Member{ID: int(s.heapPop()), Expiry: e}
+			members[k], expiries[k] = int(s.heapPop()), e
 			k++
 			continue
 		}
@@ -322,18 +338,15 @@ func (s *System) Step() Event {
 	ev := Event{
 		Start:    t,
 		End:      end,
-		Members:  s.evMembers[:k],
-		Expiries: s.evExpiries[:k],
+		Members:  members[:k],
+		Expiries: expiries[:k],
 	}
-	for i := 0; i < k; i++ {
-		m := s.members[i]
-		ev.Members[i] = m.ID
-		ev.Expiries[i] = m.Expiry
-		delay := s.cfg.Jitter.Delay(s.r, m.ID)
+	for i, id := range ev.Members {
+		delay := s.cfg.Jitter.Delay(s.r, id)
 		var next float64
 		switch s.cfg.Reset {
 		case ResetOnExpiry:
-			next = m.Expiry + delay
+			next = ev.Expiries[i] + delay
 			if next < end {
 				// The timer would have fired during the busy window;
 				// the message goes out as soon as processing finishes.
@@ -342,8 +355,8 @@ func (s *System) Step() Event {
 		default: // ResetAfterProcessing, the paper's rule
 			next = end + delay
 		}
-		s.expiry[m.ID] = next
-		s.heapPush(int32(m.ID))
+		s.expiry[id] = next
+		s.heapPush(int32(id))
 	}
 	ev.Next = s.expiry[s.heap[0]]
 	s.steps++

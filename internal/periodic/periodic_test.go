@@ -1,6 +1,7 @@
 package periodic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -396,5 +397,21 @@ func TestStringers(t *testing.T) {
 		StartSynchronized.String() != "synchronized" ||
 		StartState(9).String() != "StartState(9)" {
 		t.Fatal("StartState.String mismatch")
+	}
+}
+
+// TestSetExpiriesNonFinitePanics: a NaN has no place in the firing order
+// and an infinite expiry never fires, so SetExpiries rejects both.
+func TestSetExpiriesNonFinitePanics(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			s := New(Paper(3, 0.1, 1))
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetExpiries with %v did not panic", bad)
+				}
+			}()
+			s.SetExpiries([]float64{1, bad, 2})
+		})
 	}
 }
