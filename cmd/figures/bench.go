@@ -6,17 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"routesync/internal/bench"
 	"routesync/internal/des"
 	"routesync/internal/runner"
 )
-
-// benchFileName is this PR's entry in the benchmark trajectory; the
-// number advances with the PR sequence so successive snapshots sit side
-// by side in out/.
-const benchFileName = "BENCH_0009.json"
 
 // benchResult is one micro-benchmark measurement.
 type benchResult struct {
@@ -43,7 +40,8 @@ type benchFile struct {
 }
 
 // runBench executes the shared micro-benchmark bodies under
-// testing.Benchmark and writes <outDir>/BENCH_0002.json.
+// testing.Benchmark and writes them to the next BENCH_NNNN.json in
+// outDir (see writeBench).
 func runBench(outDir string) error {
 	cases := []struct {
 		name string
@@ -118,13 +116,41 @@ func runBench(outDir string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(outDir, benchFileName)
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+	path, err := writeBench(outDir, append(buf, '\n'))
+	if err != nil {
 		return err
 	}
 	fmt.Printf("\nwrote %s\n", path)
 	return nil
+}
+
+// writeBench writes buf to outDir as BENCH_NNNN.json, numbered one past
+// the highest snapshot already there (BENCH_0001.json in a directory
+// with none), and returns the path. Snapshots are a trajectory: it never
+// overwrites one, and fails if the file appears before it is created.
+func writeBench(outDir string, buf []byte) (string, error) {
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return "", err
+	}
+	names, err := filepath.Glob(filepath.Join(outDir, "BENCH_*.json"))
+	if err != nil {
+		return "", err
+	}
+	next := 1
+	for _, name := range names {
+		num := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(name), "BENCH_"), ".json")
+		if n, err := strconv.Atoi(num); err == nil && n >= next {
+			next = n + 1
+		}
+	}
+	path := filepath.Join(outDir, fmt.Sprintf("BENCH_%04d.json", next))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return "", err
+	}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		return "", err
+	}
+	return path, f.Close()
 }

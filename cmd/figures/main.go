@@ -16,9 +16,10 @@
 // full regeneration.
 //
 // -bench skips the figure drivers and instead runs the hot-path
-// micro-benchmarks (internal/bench), writing <out>/BENCH_0002.json —
-// ns/op and allocs/op per benchmark plus an echo of the latest full-run
-// TIMINGS.json, the cross-PR performance-regression trajectory.
+// micro-benchmarks (internal/bench), writing the next free
+// <out>/BENCH_NNNN.json — ns/op and allocs/op per benchmark plus an echo
+// of the latest full-run TIMINGS.json, the cross-PR
+// performance-regression trajectory. It never overwrites a snapshot.
 // -cpuprofile/-memprofile capture pprof profiles of either mode.
 //
 // The default (paper-scale) run uses the paper's horizons — notably the
@@ -56,7 +57,7 @@ func run() int {
 		jobs     = flag.Int("jobs", 0, "max concurrent figure drivers (0 = one per CPU)")
 		force    = flag.Bool("force", false, "re-run experiments even when their manifest entry is up to date")
 		progress = flag.Bool("progress", false, "print live per-experiment engine counters to stderr")
-		doBench  = flag.Bool("bench", false, "run hot-path micro-benchmarks and write "+benchFileName+" instead of figures")
+		doBench  = flag.Bool("bench", false, "run hot-path micro-benchmarks and write the next BENCH_NNNN.json instead of figures")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

@@ -14,9 +14,10 @@ import (
 // MRAI batching. One op is one refresh period — each side fires its
 // periodic timer, encodes its adj-out into the kernel's scratch buffer,
 // the peer decodes, runs best-path selection, and the MRAI timer batches
-// and flushes the resulting advertisements. Adj-in slots reuse their
-// path storage, the dirty/advertised sets are single-word bitsets, and
-// the flush encodes into the kernel scratch, so warm rounds run at
+// and flushes the resulting advertisements. Adj-in slots keep their run
+// of the agent's hop arena across re-advertisements, the
+// dirty/advertised sets are single-word bitsets, and the flush encodes
+// from the arena into the kernel scratch, so warm rounds run at
 // 0 allocs/op — the number benchguard gates.
 func PathVectorUpdate(b *testing.B) {
 	const warmup, period = 200.0, 30.0

@@ -200,7 +200,7 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 			sc.FlushTimes[slot] = append(sc.FlushTimes[slot], t)
 		}
 		agent := ag
-		ag.OnBestChange = func(origin netsim.NodeID, _ []netsim.NodeID) {
+		ag.OnBestChange = func(origin netsim.NodeID) {
 			if origin != sc.ProbeOrigin {
 				return
 			}

@@ -73,11 +73,6 @@ func NewMonitor(dests []netsim.NodeID) *Monitor {
 	return m
 }
 
-// Dests returns the monitored destination set.
-func (m *Monitor) Dests() []netsim.NodeID {
-	return append([]netsim.NodeID(nil), m.dests...)
-}
-
 // Observe attaches the monitor to ag, chaining any OnRouteChange hook
 // already installed. Aggregate accessors iterate observers in attach
 // order, so attach in a deterministic order.

@@ -122,14 +122,6 @@ func (in *Injector) RestoreLink(l *netsim.Link, t float64) {
 	in.timeline = append(in.timeline, Event{At: t, Kind: LinkUp, Link: l, Node: linkNode(l)})
 }
 
-// SetLinkMetric schedules a link-cost change at absolute time t.
-// Routing configs pick the new cost up through their LinkCost hook
-// (netsim.Link.CostFrom).
-func (in *Injector) SetLinkMetric(l *netsim.Link, t float64, metric uint32) {
-	l.SetCostAt(t, metric)
-	in.timeline = append(in.timeline, Event{At: t, Kind: LinkMetric, Link: l, Node: linkNode(l), Metric: metric})
-}
-
 // FlapConfig parameterizes a seeded link-flap process.
 type FlapConfig struct {
 	// MeanUp and MeanDown are the mean working and outage durations in

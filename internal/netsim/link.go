@@ -121,20 +121,8 @@ func (l *Link) CostFrom(nd *Node) uint32 {
 	return 1
 }
 
-// SetCost sets the hop metric at both ends — a setup helper with the
-// same single-threaded-phase discipline as SetDown.
-func (l *Link) SetCost(c uint32) {
-	if c < 1 {
-		panic("netsim: link cost must be at least 1")
-	}
-	l.cost[0] = c
-	l.cost[1] = c
-	l.net.bumpTopology()
-}
-
 // SetCostAt schedules a metric change at absolute time t, one keyed
-// event per endpoint — the deterministic mid-run counterpart of SetCost,
-// like FailAt for SetDown.
+// event per endpoint, the way FailAt does for a failure.
 func (l *Link) SetCostAt(t float64, c uint32) {
 	if c < 1 {
 		panic("netsim: link cost must be at least 1")

@@ -8,39 +8,9 @@ import (
 
 // This file generates the larger topologies behind the scale experiments
 // (the paper's §2 measurement setting is many routers exchanging periodic
-// updates across a real internetwork): regular grids and two-level
-// AS-like graphs, plus owner functions that map them onto partitions for
-// conservative parallel execution.
-
-// BuildGrid creates a rows×cols mesh of nodes connected by identical
-// links (4-neighborhood). cpus[i] configures node i (nil or short slice:
-// no CPU). Static routes are NOT installed — grids exist for scale runs,
-// which route selectively. Returns the nodes in row-major order.
-func (n *Network) BuildGrid(rows, cols int, cpus []*CPUConfig, link LinkConfig) []*Node {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
-		panic("netsim: a grid needs at least two nodes")
-	}
-	nodes := make([]*Node, rows*cols)
-	for i := range nodes {
-		var cpu *CPUConfig
-		if i < len(cpus) {
-			cpu = cpus[i]
-		}
-		nodes[i] = n.NewNode(fmt.Sprintf("g%d.%d", i/cols, i%cols), cpu)
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			i := r*cols + c
-			if c+1 < cols {
-				n.Connect(nodes[i], nodes[i+1], link)
-			}
-			if r+1 < rows {
-				n.Connect(nodes[i], nodes[i+cols], link)
-			}
-		}
-	}
-	return nodes
-}
+// updates across a real internetwork): two-level AS-like graphs, plus
+// owner functions that map them onto partitions for conservative
+// parallel execution.
 
 // TwoLevelASConfig parameterizes BuildTwoLevelAS.
 type TwoLevelASConfig struct {

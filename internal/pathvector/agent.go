@@ -174,14 +174,18 @@ type Stats struct {
 	TimerResets uint64
 }
 
-// adjSlot is one (origin, peer) cell of the Adj-RIB-In: the AS path the
-// peer advertised, nil-length-with-has=false when none. The backing
-// array is reused across re-advertisements, so steady-state integration
-// allocates nothing once each slot reaches its high-water length.
+// adjSlot is one (origin, peer) cell of the Adj-RIB-In. The AS path the
+// peer advertised is hops[off:off+n] of the agent's hop arena, inside a
+// run of cap entries the slot owns; has is false when the peer
+// advertises nothing. The run outlives clears, expiry and
+// re-advertisement, so steady-state integration allocates nothing once
+// each slot reaches its high-water length. 16 bytes and no pointer: the
+// collector never scans the RIB.
 type adjSlot struct {
-	path    []netsim.NodeID
-	has     bool
 	updated float64
+	off     uint32
+	n, cap  uint8 // path length and run length; MaxPathLen fits
+	has     bool
 }
 
 const (
@@ -230,8 +234,13 @@ type Agent struct {
 	selfIdx int  // index of own prefix in origins, or -1
 	localUp bool // own prefix currently originated
 
-	adjIn [][]adjSlot // [origin][peer]
-	best  []int       // [origin] → bestSelf, bestNone, or peer index
+	adjIn []adjSlot // [origin*len(peers)+peer]
+	best  []int     // [origin] → bestSelf, bestNone, or peer index
+	// hops is the arena behind every slot's path, as wire-width hops. A
+	// slot that outgrows its run moves to a fresh one at the end; dead
+	// counts the entries the moves left behind (see growAdj).
+	hops []uint32
+	dead int
 
 	stats Stats
 
@@ -239,10 +248,9 @@ type Agent struct {
 	// time, the peer, and the entry counts. The MRAI-synchronization
 	// experiment clusters these times.
 	OnFlush func(t float64, peer netsim.NodeID, advertised, withdrawn int)
-	// OnBestChange, if set, observes route-selection changes; path is
-	// nil when the origin became unreachable. The path slice is reused —
-	// observers keeping it must copy.
-	OnBestChange func(origin netsim.NodeID, path []netsim.NodeID)
+	// OnBestChange, if set, observes route-selection changes for origin;
+	// BestPath and Reachable report the new selection.
+	OnBestChange func(origin netsim.NodeID)
 }
 
 // NewAgent creates an agent on node. Call Start to begin. It panics on
@@ -296,10 +304,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 			panic(fmt.Sprintf("pathvector: %s has two sessions to neighbor %d", node.Name, a.peerIDs[i]))
 		}
 	}
-	a.adjIn = make([][]adjSlot, cfg.Origins.Len())
-	for i := range a.adjIn {
-		a.adjIn[i] = make([]adjSlot, len(cfg.Peers))
-	}
+	a.adjIn = make([]adjSlot, cfg.Origins.Len()*len(cfg.Peers))
 	a.best = make([]int, cfg.Origins.Len())
 	for i := range a.best {
 		a.best[i] = bestNone
@@ -347,16 +352,13 @@ func (a *Agent) Stats() Stats {
 // processing cost drains through the CPU model (see the kernel).
 func (a *Agent) PendingPackets() int { return a.k.PendingPackets() }
 
-// resetRIB clears the volatile routing state in place: Adj-RIB-In, best
-// selections, and per-peer dirty/advertised/MRAI state (cancelling any
-// armed MRAI timers).
+// resetRIB clears the volatile routing state in place: Adj-RIB-In and
+// its hop arena, best selections, and per-peer dirty/advertised/MRAI
+// state (cancelling any armed MRAI timers).
 func (a *Agent) resetRIB() {
-	for o := range a.adjIn {
-		row := a.adjIn[o]
-		for p := range row {
-			row[p].has = false
-			row[p].path = row[p].path[:0]
-		}
+	clear(a.adjIn)
+	a.hops, a.dead = a.hops[:0], 0
+	for o := range a.best {
 		a.best[o] = bestNone
 	}
 	if a.selfIdx >= 0 && a.localUp {
@@ -449,7 +451,7 @@ func (a *Agent) Reachable(origin netsim.NodeID) (bool, int) {
 	case bestSelf:
 		return true, 0
 	default:
-		return true, len(a.adjIn[o][b].path)
+		return true, int(a.adj(o, b).n)
 	}
 }
 
@@ -461,8 +463,8 @@ func (a *Agent) BestPath(dst []netsim.NodeID, origin netsim.NodeID) []netsim.Nod
 	if o < 0 {
 		return dst
 	}
-	if b := a.best[o]; b >= 0 {
-		dst = append(dst, a.adjIn[o][b].path...)
+	for _, h := range a.bestPathFor(o) {
+		dst = append(dst, netsim.NodeID(h))
 	}
 	return dst
 }
@@ -521,7 +523,7 @@ func (a *Agent) flushPeer(p *peerState) {
 		bit := uint64(1) << uint(o)
 		if a.exportable(o, p) {
 			var err error
-			buf, err = AppendAdvertise(buf, a.origins.ids[o], node.ID, a.bestPathFor(o))
+			buf, err = appendAdvertise(buf, a.origins.ids[o], node.ID, a.bestPathFor(o))
 			if err != nil {
 				panic(err) // paths are bounded by the topology diameter
 			}
@@ -568,14 +570,20 @@ func (a *Agent) onMRAI(p *peerState) {
 }
 
 // bestPathFor returns the stored AS path for origin o's best route —
-// empty for a self-originated prefix. Callers must not mutate or keep
-// it.
-func (a *Agent) bestPathFor(o int) []netsim.NodeID {
+// empty for a self-originated or unreachable prefix. The slice views the
+// hop arena: callers must not mutate or keep it.
+func (a *Agent) bestPathFor(o int) []uint32 {
 	if b := a.best[o]; b >= 0 {
-		return a.adjIn[o][b].path
+		return a.pathOf(a.adj(o, b))
 	}
 	return nil
 }
+
+// adj returns the Adj-RIB-In slot for origin o learned from peer.
+func (a *Agent) adj(o, peer int) *adjSlot { return &a.adjIn[o*len(a.peers)+peer] }
+
+// pathOf returns s's stored AS path as a view of the hop arena.
+func (a *Agent) pathOf(s *adjSlot) []uint32 { return a.hops[s.off : s.off+uint32(s.n)] }
 
 // exportable applies Gao–Rexford export: self-originated and
 // customer-learned routes go to everyone; peer- and provider-learned
@@ -597,12 +605,7 @@ func (a *Agent) exportable(o int, p *peerState) bool {
 	// Sender-side loop suppression; hop 0 is the peer the best route was
 	// learned from, so this also covers never echoing a route back to
 	// its source.
-	for _, h := range a.adjIn[o][b].path {
-		if h == p.id {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(a.pathOf(a.adj(o, b)), uint32(p.id))
 }
 
 // receive handles an incoming update: validate the frame, resolve the
@@ -665,18 +668,17 @@ func (a *Agent) process(pkt *netsim.Packet, _ netsim.Medium, aux pvAux) {
 // place; a loop found part-way leaves the slot cleared, so the partial
 // write never shows.
 func (a *Agent) integrate(o, peer int, c *Cursor, now float64) bool {
-	self := a.k.Node().ID
-	slot := &a.adjIn[o][peer]
+	self := uint32(a.k.Node().ID)
+	slot := a.adj(o, peer)
 	n := c.PathLen()
-	same := slot.has && len(slot.path) == n
-	if cap(slot.path) < n {
-		// Grow to exactly n; same is already false (the stored path is
-		// shorter).
-		slot.path = make([]netsim.NodeID, 0, n)
+	same := slot.has && int(slot.n) == n
+	if int(slot.cap) < n {
+		// same is already false: the stored path is shorter.
+		a.growAdj(slot, n)
 	}
-	path := slot.path[:n]
+	path := a.hops[slot.off : int(slot.off)+n]
 	for i := range path {
-		h := c.PathAt(i)
+		h := uint32(c.PathAt(i))
 		if h == self {
 			a.stats.LoopRejected++
 			return a.clearAdj(o, peer)
@@ -686,7 +688,7 @@ func (a *Agent) integrate(o, peer int, c *Cursor, now float64) bool {
 			same = false
 		}
 	}
-	slot.path = path
+	slot.n = uint8(n)
 	slot.updated = now
 	if same {
 		return false // pure refresh: renew the hold timer, change nothing
@@ -695,14 +697,35 @@ func (a *Agent) integrate(o, peer int, c *Cursor, now float64) bool {
 	return true
 }
 
+// growAdj gives slot a fresh run of n arena entries at the arena's end;
+// its old run turns dead. When dead entries would outnumber live ones,
+// the arena is first compacted into a new one, every other slot's run
+// copied in slot order, so dead entries never exceed live ones.
+func (a *Agent) growAdj(slot *adjSlot, n int) {
+	a.dead += int(slot.cap)
+	slot.off, slot.cap = 0, 0
+	if live := len(a.hops) - a.dead; a.dead > live {
+		hops := make([]uint32, 0, live+n)
+		for i := range a.adjIn {
+			s := &a.adjIn[i]
+			run := a.hops[s.off : s.off+uint32(s.cap)]
+			s.off = uint32(len(hops))
+			hops = append(hops, run...)
+		}
+		a.hops, a.dead = hops, 0
+	}
+	slot.off, slot.cap = uint32(len(a.hops)), uint8(n)
+	a.hops = append(a.hops, make([]uint32, n)...)
+}
+
 // clearAdj removes Adj-RIB-In[o][peer], reporting whether it existed.
+// The slot keeps its arena run for the next advertisement.
 func (a *Agent) clearAdj(o, peer int) bool {
-	slot := &a.adjIn[o][peer]
+	slot := a.adj(o, peer)
 	if !slot.has {
 		return false
 	}
-	slot.has = false
-	slot.path = slot.path[:0]
+	slot.has, slot.n = false, 0
 	return true
 }
 
@@ -724,11 +747,11 @@ func (a *Agent) reselect(o, touched int) bool {
 		var bPref uint8
 		var bLen int
 		for i := range a.peers {
-			slot := &a.adjIn[o][i]
+			slot := a.adj(o, i)
 			if !slot.has {
 				continue
 			}
-			pref, plen := localPref(a.peers[i].rel), len(slot.path)
+			pref, plen := localPref(a.peers[i].rel), int(slot.n)
 			if next == bestNone || pref > bPref || (pref == bPref && (plen < bLen ||
 				(plen == bLen && a.peers[i].id < a.peers[next].id))) {
 				next, bPref, bLen = i, pref, plen
@@ -745,7 +768,7 @@ func (a *Agent) reselect(o, touched int) bool {
 	a.stats.BestChanges++
 	a.markDirtyAll(o)
 	if a.OnBestChange != nil {
-		a.OnBestChange(a.origins.ids[o], a.bestPathFor(o))
+		a.OnBestChange(a.origins.ids[o])
 	}
 	return true
 }
@@ -758,13 +781,13 @@ func (a *Agent) sweep() {
 	now := a.k.Node().Now()
 	hold := a.cfg.HoldFactor * a.cfg.RefreshPeriod
 	changed := false
-	for o := range a.adjIn {
-		row := a.adjIn[o]
+	np := len(a.peers)
+	for o := range a.best {
+		row := a.adjIn[o*np : (o+1)*np]
 		touched := false
 		for p := range row {
 			if row[p].has && now-row[p].updated > hold {
-				row[p].has = false
-				row[p].path = row[p].path[:0]
+				row[p].has, row[p].n = false, 0
 				a.stats.Expired++
 				touched = true
 			}

@@ -83,6 +83,12 @@ func PatchCount(buf []byte, count int) {
 //
 //	uint32 origin | uint8 flags | uint8 pathLen | pathLen × uint32 hop
 func AppendAdvertise(dst []byte, origin, self netsim.NodeID, path []netsim.NodeID) ([]byte, error) {
+	return appendAdvertise(dst, origin, self, path)
+}
+
+// appendAdvertise is AppendAdvertise over either hop type, so agents
+// encode straight from their uint32 hop arena.
+func appendAdvertise[H netsim.NodeID | uint32](dst []byte, origin, self netsim.NodeID, path []H) ([]byte, error) {
 	if 1+len(path) > MaxPathLen {
 		return dst, fmt.Errorf("%w: %d", ErrPathLong, 1+len(path))
 	}

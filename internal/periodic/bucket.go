@@ -340,7 +340,6 @@ func (s *System) stepBucket() Event {
 	}
 	b.min = ev.Next
 	b.cur = b.bvbFor(ev.Next)
-	s.steps++
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.RoundCompleted(s.now, k)
 	}

@@ -44,7 +44,6 @@ func (s *System) stepReference() Event {
 		s.expiry[m.ID] = next
 	}
 	ev.Next = s.referenceNextExpiry()
-	s.steps++
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.RoundCompleted(s.now, c.Size())
 	}

@@ -155,7 +155,6 @@ type System struct {
 	r      *rng.Source
 	expiry []float64 // next timer expiration per router
 	now    float64
-	steps  uint64
 	// onEvent observers are invoked, in registration order, after every
 	// cluster firing.
 	onEvent []func(Event)
@@ -258,9 +257,6 @@ func (s *System) Config() Config { return s.cfg }
 // Now returns the current simulation time (the End of the last event).
 func (s *System) Now() float64 { return s.now }
 
-// Steps returns the number of cluster events processed.
-func (s *System) Steps() uint64 { return s.steps }
-
 // NextExpiry returns the earliest pending timer expiration, an O(1) read
 // on either engine; callers inside run loops can read Event.Next from the
 // previous Step instead.
@@ -359,7 +355,6 @@ func (s *System) Step() Event {
 		s.heapPush(int32(id))
 	}
 	ev.Next = s.expiry[s.heap[0]]
-	s.steps++
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.RoundCompleted(s.now, k)
 	}

@@ -330,10 +330,6 @@ func (k *Kernel[A]) FinishSend(cost float64, resetTimer bool) {
 	}
 }
 
-// Rearm re-arms the periodic timer once the CPU backlog drains —
-// exposed for strategies that re-arm outside the FinishSend path.
-func (k *Kernel[A]) Rearm() { k.rearmWhenIdle() }
-
 func (k *Kernel[A]) rearmWhenIdle() {
 	if k.stopped {
 		return

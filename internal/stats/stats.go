@@ -59,9 +59,6 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
 // Min returns the smallest observation, or NaN with none.
 func (r *Running) Min() float64 {
 	if r.n == 0 {
