@@ -50,8 +50,6 @@ func runBench(outDir string) error {
 		{"DESScheduleStep", bench.DESScheduleStep},
 		{"DESScheduleStepObserved", bench.DESScheduleStepObserved},
 		{"DESScheduleCancel", bench.DESScheduleCancel},
-		{"DESTicker", bench.DESTicker},
-		{"TickerStorm", bench.TickerStorm},
 		{"DESScheduleFire/backend=heap/depth=1000", func(b *testing.B) { bench.DESScheduleFire(b, des.BackendHeap, 1000) }},
 		{"DESScheduleFire/backend=calendar/depth=1000", func(b *testing.B) { bench.DESScheduleFire(b, des.BackendCalendar, 1000) }},
 		{"DESScheduleFire/backend=heap/depth=100000", func(b *testing.B) { bench.DESScheduleFire(b, des.BackendHeap, 100000) }},

@@ -116,39 +116,6 @@ func DESScheduleFire(b *testing.B, backend des.Backend, depth int) {
 	}
 }
 
-// DESTicker measures one ticker firing: the kernel pops the tick event
-// and the ticker re-arms. The hoisted fire closure keeps the re-arm from
-// allocating a fresh func every period.
-func DESTicker(b *testing.B) {
-	sim := des.New()
-	period := func() des.Time { return 1 }
-	tick := sim.NewTicker("bench-tick", period, func() {})
-	_ = tick
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
-	}
-}
-
-// TickerStorm measures a population of tickers interleaving — the shape
-// of every netsim experiment, where each router holds a refresh timer.
-// One iteration is one tick firing somewhere in the population.
-func TickerStorm(b *testing.B) {
-	sim := des.New()
-	const n = 100
-	for i := 0; i < n; i++ {
-		p := 1 + des.Time(i)*0.01 // spread periods so firings interleave
-		period := func() des.Time { return p }
-		sim.NewTicker("bench-tick", period, func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
-	}
-}
-
 // PeriodicStep measures one cluster firing of the Periodic Messages model
 // at population n on the engine periodic.New picks by n: the heap engine
 // at n=20, O(k log N) in the cluster size k, and the bucket engine from

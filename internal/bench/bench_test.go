@@ -13,7 +13,6 @@ import (
 func BenchmarkDESScheduleStep(b *testing.B)         { DESScheduleStep(b) }
 func BenchmarkDESScheduleStepObserved(b *testing.B) { DESScheduleStepObserved(b) }
 func BenchmarkDESScheduleCancel(b *testing.B)       { DESScheduleCancel(b) }
-func BenchmarkDESTicker(b *testing.B)               { DESTicker(b) }
 
 func BenchmarkDESScheduleFire(b *testing.B) {
 	for _, backend := range []des.Backend{des.BackendHeap, des.BackendCalendar} {
@@ -24,7 +23,6 @@ func BenchmarkDESScheduleFire(b *testing.B) {
 		}
 	}
 }
-func BenchmarkTickerStorm(b *testing.B) { TickerStorm(b) }
 
 func BenchmarkPeriodicStep(b *testing.B) {
 	for _, n := range []int{20, 100, 1000} {

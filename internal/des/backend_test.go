@@ -2,7 +2,6 @@ package des
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -70,8 +69,8 @@ func (p program) replay(s *Simulator) ([]firing, []obsRecord) {
 			return s.Now() // immediate tie with the clock
 		case 1:
 			if len(handles) > 0 {
-				if at := handles[r.Intn(len(handles))].At(); !math.IsInf(at, 1) {
-					return at // exact tie with a pending event
+				if ev, live := handles[r.Intn(len(handles))].live(); live {
+					return ev.at // exact tie with a pending event
 				}
 			}
 			return s.Now() + Time(r.Intn(10))
@@ -119,7 +118,8 @@ func (p program) replay(s *Simulator) ([]firing, []obsRecord) {
 				}
 			}
 		case 6:
-			s.RunCount(uint64(r.Intn(8)))
+			for n := r.Intn(8); n > 0 && s.Step(); n-- {
+			}
 		case 7:
 			s.RunUntil(s.Now() + 50*r.Float64())
 		default:

@@ -20,8 +20,8 @@
 // long simulation allocates only while the pool grows to the peak
 // concurrent event count. Event handles are generation-counted values —
 // a handle to an event that has fired or been cancelled is recognized as
-// stale (Scheduled reports false, Cancel is a no-op) even if its slot has
-// been reused, so callers may retain handles without lifetime discipline.
+// stale (Cancel is a no-op) even if its slot has been reused, so callers
+// may retain handles without lifetime discipline.
 package des
 
 import (
@@ -34,8 +34,8 @@ import (
 type Time = float64
 
 // Event is a generation-counted handle to a scheduled callback. It is a
-// small value, cheap to copy and store. The zero Event is inert: it is
-// never Scheduled and cancelling it is a no-op.
+// small value, cheap to copy and store. The zero Event is inert:
+// cancelling it is a no-op.
 type Event struct {
 	sim  *Simulator
 	slot int32
@@ -66,30 +66,6 @@ func (e Event) live() (*event, bool) {
 	return ev, true
 }
 
-// At returns the time the event is scheduled for, or +Inf if the event
-// already fired or was cancelled.
-func (e Event) At() Time {
-	if ev, ok := e.live(); ok {
-		return ev.at
-	}
-	return math.Inf(1)
-}
-
-// Label returns the diagnostic label given at scheduling time, or "" if
-// the event already fired or was cancelled.
-func (e Event) Label() string {
-	if ev, ok := e.live(); ok {
-		return ev.label
-	}
-	return ""
-}
-
-// Scheduled reports whether the event is still pending in its queue.
-func (e Event) Scheduled() bool {
-	_, ok := e.live()
-	return ok
-}
-
 // Observer receives kernel lifecycle notifications. All methods are called
 // synchronously from within the simulation thread; implementations must not
 // call back into the Simulator. depth is the queue length after the
@@ -118,7 +94,6 @@ type Simulator struct {
 	seq       uint64
 	processed uint64
 	running   bool
-	stopped   bool
 	obs       Observer
 }
 
@@ -180,7 +155,8 @@ func (s *Simulator) qRemove(slot int32) {
 	s.removeAt(int(s.pool[slot].index))
 }
 
-// Processed returns the number of events executed so far.
+// Processed returns the number of events executed so far. The netsim
+// CPU tests count fired events with it.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // less orders slots by (time, key, insertion order) — the contract shared
@@ -323,12 +299,6 @@ func (s *Simulator) After(delay Time, label string, fn func()) Event {
 	return s.Schedule(s.now+delay, label, fn)
 }
 
-// AfterKeyed queues fn to run delay seconds from now with a logical
-// priority key; see ScheduleKeyed.
-func (s *Simulator) AfterKeyed(delay Time, key uint64, label string, fn func()) Event {
-	return s.ScheduleKeyed(s.now+delay, key, label, fn)
-}
-
 // NextAt returns the timestamp of the earliest pending event, or +Inf when
 // the queue is empty. The partitioned runtime uses this to pick the next
 // synchronization window without executing anything.
@@ -376,25 +346,24 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the number of events processed by this call.
+// Run executes events until the queue drains. It returns the number of
+// events processed by this call.
 func (s *Simulator) Run() uint64 {
 	return s.RunUntil(math.Inf(1))
 }
 
-// RunUntil executes events with timestamps <= horizon (or until Stop or an
-// empty queue) and then advances the clock to min(horizon, next event time).
+// RunUntil executes events with timestamps <= horizon (or until the queue
+// drains) and then advances the clock to min(horizon, next event time).
 // It returns the number of events processed by this call.
 func (s *Simulator) RunUntil(horizon Time) uint64 {
 	if s.running {
 		panic("des: RunUntil re-entered from within an event")
 	}
 	s.running = true
-	s.stopped = false
 	defer func() { s.running = false }()
 
 	var n uint64
-	for !s.stopped {
+	for {
 		slot := s.qPeek()
 		if slot < 0 || s.pool[slot].at > horizon {
 			break
@@ -402,7 +371,7 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 		s.Step()
 		n++
 	}
-	if !s.stopped && !math.IsInf(horizon, 1) && s.now < horizon {
+	if !math.IsInf(horizon, 1) && s.now < horizon {
 		// Advance the clock to the horizon so repeated RunUntil calls
 		// observe monotonic time even across idle gaps.
 		s.now = horizon
@@ -411,7 +380,7 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 }
 
 // RunBefore executes events with timestamps strictly less than horizon (or
-// until Stop or an empty queue) and then advances the clock to horizon.
+// until the queue drains) and then advances the clock to horizon.
 // The half-open window [now, horizon) is the primitive behind conservative
 // parallel execution: a logical process granted a window may safely run
 // every event before the window's end, while events *at* the end belong to
@@ -426,11 +395,10 @@ func (s *Simulator) RunBefore(horizon Time) uint64 {
 		panic("des: RunBefore horizon must be finite")
 	}
 	s.running = true
-	s.stopped = false
 	defer func() { s.running = false }()
 
 	var n uint64
-	for !s.stopped {
+	for {
 		slot := s.qPeek()
 		if slot < 0 || s.pool[slot].at >= horizon {
 			break
@@ -438,88 +406,8 @@ func (s *Simulator) RunBefore(horizon Time) uint64 {
 		s.Step()
 		n++
 	}
-	if !s.stopped && s.now < horizon {
+	if s.now < horizon {
 		s.now = horizon
 	}
 	return n
-}
-
-// RunCount executes at most n events. It returns the number processed,
-// which is less than n only if the queue drained or Stop was called.
-func (s *Simulator) RunCount(n uint64) uint64 {
-	if s.running {
-		panic("des: RunCount re-entered from within an event")
-	}
-	s.running = true
-	s.stopped = false
-	defer func() { s.running = false }()
-	var done uint64
-	for done < n && s.Pending() > 0 && !s.stopped {
-		s.Step()
-		done++
-	}
-	return done
-}
-
-// Stop halts the enclosing Run/RunUntil/RunCount after the current event
-// returns. Calling Stop outside an event is harmless.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Ticker schedules fn repeatedly. The next interval is obtained from the
-// period callback after each firing, which is how jittered routing timers
-// are expressed (the period callback draws from the jitter policy).
-//
-// The re-arm closure is allocated once at construction, so a running
-// ticker adds no per-firing garbage beyond the kernel's pooled event.
-type Ticker struct {
-	sim    *Simulator
-	event  Event
-	period func() Time
-	fn     func()
-	fire   func() // hoisted re-arm closure, allocated once
-	label  string
-	stopit bool
-}
-
-// NewTicker creates and starts a ticker whose first firing is period() from
-// now and which re-arms itself with a fresh period() after each firing.
-func (s *Simulator) NewTicker(label string, period func() Time, fn func()) *Ticker {
-	t := &Ticker{sim: s, period: period, fn: fn, label: label}
-	t.fire = func() {
-		t.fn()
-		if !t.stopit {
-			t.arm()
-		}
-	}
-	t.arm()
-	return t
-}
-
-func (t *Ticker) arm() {
-	d := t.period()
-	if d < 0 {
-		panic("des: ticker period() returned negative delay")
-	}
-	t.event = t.sim.After(d, t.label, t.fire)
-}
-
-// Stop cancels future firings. If called from within fn it prevents the
-// re-arm; otherwise it cancels the pending event.
-func (t *Ticker) Stop() {
-	t.stopit = true
-	t.sim.Cancel(t.event)
-}
-
-// Reset cancels the pending firing and re-arms with a fresh period() from
-// the current instant. This models a router resetting its routing timer.
-func (t *Ticker) Reset() {
-	t.sim.Cancel(t.event)
-	t.stopit = false
-	t.arm()
-}
-
-// NextAt returns the absolute time of the pending firing, or +Inf if the
-// ticker is stopped.
-func (t *Ticker) NextAt() Time {
-	return t.event.At()
 }

@@ -147,16 +147,3 @@ func TestRunBeforeInfinitePanics(t *testing.T) {
 	}()
 	s.RunBefore(math.Inf(1))
 }
-
-func TestAfterKeyed(t *testing.T) {
-	s := New()
-	var got []string
-	s.Schedule(5, "warp", func() {
-		s.AfterKeyed(0, 2, "b", func() { got = append(got, "b") })
-		s.AfterKeyed(0, 1, "a", func() { got = append(got, "a") })
-	})
-	s.Run()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("AfterKeyed order %v, want [a b]", got)
-	}
-}

@@ -27,12 +27,9 @@ type MetroLANScenario struct {
 	Agents []*routing.Agent
 	// Segments and PerSeg give the LAN geometry; Partitions the realized K.
 	Segments, PerSeg, Partitions int
-	// Horizon is the configured run length; call Run to execute it.
+	// Horizon is the configured run length; Net.RunUntil(Horizon) runs it.
 	Horizon float64
 }
-
-// Run executes the scenario to its horizon.
-func (s *MetroLANScenario) Run() { s.Net.RunUntil(s.Horizon) }
 
 // BuildMetroLAN wires the metro-LAN scenario — segments broadcast LANs
 // of perSeg routers each, bridged gateway-to-gateway, every router

@@ -22,7 +22,7 @@ type metroLANSnap struct {
 
 func runMetroLAN(seg, per, k int, horizon float64) (metroLANSnap, netsim.SyncStats) {
 	sc := BuildMetroLAN(seg, per, k, 3, horizon, nil)
-	sc.Run()
+	sc.Net.RunUntil(sc.Horizon)
 	snap := metroLANSnap{ping: sc.Pinger.Result(), counters: sc.Net.Counters()}
 	// Lost pings record NaN RTTs, which reflect.DeepEqual treats as
 	// unequal to themselves; map them to a comparable sentinel.

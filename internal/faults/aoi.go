@@ -45,7 +45,6 @@ type agentMon struct {
 
 	reachable []bool
 	everUp    []bool
-	firstUpAt []float64
 	lostAt    []float64
 	lostNext  []netsim.NodeID // next hop in use when the route was lost
 
@@ -82,12 +81,10 @@ func (m *Monitor) Observe(ag *routing.Agent) {
 		ag:        ag,
 		reachable: make([]bool, len(m.dests)),
 		everUp:    make([]bool, len(m.dests)),
-		firstUpAt: make([]float64, len(m.dests)),
 		lostAt:    make([]float64, len(m.dests)),
 		lostNext:  make([]netsim.NodeID, len(m.dests)),
 	}
-	for i := range am.firstUpAt {
-		am.firstUpAt[i] = math.NaN()
+	for i := range am.lostAt {
 		am.lostAt[i] = math.NaN()
 	}
 	am.sampleFn = am.sample
@@ -115,7 +112,6 @@ func (am *agentMon) routeChange(dest netsim.NodeID, up bool) {
 		if !am.everUp[i] {
 			// First convergence is not an outage recovery.
 			am.everUp[i] = true
-			am.firstUpAt[i] = now
 			return
 		}
 		o := Outage{Router: am.ag.Node().ID, Dest: dest, LostAt: am.lostAt[i], RegainedAt: now}
@@ -273,19 +269,4 @@ func (m *Monitor) Availability() float64 {
 		return math.NaN()
 	}
 	return 1 - float64(holes)/float64(samples)
-}
-
-// InitialConvergence returns, per observer in attach order, the times
-// at which each monitored destination first became reachable; never-
-// reached destinations are omitted.
-func (m *Monitor) InitialConvergence() []float64 {
-	var out []float64
-	for _, am := range m.agents {
-		for i := range am.firstUpAt {
-			if !math.IsNaN(am.firstUpAt[i]) {
-				out = append(out, am.firstUpAt[i])
-			}
-		}
-	}
-	return out
 }

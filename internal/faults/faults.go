@@ -1,8 +1,8 @@
 // Package faults is the deterministic failure and churn layer for the
-// packet-level simulator: link flaps, node crash/reboot cycles, and
-// link-metric changes, injected as first-class keyed DES events so a
-// churned run stays bit-identical to its sequential execution for any
-// partition count, on both DES backends.
+// packet-level simulator: link flaps and node crash/reboot cycles,
+// injected as first-class keyed DES events so a churned run stays
+// bit-identical to its sequential execution for any partition count, on
+// both DES backends.
 //
 // Two rules buy that determinism:
 //
@@ -42,7 +42,6 @@ type Kind int
 const (
 	LinkDown Kind = iota
 	LinkUp
-	LinkMetric
 	NodeCrash
 	NodeReboot
 )
@@ -54,8 +53,6 @@ func (k Kind) String() string {
 		return "link-down"
 	case LinkUp:
 		return "link-up"
-	case LinkMetric:
-		return "link-metric"
 	case NodeCrash:
 		return "node-crash"
 	case NodeReboot:
@@ -74,8 +71,6 @@ type Event struct {
 	// Node is the crashed/rebooted node, or the lower-id endpoint for
 	// link events.
 	Node netsim.NodeID
-	// Metric is the new cost for LinkMetric events.
-	Metric uint32
 }
 
 // Injector schedules fault processes on one network and records the

@@ -23,7 +23,6 @@ type churnSnap struct {
 	staleness []float64
 	resurrect int
 	avail     float64
-	initial   []float64
 }
 
 type routeVal struct {
@@ -100,7 +99,6 @@ func runChurnedAS(backend des.Backend, k int) churnSnap {
 		staleness: mon.StalenessAtFailures(),
 		resurrect: mon.Resurrections(),
 		avail:     mon.Availability(),
-		initial:   mon.InitialConvergence(),
 	}
 	for _, ag := range agents {
 		snap.stats = append(snap.stats, ag.Stats())
@@ -152,7 +150,6 @@ func TestChurnPartitionDeterminism(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.ages, ref.ages) ||
 				!reflect.DeepEqual(got.staleness, ref.staleness) ||
-				!reflect.DeepEqual(got.initial, ref.initial) ||
 				got.avail != ref.avail || got.resurrect != ref.resurrect {
 				t.Errorf("%s: AoI aggregates diverge", name)
 			}

@@ -142,13 +142,6 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 // Node returns the agent's node.
 func (a *Agent) Node() *netsim.Node { return a.k.Node() }
 
-// Stats returns a snapshot of the counters.
-func (a *Agent) Stats() Stats { return a.stats }
-
-// Stop halts origination and processing; the LSDB is left for
-// inspection. See the kernel's Stop.
-func (a *Agent) Stop() { a.k.Stop() }
-
 // Crash models a power failure mid-run: the LSDB, neighbor cache and
 // FIB are lost and the node is marked failed until Restart; see the
 // kernel's Crash.
@@ -257,7 +250,7 @@ func (a *Agent) flood(lsa LSA, except netsim.Medium) {
 
 // floodRaw transmits an already-encoded LSA on every medium except the
 // one it arrived on. Re-flooding reuses the incoming payload bytes —
-// Encode is canonical, so re-encoding the decoded LSA would reproduce
+// EncodeInto is canonical, so re-encoding the decoded LSA would reproduce
 // them anyway. SetPayload copies them into each outgoing packet's own
 // arena, so the source (scratch buffer or an about-to-be-released
 // incoming packet) may be reused immediately.
@@ -296,12 +289,6 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 func (a *Agent) process(pkt *netsim.Packet, via netsim.Medium, aux lsAux) {
 	a.integrate(pkt.Payload, aux.origin, aux.seq, via)
 }
-
-// PendingPackets returns the number of received LSAs the agent is
-// holding while their processing cost drains through the CPU model —
-// packets the agent owns but has not released yet. Leak audits add it to
-// netsim's parked counts.
-func (a *Agent) PendingPackets() int { return a.k.PendingPackets() }
 
 func (a *Agent) integrate(payload []byte, origin netsim.NodeID, seq uint32, via netsim.Medium) {
 	if a.k.Stopped() {
@@ -345,69 +332,8 @@ func (a *Agent) integrate(payload []byte, origin netsim.NodeID, seq uint32, via 
 	a.recompute()
 }
 
-// LSDB returns the database origins currently held, sorted.
-func (a *Agent) LSDB() []LSA {
-	out := make([]LSA, 0, len(a.lsdb))
-	for _, e := range a.lsdb {
-		out = append(out, e.lsa)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
-	return out
-}
-
-// Distance returns the computed hop distance to dest, or -1 if
-// unreachable in the current LSDB.
-func (a *Agent) Distance(dest netsim.NodeID) int {
-	dist := a.spf()
-	d, ok := dist[dest]
-	if !ok {
-		return -1
-	}
-	return d
-}
-
-// spf runs BFS over the LSDB adjacency (uniform link cost). Links are
-// used only when both endpoints agree (bidirectional check, as in OSPF).
-func (a *Agent) spf() map[netsim.NodeID]int {
-	self := a.k.Node().ID
-	adj := func(id netsim.NodeID) []netsim.NodeID {
-		if id == self {
-			return a.neighbors()
-		}
-		if e, ok := a.lsdb[id]; ok {
-			return e.lsa.Neighbors
-		}
-		return nil
-	}
-	claims := func(id, nb netsim.NodeID) bool {
-		for _, x := range adj(id) {
-			if x == nb {
-				return true
-			}
-		}
-		return false
-	}
-	dist := map[netsim.NodeID]int{self: 0}
-	queue := []netsim.NodeID{self}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range adj(cur) {
-			if _, seen := dist[nb]; seen {
-				continue
-			}
-			if !claims(nb, cur) {
-				continue // one-sided adjacency: not yet confirmed
-			}
-			dist[nb] = dist[cur] + 1
-			queue = append(queue, nb)
-		}
-	}
-	return dist
-}
-
-// recompute reruns SPF and programs the node FIB with first hops. Like
-// spf, an adjacency is used only when both endpoints advertise it (the
+// recompute reruns SPF and programs the node FIB with first hops. An
+// adjacency is used only when both endpoints advertise it (the
 // OSPF bidirectional check), so stale one-sided claims — e.g. a live
 // neighbor still listing a dead router whose own LSA has aged out —
 // never install routes.

@@ -10,13 +10,13 @@ import (
 //   - PeekHeader, the flooding path's allocation-free check, accepts and
 //     rejects exactly what Decode does, with the same error, origin and
 //     sequence number;
-//   - an accepted LSA re-encodes through Encode to the prefix of the
+//   - an accepted LSA re-encodes through EncodeInto to the prefix of the
 //     input that Decode consumed, and WireNeighborsEqual matches it
 //     against its own neighbor list.
 //
 // The seed corpus lives in testdata/fuzz/FuzzLinkStateDecode. Run it with
 //
-//	go test -run '^$' -fuzz FuzzLinkStateDecode -fuzztime 20s ./internal/linkstate/
+//	go test -run '^$' -fuzz FuzzLinkStateDecode -fuzztime 20s -fuzzminimizetime 100x ./internal/linkstate/
 func FuzzLinkStateDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, derr := Decode(data)
@@ -30,11 +30,11 @@ func FuzzLinkStateDecode(f *testing.F) {
 		if origin != l.Origin || seq != l.Seq {
 			t.Fatalf("PeekHeader = (%d, %d), Decode = (%d, %d)", origin, seq, l.Origin, l.Seq)
 		}
-		buf, err := Encode(l)
+		buf, err := EncodeInto(nil, l)
 		if err != nil {
-			t.Fatalf("Encode of a decoded LSA: %v", err)
+			t.Fatalf("EncodeInto of a decoded LSA: %v", err)
 		}
-		if n := WireSize(len(l.Neighbors)); !bytes.Equal(buf, data[:n]) {
+		if n := headerLen + neighLen*len(l.Neighbors); !bytes.Equal(buf, data[:n]) {
 			t.Fatalf("re-encoded LSA\n%x\ndiffers from the consumed input\n%x", buf, data[:n])
 		}
 		if !WireNeighborsEqual(data, l.Neighbors) {

@@ -41,7 +41,7 @@ type LSA struct {
 	Neighbors []netsim.NodeID
 }
 
-// Errors returned by Decode.
+// Errors returned by Decode and EncodeInto.
 var (
 	ErrTruncated  = errors.New("linkstate: truncated LSA")
 	ErrBadMagic   = errors.New("linkstate: bad magic")
@@ -50,19 +50,16 @@ var (
 	ErrReserved   = errors.New("linkstate: nonzero reserved field")
 )
 
-// Encode serializes an LSA big-endian:
+// EncodeInto serializes an LSA big-endian into dst's backing array
+// (grown as needed):
 //
 //	uint16 magic | uint8 version | uint8 reserved | uint32 origin |
 //	uint32 seq | uint16 count | uint16 reserved | count × uint32 neighbor
-func Encode(l LSA) ([]byte, error) {
-	return EncodeInto(nil, l)
-}
-
-// EncodeInto is Encode writing into dst's backing array (grown as
-// needed) — agents pass a per-agent scratch buffer so steady-state LSA
-// origination allocates nothing. The returned slice aliases dst's array
-// when it was large enough; callers keeping the bytes past the next
-// encode must copy (netsim.Packet.SetPayload does).
+//
+// Agents pass a per-agent scratch buffer so steady-state LSA origination
+// allocates nothing. The returned slice aliases dst's array when it was
+// large enough; callers keeping the bytes past the next encode must copy
+// (netsim.Packet.SetPayload does).
 func EncodeInto(dst []byte, l LSA) ([]byte, error) {
 	if len(l.Neighbors) > MaxNeighbors {
 		return nil, fmt.Errorf("%w: %d", ErrTooMany, len(l.Neighbors))
@@ -101,9 +98,9 @@ func Decode(buf []byte) (LSA, error) {
 }
 
 // PeekHeader validates a wire LSA — magic, version, zero reserved
-// fields, a neighbor count Encode would accept, and that the neighbor
+// fields, a neighbor count EncodeInto would accept, and that the neighbor
 // list is in bounds — and returns its origin and sequence number without
-// allocating the neighbor list. An accepted LSA is exactly what Encode
+// allocating the neighbor list. An accepted LSA is exactly what EncodeInto
 // would produce for it, trailing bytes aside. The flooding hot path uses
 // it to recognize duplicates — the common case on a broadcast segment,
 // where every LSA is heard once per neighbor — and defer the full Decode
@@ -147,6 +144,3 @@ func WireNeighborsEqual(buf []byte, want []netsim.NodeID) bool {
 	}
 	return true
 }
-
-// WireSize returns the encoded length for n neighbors.
-func WireSize(n int) int { return headerLen + neighLen*n }

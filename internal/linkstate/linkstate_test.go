@@ -3,6 +3,7 @@ package linkstate
 import (
 	"encoding/binary"
 	"errors"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -11,14 +12,43 @@ import (
 	"routesync/internal/rng"
 )
 
+// lsdbOf returns the LSAs a holds, sorted by origin.
+func lsdbOf(a *Agent) []LSA {
+	out := make([]LSA, 0, len(a.lsdb))
+	for _, e := range a.lsdb {
+		out = append(out, e.lsa)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+	return out
+}
+
+// fibHops follows the installed FIB next hops from src toward dest and
+// returns the hop count, or -1 when some node on the way has no route.
+// A forwarding loop fails the test.
+func fibHops(t *testing.T, net *netsim.Network, src, dest netsim.NodeID) int {
+	t.Helper()
+	hops := 0
+	for cur := src; cur != dest; hops++ {
+		if hops > net.NumNodes() {
+			t.Fatalf("forwarding loop from %d toward %d", src, dest)
+		}
+		eg, ok := net.Node(cur).FIB[dest]
+		if !ok {
+			return -1
+		}
+		cur = eg.NextHop
+	}
+	return hops
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	l := LSA{Origin: 7, Seq: 42, Neighbors: []netsim.NodeID{1, 3, 9}}
-	buf, err := Encode(l)
+	buf, err := EncodeInto(nil, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != WireSize(3) {
-		t.Fatalf("size %d, want %d", len(buf), WireSize(3))
+	if len(buf) != headerLen+neighLen*3 {
+		t.Fatalf("size %d, want %d", len(buf), headerLen+neighLen*3)
 	}
 	got, err := Decode(buf)
 	if err != nil {
@@ -30,7 +60,7 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireErrors(t *testing.T) {
-	good, _ := Encode(LSA{Origin: 1, Neighbors: []netsim.NodeID{2}})
+	good, _ := EncodeInto(nil, LSA{Origin: 1, Neighbors: []netsim.NodeID{2}})
 	if _, err := Decode(good[:4]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v", err)
 	}
@@ -47,17 +77,17 @@ func TestWireErrors(t *testing.T) {
 	if _, err := Decode(badV); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := Encode(LSA{Neighbors: make([]netsim.NodeID, MaxNeighbors+1)}); !errors.Is(err, ErrTooMany) {
+	if _, err := EncodeInto(nil, LSA{Neighbors: make([]netsim.NodeID, MaxNeighbors+1)}); !errors.Is(err, ErrTooMany) {
 		t.Fatalf("err = %v", err)
 	}
-	// A count Encode would refuse is refused on the wire too, before the
+	// A count EncodeInto would refuse is refused on the wire too, before the
 	// length check.
 	tooMany := append([]byte(nil), good...)
 	binary.BigEndian.PutUint16(tooMany[12:], MaxNeighbors+1)
 	if _, err := Decode(tooMany); !errors.Is(err, ErrTooMany) {
 		t.Fatalf("err = %v", err)
 	}
-	// Encode zeroes both reserved fields; a frame that sets either is
+	// EncodeInto zeroes both reserved fields; a frame that sets either is
 	// not one it could have produced.
 	for _, off := range []int{3, 14, 15} {
 		res := append([]byte(nil), good...)
@@ -108,7 +138,7 @@ func TestFloodingFillsLSDBs(t *testing.T) {
 	net, agents := lsChain(5, 1)
 	net.RunUntil(60)
 	for i, a := range agents {
-		if got := len(a.LSDB()); got != 5 {
+		if got := len(a.lsdb); got != 5 {
 			t.Fatalf("agent %d LSDB has %d origins, want 5", i, got)
 		}
 	}
@@ -123,7 +153,7 @@ func TestSPFDistances(t *testing.T) {
 			if want < 0 {
 				want = -want
 			}
-			if got := a.Distance(b.Node().ID); got != want {
+			if got := fibHops(t, net, a.Node().ID, b.Node().ID); got != want {
 				t.Fatalf("agent %d distance to %d = %d, want %d", i, j, got, want)
 			}
 		}
@@ -167,7 +197,7 @@ func TestFloodingTerminates(t *testing.T) {
 	// with k=6 agents and 2 rounds, the total flooded count is bounded.
 	var flooded uint64
 	for _, a := range agents {
-		flooded += a.Stats().Flooded
+		flooded += a.stats.Flooded
 	}
 	// 2 rounds × 6 LSAs; each LSA crosses each agent once (re-flooding on
 	// one of 2 media) plus origination on 2; generous bound: 6 LSAs × 12
@@ -176,12 +206,13 @@ func TestFloodingTerminates(t *testing.T) {
 		t.Fatalf("flooding did not terminate: %d transmissions", flooded)
 	}
 	// And everyone converged on the ring distances.
-	if d := agents[0].Distance(nodes[3].ID); d != 3 {
+	if d := fibHops(t, net, nodes[0].ID, nodes[3].ID); d != 3 {
 		t.Fatalf("ring distance = %d, want 3", d)
 	}
 }
 
-// TestConvergesOnRandomGraphs: link-state SPF matches BFS ground truth.
+// TestConvergesOnRandomGraphs: the installed FIBs forward along shortest
+// paths — their hop counts match BFS ground truth.
 func TestConvergesOnRandomGraphs(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
 		r := rng.New(seed)
@@ -200,7 +231,7 @@ func TestConvergesOnRandomGraphs(t *testing.T) {
 				if i == j {
 					continue
 				}
-				if got := a.Distance(other.ID); got != want[other.ID] {
+				if got := fibHops(t, net, a.Node().ID, other.ID); got != want[other.ID] {
 					t.Logf("seed %d: %d→%d = %d, BFS %d", seed, i, j, got, want[other.ID])
 					return false
 				}
@@ -219,16 +250,16 @@ func TestDeadRouterAgesOut(t *testing.T) {
 	net.RunUntil(60)
 	dead := agents[2]
 	deadID := dead.Node().ID
-	dead.Stop()
+	dead.k.Stop()
 	// MaxAge = 4 × 30 = 120 s after the last refresh.
 	net.RunUntil(60 + 4*30 + 90)
-	if d := agents[0].Distance(deadID); d != -1 {
+	if d := fibHops(t, net, agents[0].Node().ID, deadID); d != -1 {
 		t.Fatalf("dead router still reachable at distance %d", d)
 	}
 	if _, ok := agents[0].Node().FIB[deadID]; ok {
 		t.Fatal("FIB entry for dead router survived")
 	}
-	if agents[0].Stats().AgedOut == 0 {
+	if agents[0].stats.AgedOut == 0 {
 		t.Fatal("no age-outs recorded")
 	}
 }
@@ -252,14 +283,14 @@ func TestLinkFailureReroutes(t *testing.T) {
 		agents = append(agents, a)
 	}
 	net.RunUntil(60)
-	if d := agents[0].Distance(dst.ID); d != 2 {
+	if d := fibHops(t, net, src.ID, dst.ID); d != 2 {
 		t.Fatalf("pre-failure distance = %d", d)
 	}
 	lTop.SetDown(true)
 	// The endpoints notice at their next refresh (adjacency re-read) and
 	// flood updated LSAs.
 	net.RunUntil(60 + 90)
-	if d := agents[0].Distance(dst.ID); d != 2 {
+	if d := fibHops(t, net, src.ID, dst.ID); d != 2 {
 		t.Fatalf("post-failure distance = %d, want 2 via b1", d)
 	}
 	// And data actually flows via the bottom path.
@@ -320,12 +351,12 @@ func TestLSDBsConvergeIdentically(t *testing.T) {
 			agents[i].Start(r.Uniform(0, 30))
 		}
 		net.RunUntil(120)
-		ref := agents[0].LSDB()
+		ref := lsdbOf(agents[0])
 		if len(ref) != count {
 			return false
 		}
 		for _, a := range agents[1:] {
-			db := a.LSDB()
+			db := lsdbOf(a)
 			if len(db) != len(ref) {
 				return false
 			}

@@ -16,10 +16,11 @@
 // Hitting times are solved exactly with the standard birth–death
 // first-step recursions (see F and G); the paper's printed Eq 3–6
 // recursion, including its printed conditional move times t(j,j±1), is
-// also implemented (PaperF, PaperG) for fidelity comparison. With the
-// conditional wait time 1/(p↓+p↑) the printed recursion is algebraically
-// identical to the exact solver; with the paper's printed
-// t = P(move)·E[wait] values it underestimates, which tests quantify.
+// also implemented (PaperF; the tests add PaperG) for fidelity
+// comparison. With the conditional wait time 1/(p↓+p↑) the printed
+// recursion is algebraically identical to the exact solver; with the
+// paper's printed t = P(move)·E[wait] values it underestimates, which
+// tests quantify.
 package markov
 
 import (
@@ -104,9 +105,6 @@ func New(p Params) (*Chain, error) {
 	}
 	return c, nil
 }
-
-// Params returns the chain's parameters.
-func (c *Chain) Params() Params { return c.p }
 
 // ResolvedP12 returns the p(1,2) actually used (given or estimated).
 func (c *Chain) ResolvedP12() float64 { return c.p12 }
@@ -336,25 +334,4 @@ func (c *Chain) Stationary() []float64 {
 		pi[i] = math.Exp(logpi[i]-max) / z
 	}
 	return pi
-}
-
-// TransitionMatrix returns the full (N+1)×(N+1) matrix with
-// m[i][j] = p(i,j); row/column 0 is unused padding so indices match
-// states. This is the paper's Figure 9 in data form.
-func (c *Chain) TransitionMatrix() [][]float64 {
-	n := c.p.N
-	m := make([][]float64, n+1)
-	for i := range m {
-		m[i] = make([]float64, n+1)
-	}
-	for i := 1; i <= n; i++ {
-		if i > 1 {
-			m[i][i-1] = c.dn[i]
-		}
-		if i < n {
-			m[i][i+1] = c.up[i]
-		}
-		m[i][i] = c.PStay(i)
-	}
-	return m
 }

@@ -9,6 +9,53 @@ import (
 	"routesync/internal/rng"
 )
 
+// TransitionMatrix returns the full (N+1)×(N+1) matrix with
+// m[i][j] = p(i,j); row/column 0 is unused padding so indices match
+// states. This is the paper's Figure 9 in data form.
+func (c *Chain) TransitionMatrix() [][]float64 {
+	n := c.p.N
+	m := make([][]float64, n+1)
+	for i := range m {
+		m[i] = make([]float64, n+1)
+	}
+	for i := 1; i <= n; i++ {
+		if i > 1 {
+			m[i][i-1] = c.dn[i]
+		}
+		if i < n {
+			m[i][i+1] = c.up[i]
+		}
+		m[i][i] = c.PStay(i)
+	}
+	return m
+}
+
+// PaperG evaluates g(i) for i in 1..N via the paper's Eq 5 recursion
+//
+//	g(i) − ((p↑+p↓)/p↓)·g(i+1) + (p↑/p↓)·g(i+2) = d(i)
+//	d(i) = t(i+1,i) + (p↑/p↓)·t(i+1,i+2)
+//
+// with p↑ = p(i+1,i+2), p↓ = p(i+1,i) and g(N) = 0, solved backward. As
+// the paper notes, g does not depend on p(1,2) or f(2).
+func (c *Chain) PaperG(v TVariant) []float64 {
+	n := c.p.N
+	g := make([]float64, n+2) // g[n+1] padding = 0 for the i = n−1 step
+	for i := n - 1; i >= 1; i-- {
+		pUp := c.up[i+1] // p(i+1,i+2)
+		pDn := c.dn[i+1] // p(i+1,i)
+		if pDn == 0 {
+			g[i] = math.Inf(1)
+			continue
+		}
+		di := c.tval(i+1, false, v) + (pUp/pDn)*c.tval(i+1, true, v)
+		g[i] = di + ((pUp+pDn)/pDn)*g[i+1] - (pUp/pDn)*g[i+2]
+		if math.IsNaN(g[i]) {
+			g[i] = math.Inf(1)
+		}
+	}
+	return g[:n+1]
+}
+
 // paperParams are the parameters used throughout the paper's §5 figures.
 func paperParams(tr float64) Params {
 	return Params{N: 20, Tp: 121, Tr: tr, Tc: 0.11, F2: 19}

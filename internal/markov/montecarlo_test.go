@@ -7,6 +7,159 @@ import (
 	"routesync/internal/rng"
 )
 
+// A Monte-Carlo simulator of the chain itself — not of the Periodic
+// Messages system, but of the abstract birth–death process the paper
+// defines. It closes the tests' three-way validation loop: the exact solver
+// (F/G), the paper's printed recursions (PaperF/PaperG), and direct
+// stochastic simulation of the chain must all agree; the Periodic
+// Messages system simulation is then the only place where a discrepancy
+// can carry modeling meaning.
+
+// StepFrom samples the next state from state i using the supplied source.
+func (c *Chain) StepFrom(i int, r *rng.Source) int {
+	if i < 1 || i > c.p.N {
+		panic("markov: state out of range")
+	}
+	u := r.Float64()
+	if u < c.up[i] {
+		return i + 1
+	}
+	if u < c.up[i]+c.dn[i] {
+		return i - 1
+	}
+	return i
+}
+
+// MCResult is a Monte-Carlo hitting-time estimate.
+type MCResult struct {
+	// MeanRounds is the sample mean of the hitting time, in rounds.
+	MeanRounds float64
+	// StdErr is the standard error of the mean.
+	StdErr float64
+	// Reached counts trials that hit the target before maxRounds.
+	Reached int
+	// Trials is the number of trials run.
+	Trials int
+}
+
+// MCHitTime estimates the expected rounds for the chain to first reach
+// state `to` starting from state `from`, by simulating `trials`
+// trajectories capped at maxRounds each. Trials that do not reach the
+// target are excluded from the mean (and visible via Reached < Trials).
+func (c *Chain) MCHitTime(from, to, trials int, maxRounds uint64, seed int64) MCResult {
+	if from < 1 || from > c.p.N || to < 1 || to > c.p.N {
+		panic("markov: state out of range")
+	}
+	if trials < 1 {
+		panic("markov: need at least one trial")
+	}
+	r := rng.New(seed)
+	var sum, sumSq float64
+	reached := 0
+	for t := 0; t < trials; t++ {
+		state := from
+		var rounds uint64
+		for state != to && rounds < maxRounds {
+			state = c.StepFrom(state, r)
+			rounds++
+		}
+		if state == to {
+			reached++
+			x := float64(rounds)
+			sum += x
+			sumSq += x * x
+		}
+	}
+	res := MCResult{Reached: reached, Trials: trials}
+	if reached > 0 {
+		mean := sum / float64(reached)
+		res.MeanRounds = mean
+		if reached > 1 {
+			variance := (sumSq - sum*sum/float64(reached)) / float64(reached-1)
+			if variance > 0 {
+				res.StdErr = math.Sqrt(variance / float64(reached))
+			}
+		}
+	} else {
+		res.MeanRounds = math.Inf(1)
+	}
+	return res
+}
+
+// Evolve propagates a distribution over states through `rounds`
+// transitions of the chain: dist' = dist·P, repeated. dist is indexed
+// 1..N (index 0 ignored) and must sum to ~1 over those entries. The
+// returned distribution is freshly allocated. This is the transient
+// counterpart of Stationary — it answers "where is the system likely to
+// be t rounds after a restart?" without simulation.
+func (c *Chain) Evolve(dist []float64, rounds uint64) []float64 {
+	n := c.p.N
+	if len(dist) != n+1 {
+		panic("markov: Evolve distribution length must be N+1")
+	}
+	cur := append([]float64(nil), dist...)
+	next := make([]float64, n+1)
+	for t := uint64(0); t < rounds; t++ {
+		for i := range next {
+			next[i] = 0
+		}
+		for i := 1; i <= n; i++ {
+			p := cur[i]
+			if p == 0 {
+				continue
+			}
+			next[i] += p * c.PStay(i)
+			if i > 1 {
+				next[i-1] += p * c.dn[i]
+			}
+			if i < n {
+				next[i+1] += p * c.up[i]
+			}
+		}
+		cur, next = next, cur
+	}
+	return cur
+}
+
+// PointMass returns the distribution concentrated on one state, shaped
+// for Evolve.
+func (c *Chain) PointMass(state int) []float64 {
+	if state < 1 || state > c.p.N {
+		panic("markov: state out of range")
+	}
+	d := make([]float64, c.p.N+1)
+	d[state] = 1
+	return d
+}
+
+// MCOccupancy estimates the long-run fraction of rounds spent in states
+// <= loStates by simulating one long trajectory from the given start
+// state (with a 10% burn-in discarded). It is the Monte-Carlo
+// counterpart of both Stationary and FractionUnsynchronized.
+func (c *Chain) MCOccupancy(start, loStates int, rounds uint64, seed int64) float64 {
+	if start < 1 || start > c.p.N {
+		panic("markov: state out of range")
+	}
+	r := rng.New(seed)
+	burn := rounds / 10
+	state := start
+	var inLo, counted uint64
+	for t := uint64(0); t < rounds; t++ {
+		state = c.StepFrom(state, r)
+		if t < burn {
+			continue
+		}
+		counted++
+		if state <= loStates {
+			inLo++
+		}
+	}
+	if counted == 0 {
+		return math.NaN()
+	}
+	return float64(inLo) / float64(counted)
+}
+
 // TestMCAgreesWithExactG: Monte-Carlo hitting time N→1 matches the exact
 // g(1) within sampling error. Down-hitting at a Tr where break-up is
 // fast keeps the run cheap.

@@ -88,32 +88,6 @@ func (c *Chain) PaperF(v TVariant) []float64 {
 	return f
 }
 
-// PaperG evaluates g(i) for i in 1..N via the paper's Eq 5 recursion
-//
-//	g(i) − ((p↑+p↓)/p↓)·g(i+1) + (p↑/p↓)·g(i+2) = d(i)
-//	d(i) = t(i+1,i) + (p↑/p↓)·t(i+1,i+2)
-//
-// with p↑ = p(i+1,i+2), p↓ = p(i+1,i) and g(N) = 0, solved backward. As
-// the paper notes, g does not depend on p(1,2) or f(2).
-func (c *Chain) PaperG(v TVariant) []float64 {
-	n := c.p.N
-	g := make([]float64, n+2) // g[n+1] padding = 0 for the i = n−1 step
-	for i := n - 1; i >= 1; i-- {
-		pUp := c.up[i+1] // p(i+1,i+2)
-		pDn := c.dn[i+1] // p(i+1,i)
-		if pDn == 0 {
-			g[i] = math.Inf(1)
-			continue
-		}
-		di := c.tval(i+1, false, v) + (pUp/pDn)*c.tval(i+1, true, v)
-		g[i] = di + ((pUp+pDn)/pDn)*g[i+1] - (pUp/pDn)*g[i+2]
-		if math.IsNaN(g[i]) {
-			g[i] = math.Inf(1)
-		}
-	}
-	return g[:n+1]
-}
-
 // EstimateP12 estimates p(1,2): the per-round probability that some pair
 // of lone routers merges. The paper leaves p(1,2) as a variable ("p(1,2)
 // depends largely on Tr, the random change in the timer-offsets from one

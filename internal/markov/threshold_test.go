@@ -5,6 +5,43 @@ import (
 	"testing"
 )
 
+// CriticalN locates the router count at which the network flips from
+// predominately unsynchronized to predominately synchronized for a fixed
+// Tr — the paper's "the addition of a single router will convert a
+// completely unsynchronized traffic stream into a completely synchronized
+// one" (§1), as a function. It returns the smallest N in [2, maxN] whose
+// fraction unsynchronized is below 1/2, or (0, false) if none is.
+func CriticalN(tp, tr, tc float64, maxN int) (int, bool) {
+	if tp <= 0 || tr < 0 || tc <= 0 || maxN < 2 {
+		panic("markov: CriticalN needs positive parameters and maxN >= 2")
+	}
+	// The fraction is monotone nonincreasing in N; binary search the
+	// first N below 1/2.
+	frac := func(n int) float64 {
+		ch, err := New(Params{N: n, Tp: tp, Tr: tr, Tc: tc})
+		if err != nil {
+			return math.NaN()
+		}
+		return ch.FractionUnsynchronized()
+	}
+	if frac(maxN) >= 0.5 {
+		return 0, false
+	}
+	lo, hi := 2, maxN // frac(lo) may already be < 0.5
+	if frac(lo) < 0.5 {
+		return lo, true
+	}
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if frac(mid) < 0.5 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, true
+}
+
 func TestCriticalTrPaperParams(t *testing.T) {
 	// For the paper's N=20, Tp=121, Tc=0.11 the Fig 14 transition sits
 	// near 1.9·Tc.

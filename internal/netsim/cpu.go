@@ -98,9 +98,6 @@ func newCPU(nd *Node, cfg CPUConfig) *CPU {
 	return c
 }
 
-// Config returns the CPU configuration.
-func (c *CPU) Config() CPUConfig { return c.cfg }
-
 // Busy reports whether the CPU is currently occupied.
 func (c *CPU) Busy() bool { return c.busyUntil > c.node.Now() }
 
@@ -116,7 +113,9 @@ func (c *CPU) BlocksForwarding() bool {
 var nop = func() {}
 
 // Occupy appends d seconds of work to the CPU's FIFO backlog and returns
-// the absolute time this work item completes. Negative d panics.
+// the absolute time this work item completes. Negative d panics. No
+// production path calls it; the netsim and workload tests use it to
+// stall a router.
 func (c *CPU) Occupy(d float64) float64 {
 	c.OccupyThen(d, nop)
 	return c.busyUntil

@@ -60,10 +60,6 @@ type LAN struct {
 	cfg     LANConfig
 	members []*Node
 	tx      map[NodeID]*lanTx
-	// down marks the whole segment failed. One flag suffices (no per-end
-	// views as on Link): a LAN lives wholly inside one partition, so only
-	// that logical process ever touches it.
-	down bool
 }
 
 // NewLAN creates a broadcast segment over the given members (at least 2).
@@ -110,41 +106,6 @@ func (l *LAN) NumMembers() int { return len(l.members) }
 // for per-packet paths.
 func (l *LAN) Member(i int) *Node { return l.members[i] }
 
-// Config returns the LAN configuration.
-func (l *LAN) Config() LANConfig { return l.cfg }
-
-// SetDown marks the segment failed (true) or restored (false). Frames
-// transmitted or arriving while the segment is down are dropped as
-// DropLinkDown, charged to the transmitter — the same accounting as a
-// failed point-to-point link. Like Link.SetDown this is a setup helper
-// for single-threaded phases; use FailAt/RestoreAt for mid-run
-// transitions.
-func (l *LAN) SetDown(down bool) {
-	l.down = down
-	l.net.bumpTopology()
-}
-
-// Down reports the segment's failure state.
-func (l *LAN) Down() bool { return l.down }
-
-// FailAt schedules the segment to fail at absolute time t, and
-// RestoreAt to come back up. The transition is one keyed event at the
-// first member — a LAN is wholly owned by one partition, so a single
-// event keeps the flip deterministic under any partitioning.
-func (l *LAN) FailAt(t float64)    { l.scheduleDown(t, true) }
-func (l *LAN) RestoreAt(t float64) { l.scheduleDown(t, false) }
-
-func (l *LAN) scheduleDown(t float64, down bool) {
-	label := "lan-restore"
-	if down {
-		label = "lan-fail"
-	}
-	l.members[0].Schedule(t, label, func() {
-		l.down = down
-		l.net.bumpTopology()
-	})
-}
-
 // Transmit implements Medium: unicast to the member with id `to`, or to
 // every other member when to == Broadcast. Unknown unicast destinations
 // are dropped as no-route.
@@ -152,11 +113,6 @@ func (l *LAN) Transmit(pkt *Packet, from *Node, to NodeID) {
 	st, ok := l.tx[from.ID]
 	if !ok {
 		panic(fmt.Sprintf("netsim: %v is not attached to this LAN", from))
-	}
-	if l.down {
-		l.net.dropAt(from, DropLinkDown)
-		l.net.releaseAt(from, pkt)
-		return
 	}
 	if st.busy {
 		if st.qlen() >= l.cfg.QueueCap {
@@ -187,14 +143,6 @@ func (l *LAN) startTx(from *Node, st *lanTx, fr lanFrame) {
 }
 
 func (l *LAN) deliver(pkt *Packet, from *Node, to NodeID) {
-	if l.down {
-		// The segment failed while the frame was in flight: one drop per
-		// frame, charged to the transmitter (mirroring Link, where the
-		// receiving end accounts the loss once).
-		l.net.dropAt(from, DropLinkDown)
-		l.net.releaseAt(from, pkt)
-		return
-	}
 	if to == Broadcast {
 		for _, m := range l.members {
 			if m == from {

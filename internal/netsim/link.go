@@ -26,49 +26,23 @@ type Link struct {
 	cfg  LinkConfig
 	ends [2]*Node
 	tx   [2]txState
-	// down and cost are per-endpoint views of the link state, indexed
-	// like ends. Each endpoint's view is only ever written by an event
+	// down is the per-endpoint view of the link state, indexed like
+	// ends. Each endpoint's view is only ever written by an event
 	// executing at that endpoint (or during single-threaded setup), so a
 	// link crossing a partition boundary never shares mutable state
-	// between logical processes. FailAt/RestoreAt/SetCostAt schedule one
-	// same-time keyed event per end, which keeps flapped runs
-	// bit-identical for any partition count.
+	// between logical processes. FailAt/RestoreAt schedule one same-time
+	// keyed event per end, which keeps flapped runs bit-identical for any
+	// partition count.
 	down [2]bool
-	cost [2]uint32
-	// stats per direction
+	// stats per direction; only the tests read them
 	txPackets [2]uint64
 	txBytes   [2]uint64
-}
-
-// LinkStats is per-direction transmission accounting.
-type LinkStats struct {
-	Packets uint64
-	Bytes   uint64
-}
-
-// StatsFrom returns the transmission counters for the direction whose
-// sender is from.
-func (l *Link) StatsFrom(from *Node) LinkStats {
-	d := l.dir(from)
-	return LinkStats{Packets: l.txPackets[d], Bytes: l.txBytes[d]}
-}
-
-// Utilization returns the fraction of the observation window the
-// direction from `from` spent serializing, given the configured
-// bandwidth; it returns 0 for infinite-bandwidth links.
-func (l *Link) Utilization(from *Node, window float64) float64 {
-	if l.cfg.Bandwidth == 0 || window <= 0 {
-		return 0
-	}
-	d := l.dir(from)
-	busy := float64(l.txBytes[d]*8) / l.cfg.Bandwidth
-	return busy / window
 }
 
 // SetDown marks the link failed (true) or restored (false) at both ends
 // at once. Packets in flight or transmitted while the link is down are
 // dropped — the failure model behind the routing protocol's convergence
-// tests.
+// tests, which are its only callers (routing, linkstate and workload).
 //
 // SetDown is a setup helper: call it only from single-threaded phases —
 // before the run starts, or between RunUntil calls, when every logical
@@ -106,31 +80,6 @@ func (l *Link) scheduleDown(t float64, down bool) {
 		d := d
 		l.ends[d].Schedule(t, label, func() {
 			l.down[d] = down
-			l.net.bumpTopology()
-		})
-	}
-}
-
-// CostFrom returns the routing metric endpoint nd currently charges for
-// a hop over this link (at least 1; the zero value means hop count).
-// Metric-weighted routing configs read it from their LinkCost hook.
-func (l *Link) CostFrom(nd *Node) uint32 {
-	if c := l.cost[l.dir(nd)]; c > 0 {
-		return c
-	}
-	return 1
-}
-
-// SetCostAt schedules a metric change at absolute time t, one keyed
-// event per endpoint, the way FailAt does for a failure.
-func (l *Link) SetCostAt(t float64, c uint32) {
-	if c < 1 {
-		panic("netsim: link cost must be at least 1")
-	}
-	for d := range l.ends {
-		d := d
-		l.ends[d].Schedule(t, "link-metric", func() {
-			l.cost[d] = c
 			l.net.bumpTopology()
 		})
 	}
@@ -214,9 +163,6 @@ func (l *Link) deliverTo(dst *Node, pkt *Packet) {
 	dst.receive(pkt, l)
 }
 
-// Config returns the link configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // Peer returns the node at the other end from nd. It panics if nd is not
 // an endpoint.
 func (l *Link) Peer(nd *Node) *Node {
@@ -228,12 +174,6 @@ func (l *Link) Peer(nd *Node) *Node {
 	default:
 		panic(fmt.Sprintf("netsim: %v is not an endpoint of this link", nd))
 	}
-}
-
-// QueueLen returns the output-queue length for the direction whose sender
-// is from.
-func (l *Link) QueueLen(from *Node) int {
-	return l.tx[l.dir(from)].qlen()
 }
 
 func (l *Link) dir(from *Node) int {

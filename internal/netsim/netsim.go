@@ -89,8 +89,8 @@ type Packet struct {
 	// Seq is workload-defined (ping number, audio frame number).
 	Seq int64
 	// RecordRoute, when set, makes every node that receives the packet
-	// append a Hop — the record-route option, used by the traceroute
-	// workload and by tests that assert forwarding paths.
+	// append a Hop — the record-route option, which tests use to assert
+	// forwarding paths.
 	RecordRoute bool
 	// Hops is the recorded path (only when RecordRoute is set). The
 	// backing array is pooled scratch owned by the slot; handlers keeping
@@ -177,13 +177,6 @@ var dropReasons = [numDropReasons]DropReason{
 	DropTTLExpired, DropRandomLoss, DropLinkDown, DropNodeDown,
 }
 
-// DropReasons returns every defined drop reason in counter order — the
-// canonical list for exhaustive reporting and for the exhaustiveness
-// test that guards the fixed-array counters.
-func DropReasons() []DropReason {
-	return append([]DropReason(nil), dropReasons[:]...)
-}
-
 // counterSet is the internal accounting block. The unpartitioned network
 // owns one; every partition owns its own, so logical processes never
 // contend on shared counters, and Counters() merges them — all fields are
@@ -212,15 +205,6 @@ type Counters struct {
 	Drops     map[DropReason]uint64
 }
 
-// TotalDropped sums drops across reasons.
-func (c *Counters) TotalDropped() uint64 {
-	var t uint64
-	for _, v := range c.Drops {
-		t += v
-	}
-	return t
-}
-
 // Network owns the simulator, the topology and the counters.
 type Network struct {
 	// Sim is the root simulator. An unpartitioned network runs entirely
@@ -235,7 +219,7 @@ type Network struct {
 	nodes []*Node
 	count counterSet
 	// topoVer is atomic because scheduled fault transitions (Link.FailAt,
-	// LAN.FailAt, node crashes) bump it from partition goroutines; the
+	// node crashes) bump it from partition goroutines; the
 	// increments commute, so the merged value stays K-invariant.
 	topoVer atomic.Uint64
 	parts   []*partition
@@ -334,13 +318,6 @@ func (n *Network) Node(id NodeID) *Node {
 	}
 	return n.nodes[id]
 }
-
-// Nodes returns a copy of all nodes in creation order. The copy makes it
-// safe to hold across topology setup, but costs an allocation per call —
-// it is a setup/reporting helper, not a hot-path accessor. Per-packet
-// and per-event code should iterate NumNodes/Node(id) instead (ids are
-// dense), which touches the live slice without copying.
-func (n *Network) Nodes() []*Node { return append([]*Node(nil), n.nodes...) }
 
 // NumNodes returns the number of nodes; node ids are dense in
 // [0, NumNodes), which lets routing agents use slice-indexed scratch

@@ -104,7 +104,8 @@ type NodeStats struct {
 	Dropped map[DropReason]uint64
 }
 
-// Stats returns a snapshot of the node's counters.
+// Stats returns a snapshot of the node's counters. The netsim and
+// workload tests read it; the experiments report network-wide Counters.
 func (nd *Node) Stats() NodeStats {
 	snap := NodeStats{
 		Received:       nd.stats.received,
@@ -191,7 +192,8 @@ func (nd *Node) NumMedia() int { return len(nd.media) }
 // per-packet paths.
 func (nd *Node) MediumAt(i int) Medium { return nd.media[i] }
 
-// Failed reports the node's crash state.
+// Failed reports the node's crash state. The netsim, faults and protocol
+// tests check crashes with it.
 func (nd *Node) Failed() bool { return nd.failed }
 
 // SetFailed crashes (true) or restores (false) the node. While failed,

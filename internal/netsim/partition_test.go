@@ -122,7 +122,7 @@ func runScaleTopo(t *testing.T, backend des.Backend, k int) partitionSnapshot {
 		snap.deliveries[sink.ID] = perSink[si]
 	}
 	snap.counters = nw.Counters()
-	for _, nd := range nw.Nodes() {
+	for _, nd := range nw.nodes {
 		snap.nodeStats = append(snap.nodeStats, nd.Stats())
 	}
 	return snap

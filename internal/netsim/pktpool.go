@@ -146,11 +146,6 @@ type PacketRef struct {
 // Ref captures a handle to the packet's current lifetime.
 func (p *Packet) Ref() PacketRef { return PacketRef{pkt: p, gen: p.gen} }
 
-// Live reports whether the handle still refers to a live packet.
-func (r PacketRef) Live() bool {
-	return r.pkt != nil && (!r.pkt.pooled || (r.pkt.live && r.pkt.gen == r.gen))
-}
-
 // Get returns the referenced packet, panicking if the handle is stale —
 // the slot was released, or released and reissued to a different packet.
 func (r PacketRef) Get() *Packet {

@@ -207,3 +207,8 @@ func TestLivePacketsAcrossPartitions(t *testing.T) {
 		t.Fatalf("ParkedPackets = %d at quiescence", nw.ParkedPackets())
 	}
 }
+
+// Live reports whether the handle still refers to a live packet.
+func (r PacketRef) Live() bool {
+	return r.pkt != nil && (!r.pkt.pooled || (r.pkt.live && r.pkt.gen == r.gen))
+}

@@ -200,80 +200,6 @@ func (n *Network) BuildPreferentialAttachment(cfg PreferentialAttachmentConfig) 
 	return g
 }
 
-// ProviderCustomerConfig parameterizes BuildProviderCustomer.
-type ProviderCustomerConfig struct {
-	// Cores is the number of top-tier transit ASes (fully meshed with
-	// settlement-free peering); Stubs the number of edge ASes.
-	Cores, Stubs int
-	// Homing is the number of distinct providers each stub buys transit
-	// from (multihoming); zero means 2, clamped to Cores.
-	Homing int
-	// CoreLink / StubLink configure the peering and access links; both
-	// need Delay > 0 when the build is partitioned.
-	CoreLink, StubLink LinkConfig
-	// CPU configures every AS's router CPU; nil means no CPU model.
-	CPU *CPUConfig
-	// Seed drives the provider assignment; the graph is a pure function
-	// of the configuration.
-	Seed int64
-}
-
-// BuildProviderCustomer generates a two-tier internet: a full mesh of
-// peered core ASes, and stub ASes each multihomed to Homing distinct
-// core providers. Core ids come first ([0, Cores)), stubs after, so the
-// provider–customer relation is acyclic by construction and OwnerByBlock
-// keeps each id range contiguous. Every stub reaches every other
-// through the core, making the valley-free policy reachability total.
-func (n *Network) BuildProviderCustomer(cfg ProviderCustomerConfig) *ASGraph {
-	if cfg.Cores < 1 || cfg.Stubs < 0 {
-		panic("netsim: BuildProviderCustomer needs at least one core")
-	}
-	homing := cfg.Homing
-	if homing == 0 {
-		homing = 2
-	}
-	if homing > cfg.Cores {
-		homing = cfg.Cores
-	}
-	r := rng.New(cfg.Seed ^ 0x41535F3254) // "AS_2T"
-	g := &ASGraph{Nodes: make([]*Node, 0, cfg.Cores+cfg.Stubs)}
-	for i := 0; i < cfg.Cores; i++ {
-		g.Nodes = append(g.Nodes, n.NewNode(fmt.Sprintf("core%d", i), cfg.CPU))
-	}
-	for i := 0; i < cfg.Stubs; i++ {
-		g.Nodes = append(g.Nodes, n.NewNode(fmt.Sprintf("stub%d", i), cfg.CPU))
-	}
-	for i := 0; i < cfg.Cores; i++ {
-		for j := i + 1; j < cfg.Cores; j++ {
-			l := n.Connect(g.Nodes[i], g.Nodes[j], cfg.CoreLink)
-			g.Edges = append(g.Edges, ASEdge{Link: l, A: g.Nodes[i], B: g.Nodes[j], Rel: EdgePeerPeer})
-		}
-	}
-	picked := make([]int, 0, homing)
-	for s := 0; s < cfg.Stubs; s++ {
-		stub := g.Nodes[cfg.Cores+s]
-		picked = picked[:0]
-		for len(picked) < homing {
-			c := r.Intn(cfg.Cores)
-			dup := false
-			for _, p := range picked {
-				if p == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				picked = append(picked, c)
-			}
-		}
-		for _, c := range picked {
-			l := n.Connect(g.Nodes[c], stub, cfg.StubLink)
-			g.Edges = append(g.Edges, ASEdge{Link: l, A: g.Nodes[c], B: stub, Rel: EdgeProviderCustomer})
-		}
-	}
-	return g
-}
-
 // MetroLANConfig parameterizes BuildMetroLAN.
 type MetroLANConfig struct {
 	// Segments is the number of LAN segments; HostsPerSeg the number of

@@ -155,7 +155,9 @@ func (n *Network) BuildChain(names []string, cpus []*CPUConfig, link LinkConfig)
 // plus extraEdges additional distinct random edges. cpus[i] configures
 // node i (nil or short slice: no CPU). Static routes are NOT installed —
 // random graphs exist to exercise the routing protocol's convergence, so
-// callers attach agents instead. Returns the nodes and the links.
+// callers attach agents instead. Returns the nodes and the links. No
+// production driver builds one; the routing and linkstate convergence
+// tests do.
 func (n *Network) BuildRandomGraph(r *rng.Source, count, extraEdges int, cpus []*CPUConfig, link LinkConfig) ([]*Node, []*Link) {
 	if count < 2 {
 		panic("netsim: a random graph needs at least two nodes")
@@ -200,7 +202,8 @@ func (n *Network) BuildRandomGraph(r *rng.Source, count, extraEdges int, cpus []
 
 // HopDistances returns the hop count from src to every node reachable
 // over the current topology (ignoring FIBs), computed by BFS — the
-// ground truth the routing protocol's tables are checked against.
+// ground truth the routing and linkstate tests check installed routes
+// against. No production code calls it.
 func (n *Network) HopDistances(src *Node) map[NodeID]int {
 	dist := map[NodeID]int{src.ID: 0}
 	queue := []*Node{src}
@@ -216,20 +219,4 @@ func (n *Network) HopDistances(src *Node) map[NodeID]int {
 		}
 	}
 	return dist
-}
-
-// BuildStar creates a hub node connected by identical links to k leaves
-// and installs static routes. Returns (hub, leaves).
-func (n *Network) BuildStar(hubName string, hubCPU *CPUConfig, leafNames []string, link LinkConfig) (*Node, []*Node) {
-	if len(leafNames) < 1 {
-		panic("netsim: a star needs at least one leaf")
-	}
-	hub := n.NewNode(hubName, hubCPU)
-	leaves := make([]*Node, len(leafNames))
-	for i, name := range leafNames {
-		leaves[i] = n.NewNode(name, nil)
-		n.Connect(hub, leaves[i], link)
-	}
-	n.InstallStaticRoutes()
-	return hub, leaves
 }

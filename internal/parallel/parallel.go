@@ -13,11 +13,7 @@
 // result lands.
 package parallel
 
-import (
-	"runtime"
-
-	"routesync/internal/rng"
-)
+import "runtime"
 
 // Workers normalizes a jobs request: values <= 0 mean one worker per
 // available CPU (runtime.GOMAXPROCS).
@@ -69,22 +65,4 @@ func RunOrdered[T any](n, jobs int, fn func(i int) T, emit func(i int, v T)) []T
 		}
 	}
 	return out
-}
-
-// RunSeeded is Run with randomness partitioned for the caller: it
-// derives n independent Park–Miller streams from seed — serially, before
-// any worker starts, so the derivation cannot race — and hands stream i
-// to fn(i). The per-index streams depend only on (seed, i), never on the
-// worker count or schedule, which is what makes replicated-simulation
-// output byte-identical between jobs=1 and jobs=GOMAXPROCS.
-func RunSeeded[T any](n, jobs int, seed int64, fn func(i int, src *rng.Source) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	parent := rng.New(seed)
-	streams := make([]*rng.Source, n)
-	for i := range streams {
-		streams[i] = parent.Split()
-	}
-	return Run(n, jobs, func(i int) T { return fn(i, streams[i]) })
 }

@@ -249,7 +249,7 @@ type Agent struct {
 	// experiment clusters these times.
 	OnFlush func(t float64, peer netsim.NodeID, advertised, withdrawn int)
 	// OnBestChange, if set, observes route-selection changes for origin;
-	// BestPath and Reachable report the new selection.
+	// Reachable reports the new selection.
 	OnBestChange func(origin netsim.NodeID)
 }
 
@@ -348,10 +348,6 @@ func (a *Agent) Stats() Stats {
 	return s
 }
 
-// PendingPackets returns the number of received updates held while their
-// processing cost drains through the CPU model (see the kernel).
-func (a *Agent) PendingPackets() int { return a.k.PendingPackets() }
-
 // resetRIB clears the volatile routing state in place: Adj-RIB-In and
 // its hop arena, best selections, and per-peer dirty/advertised/MRAI
 // state (cancelling any armed MRAI timers).
@@ -392,13 +388,6 @@ func (a *Agent) Start(startOffset float64) {
 	a.k.ScheduleSweep()
 }
 
-// Stop halts the agent: refresh, sweep and MRAI timers are cancelled
-// and incoming updates are ignored; the RIB is left for inspection.
-func (a *Agent) Stop() {
-	a.k.Stop()
-	a.cancelMRAIs()
-}
-
 // Crash models a power failure: the RIB and session batching state are
 // lost and the node is marked failed until Restart (see the kernel).
 func (a *Agent) Crash() { a.k.Crash() }
@@ -427,17 +416,6 @@ func (a *Agent) WithdrawLocal() {
 	}
 }
 
-// AnnounceLocal re-originates a withdrawn prefix.
-func (a *Agent) AnnounceLocal() {
-	if a.selfIdx < 0 || a.localUp {
-		return
-	}
-	a.localUp = true
-	if a.reselect(a.selfIdx, -1) {
-		a.flushIdlePeers()
-	}
-}
-
 // Reachable reports whether the agent currently has a route to origin,
 // and the AS-path length (0 for a self-originated prefix).
 func (a *Agent) Reachable(origin netsim.NodeID) (bool, int) {
@@ -453,20 +431,6 @@ func (a *Agent) Reachable(origin netsim.NodeID) (bool, int) {
 	default:
 		return true, int(a.adj(o, b).n)
 	}
-}
-
-// BestPath appends the current best AS path toward origin (first hop
-// first, origin last) onto dst and returns it; self-originated and
-// unreachable prefixes append nothing.
-func (a *Agent) BestPath(dst []netsim.NodeID, origin netsim.NodeID) []netsim.NodeID {
-	o := a.origins.index(origin)
-	if o < 0 {
-		return dst
-	}
-	for _, h := range a.bestPathFor(o) {
-		dst = append(dst, netsim.NodeID(h))
-	}
-	return dst
 }
 
 // refresh is the kernel's periodic fire: re-advertise every reachable

@@ -21,7 +21,7 @@ import (
 // The seed corpus lives in testdata/fuzz/FuzzPathVectorDecode. Run it
 // with
 //
-//	go test -run '^$' -fuzz FuzzPathVectorDecode -fuzztime 20s ./internal/pathvector/
+//	go test -run '^$' -fuzz FuzzPathVectorDecode -fuzztime 20s -fuzzminimizetime 100x ./internal/pathvector/
 func FuzzPathVectorDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		walkFrame(t, data)
@@ -95,7 +95,7 @@ func roundTrip(t *testing.T, data []byte) {
 			continue
 		}
 		var err error
-		if buf, err = AppendAdvertise(buf, e.origin, router, e.path); err != nil {
+		if buf, err = appendAdvertise(buf, e.origin, router, e.path); err != nil {
 			t.Fatalf("AppendAdvertise rejected a %d-hop path: %v", len(e.path), err)
 		}
 	}
@@ -152,7 +152,7 @@ func roundTrip(t *testing.T, data []byte) {
 // length). Missing argument bytes read as zero. The seed corpus lives in
 // testdata/fuzz/FuzzAdjRIBIn; run it with
 //
-//	go test -run '^$' -fuzz FuzzAdjRIBIn -fuzztime 20s ./internal/pathvector/
+//	go test -run '^$' -fuzz FuzzAdjRIBIn -fuzztime 20s -fuzzminimizetime 100x ./internal/pathvector/
 func FuzzAdjRIBIn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		a, net := newFuzzAgent()
@@ -210,7 +210,7 @@ func FuzzAdjRIBIn(f *testing.F) {
 				}
 				what = fmt.Sprintf("advertise(peer %d, origin %d, %v)", p, o, path)
 				buf = AppendHeader(buf[:0], path[0])
-				buf, _ = AppendAdvertise(buf, a.origins.ids[o], path[0], path[1:])
+				buf, _ = appendAdvertise(buf, a.origins.ids[o], path[0], path[1:])
 				PatchCount(buf, 1)
 				c := NewCursor(buf)
 				c.Next()

@@ -9,6 +9,41 @@ import (
 	"routesync/internal/netsim"
 )
 
+// AnnounceLocal re-originates a withdrawn prefix.
+func (a *Agent) AnnounceLocal() {
+	if a.selfIdx < 0 || a.localUp {
+		return
+	}
+	a.localUp = true
+	if a.reselect(a.selfIdx, -1) {
+		a.flushIdlePeers()
+	}
+}
+
+// BestPath appends the current best AS path toward origin (first hop
+// first, origin last) onto dst and returns it; self-originated and
+// unreachable prefixes append nothing.
+func (a *Agent) BestPath(dst []netsim.NodeID, origin netsim.NodeID) []netsim.NodeID {
+	o := a.origins.index(origin)
+	if o < 0 {
+		return dst
+	}
+	for _, h := range a.bestPathFor(o) {
+		dst = append(dst, netsim.NodeID(h))
+	}
+	return dst
+}
+
+// WireSize returns the encoded byte length of a message carrying the
+// given advertisement path lengths and nWithdraw withdrawals.
+func WireSize(pathLens []int, nWithdraw int) int {
+	n := headerLen + nWithdraw*entryFixed
+	for _, pl := range pathLens {
+		n += entryFixed + hopLen*pl
+	}
+	return n
+}
+
 // buildChain wires AS0 — AS1 — ... — AS(k−1) over point-to-point links
 // with AS(i+1) the customer of AS(i) — a provider chain hanging off
 // AS0 — all ASes originating, and returns the network and agents.
@@ -316,7 +351,7 @@ func TestCrashRestartColdStart(t *testing.T) {
 			}
 		}
 	}
-	if pp := mid.PendingPackets(); pp != 0 {
+	if pp := mid.k.PendingPackets(); pp != 0 {
 		t.Fatalf("pending packets after recovery: %d", pp)
 	}
 }
@@ -330,7 +365,7 @@ func TestHoldTimerExpiry(t *testing.T) {
 	if ok, _ := agents[0].Reachable(last.Node().ID); !ok {
 		t.Fatal("not converged before stop")
 	}
-	last.Node().Schedule(100, "stop", func() { last.Stop() })
+	last.Node().Schedule(100, "stop", func() { last.k.Stop(); last.cancelMRAIs() })
 	// Hold time is 4×30 s; give the sweep a full extra period to fire.
 	net.RunUntil(100 + 6*30)
 	for i := 0; i < 2; i++ {
@@ -348,12 +383,12 @@ func TestHoldTimerExpiry(t *testing.T) {
 func TestWireRoundTrip(t *testing.T) {
 	buf := AppendHeader(nil, 42)
 	var err error
-	buf, err = AppendAdvertise(buf, 7, 42, []netsim.NodeID{3, 9, 7})
+	buf, err = appendAdvertise(buf, 7, 42, []netsim.NodeID{3, 9, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf = AppendWithdraw(buf, 11)
-	buf, err = AppendAdvertise(buf, 42, 42, nil)
+	buf, err = appendAdvertise(buf, 42, 42, []netsim.NodeID(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

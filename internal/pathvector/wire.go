@@ -78,16 +78,13 @@ func PatchCount(buf []byte, count int) {
 	binary.BigEndian.PutUint16(buf[8:], uint16(count))
 }
 
-// AppendAdvertise appends one advertisement entry: the sender's AS
+// appendAdvertise appends one advertisement entry: the sender's AS
 // (self) prepended to path, ending at the origin. The entry layout is
 //
 //	uint32 origin | uint8 flags | uint8 pathLen | pathLen × uint32 hop
-func AppendAdvertise(dst []byte, origin, self netsim.NodeID, path []netsim.NodeID) ([]byte, error) {
-	return appendAdvertise(dst, origin, self, path)
-}
-
-// appendAdvertise is AppendAdvertise over either hop type, so agents
-// encode straight from their uint32 hop arena.
+//
+// It takes either hop type, so agents encode straight from their uint32
+// hop arena.
 func appendAdvertise[H netsim.NodeID | uint32](dst []byte, origin, self netsim.NodeID, path []H) ([]byte, error) {
 	if 1+len(path) > MaxPathLen {
 		return dst, fmt.Errorf("%w: %d", ErrPathLong, 1+len(path))
@@ -194,15 +191,4 @@ func (c *Cursor) PathLen() int { return int(c.buf[c.off+5]) }
 // sending AS, the last hop is the origin.
 func (c *Cursor) PathAt(i int) netsim.NodeID {
 	return netsim.NodeID(binary.BigEndian.Uint32(c.buf[c.off+entryFixed+hopLen*i:]))
-}
-
-// WireSize returns the encoded byte length of a message carrying the
-// given advertisement path lengths and nWithdraw withdrawals (used by
-// tests to cross-check encoders).
-func WireSize(pathLens []int, nWithdraw int) int {
-	n := headerLen + nWithdraw*entryFixed
-	for _, pl := range pathLens {
-		n += entryFixed + hopLen*pl
-	}
-	return n
 }

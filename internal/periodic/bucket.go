@@ -141,7 +141,8 @@ func (s *System) bucketGather(day int64) {
 // radixKey maps an expiry to a uint64 whose unsigned order is the
 // expiry's < order: negatives have every bit flipped, the rest get the
 // sign bit set, and −0 is folded onto +0, which < treats as equal.
-// Expiries are never NaN (SetExpiries rejects non-finite values).
+// Expiries are never NaN: jitter draws are finite, and the tests'
+// SetExpiries rejects non-finite values.
 func radixKey(e float64) uint64 {
 	if e == 0 {
 		return 1 << 63

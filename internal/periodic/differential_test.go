@@ -187,7 +187,10 @@ func TestRadixDayMatchesReference(t *testing.T) {
 // Events, NextExpiry values and final expiries. The seed corpus in
 // testdata/fuzz/FuzzPeriodicEngines is drawn from the differential grid
 // of TestHeapMatchesReference and TestBucketMatchesHeap, plus inputs with
-// N above radixMinDay whose days the bucket engine radix-sorts.
+// N above radixMinDay whose days the bucket engine radix-sorts. Run it
+// with
+//
+//	go test -run '^$' -fuzz FuzzPeriodicEngines -fuzztime 20s -fuzzminimizetime 100x ./internal/periodic/
 func FuzzPeriodicEngines(f *testing.F) {
 	const steps = 300
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, tr float64, resetOnExpiry, synchronized bool, trigAt uint16, lattice []byte) {

@@ -2,7 +2,6 @@ package periodic
 
 import (
 	"math"
-	"sort"
 
 	"routesync/internal/cluster"
 )
@@ -25,15 +24,6 @@ func (s *System) OrderParameter() float64 {
 	return math.Hypot(re, im) / n
 }
 
-// ClusterSizes returns the sorted (descending) sizes of the clusters in
-// the current pending-timer partition.
-func (s *System) ClusterSizes() []int {
-	var sizes []int
-	s.pendingClusters(func(size int) { sizes = append(sizes, size) })
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
-}
-
 // pendingClusters sorts the pending expirations into (expiry, id) order
 // and partitions them into consecutive clusters, calling fn with each
 // cluster's size in firing order. It sorts in the analysis scratch, which
@@ -50,40 +40,6 @@ func (s *System) pendingClusters(fn func(size int)) {
 		fn(k)
 		ms = ms[k:]
 	}
-}
-
-// PhaseEntropy returns the normalized Shannon entropy of the pending
-// phases over `bins` equal offset bins: 1 for perfectly uniform phases,
-// 0 when every timer shares one bin. Another lens on the same
-// transition; tests use it to confirm that synchronization collapses the
-// phase distribution.
-func (s *System) PhaseEntropy(bins int) float64 {
-	if bins < 2 {
-		panic("periodic: PhaseEntropy needs at least 2 bins")
-	}
-	window := s.RoundWindow()
-	counts := make([]int, bins)
-	for _, e := range s.expiry {
-		b := int(math.Mod(e, window) / window * float64(bins))
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	var h float64
-	n := float64(s.cfg.N)
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log(p)
-	}
-	max := math.Log(math.Min(n, float64(bins)))
-	if max == 0 {
-		return 0
-	}
-	return h / max
 }
 
 // CoherenceTrace runs the system to the horizon sampling the order

@@ -53,12 +53,12 @@ func TestObserverRoundsMatchSteps(t *testing.T) {
 func TestSetObserverEquivalentToConfig(t *testing.T) {
 	obs := &roundCounter{}
 	sys := New(observedConfig(20))
-	sys.SetObserver(obs)
+	sys.cfg.Observer = obs
 	sys.Step()
 	if obs.rounds != 1 {
 		t.Fatalf("SetObserver-installed observer saw %d rounds, want 1", obs.rounds)
 	}
-	sys.SetObserver(nil)
+	sys.cfg.Observer = nil
 	sys.Step()
 	if obs.rounds != 1 {
 		t.Fatal("removed observer still notified")
@@ -70,7 +70,7 @@ func TestSetObserverEquivalentToConfig(t *testing.T) {
 func TestObserverDoesNotPerturbTrajectory(t *testing.T) {
 	plain := New(observedConfig(20))
 	watched := New(observedConfig(20))
-	watched.SetObserver(&roundCounter{})
+	watched.cfg.Observer = &roundCounter{}
 	for i := 0; i < 1000; i++ {
 		plain.Step()
 		watched.Step()
@@ -92,7 +92,7 @@ func TestStepObserverAllocParity(t *testing.T) {
 	base := testing.AllocsPerRun(2000, func() { plain.Step() })
 
 	watched := New(observedConfig(100))
-	watched.SetObserver(&roundCounter{})
+	watched.cfg.Observer = &roundCounter{}
 	for i := 0; i < 200; i++ {
 		watched.Step()
 	}

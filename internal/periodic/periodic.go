@@ -109,17 +109,6 @@ type Observer interface {
 	RoundCompleted(now float64, size int)
 }
 
-// Paper returns the configuration used throughout the paper's §4
-// simulations: N routers, Tp = 121 s, Tc = 0.11 s, and random component tr.
-func Paper(n int, tr float64, seed int64) Config {
-	return Config{
-		N:      n,
-		Tc:     0.11,
-		Jitter: jitter.Uniform{Tp: 121, Tr: tr},
-		Seed:   seed,
-	}
-}
-
 // Event describes one cluster firing: the routers whose timers expired in
 // one shared busy window.
 //
@@ -164,9 +153,9 @@ type System struct {
 	// O(k log N) instead of the O(N log N) full sort.
 	heap []int32
 	// analysis is N-sized scratch shared by two users that never overlap:
-	// pendingClusters (LargestPending, ClusterSizes), which runs between
-	// Steps or from observers after a Step's gathers are done, and the
-	// bucket engine's radixCand, which runs only inside bucketGather.
+	// pendingClusters (LargestPending; ClusterSizes in tests), which runs
+	// between Steps or from observers after a Step's gathers are done, and
+	// the bucket engine's radixCand, which runs only inside bucketGather.
 	// scratch allocates it on first use, so a run that needs neither —
 	// an unsynchronized one that never asks for its clusters — never
 	// holds its 16 B per router.
@@ -251,9 +240,6 @@ func (s *System) rebuild() {
 	}
 }
 
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Now returns the current simulation time (the End of the last event).
 func (s *System) Now() float64 { return s.now }
 
@@ -267,33 +253,8 @@ func (s *System) NextExpiry() float64 {
 	return s.expiry[s.heap[0]]
 }
 
-// Expiries returns a copy of every router's pending expiration time.
-func (s *System) Expiries() []float64 {
-	return append([]float64(nil), s.expiry...)
-}
-
-// SetExpiries overrides the pending expirations (len must equal N, every
-// value finite); used by tests and by experiment drivers that construct
-// bespoke phases.
-func (s *System) SetExpiries(e []float64) {
-	if len(e) != s.cfg.N {
-		panic("periodic: SetExpiries length mismatch")
-	}
-	for _, x := range e {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			panic("periodic: SetExpiries needs finite expiries")
-		}
-	}
-	copy(s.expiry, e)
-	s.rebuild()
-}
-
 // OnEvent registers an observer invoked after every cluster firing.
 func (s *System) OnEvent(fn func(Event)) { s.onEvent = append(s.onEvent, fn) }
-
-// SetObserver installs obs (nil to remove), equivalent to having set
-// Config.Observer before construction.
-func (s *System) SetObserver(obs Observer) { s.cfg.Observer = obs }
 
 // TriggerUpdate models a major network change (§3 step 4): every router
 // sends a triggered update immediately, without waiting for its timer. All
@@ -394,7 +355,8 @@ func (s *System) heapLess(a, b int32) bool {
 }
 
 // rebuildHeap re-heapifies all N routers in O(N); called whenever the
-// expiry set changes wholesale (construction, SetExpiries, TriggerUpdate).
+// expiry set changes wholesale (construction, TriggerUpdate, and the
+// tests' SetExpiries).
 func (s *System) rebuildHeap() {
 	s.heap = s.heap[:0]
 	for i := 0; i < s.cfg.N; i++ {

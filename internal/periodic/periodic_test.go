@@ -10,6 +10,37 @@ import (
 	"routesync/internal/rng"
 )
 
+// Paper returns the configuration used throughout the paper's §4
+// simulations: N routers, Tp = 121 s, Tc = 0.11 s, and random component tr.
+func Paper(n int, tr float64, seed int64) Config {
+	return Config{
+		N:      n,
+		Tc:     0.11,
+		Jitter: jitter.Uniform{Tp: 121, Tr: tr},
+		Seed:   seed,
+	}
+}
+
+// Expiries returns a copy of every router's pending expiration time.
+func (s *System) Expiries() []float64 {
+	return append([]float64(nil), s.expiry...)
+}
+
+// SetExpiries overrides the pending expirations (len must equal N, every
+// value finite) so a test can construct bespoke phases.
+func (s *System) SetExpiries(e []float64) {
+	if len(e) != s.cfg.N {
+		panic("periodic: SetExpiries length mismatch")
+	}
+	for _, x := range e {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			panic("periodic: SetExpiries needs finite expiries")
+		}
+	}
+	copy(s.expiry, e)
+	s.rebuild()
+}
+
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
 		name string

@@ -258,10 +258,6 @@ func (k *Kernel[A]) Node() *netsim.Node { return k.node }
 // its seed.
 func (k *Kernel[A]) RNG() *rng.Source { return k.r }
 
-// Gen returns the current lifetime generation. Completions captured
-// under an older generation are stale; see Stop.
-func (k *Kernel[A]) Gen() uint64 { return k.gen }
-
 // Stopped reports whether the agent is stopped.
 func (k *Kernel[A]) Stopped() bool { return k.stopped }
 

@@ -197,8 +197,8 @@ func TestKernelStopInvalidatesPendingWork(t *testing.T) {
 	if net.LivePackets() != 0 {
 		t.Fatalf("LivePackets = %d, want 0 (kernel must release stale packets)", net.LivePackets())
 	}
-	if !k.Stopped() || k.Gen() != 1 {
-		t.Fatalf("Stopped=%v Gen=%d, want stopped at generation 1", k.Stopped(), k.Gen())
+	if !k.Stopped() || k.gen != 1 {
+		t.Fatalf("Stopped=%v gen=%d, want stopped at generation 1", k.Stopped(), k.gen)
 	}
 }
 
@@ -256,7 +256,7 @@ func TestKernelCrashRestart(t *testing.T) {
 		t.Fatal("receive hook not reinstalled by Restart")
 	}
 	// The new life runs under a fresh generation.
-	if k.Gen() != 1 {
-		t.Fatalf("Gen = %d after one reboot, want 1", k.Gen())
+	if k.gen != 1 {
+		t.Fatalf("gen = %d after one reboot, want 1", k.gen)
 	}
 }

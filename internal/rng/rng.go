@@ -12,10 +12,7 @@
 // reproducible from its seed.
 package rng
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 const (
 	// Modulus is the Mersenne prime 2^31 − 1 used by the minimal standard
@@ -52,10 +49,6 @@ func (s *Source) Seed(seed int64) {
 	}
 	s.state = seed
 }
-
-// State returns the current internal state, which is also the last value
-// returned by Next (or the seed if Next has not been called).
-func (s *Source) State() int64 { return s.state }
 
 // Next advances the generator and returns the next raw value in
 // [1, Modulus−1].
@@ -123,14 +116,6 @@ func (s *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Triangular returns the difference of two independent U[−half, +half]
-// draws, i.e. a symmetric triangular variate on [−2·half, +2·half]. This is
-// the per-round relative displacement of two lone routers in the Periodic
-// Messages model and is used by the p(1,2) estimator in internal/markov.
-func (s *Source) Triangular(half float64) float64 {
-	return s.Uniform(-half, half) - s.Uniform(-half, half)
-}
-
 // Bernoulli returns true with probability p. It panics unless 0 <= p <= 1.
 func (s *Source) Bernoulli(p float64) bool {
 	if p < 0 || p > 1 {
@@ -139,26 +124,13 @@ func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a uniformly random permutation of [0, n) using the
-// Fisher–Yates shuffle.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Split returns a new Source whose stream is decorrelated from s. The child
 // is seeded by jumping the parent a fixed number of steps and mixing in a
 // per-call counter, so repeated Splits yield distinct streams while the
 // parent remains usable. The parent's visible stream is advanced by one
 // draw per Split; callers that need bit-exact parent streams should Split
-// before consuming the parent.
+// before consuming the parent. No production code splits streams; the
+// rng tests and the parallel package's seeded-run tests do.
 func (s *Source) Split() *Source {
 	v := s.Next()
 	// Mix with a fixed odd constant to move the child away from the
@@ -168,22 +140,4 @@ func (s *Source) Split() *Source {
 		child += Modulus - 1
 	}
 	return New(child)
-}
-
-// ErrBadStream is returned by ValidateStream when a replayed stream does not
-// match the generator's output.
-var ErrBadStream = errors.New("rng: stream mismatch")
-
-// ValidateStream checks that replaying the generator from seed produces
-// exactly want. It is a test/debug helper for recording and pinning
-// simulation randomness.
-func ValidateStream(seed int64, want []int64) error {
-	s := New(seed)
-	for i, w := range want {
-		if got := s.Next(); got != w {
-			_ = i
-			return ErrBadStream
-		}
-	}
-	return nil
 }

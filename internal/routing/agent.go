@@ -10,20 +10,9 @@ import (
 )
 
 // TimerMode selects when the routing timer is re-armed; it is the
-// kernel's TimerMode, re-exported so distance-vector call sites keep
-// reading naturally.
+// kernel's TimerMode (protocol.TimerResetAfterProcessing or
+// protocol.TimerResetOnExpiry).
 type TimerMode = protocol.TimerMode
-
-const (
-	// TimerResetAfterProcessing re-arms the timer only once the CPU has
-	// finished preparing the router's own update and processing any
-	// updates that arrived meanwhile — the paper's §3 model and the
-	// behaviour of the implementations it cites ([Li93]).
-	TimerResetAfterProcessing = protocol.TimerResetAfterProcessing
-	// TimerResetOnExpiry re-arms relative to the previous expiration,
-	// regardless of processing time (the RFC 1058 suggestion).
-	TimerResetOnExpiry = protocol.TimerResetOnExpiry
-)
 
 // Costs models router CPU consumption per routing message, following the
 // paper's Xerox PARC measurement of roughly 1 ms per route.
@@ -224,10 +213,6 @@ func (a *Agent) sendRequest() {
 	}
 	a.stats.RequestsSent++
 }
-
-// Stop halts the agent; see the kernel's Stop. The routing table is
-// left as-is for post-mortem inspection.
-func (a *Agent) Stop() { a.k.Stop() }
 
 // Crash models a power failure mid-run: the volatile routing state —
 // table, hold-down windows, FIB — is lost and the node is marked failed

@@ -6,6 +6,7 @@ import (
 
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
+	"routesync/internal/protocol"
 )
 
 // lanOfRouters builds n routers on one zero-delay LAN, each running an
@@ -187,7 +188,7 @@ func TestResetOnExpiryKeepsOffsets(t *testing.T) {
 		Profile:   RIP(),
 		Jitter:    jitter.None{Tp: 30},
 		Costs:     Costs{MinPrepare: 0.1, MinProcess: 0.1},
-		TimerMode: TimerResetOnExpiry,
+		TimerMode: protocol.TimerResetOnExpiry,
 		Seed:      6,
 	}
 	sends := make(map[int][]float64)
@@ -309,8 +310,8 @@ func TestExtraRoutesInflateUpdates(t *testing.T) {
 	if len(sizes) == 0 {
 		t.Fatal("no updates observed")
 	}
-	if sizes[0] < WireSize(300) {
-		t.Fatalf("update payload %d bytes, want >= %d (300 synthetic routes)", sizes[0], WireSize(300))
+	if sizes[0] < headerLen+entryLen*300 {
+		t.Fatalf("update payload %d bytes, want >= %d (300 synthetic routes)", sizes[0], headerLen+entryLen*300)
 	}
 }
 
@@ -333,7 +334,7 @@ func TestAgentStop(t *testing.T) {
 	net.RunUntil(100)
 	stopped := agents[0]
 	sentBefore := stopped.Stats().PeriodicSent
-	stopped.Stop()
+	stopped.k.Stop()
 	net.RunUntil(100 + 120)
 	if got := stopped.Stats().PeriodicSent; got != sentBefore {
 		t.Fatalf("stopped agent kept sending: %d -> %d", sentBefore, got)

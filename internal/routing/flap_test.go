@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"routesync/internal/netsim"
+	"routesync/internal/protocol"
 )
 
 // flapTransition is one forwarding-state edge for the watched
@@ -86,7 +87,7 @@ func runFlapScenario(t *testing.T, mode TimerMode, holdDown float64) ([]flapTran
 // restore is bounded. Both timer re-arm modes are covered.
 func TestHoldDownUnderRepeatedFlaps(t *testing.T) {
 	const holdDown = 20.0
-	for _, mode := range []TimerMode{TimerResetAfterProcessing, TimerResetOnExpiry} {
+	for _, mode := range []TimerMode{protocol.TimerResetAfterProcessing, protocol.TimerResetOnExpiry} {
 		for _, hd := range []float64{0, holdDown} {
 			name := fmt.Sprintf("mode=%d/holddown=%v", int(mode), hd)
 			t.Run(name, func(t *testing.T) {

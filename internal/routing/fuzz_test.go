@@ -17,7 +17,7 @@ import (
 //
 // The seed corpus lives in testdata/fuzz/FuzzRoutingDecode. Run it with
 //
-//	go test -run '^$' -fuzz FuzzRoutingDecode -fuzztime 20s ./internal/routing/
+//	go test -run '^$' -fuzz FuzzRoutingDecode -fuzztime 20s -fuzzminimizetime 100x ./internal/routing/
 func FuzzRoutingDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, derr := Decode(data)
@@ -36,9 +36,9 @@ func FuzzRoutingDecode(f *testing.F) {
 			t.Fatalf("AppendEntries = %v, Decode entries = %v", got, m.Entries)
 		}
 
-		buf, err := Encode(m)
+		buf, err := EncodeInto(nil, m)
 		if err != nil {
-			t.Fatalf("Encode of a decoded message: %v", err)
+			t.Fatalf("EncodeInto of a decoded message: %v", err)
 		}
 		back, err := Decode(buf)
 		if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWireRequestFlag(t *testing.T) {
-	buf, err := Encode(Message{Router: 3, Request: true})
+	buf, err := EncodeInto(nil, Message{Router: 3, Request: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestWireRequestFlag(t *testing.T) {
 		t.Fatalf("round trip = %+v", got)
 	}
 	// Both flags together survive too.
-	buf2, _ := Encode(Message{Router: 4, Request: true, Triggered: true})
+	buf2, _ := EncodeInto(nil, Message{Router: 4, Request: true, Triggered: true})
 	got2, _ := Decode(buf2)
 	if !got2.Request || !got2.Triggered {
 		t.Fatalf("combined flags = %+v", got2)

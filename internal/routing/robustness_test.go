@@ -73,9 +73,9 @@ func TestAgentSurvivesHostileValidMessages(t *testing.T) {
 			if r.Bernoulli(0.3) {
 				m.Entries = append(m.Entries, Entry{Dest: a.ID, Metric: 0})
 			}
-			buf, err := Encode(m)
+			buf, err := EncodeInto(nil, m)
 			if err != nil {
-				return true // over-long message; Encode correctly refuses
+				return true // over-long message; EncodeInto correctly refuses
 			}
 			pkt := net.NewPacket(netsim.KindRouting, b.ID, netsim.Broadcast, 28+len(buf))
 			pkt.Payload = buf

@@ -167,20 +167,14 @@ type ApplyResult struct {
 	Unreachable []netsim.NodeID
 }
 
-// Apply folds one neighbor's update into the table (Bellman–Ford with the
-// "believe your next hop" rule): the advertised metric plus one hop,
-// capped at infinity. from is the advertising neighbor, via the medium
-// the update arrived on, now the current time.
-func (t *Table) Apply(m Message, via netsim.Medium, now float64) ApplyResult {
-	return t.ApplyCost(m, via, now, 1)
-}
-
-// ApplyCost is Apply with an explicit ingress link cost — the metric
-// charged for the hop to the advertising neighbor. Hop-count protocols
-// (RIP) use cost 1; delay- or bandwidth-weighted protocols (Hello, IGRP's
-// composite metric in spirit) supply larger costs for slower media. Cost
-// must be at least 1 (a zero-cost hop would allow counting loops that
-// never age).
+// ApplyCost folds one neighbor's update into the table (Bellman–Ford with
+// the "believe your next hop" rule): the advertised metric plus the
+// ingress link cost — the metric charged for the hop to the advertising
+// neighbor — capped at infinity. via is the medium the update arrived
+// on, now the current time. Hop-count protocols (RIP) use cost 1; delay-
+// or bandwidth-weighted protocols (Hello, IGRP's composite metric in
+// spirit) supply larger costs for slower media. Cost must be at least 1
+// (a zero-cost hop would allow counting loops that never age).
 func (t *Table) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32) ApplyResult {
 	if cost < 1 {
 		panic("routing: link cost must be at least 1")
@@ -320,15 +314,10 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Export builds the advertisement entries for an update sent on `on`,
-// applying split horizon when enabled: routes learned over `on` are
-// omitted, or — with poison reverse — advertised as unreachable. Local
-// routes are advertised with metric 0.
-func (t *Table) Export(on netsim.Medium, splitHorizon, poisonReverse bool) []Entry {
-	return t.ExportInto(nil, on, splitHorizon, poisonReverse)
-}
-
-// ExportInto is Export appending onto dst — agents pass a per-agent
+// ExportInto appends the advertisement entries for an update sent on
+// `on` onto dst, applying split horizon when enabled: routes learned over
+// `on` are omitted, or — with poison reverse — advertised as unreachable.
+// Local routes are advertised with metric 0. Agents pass a per-agent
 // scratch slice so steady-state update preparation allocates nothing.
 func (t *Table) ExportInto(dst []Entry, on netsim.Medium, splitHorizon, poisonReverse bool) []Entry {
 	for _, r := range t.sortedRoutes() {

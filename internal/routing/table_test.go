@@ -16,7 +16,7 @@ func TestTableLearnsNeighborFromUpdate(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	res := tb.Apply(Message{Router: 1}, m, 10)
+	res := tb.ApplyCost(Message{Router: 1}, m, 10, 1)
 	if !res.Changed {
 		t.Fatal("learning the neighbor should change the table")
 	}
@@ -31,17 +31,17 @@ func TestTableBellmanFord(t *testing.T) {
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
 	// Neighbor 1 advertises dest 5 at metric 2 → we reach it at 3.
-	res := tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 2}}}, m, 1)
+	res := tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 2}}}, m, 1, 1)
 	if r := tb.Get(5); r == nil || r.Metric != 3 || r.NextHop != 1 {
 		t.Fatalf("route to 5 = %+v (res %+v)", tb.Get(5), res)
 	}
 	// Neighbor 2 advertises dest 5 at metric 1 → better path at 2.
-	tb.Apply(Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 2)
+	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 2, 1)
 	if r := tb.Get(5); r.Metric != 2 || r.NextHop != 2 {
 		t.Fatalf("route to 5 after better offer = %+v", r)
 	}
 	// Neighbor 1 advertises metric 9: worse, from a non-next-hop → ignored.
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 9}}}, m, 3)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 9}}}, m, 3, 1)
 	if r := tb.Get(5); r.Metric != 2 || r.NextHop != 2 {
 		t.Fatalf("worse offer from non-next-hop adopted: %+v", r)
 	}
@@ -51,9 +51,9 @@ func TestTableBelievesNextHopBadNews(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 1)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 1, 1)
 	// Current next hop raises the metric: must be believed.
-	res := tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 7}}}, m, 2)
+	res := tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 7}}}, m, 2, 1)
 	if !res.Worsened {
 		t.Fatal("metric increase from next hop not reported as worsened")
 	}
@@ -61,7 +61,7 @@ func TestTableBelievesNextHopBadNews(t *testing.T) {
 		t.Fatalf("route metric = %d, want 8", r.Metric)
 	}
 	// Next hop declares it unreachable.
-	res = tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 3)
+	res = tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 3, 1)
 	if len(res.Unreachable) != 1 || res.Unreachable[0] != 5 {
 		t.Fatalf("unreachable = %v", res.Unreachable)
 	}
@@ -73,8 +73,8 @@ func TestTableBelievesNextHopBadNews(t *testing.T) {
 func TestTableMetricCapsAtInfinity(t *testing.T) {
 	tb := NewTable(16)
 	m := &fakeMedium{"lan"}
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 1)
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 40}}}, m, 2)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 1, 1)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 40}}}, m, 2, 1)
 	if r := tb.Get(5); r.Metric != 16 {
 		t.Fatalf("metric = %d, want capped at 16", r.Metric)
 	}
@@ -83,7 +83,7 @@ func TestTableMetricCapsAtInfinity(t *testing.T) {
 func TestTableIgnoresUnreachableNews(t *testing.T) {
 	tb := NewTable(16)
 	m := &fakeMedium{"lan"}
-	res := tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 1)
+	res := tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 1, 1)
 	if tb.Get(5) != nil {
 		t.Fatal("learned an unreachable route")
 	}
@@ -96,7 +96,7 @@ func TestTableNeverReplacesLocal(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 0, Metric: 0}}}, m, 1)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 0, Metric: 0}}}, m, 1, 1)
 	r := tb.Get(0)
 	if !r.Local || r.Metric != 0 {
 		t.Fatalf("local route overwritten: %+v", r)
@@ -107,7 +107,7 @@ func TestTableExpireLifecycle(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
 
 	// Within timeout: nothing happens.
 	un, del := tb.Expire(100, 180, 300)
@@ -142,8 +142,8 @@ func TestTableExpireLifecycle(t *testing.T) {
 func TestTableRefreshPreventsExpiry(t *testing.T) {
 	tb := NewTable(16)
 	m := &fakeMedium{"lan"}
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0)
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 150)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 150, 1)
 	un, _ := tb.Expire(200, 180, 300)
 	if len(un) != 0 {
 		t.Fatalf("refreshed route expired: %v", un)
@@ -155,12 +155,12 @@ func TestExportSplitHorizon(t *testing.T) {
 	tb.SetLocal(0, 0)
 	lan := &fakeMedium{"lan"}
 	other := &fakeMedium{"other"}
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, lan, 1)
-	tb.Apply(Message{Router: 2, Entries: []Entry{{Dest: 9, Metric: 1}}}, other, 1)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, lan, 1, 1)
+	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 9, Metric: 1}}}, other, 1, 1)
 
 	// With split horizon on the LAN: routes learned over the LAN (1, 5)
 	// are suppressed; local and other-medium routes remain.
-	got := tb.Export(lan, true, false)
+	got := tb.ExportInto(nil, lan, true, false)
 	dests := map[netsim.NodeID]bool{}
 	for _, e := range got {
 		dests[e.Dest] = true
@@ -173,7 +173,7 @@ func TestExportSplitHorizon(t *testing.T) {
 	}
 
 	// Without split horizon everything is advertised.
-	if got := tb.Export(lan, false, false); len(got) != 5 {
+	if got := tb.ExportInto(nil, lan, false, false); len(got) != 5 {
 		t.Fatalf("full export = %v", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestExportSplitHorizon(t *testing.T) {
 func TestRoutesSortedDeterministic(t *testing.T) {
 	tb := NewTable(16)
 	m := &fakeMedium{"lan"}
-	tb.Apply(Message{Router: 9, Entries: []Entry{{Dest: 3, Metric: 1}, {Dest: 1, Metric: 1}}}, m, 0)
+	tb.ApplyCost(Message{Router: 9, Entries: []Entry{{Dest: 3, Metric: 1}, {Dest: 1, Metric: 1}}}, m, 0, 1)
 	rs := tb.Routes()
 	for i := 1; i < len(rs); i++ {
 		if rs[i-1].Dest >= rs[i].Dest {
@@ -194,7 +194,7 @@ func TestTableString(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	tb.Apply(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}, {Dest: 7, Metric: 16}}}, m, 3)
+	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}, {Dest: 7, Metric: 16}}}, m, 3, 1)
 	out := tb.String()
 	for _, want := range []string{"3 routes", "local", "dest 5", "metric 2"} {
 		if !strings.Contains(out, want) {

@@ -53,7 +53,7 @@ type Message struct {
 	Entries []Entry
 }
 
-// Errors returned by Decode.
+// Errors returned by PeekHeader and EncodeInto.
 var (
 	ErrTruncated  = errors.New("routing: truncated message")
 	ErrBadMagic   = errors.New("routing: bad magic")
@@ -61,19 +61,16 @@ var (
 	ErrTooMany    = errors.New("routing: too many entries")
 )
 
-// Encode serializes the message big-endian:
+// EncodeInto serializes the message big-endian into dst's backing array
+// (grown as needed):
 //
 //	uint16 magic | uint8 version | uint8 flags | uint32 router |
 //	uint16 count | uint16 reserved | count × (uint32 dest, uint32 metric)
-func Encode(m Message) ([]byte, error) {
-	return EncodeInto(nil, m)
-}
-
-// EncodeInto is Encode writing into dst's backing array (grown as
-// needed) — agents pass a per-agent scratch buffer so steady-state
-// update encoding allocates nothing. The returned slice aliases dst's
-// array when it was large enough; callers that keep the bytes past the
-// next encode must copy (netsim.Packet.SetPayload does).
+//
+// Agents pass a per-agent scratch buffer so steady-state update encoding
+// allocates nothing. The returned slice aliases dst's array when it was
+// large enough; callers that keep the bytes past the next encode must
+// copy (netsim.Packet.SetPayload does).
 func EncodeInto(dst []byte, m Message) ([]byte, error) {
 	if len(m.Entries) > MaxEntries {
 		return nil, fmt.Errorf("%w: %d", ErrTooMany, len(m.Entries))
@@ -144,41 +141,3 @@ func AppendEntries(dst []Entry, buf []byte) []Entry {
 	}
 	return dst
 }
-
-// Decode parses a wire message, validating magic, version, entry count
-// (at most MaxEntries, the most Encode writes) and length.
-func Decode(buf []byte) (Message, error) {
-	var m Message
-	if len(buf) < headerLen {
-		return m, ErrTruncated
-	}
-	if binary.BigEndian.Uint16(buf[0:]) != magic {
-		return m, ErrBadMagic
-	}
-	if buf[2] != version {
-		return m, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
-	}
-	m.Triggered = buf[3]&flagTriggered != 0
-	m.Request = buf[3]&flagRequest != 0
-	m.Router = netsim.NodeID(binary.BigEndian.Uint32(buf[4:]))
-	count := int(binary.BigEndian.Uint16(buf[8:]))
-	if count > MaxEntries {
-		return m, fmt.Errorf("%w: %d", ErrTooMany, count)
-	}
-	if len(buf) < headerLen+entryLen*count {
-		return m, ErrTruncated
-	}
-	m.Entries = make([]Entry, count)
-	for i := range m.Entries {
-		off := headerLen + entryLen*i
-		m.Entries[i] = Entry{
-			Dest:   netsim.NodeID(binary.BigEndian.Uint32(buf[off:])),
-			Metric: binary.BigEndian.Uint32(buf[off+4:]),
-		}
-	}
-	return m, nil
-}
-
-// WireSize returns the encoded byte length for n entries (used to size
-// packets without encoding twice).
-func WireSize(n int) int { return headerLen + entryLen*n }

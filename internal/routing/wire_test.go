@@ -3,12 +3,49 @@ package routing
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"routesync/internal/netsim"
 	"routesync/internal/rng"
 )
+
+// Decode parses a wire message, validating magic, version, entry count
+// (at most MaxEntries, the most EncodeInto writes) and length. Agents
+// decode through PeekHeader and AppendEntries; Decode is the tests' and
+// the fuzz target's independent reference.
+func Decode(buf []byte) (Message, error) {
+	var m Message
+	if len(buf) < headerLen {
+		return m, ErrTruncated
+	}
+	if binary.BigEndian.Uint16(buf[0:]) != magic {
+		return m, ErrBadMagic
+	}
+	if buf[2] != version {
+		return m, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
+	}
+	m.Triggered = buf[3]&flagTriggered != 0
+	m.Request = buf[3]&flagRequest != 0
+	m.Router = netsim.NodeID(binary.BigEndian.Uint32(buf[4:]))
+	count := int(binary.BigEndian.Uint16(buf[8:]))
+	if count > MaxEntries {
+		return m, fmt.Errorf("%w: %d", ErrTooMany, count)
+	}
+	if len(buf) < headerLen+entryLen*count {
+		return m, ErrTruncated
+	}
+	m.Entries = make([]Entry, count)
+	for i := range m.Entries {
+		off := headerLen + entryLen*i
+		m.Entries[i] = Entry{
+			Dest:   netsim.NodeID(binary.BigEndian.Uint32(buf[off:])),
+			Metric: binary.BigEndian.Uint32(buf[off+4:]),
+		}
+	}
+	return m, nil
+}
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := Message{
@@ -20,12 +57,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			{Dest: 3, Metric: 16},
 		},
 	}
-	buf, err := Encode(m)
+	buf, err := EncodeInto(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != WireSize(3) {
-		t.Fatalf("encoded %d bytes, want %d", len(buf), WireSize(3))
+	if len(buf) != headerLen+entryLen*3 {
+		t.Fatalf("encoded %d bytes, want %d", len(buf), headerLen+entryLen*3)
 	}
 	got, err := Decode(buf)
 	if err != nil {
@@ -42,7 +79,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeEmptyMessage(t *testing.T) {
-	buf, err := Encode(Message{Router: 1})
+	buf, err := EncodeInto(nil, Message{Router: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +94,13 @@ func TestEncodeEmptyMessage(t *testing.T) {
 
 func TestEncodeTooManyEntries(t *testing.T) {
 	m := Message{Entries: make([]Entry, MaxEntries+1)}
-	if _, err := Encode(m); !errors.Is(err, ErrTooMany) {
+	if _, err := EncodeInto(nil, m); !errors.Is(err, ErrTooMany) {
 		t.Fatalf("err = %v, want ErrTooMany", err)
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	good, _ := Encode(Message{Router: 1, Entries: []Entry{{Dest: 2, Metric: 3}}})
+	good, _ := EncodeInto(nil, Message{Router: 1, Entries: []Entry{{Dest: 2, Metric: 3}}})
 
 	short := good[:5]
 	if _, err := Decode(short); !errors.Is(err, ErrTruncated) {
@@ -87,8 +124,8 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatalf("bad version: err = %v", err)
 	}
 
-	// A count Encode would refuse is rejected even when the body is there.
-	tooMany := make([]byte, WireSize(MaxEntries+1))
+	// A count EncodeInto would refuse is rejected even when the body is there.
+	tooMany := make([]byte, headerLen+entryLen*(MaxEntries+1))
 	copy(tooMany, good[:headerLen])
 	binary.BigEndian.PutUint16(tooMany[8:], MaxEntries+1)
 	if _, err := Decode(tooMany); !errors.Is(err, ErrTooMany) {
@@ -111,7 +148,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 				Metric: uint32(r.Intn(1 << 16)),
 			})
 		}
-		buf, err := Encode(m)
+		buf, err := EncodeInto(nil, m)
 		if err != nil {
 			return false
 		}

@@ -59,11 +59,6 @@ func (r *Registry) Register(e Experiment) {
 	r.order = append(r.order, &exp)
 }
 
-// Lookup returns the experiment registered under id, or nil.
-func (r *Registry) Lookup(id string) *Experiment {
-	return r.byID[id]
-}
-
 // All returns every experiment in registration order.
 func (r *Registry) All() []*Experiment {
 	return append([]*Experiment(nil), r.order...)

@@ -45,11 +45,11 @@ func TestLookupAndOrder(t *testing.T) {
 	reg.Register(Experiment{ID: "a", Run: noopRun})
 	reg.Register(Experiment{ID: "m", Run: noopRun})
 
-	if got := reg.Lookup("a"); got == nil || got.ID != "a" {
-		t.Fatalf("Lookup(a) = %v", got)
+	if got := reg.byID["a"]; got == nil || got.ID != "a" {
+		t.Fatalf("byID[a] = %v", got)
 	}
-	if got := reg.Lookup("missing"); got != nil {
-		t.Fatalf("Lookup(missing) = %v, want nil", got)
+	if got := reg.byID["missing"]; got != nil {
+		t.Fatalf("byID[missing] = %v, want nil", got)
 	}
 
 	// All preserves registration order, not lexical order.

@@ -94,9 +94,6 @@ func NewClientServer(cfg ClientServerConfig) *ClientServer {
 // Sim exposes the simulator for scheduling failures in tests/examples.
 func (cs *ClientServer) Sim() *des.Simulator { return cs.sim }
 
-// Responses returns the number of requests served.
-func (cs *ClientServer) Responses() uint64 { return cs.responses }
-
 // poll is client i's timer expiring: send a request to the server.
 func (cs *ClientServer) poll(i int) {
 	now := cs.sim.Now()

@@ -9,8 +9,8 @@ func TestClientServerSteadyState(t *testing.T) {
 	cs := NewClientServer(ClientServerConfig{N: 10, Tp: 30, Tr: 0.5, Tc: 0.05, Seed: 1})
 	cs.RunUntil(600)
 	// ~20 rounds × 10 clients of polls served.
-	if cs.Responses() < 150 || cs.Responses() > 250 {
-		t.Fatalf("responses = %d, want ~200", cs.Responses())
+	if cs.responses < 150 || cs.responses > 250 {
+		t.Fatalf("responses = %d, want ~200", cs.responses)
 	}
 }
 
@@ -85,8 +85,8 @@ func TestClientServerBusyRuns(t *testing.T) {
 		}
 		total += n
 	}
-	if uint64(total) > cs.Responses() {
-		t.Fatalf("busy runs (%d) exceed responses (%d)", total, cs.Responses())
+	if uint64(total) > cs.responses {
+		t.Fatalf("busy runs (%d) exceed responses (%d)", total, cs.responses)
 	}
 }
 

@@ -20,7 +20,8 @@ func (s *Series) Append(x, y float64) {
 func (s Series) Len() int { return len(s.X) }
 
 // YRange returns the min and max of Y, ignoring NaN/±Inf points. It
-// returns (NaN, NaN) when no finite points exist.
+// returns (NaN, NaN) when no finite points exist. The experiments and core
+// tests bound their figure series with it.
 func (s Series) YRange() (lo, hi float64) {
 	lo, hi = math.NaN(), math.NaN()
 	for _, y := range s.Y {
@@ -64,30 +65,5 @@ func (s Series) Downsample(k int) Series {
 	for i := 0; i < s.Len(); i += k {
 		out.Append(s.X[i], s.Y[i])
 	}
-	return out
-}
-
-// BinMax buckets the series into fixed-width x bins of width w and keeps
-// the maximum y per bin; x of each output point is the bin's left edge.
-// Used for cluster graphs (largest cluster per round window).
-func (s Series) BinMax(w float64) Series {
-	out := Series{Name: s.Name}
-	if s.Len() == 0 || w <= 0 {
-		return out
-	}
-	curBin := math.Floor(s.X[0] / w)
-	curMax := s.Y[0]
-	for i := 1; i < s.Len(); i++ {
-		b := math.Floor(s.X[i] / w)
-		if b != curBin {
-			out.Append(curBin*w, curMax)
-			curBin, curMax = b, s.Y[i]
-			continue
-		}
-		if s.Y[i] > curMax {
-			curMax = s.Y[i]
-		}
-	}
-	out.Append(curBin*w, curMax)
 	return out
 }

@@ -1,102 +1,13 @@
 // Package stats provides the statistical machinery the experiments need:
-// running moments (Welford), autocorrelation (paper Fig 2), histograms,
-// quantiles and simple time-series utilities. Everything is pure
-// computation over float64 slices; no I/O.
+// autocorrelation (paper Fig 2), histograms, quantiles and simple
+// time-series utilities. Everything is pure computation over float64
+// slices; no I/O.
 package stats
 
 import (
 	"math"
 	"sort"
 )
-
-// Running accumulates count, mean and variance with Welford's online
-// algorithm, which stays numerically stable across the magnitudes this
-// repository sees (sub-millisecond processing times to 10^12-second hitting
-// times). The zero value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation into the accumulator.
-func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the sample mean, or NaN with no observations.
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.mean
-}
-
-// Variance returns the unbiased sample variance (n−1 denominator), or NaN
-// with fewer than two observations.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return math.NaN()
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// Min returns the smallest observation, or NaN with none.
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.min
-}
-
-// Max returns the largest observation, or NaN with none.
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.max
-}
-
-// Merge folds another accumulator into r (parallel Welford combination).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	mean := r.mean + d*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	min, max := r.min, r.max
-	if o.min < min {
-		min = o.min
-	}
-	if o.max > max {
-		max = o.max
-	}
-	*r = Running{n: n, mean: mean, m2: m2, min: min, max: max}
-}
 
 // Mean returns the arithmetic mean of xs, or NaN if xs is empty.
 func Mean(xs []float64) float64 {
@@ -108,15 +19,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs, or NaN if len < 2.
-func Variance(xs []float64) float64 {
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	return r.Variance()
 }
 
 // Autocorrelation returns the sample autocorrelation function of xs for
@@ -258,15 +160,4 @@ func (h *Histogram) Total() int { return h.total }
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Mode returns the index of the fullest bin (ties to the lowest index).
-func (h *Histogram) Mode() int {
-	best, idx := -1, 0
-	for i, c := range h.Counts {
-		if c > best {
-			best, idx = c, i
-		}
-	}
-	return idx
 }

@@ -91,9 +91,6 @@ type AudioResult struct {
 	Start    float64
 }
 
-// Sent returns the number of frames sent.
-func (r AudioResult) Sent() int { return len(r.Received) }
-
 // Lost returns the number of frames lost.
 func (r AudioResult) Lost() int {
 	lost := 0

@@ -5,7 +5,98 @@ import (
 	"testing"
 
 	"routesync/internal/netsim"
+	"routesync/internal/rng"
 )
+
+// PoissonConfig parameterizes background cross-traffic: packets injected
+// from src to dst with exponential inter-arrival times. The paper's
+// measured paths carried real Internet traffic under the pings and the
+// audio; Poisson traffic is the standard stand-in for that load. No
+// experiment injects it, so the source lives here with its tests.
+type PoissonConfig struct {
+	// Rate is the mean packets per second.
+	Rate float64
+	// Size is bytes per packet; zero means 512.
+	Size int
+	// Duration of the flow in seconds.
+	Duration float64
+	// Seed drives the arrival process.
+	Seed int64
+}
+
+// PoissonSource injects the flow and counts deliveries at the sink.
+type PoissonSource struct {
+	net      *netsim.Network
+	src, dst *netsim.Node
+	cfg      PoissonConfig
+	r        *rng.Source
+	sent     uint64
+	received uint64
+	stopAt   float64
+}
+
+// NewPoissonSource wires the flow; Start schedules it. It panics on
+// invalid config.
+func NewPoissonSource(src, dst *netsim.Node, cfg PoissonConfig) *PoissonSource {
+	if cfg.Rate <= 0 || cfg.Duration <= 0 {
+		panic("workload: poisson rate and duration must be positive")
+	}
+	if cfg.Size == 0 {
+		cfg.Size = 512
+	}
+	p := &PoissonSource{
+		net: src.Net(),
+		src: src,
+		dst: dst,
+		cfg: cfg,
+		r:   rng.New(cfg.Seed),
+	}
+	if dst.OnDeliver == nil {
+		dst.OnDeliver = make(map[netsim.Kind]func(*netsim.Packet))
+	}
+	prev := dst.OnDeliver[netsim.KindData]
+	dst.OnDeliver[netsim.KindData] = func(pkt *netsim.Packet) {
+		if pkt.Src == src.ID {
+			p.received++
+			return
+		}
+		if prev != nil {
+			prev(pkt)
+		}
+	}
+	return p
+}
+
+// Start begins the arrival process at the given absolute time.
+func (p *PoissonSource) Start(at float64) {
+	p.stopAt = at + p.cfg.Duration
+	p.src.Schedule(at+p.r.Exponential(1/p.cfg.Rate), "poisson-arrival", p.tick)
+}
+
+func (p *PoissonSource) tick() {
+	now := p.src.Now()
+	if now >= p.stopAt {
+		return
+	}
+	pkt := p.net.NewPacket(netsim.KindData, p.src.ID, p.dst.ID, p.cfg.Size)
+	p.net.Inject(pkt)
+	p.sent++
+	p.src.After(p.r.Exponential(1/p.cfg.Rate), "poisson-arrival", p.tick)
+}
+
+// Sent returns the packets injected so far.
+func (p *PoissonSource) Sent() uint64 { return p.sent }
+
+// Received returns the packets delivered at the sink so far.
+func (p *PoissonSource) Received() uint64 { return p.received }
+
+// LossRate returns the fraction of injected packets not (yet) delivered.
+func (p *PoissonSource) LossRate() float64 {
+	if p.sent == 0 {
+		return 0
+	}
+	return float64(p.sent-p.received) / float64(p.sent)
+}
 
 func TestPoissonRate(t *testing.T) {
 	n, nodes := pingPath(20, nil)

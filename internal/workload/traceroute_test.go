@@ -9,6 +9,63 @@ import (
 	"routesync/internal/routing"
 )
 
+// TracerouteResult is one probe's recorded forwarding path.
+type TracerouteResult struct {
+	// Reached tells whether the probe arrived at the destination.
+	Reached bool
+	// Hops is the path in arrival order (every node that handled the
+	// probe, including the destination when reached).
+	Hops []netsim.Hop
+	// RTT is request + reply time when the destination echoed, else NaN.
+	RTT float64
+}
+
+// Traceroute sends one record-route echo probe from src to dst, runs the
+// simulation until the probe settles (or horizon), and returns the
+// recorded path. It installs an echo responder on dst.
+//
+// Unlike real traceroute (TTL walking), the simulator can record the
+// route directly; what the probe verifies is the live FIB state — the
+// tests use it to show paths moving after failures and re-convergence.
+func Traceroute(src, dst *netsim.Node, horizon float64) TracerouteResult {
+	net := src.Net()
+	InstallEchoResponder(dst)
+
+	var res TracerouteResult
+	res.RTT = math.NaN()
+	if src.OnDeliver == nil {
+		src.OnDeliver = make(map[netsim.Kind]func(*netsim.Packet))
+	}
+	sentAt := src.Now()
+	src.OnDeliver[netsim.KindEchoReply] = func(pkt *netsim.Packet) {
+		if pkt.Seq != -42 {
+			return
+		}
+		// The node clock, not the network clock: in a partitioned run this
+		// handler fires on src's logical process.
+		res.RTT = src.Now() - sentAt
+	}
+
+	probe := net.NewPacket(netsim.KindEchoRequest, src.ID, dst.ID, 64)
+	probe.Seq = -42
+	probe.RecordRoute = true
+	var gotThere bool
+	prev := dst.OnDeliver[netsim.KindEchoRequest]
+	dst.OnDeliver[netsim.KindEchoRequest] = func(pkt *netsim.Packet) {
+		if pkt.Seq == -42 {
+			gotThere = true
+			res.Hops = append([]netsim.Hop(nil), pkt.Hops...)
+		}
+		if prev != nil {
+			prev(pkt)
+		}
+	}
+	net.Inject(probe)
+	net.RunUntil(net.Now() + horizon)
+	res.Reached = gotThere
+	return res
+}
+
 func TestTracerouteRecordsChainPath(t *testing.T) {
 	n := netsim.NewNetwork(31)
 	nodes := n.BuildChain([]string{"src", "r1", "r2", "dst"}, nil, netsim.LinkConfig{Delay: 0.005})

@@ -105,8 +105,8 @@ func TestAudioCleanDelivery(t *testing.T) {
 	s.Start(0)
 	n.RunUntil(20)
 	res := s.Result()
-	if res.Sent() != 500 || res.Lost() != 0 {
-		t.Fatalf("sent %d lost %d", res.Sent(), res.Lost())
+	if len(res.Received) != 500 || res.Lost() != 0 {
+		t.Fatalf("sent %d lost %d", len(res.Received), res.Lost())
 	}
 	if len(res.Outages()) != 0 {
 		t.Fatalf("outages on a clean path: %v", res.Outages())

@@ -34,7 +34,7 @@
 //   - internal/netsim — a packet-level network simulator
 //   - internal/routing — distance-vector protocols (RIP/IGRP/DECnet/...)
 //   - internal/linkstate — a link-state protocol with the same coupling
-//   - internal/workload — ping, CBR audio, Poisson traffic, traceroute
+//   - internal/workload — ping and CBR audio generators and recorders
 //   - internal/scenarios — the paper's §1 catalogue (TCP sync, convoys,
 //     external clocks)
 //   - internal/experiments — one driver per paper figure
