@@ -41,7 +41,12 @@ type benchFile struct {
 
 // runBench executes the shared micro-benchmark bodies under
 // testing.Benchmark and writes them to the next BENCH_NNNN.json in
-// outDir (see writeBench).
+// outDir (see writeBench). Each body runs for testing.Benchmark's
+// default 1 s, the -benchtime the CI bench guard uses too: the netsim
+// scenario bodies and the deep calendar-queue rows still reach new pool
+// high-water marks inside the timed loop now and then, so their B/op
+// depends on b.N, and a guard run timed like the snapshot compares like
+// with like.
 func runBench(outDir string) error {
 	cases := []struct {
 		name string

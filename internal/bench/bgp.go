@@ -59,15 +59,13 @@ func PathVectorUpdate(b *testing.B) {
 // allocates. As with NetsimScale, the K=1 vs K=n ns/op ratio is the
 // engine's speedup on the AS-level workload.
 //
-// K=1 runs at 0 allocs/op. K>1 carries a small alloc floor (~60/op at
-// K=2) that is structural, not a leak in the update path: valley-free
-// export is asymmetric — providers advertise full tables to customers
-// every period while non-origin stubs export nothing back — so packet
-// slots migrate one way across the partition boundary and the sending
-// LP keeps minting replacements (the per-LP pool's "round-trip traffic
-// keeps the pools balanced" assumption does not hold here). The drift
-// is bounded by the horizon and invisible to results; rebalancing the
-// free lists at the window barrier would remove it if it ever matters.
+// Every K runs at 0 allocs/op. Valley-free export is asymmetric —
+// providers advertise full tables to customers every period while
+// non-origin stubs export nothing back — so packet slots migrate one way
+// across a partition boundary; the window barrier returns them to their
+// home pool (pktPool.repatriate), so the sending LP stops minting
+// replacements. B/op is small but not zero: pools and arenas still reach
+// new high-water marks now and then inside the timed loop.
 func NetsimBGP(b *testing.B, ases, k int) {
 	const horizon, warmup = 700.0, 400.0
 	build := func() *experiments.BGPScenario {

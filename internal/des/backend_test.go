@@ -216,17 +216,17 @@ func checkCalendarInvariants(s *Simulator) string {
 		for idx, slot := range list {
 			ev := &s.pool[slot]
 			if int(ev.bucket) != b || int(ev.index) != idx {
-				return fmt.Sprintf("slot %d (%s at %v): location (%d,%d) but stored at (%d,%d)",
-					slot, ev.label, ev.at, ev.bucket, ev.index, b, idx)
+				return fmt.Sprintf("slot %d (seq %d at %v): location (%d,%d) but stored at (%d,%d)",
+					slot, ev.seq, ev.at, ev.bucket, ev.index, b, idx)
 			}
 			vb := c.vbFor(ev.at)
 			if int(vb)&c.mask != b {
-				return fmt.Sprintf("slot %d (%s at %v): vb %d maps to bucket %d, stored in %d (width %v)",
-					slot, ev.label, ev.at, vb, int(vb)&c.mask, b, c.width)
+				return fmt.Sprintf("slot %d (seq %d at %v): vb %d maps to bucket %d, stored in %d (width %v)",
+					slot, ev.seq, ev.at, vb, int(vb)&c.mask, b, c.width)
 			}
 			if vb < c.curVB {
-				return fmt.Sprintf("slot %d (%s at %v): day %d precedes cursor %d (width %v)",
-					slot, ev.label, ev.at, vb, c.curVB, c.width)
+				return fmt.Sprintf("slot %d (seq %d at %v): day %d precedes cursor %d (width %v)",
+					slot, ev.seq, ev.at, vb, c.curVB, c.width)
 			}
 			if idx > 0 && !s.less(list[idx-1], slot) {
 				return fmt.Sprintf("bucket %d out of order at index %d", b, idx)

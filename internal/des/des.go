@@ -51,7 +51,6 @@ type event struct {
 	index  int32  // heap index or position within bucket, -1 when not queued
 	bucket int32  // calendar backend: physical bucket holding the event
 	fn     func()
-	label  string
 }
 
 // live reports whether the handle still refers to a pending event.
@@ -241,13 +240,12 @@ func (s *Simulator) release(slot int32) {
 	ev.gen++
 	ev.index = -1
 	ev.fn = nil
-	ev.label = ""
 	s.free = append(s.free, slot)
 }
 
 // Schedule queues fn to run at absolute time at. It panics if at precedes
 // the current clock (scheduling into the past is always a bug) or is NaN.
-// The label is kept for diagnostics and error messages.
+// The label is not stored; it names the event in the past-time panic.
 func (s *Simulator) Schedule(at Time, label string, fn func()) Event {
 	return s.ScheduleKeyed(at, 0, label, fn)
 }
@@ -285,7 +283,6 @@ func (s *Simulator) ScheduleKeyed(at Time, key uint64, label string, fn func()) 
 	ev.key = key
 	ev.seq = s.seq
 	ev.fn = fn
-	ev.label = label
 	s.seq++
 	s.qPush(slot)
 	if s.obs != nil {

@@ -116,17 +116,21 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 		t.Fatal("fired event still live")
 	}
 	// The pool has exactly one slot; this reuses it.
-	second := s.Schedule(2, "second", func() {})
+	secondFired := false
+	second := s.Schedule(2, "second", func() { secondFired = true })
 	if _, live := first.live(); live {
 		t.Fatal("stale handle went live after slot reuse")
 	}
 	if s.Cancel(first) {
 		t.Fatal("stale handle cancelled the recycled slot's event")
 	}
-	if ev, live := second.live(); !live || ev.at != 2 || ev.label != "second" {
+	if ev, live := second.live(); !live || ev.at != 2 {
 		t.Fatal("fresh handle not scheduled")
 	}
 	s.Run()
+	if !secondFired {
+		t.Fatal("recycled slot did not run the fresh event's callback")
+	}
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {

@@ -88,14 +88,6 @@ type Packet struct {
 	Payload []byte
 	// Seq is workload-defined (ping number, audio frame number).
 	Seq int64
-	// RecordRoute, when set, makes every node that receives the packet
-	// append a Hop — the record-route option, which tests use to assert
-	// forwarding paths.
-	RecordRoute bool
-	// Hops is the recorded path (only when RecordRoute is set). The
-	// backing array is pooled scratch owned by the slot; handlers keeping
-	// a path beyond their callback must copy it.
-	Hops []Hop
 
 	// Pool bookkeeping (see pktpool.go). gen is bumped on every release
 	// so stale PacketRefs detect reuse; payloadBuf is the slot's retained
@@ -108,12 +100,6 @@ type Packet struct {
 	live       bool
 	payloadBuf []byte
 	home       *pktPool
-}
-
-// Hop is one record-route entry.
-type Hop struct {
-	Node NodeID
-	At   float64
 }
 
 // DropReason classifies packet losses for the counters.
@@ -358,10 +344,9 @@ func (n *Network) NewPacket(kind Kind, src, dst NodeID, size int) *Packet {
 	pkt.Dst = dst
 	pkt.Size = size
 	pkt.TTL = 64
-	// Payload and Hops were cleared when the slot was released; the
-	// workload-defined fields must be reset here.
+	// Payload was cleared when the slot was released; the
+	// workload-defined Seq must be reset here.
 	pkt.Seq = 0
-	pkt.RecordRoute = false
 	return pkt
 }
 

@@ -539,22 +539,6 @@ func TestForwardCostNegativePanics(t *testing.T) {
 	n.NewNode("r", &CPUConfig{ForwardCost: -1})
 }
 
-func TestRecordRouteHops(t *testing.T) {
-	n := NewNetwork(54)
-	nodes := n.BuildChain([]string{"a", "b", "c"}, nil, LinkConfig{Delay: 0.001})
-	var hops []Hop
-	nodes[2].OnDeliver = map[Kind]func(*Packet){
-		KindData: func(p *Packet) { hops = p.Hops },
-	}
-	pkt := n.NewPacket(KindData, nodes[0].ID, nodes[2].ID, 64)
-	pkt.RecordRoute = true
-	n.Inject(pkt)
-	n.RunUntil(1)
-	if len(hops) != 2 || hops[0].Node != nodes[1].ID || hops[1].Node != nodes[2].ID {
-		t.Fatalf("hops = %+v", hops)
-	}
-}
-
 func TestLinkStatsAndUtilization(t *testing.T) {
 	n, a, b, l := twoHosts(t, LinkConfig{Delay: 0, Bandwidth: 1e6})
 	got := 0

@@ -231,9 +231,6 @@ func (nd *Node) receive(pkt *Packet, via Medium) {
 		nd.dropHere(pkt, DropNodeDown)
 		return
 	}
-	if pkt.RecordRoute {
-		pkt.Hops = append(pkt.Hops, Hop{Node: nd.ID, At: nd.Now()})
-	}
 	if nd.LossProb > 0 && nd.rnd.Bernoulli(nd.LossProb) {
 		nd.dropHere(pkt, DropRandomLoss)
 		return

@@ -15,7 +15,10 @@ import (
 // lookahead: a packet transmitted during a window [W, W+L) cannot arrive
 // at another LP before W+L, so each LP may run the whole window without
 // hearing from its peers, and boundary arrivals are exchanged at the
-// barrier.
+// barrier. The coordinator goroutine runs the lowest-index LP that has
+// work in a window itself and wakes a worker goroutine only for each
+// other LP with work, so a window in which one LP is busy costs no
+// goroutine handoff at all.
 //
 // Determinism: every event carries a (origin node, origin sequence) key
 // (see Node.nextKey) and des orders equal-time events by key, so the
@@ -79,8 +82,9 @@ type partition struct {
 	arrFree []*arrival
 	arrLive int
 	// start carries window commands to this partition's worker goroutine;
-	// runFn is the worker body. Both are created once at Partition so a
-	// RunUntil call allocates neither channels nor closures.
+	// runFn is the worker body. Both are created once at Partition (for
+	// every partition but the first) so a RunUntil call allocates neither
+	// channels nor closures.
 	start chan windowCmd
 	runFn func()
 }
@@ -138,20 +142,21 @@ func (n *Network) Partition(k int, owner func(NodeID) int) {
 		if n.obs != nil {
 			sim.SetObserver(n.obs)
 		}
-		p := &partition{idx: i, sim: sim, net: n, start: make(chan windowCmd)}
-		p.runFn = func() {
-			for {
-				cmd := <-p.start
-				if cmd.quit {
+		p := &partition{idx: i, sim: sim, net: n}
+		if i > 0 {
+			// The coordinator runs the lowest-index busy LP of every
+			// window itself, so partition 0 never needs a worker.
+			p.start = make(chan windowCmd)
+			p.runFn = func() {
+				for {
+					cmd := <-p.start
+					if cmd.quit {
+						n.wdone.Done()
+						return
+					}
+					p.run(cmd)
 					n.wdone.Done()
-					return
 				}
-				if cmd.inclusive {
-					p.sim.RunUntil(cmd.wend)
-				} else {
-					p.sim.RunBefore(cmd.wend)
-				}
-				n.wdone.Done()
 			}
 		}
 		parts[i] = p
@@ -246,24 +251,59 @@ func (n *Network) exchange() {
 	}
 }
 
-// runWindow runs one synchronized window on every worker: signal all
-// partitions, then wait for all to finish. The coordinator writes the
-// command before the channel send, which orders it ahead of the worker's
-// read; wdone.Wait orders every worker's writes before the coordinator
-// continues.
-func (n *Network) runWindow(cmd windowCmd) {
-	n.wdone.Add(len(n.parts))
-	for _, p := range n.parts {
-		p.start <- cmd
+// run executes one window on this partition's simulator: events strictly
+// before cmd.wend, or at or before it for the inclusive final pass. On a
+// partition with no event in the window it only advances the clock.
+func (p *partition) run(cmd windowCmd) {
+	if cmd.inclusive {
+		p.sim.RunUntil(cmd.wend)
+	} else {
+		p.sim.RunBefore(cmd.wend)
 	}
-	n.wdone.Wait()
+}
+
+// runWindow runs one synchronized window with as few goroutine handoffs
+// as the work allows. A partition is busy when its next event falls
+// inside the window. The coordinator runs the lowest-index busy partition
+// itself, signals the worker of every other busy partition, advances the
+// idle partitions' clocks itself, and then waits for the signalled
+// workers; a window with at most one busy partition involves no worker at
+// all. Every partition executes the same window whichever goroutine runs
+// it, and partitions share no state within a window, so the split changes
+// no event order. The coordinator writes the command before the channel
+// send, which orders it ahead of the worker's read; wdone.Wait orders
+// every signalled worker's writes before the coordinator continues.
+func (n *Network) runWindow(cmd windowCmd) {
+	inline := -1
+	woken := false
+	for i, p := range n.parts {
+		at := p.sim.NextAt()
+		switch {
+		case at > cmd.wend || (at == cmd.wend && !cmd.inclusive):
+			p.run(cmd) // idle: only the clock moves
+		case inline < 0:
+			inline = i
+		default:
+			n.wdone.Add(1)
+			p.start <- cmd
+			woken = true
+		}
+	}
+	if inline >= 0 {
+		n.parts[inline].run(cmd)
+	}
+	if woken {
+		n.wdone.Wait()
+	}
 }
 
 // runPartitioned advances all logical processes to the horizon with
-// bounded-window barrier synchronization. Workers are spawned per call
-// from per-partition bodies built at Partition time and told to quit
-// after the final window, so a network never retains goroutines between
-// runs and a steady-state call allocates nothing.
+// bounded-window barrier synchronization, each window run by runWindow.
+// Workers exist for every partition but the first (the coordinator runs
+// the first itself whenever it is busy); they are spawned per call from
+// bodies built at Partition time and told to quit after the final window,
+// so a network never retains goroutines between runs and a steady-state
+// call allocates nothing.
 func (n *Network) runPartitioned(horizon float64) {
 	if n.Sim.Pending() > 0 {
 		panic("netsim: events pending on the root simulator of a partitioned network; schedule runtime events through nodes")
@@ -280,7 +320,7 @@ func (n *Network) runPartitioned(horizon float64) {
 		return
 	}
 
-	for _, p := range n.parts {
+	for _, p := range n.parts[1:] {
 		go p.runFn()
 	}
 
@@ -317,6 +357,11 @@ func (n *Network) runPartitioned(horizon float64) {
 	if n.syncObs != nil {
 		n.syncObs.SyncWindow(horizon, 0, 0, 0)
 	}
-	n.runWindow(windowCmd{quit: true})
+	workers := n.parts[1:]
+	n.wdone.Add(len(workers))
+	for _, p := range workers {
+		p.start <- windowCmd{quit: true}
+	}
+	n.wdone.Wait()
 	n.exchange()
 }

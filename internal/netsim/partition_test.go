@@ -303,3 +303,200 @@ func TestPartitionAccessors(t *testing.T) {
 		t.Fatalf("Now = %v after RunUntil(5)", nw2.Now())
 	}
 }
+
+// firedTimes is a des.Observer recording the time of every fired event
+// of a single-threaded run, and counting cancellations.
+type firedTimes struct {
+	at        []float64
+	cancelled int
+}
+
+func (f *firedTimes) EventScheduled(float64, int)  {}
+func (f *firedTimes) EventFired(at float64, _ int) { f.at = append(f.at, at) }
+func (f *firedTimes) EventCancelled(float64, int)  { f.cancelled++ }
+
+// busySets is a des.Observer and SyncObserver that, after every window,
+// reads each partition's processed-event count and tallies the window by
+// the set of partitions that fired events in it (bit i = partition i).
+// It runs on the coordinator between windows, so reading the partition
+// simulators is race-free.
+type busySets struct {
+	nw    *Network
+	last  []uint64
+	tally map[int]int
+}
+
+func (b *busySets) EventScheduled(float64, int) {}
+func (b *busySets) EventFired(float64, int)     {}
+func (b *busySets) EventCancelled(float64, int) {}
+
+func (b *busySets) SyncWindow(float64, float64, int, float64) {
+	set := 0
+	for i, p := range b.nw.parts {
+		if n := p.sim.Processed(); n != b.last[i] {
+			set |= 1 << i
+			b.last[i] = n
+		}
+	}
+	b.tally[set]++
+}
+
+// idleLPHorizons are the RunUntil slices of runIdleLPTopo.
+var idleLPHorizons = []float64{1.2, 2.8, 3.7, 3.7001, 6}
+
+// runIdleLPTopo builds two host chains, A (partition 0) and B (partition
+// 2), joined by a 10 ms link, plus a two-node stub hanging off A by a
+// 4 ms link (partition 1) that no packet ever addresses. Traffic stays
+// inside A until t=1, inside B from t=1.5 to 2.5, and crosses between A
+// and B from t=3, so at k=3 windows have one busy partition (either end)
+// or two, and partition 1 never has an event. k == 0 runs unpartitioned.
+func runIdleLPTopo(t *testing.T, k int, obs des.Observer) (*Network, partitionSnapshot) {
+	t.Helper()
+	nw := NewNetwork(11)
+	cfg := LinkConfig{Delay: 0.002, Bandwidth: 1e6, QueueCap: 4}
+	a := nw.BuildChain([]string{"a0", "a1", "a2", "a3"}, nil, cfg)
+	b := nw.BuildChain([]string{"b0", "b1", "b2", "b3"}, nil, cfg)
+	stub := nw.BuildChain([]string{"s0", "s1"}, nil, cfg)
+	nw.Connect(a[3], b[0], LinkConfig{Delay: 0.01, Bandwidth: 1e6, QueueCap: 4})
+	nw.Connect(stub[0], a[0], LinkConfig{Delay: 0.004})
+	nw.InstallStaticRoutes()
+	if k > 0 {
+		owner := func(id NodeID) int {
+			switch {
+			case id <= a[3].ID:
+				return 0
+			case id <= b[3].ID:
+				return 2 % k
+			default:
+				return 1 % k
+			}
+		}
+		nw.Partition(k, owner)
+	}
+	if bs, ok := obs.(*busySets); ok {
+		bs.nw = nw
+	}
+	if obs != nil {
+		nw.SetObserver(obs)
+	}
+
+	sinks := []*Node{a[0], a[3], b[0], b[3], b[1]}
+	perSink := make([][]deliveryRecord, len(sinks))
+	for si, sink := range sinks {
+		si, sink := si, sink
+		sink.OnDeliver = map[Kind]func(*Packet){KindData: func(p *Packet) {
+			perSink[si] = append(perSink[si],
+				deliveryRecord{At: sink.Now(), Src: p.Src, Seq: p.Seq, ID: p.ID})
+		}}
+	}
+	sendCBR := func(src, dst *Node, start, gap float64, count, size int) {
+		for i := 0; i < count; i++ {
+			i := i
+			src.Schedule(start+float64(i)*gap, "cbr", func() {
+				pkt := nw.NewPacket(KindData, src.ID, dst.ID, size)
+				pkt.Seq = int64(i)
+				nw.Inject(pkt)
+			})
+		}
+	}
+	sendCBR(a[0], a[3], 0.05, 0.013, 70, 256)   // A only
+	sendCBR(a[3], a[0], 0.06, 0.029, 30, 128)   // A only
+	sendCBR(b[3], b[0], 1.5, 0.017, 55, 256)    // B only
+	sendCBR(b[0], b[3], 1.51, 0.041, 20, 64)    // B only
+	sendCBR(a[0], b[3], 3.0, 0.007, 200, 512)   // A→B
+	sendCBR(b[3], a[0], 3.002, 0.011, 120, 256) // B→A
+	sendCBR(a[1], b[1], 3.5, 0.0005, 20, 512)   // burst: queue drops
+
+	for _, h := range idleLPHorizons {
+		nw.RunUntil(h)
+		for _, p := range nw.parts {
+			if now := p.sim.Now(); now != h {
+				t.Fatalf("k=%d: partition %d clock %v after RunUntil(%v)", k, p.idx, now, h)
+			}
+		}
+	}
+	snap := partitionSnapshot{deliveries: make(map[NodeID][]deliveryRecord)}
+	for si, sink := range sinks {
+		snap.deliveries[sink.ID] = perSink[si]
+	}
+	snap.counters = nw.Counters()
+	for _, nd := range nw.nodes {
+		snap.nodeStats = append(snap.nodeStats, nd.Stats())
+	}
+	return nw, snap
+}
+
+// plannedWindows replays the window planning rule over the event times of
+// a sequential run: per RunUntil slice, a window starts at the earliest
+// event not before the previous window's end and ends lookahead later
+// (clipped to the horizon), and a final inclusive pass ends every slice.
+// It holds when no event is cancelled, since then every pending event
+// fires and the earliest pending event is the earliest unfired one.
+func plannedWindows(fired []float64, horizons []float64, lookahead float64) uint64 {
+	var windows uint64
+	i := 0
+	for _, h := range horizons {
+		wend := math.Inf(-1)
+		for ; i < len(fired) && fired[i] < h; i++ {
+			if fired[i] >= wend {
+				windows++
+				wend = math.Min(fired[i]+lookahead, h)
+			}
+		}
+		for ; i < len(fired) && fired[i] == h; i++ {
+		}
+		windows++ // inclusive pass
+	}
+	return windows
+}
+
+// TestPartitionIdleLPWindows covers the window paths where the
+// coordinator runs a window alone (one busy partition, at either end of
+// the partition list), where it runs one busy partition and wakes a
+// worker for another, and where a partition is idle throughout: the k=3
+// run must match the sequential run in counters, per-node stats and
+// delivery timelines, keep every clock at each horizon, and count the
+// windows the planning rule gives for the sequential run's events.
+func TestPartitionIdleLPWindows(t *testing.T) {
+	seq := &firedTimes{}
+	_, ref := runIdleLPTopo(t, 0, seq)
+	if ref.counters.Delivered == 0 || ref.counters.Drops[DropQueueOverflow] == 0 {
+		t.Fatalf("degenerate reference run: %+v", ref.counters)
+	}
+	if seq.cancelled != 0 {
+		t.Fatalf("reference run cancelled %d events; the window replay needs none", seq.cancelled)
+	}
+	for _, k := range []int{1, 3} {
+		var obs des.Observer
+		var busy *busySets
+		if k == 3 {
+			busy = &busySets{last: make([]uint64, k), tally: make(map[int]int)}
+			obs = busy
+		}
+		nw, got := runIdleLPTopo(t, k, obs)
+		if !reflect.DeepEqual(got.counters, ref.counters) {
+			t.Errorf("k=%d: counters diverge:\n got %+v\nwant %+v", k, got.counters, ref.counters)
+		}
+		if !reflect.DeepEqual(got.nodeStats, ref.nodeStats) {
+			t.Errorf("k=%d: per-node stats diverge", k)
+		}
+		if !reflect.DeepEqual(got.deliveries, ref.deliveries) {
+			t.Errorf("k=%d: delivery timelines diverge", k)
+		}
+		if k == 1 {
+			continue
+		}
+		want := plannedWindows(seq.at, idleLPHorizons, nw.Lookahead())
+		if w := nw.SyncStats().Windows; w != want {
+			t.Errorf("k=3: %d windows, want %d from the sequential run's events", w, want)
+		}
+		if n := nw.parts[1].sim.Processed(); n != 0 {
+			t.Errorf("idle partition 1 fired %d events", n)
+		}
+		for _, set := range []int{0b001, 0b100, 0b101} {
+			if busy.tally[set] == 0 {
+				t.Errorf("no window with busy set %03b; tally %v", set, busy.tally)
+			}
+		}
+	}
+}

@@ -18,8 +18,8 @@ import "fmt"
 //     drops it (every DropReason sink releases the slot) or delivers it.
 //   - Local delivery lends the packet to the OnDeliver callback for the
 //     duration of the call; the simulator releases the slot when the
-//     callback returns. Handlers that need payload bytes or the Hops
-//     path beyond the callback must copy them.
+//     callback returns. Handlers that need payload bytes beyond the
+//     callback must copy them.
 //   - Routing delivery (Kind == KindRouting with OnRouting installed)
 //     transfers ownership to the routing agent, which releases the slot
 //     once the update is processed — possibly later in simulated time,
@@ -107,12 +107,11 @@ func (n *Network) releaseAt(nd *Node, pkt *Packet) {
 	}
 	pkt.live = false
 	pkt.gen++
-	// Drop payload and path references now: the slot may sit on the free
-	// list for a while, and the backing arrays must not pin user data.
+	// Drop the payload reference now: the slot may sit on the free list
+	// for a while, and the backing array must not pin user data.
 	// payloadBuf is retained — it is the slot's payload arena, sized by
 	// its high-water mark.
 	pkt.Payload = nil
-	pkt.Hops = pkt.Hops[:0]
 	n.poolFor(nd).put(pkt)
 }
 
@@ -174,8 +173,6 @@ func (n *Network) clonePacket(nd *Node, pkt *Packet) *Packet {
 	cp.TTL = pkt.TTL
 	cp.Created = pkt.Created
 	cp.Seq = pkt.Seq
-	cp.RecordRoute = pkt.RecordRoute
-	cp.Hops = append(cp.Hops[:0], pkt.Hops...)
 	if pkt.Payload != nil {
 		cp.SetPayload(pkt.Payload)
 	} else {

@@ -33,6 +33,7 @@ func TestPacketPoolProperty(t *testing.T) {
 	type held struct {
 		ref    PacketRef
 		marker byte
+		seq    int64
 	}
 	r := rng.New(42)
 	var live []held
@@ -45,8 +46,8 @@ func TestPacketPoolProperty(t *testing.T) {
 			pkt := nw.NewPacket(KindData, a.ID, b.ID, 64)
 			marker := byte(step)
 			pkt.SetPayload([]byte{marker, marker, marker})
-			pkt.Hops = append(pkt.Hops, Hop{Node: a.ID})
-			live = append(live, held{ref: pkt.Ref(), marker: marker})
+			pkt.Seq = int64(step)
+			live = append(live, held{ref: pkt.Ref(), marker: marker, seq: pkt.Seq})
 			if len(live) > maxLive {
 				maxLive = len(live)
 			}
@@ -57,8 +58,8 @@ func TestPacketPoolProperty(t *testing.T) {
 			if len(pkt.Payload) != 3 || pkt.Payload[0] != h.marker || pkt.Payload[2] != h.marker {
 				t.Fatalf("step %d: live packet payload corrupted: %v (marker %d)", step, pkt.Payload, h.marker)
 			}
-			if len(pkt.Hops) != 1 {
-				t.Fatalf("step %d: live packet Hops corrupted: %v", step, pkt.Hops)
+			if pkt.Seq != h.seq {
+				t.Fatalf("step %d: live packet Seq corrupted: %d, want %d", step, pkt.Seq, h.seq)
 			}
 			a.ReleasePacket(pkt)
 			stale = append(stale, h.ref)
