@@ -34,9 +34,6 @@ type Link struct {
 	// keyed event per end, which keeps flapped runs bit-identical for any
 	// partition count.
 	down [2]bool
-	// stats per direction; only the tests read them
-	txPackets [2]uint64
-	txBytes   [2]uint64
 }
 
 // SetDown marks the link failed (true) or restored (false) at both ends
@@ -220,8 +217,6 @@ func (l *Link) serialization(pkt *Packet) float64 {
 func (l *Link) startTx(d int, pkt *Packet) {
 	st := &l.tx[d]
 	st.busy = true
-	l.txPackets[d]++
-	l.txBytes[d] += uint64(pkt.Size)
 	src := l.ends[d]
 	dst := l.ends[1-d]
 	sim := src.sim()

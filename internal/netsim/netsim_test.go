@@ -539,34 +539,6 @@ func TestForwardCostNegativePanics(t *testing.T) {
 	n.NewNode("r", &CPUConfig{ForwardCost: -1})
 }
 
-func TestLinkStatsAndUtilization(t *testing.T) {
-	n, a, b, l := twoHosts(t, LinkConfig{Delay: 0, Bandwidth: 1e6})
-	got := 0
-	b.OnDeliver = map[Kind]func(*Packet){KindData: func(*Packet) { got++ }}
-	for i := 0; i < 4; i++ {
-		at := float64(i) * 0.1
-		n.Sim.Schedule(at, "inject", func() {
-			n.Inject(n.NewPacket(KindData, a.ID, b.ID, 1000))
-		})
-	}
-	n.RunUntil(10)
-	st := l.StatsFrom(a)
-	if st.Packets != 4 || st.Bytes != 4000 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// 4×1000 B × 8 bits / 1 Mbit/s = 32 ms of serialization over 10 s.
-	if u := l.Utilization(a, 10); math.Abs(u-0.0032) > 1e-9 {
-		t.Fatalf("utilization = %v, want 0.0032", u)
-	}
-	// Reverse direction carried nothing.
-	if st := l.StatsFrom(b); st.Packets != 0 {
-		t.Fatalf("reverse stats = %+v", st)
-	}
-	if u := l.Utilization(b, 10); u != 0 {
-		t.Fatalf("reverse utilization = %v", u)
-	}
-}
-
 // TotalDropped sums drops across reasons.
 func (c *Counters) TotalDropped() uint64 {
 	var t uint64
@@ -574,29 +546,4 @@ func (c *Counters) TotalDropped() uint64 {
 		t += v
 	}
 	return t
-}
-
-// LinkStats is per-direction transmission accounting.
-type LinkStats struct {
-	Packets uint64
-	Bytes   uint64
-}
-
-// StatsFrom returns the transmission counters for the direction whose
-// sender is from.
-func (l *Link) StatsFrom(from *Node) LinkStats {
-	d := l.dir(from)
-	return LinkStats{Packets: l.txPackets[d], Bytes: l.txBytes[d]}
-}
-
-// Utilization returns the fraction of the observation window the
-// direction from `from` spent serializing, given the configured
-// bandwidth; it returns 0 for infinite-bandwidth links.
-func (l *Link) Utilization(from *Node, window float64) float64 {
-	if l.cfg.Bandwidth == 0 || window <= 0 {
-		return 0
-	}
-	d := l.dir(from)
-	busy := float64(l.txBytes[d]*8) / l.cfg.Bandwidth
-	return busy / window
 }

@@ -160,10 +160,10 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 				a.OnTimerReset(resetAt, expiresAt)
 			}
 		},
-		// Reset in place: the table's map buckets, route structs and
-		// scratch survive onto the free lists, so repeated crash/reboot
-		// cycles stop allocating once the first life's high-water marks
-		// are reached.
+		// Reset in place: the table's route array, interned media and
+		// scratch keep their capacity, so repeated crash/reboot cycles
+		// stop allocating once the first life's high-water marks are
+		// reached.
 		ResetVolatile: func() { a.table.Reset() },
 		Restarted: func() {
 			a.lastTrig = a.k.Node().Now() - a.cfg.TriggerHoldoff
@@ -366,7 +366,7 @@ func (a *Agent) integrate(msg Message, via netsim.Medium) {
 	for _, dest := range res.Installed {
 		r := a.table.Get(dest)
 		if r != nil && !r.Local && r.Metric < a.table.Infinity() {
-			node.SetRoute(dest, r.Via, r.NextHop)
+			node.SetRoute(dest, a.table.Via(r), r.NextHop)
 			if a.OnRouteChange != nil {
 				a.OnRouteChange(dest, r.Metric, true)
 			}

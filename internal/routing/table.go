@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -9,35 +8,38 @@ import (
 	"routesync/internal/netsim"
 )
 
-// Route is one routing-table entry.
+// Route is one routing-table entry. It holds no pointer: the medium a
+// route was learned on is an index into its table's interned media (see
+// Table.Via), so a table is one flat array the garbage collector never
+// scans.
 type Route struct {
 	Dest    netsim.NodeID
-	Metric  uint32
 	NextHop netsim.NodeID
-	Via     netsim.Medium
 	// Updated is the last time this route was installed or refreshed.
 	Updated float64
+	Metric  uint32
+	// Via indexes the table's interned media; Table.Via resolves it.
+	Via uint16
 	// Local marks the router's own address (metric 0, never expires).
 	Local bool
 }
 
-// Table is a distance-vector routing table. All per-call state (the
-// sorted view, apply/expire result lists, recycled Route structs) is
-// retained scratch, so the steady-state update cycle — export, apply,
-// expire — allocates nothing once the table has reached its high-water
-// size.
+// Table is a distance-vector routing table: one []Route sorted by
+// destination and held by value. Lookups are binary searches, or a short
+// forward step when an update's entries arrive in destination order (as
+// ExportInto emits them); inserts shift the tail, and Expire compacts
+// the array in place. Result lists are retained scratch, so the
+// steady-state update cycle — export, apply, expire — allocates nothing
+// once the table has reached its high-water size.
 type Table struct {
-	routes   map[netsim.NodeID]*Route
+	routes []Route
+	// media interns the media routes were learned on; Route.Via indexes
+	// it. Entry 0 is the nil medium of local routes.
+	media    []netsim.Medium
 	infinity uint32
 	holdDown float64
 	holdTill map[netsim.NodeID]float64
 
-	// sorted caches the destination-ordered route list; inserts and
-	// deletes invalidate it (metric/refresh changes keep the order).
-	sorted   []*Route
-	sortedOK bool
-	// free recycles Route structs deleted by Expire or Reset.
-	free []*Route
 	// inst/unre back ApplyResult's slices; expU/expD back Expire's.
 	inst, unre []netsim.NodeID
 	expU, expD []netsim.NodeID
@@ -46,7 +48,7 @@ type Table struct {
 // NewTable creates a table with the given unreachable metric.
 func NewTable(infinity uint32) *Table {
 	return &Table{
-		routes:   make(map[netsim.NodeID]*Route),
+		media:    []netsim.Medium{nil},
 		infinity: infinity,
 		holdTill: make(map[netsim.NodeID]float64),
 	}
@@ -65,6 +67,9 @@ func (t *Table) SetHoldDown(d float64) {
 // HeldDown reports whether dest is inside its hold-down window at time
 // now.
 func (t *Table) HeldDown(dest netsim.NodeID, now float64) bool {
+	if len(t.holdTill) == 0 {
+		return false
+	}
 	return now < t.holdTill[dest]
 }
 
@@ -81,71 +86,86 @@ func (t *Table) Infinity() uint32 { return t.infinity }
 // garbage collection.
 func (t *Table) Len() int { return len(t.routes) }
 
-// Get returns the route for dest, or nil.
-func (t *Table) Get(dest netsim.NodeID) *Route { return t.routes[dest] }
+// Get returns the route for dest, or nil. The pointer aims into the
+// table and is valid until the next call that changes it.
+func (t *Table) Get(dest netsim.NodeID) *Route {
+	if i, ok := search(t.routes, dest); ok {
+		return &t.routes[i]
+	}
+	return nil
+}
+
+// Via returns the medium r was learned on (nil for the local route).
+func (t *Table) Via(r *Route) netsim.Medium { return t.media[r.Via] }
+
+// search returns the index of the first route in rs whose destination
+// is not below dest, and whether that route is dest's.
+func search(rs []Route, dest netsim.NodeID) (int, bool) {
+	lo, hi := 0, len(rs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rs[m].Dest < dest {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(rs) && rs[lo].Dest == dest
+}
+
+// seek finds dest starting from hint, the index just past the previous
+// lookup. Entries in ascending destination order land at or a few slots
+// past hint; anything else falls back to a binary search.
+func (t *Table) seek(dest netsim.NodeID, hint int) (int, bool) {
+	rs := t.routes
+	if hint > 0 && rs[hint-1].Dest >= dest {
+		return search(rs, dest)
+	}
+	for end := min(hint+4, len(rs)); hint < end; hint++ {
+		if d := rs[hint].Dest; d >= dest {
+			return hint, d == dest
+		}
+	}
+	i, ok := search(rs[hint:], dest)
+	return hint + i, ok
+}
+
+// medium returns via's index in the interned media, adding it on first
+// sight.
+func (t *Table) medium(via netsim.Medium) uint16 {
+	for i, m := range t.media {
+		if m == via {
+			return uint16(i)
+		}
+	}
+	if len(t.media) > 1<<16-1 {
+		panic("routing: more than 65535 media")
+	}
+	t.media = append(t.media, via)
+	return uint16(len(t.media) - 1)
+}
 
 // SetLocal installs the router's own address with metric 0.
 func (t *Table) SetLocal(self netsim.NodeID, now float64) {
-	if r, ok := t.routes[self]; ok {
-		*r = Route{Dest: self, NextHop: self, Updated: now, Local: true}
-		return
+	r := Route{Dest: self, NextHop: self, Updated: now, Local: true}
+	if i, ok := search(t.routes, self); ok {
+		t.routes[i] = r
+	} else {
+		t.routes = slices.Insert(t.routes, i, r)
 	}
-	t.routes[self] = t.newRoute(Route{Dest: self, NextHop: self, Updated: now, Local: true})
-	t.sortedOK = false
 }
 
-// newRoute returns a recycled (or fresh) Route holding r.
-func (t *Table) newRoute(r Route) *Route {
-	if k := len(t.free); k > 0 {
-		p := t.free[k-1]
-		t.free = t.free[:k-1]
-		*p = r
-		return p
-	}
-	p := new(Route)
-	*p = r
-	return p
-}
-
-func cmpRouteDest(a, b *Route) int { return cmp.Compare(a.Dest, b.Dest) }
-
-// sortedRoutes returns the destination-ordered route list, rebuilding
-// the cached view only after an insert or delete. Destinations are
-// unique map keys, so the order is total and deterministic.
-func (t *Table) sortedRoutes() []*Route {
-	if !t.sortedOK {
-		t.sorted = t.sorted[:0]
-		for _, r := range t.routes {
-			t.sorted = append(t.sorted, r)
-		}
-		slices.SortFunc(t.sorted, cmpRouteDest)
-		t.sortedOK = true
-	}
-	return t.sorted
-}
-
-// Routes returns a copy of the entries sorted by destination for
-// deterministic iteration (dumps, tests). Hot paths use ExportInto,
-// which reads the cached sorted view without copying.
-func (t *Table) Routes() []*Route {
-	return append([]*Route(nil), t.sortedRoutes()...)
-}
+// Routes returns a copy of the entries sorted by destination (dumps,
+// tests). Hot paths use ExportInto, which reads the table in place.
+func (t *Table) Routes() []Route { return slices.Clone(t.routes) }
 
 // Reset clears the table in place for a cold restart (router crash):
-// all routes are recycled onto the free list and the hold-down windows
-// cleared, while the map buckets, sorted view and scratch buffers keep
-// their capacity for the next life. The configured infinity and
-// hold-down are retained.
+// the routes and hold-down windows are dropped, while the route array,
+// interned media and scratch buffers keep their capacity for the next
+// life. The configured infinity and hold-down are retained.
 func (t *Table) Reset() {
-	for dest, r := range t.routes {
-		t.free = append(t.free, r)
-		delete(t.routes, dest)
-	}
-	for dest := range t.holdTill {
-		delete(t.holdTill, dest)
-	}
-	t.sorted = t.sorted[:0]
-	t.sortedOK = false
+	t.routes = t.routes[:0]
+	clear(t.holdTill)
 }
 
 // ApplyResult reports what an incoming update changed.
@@ -183,16 +203,20 @@ func (t *Table) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32
 	res.Installed = t.inst[:0]
 	res.Unreachable = t.unre[:0]
 	from := m.Router
+	vi := t.medium(via)
 
 	// The neighbor itself is reachable at one hop — distance-vector
 	// protocols learn adjacency from the updates themselves.
-	t.applyOne(Entry{Dest: from, Metric: 0}, from, via, now, cost, &res)
+	i, ok := search(t.routes, from)
+	t.applyOne(i, ok, Entry{Dest: from, Metric: 0}, from, vi, now, cost, &res)
 
+	next := 0
 	for _, e := range m.Entries {
 		if e.Dest == from {
 			continue // the neighbor's self-route was handled above
 		}
-		t.applyOne(e, from, via, now, cost, &res)
+		i, ok := t.seek(e.Dest, next)
+		next = t.applyOne(i, ok, e, from, vi, now, cost, &res)
 	}
 	// Keep the (possibly grown) backing arrays for the next call.
 	t.inst = res.Installed
@@ -200,27 +224,30 @@ func (t *Table) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32
 	return res
 }
 
-func (t *Table) applyOne(e Entry, from netsim.NodeID, via netsim.Medium, now float64, cost uint32, res *ApplyResult) {
+// applyOne folds entry e into the route at index i (present when ok;
+// otherwise i is where e.Dest would be inserted) and returns the index
+// just past e.Dest's place, the hint for the next entry.
+func (t *Table) applyOne(i int, ok bool, e Entry, from netsim.NodeID, via uint16, now float64, cost uint32, res *ApplyResult) int {
 	cand := e.Metric + cost
 	if cand > t.infinity || cand < e.Metric { // cap, guard overflow
 		cand = t.infinity
 	}
-	cur, ok := t.routes[e.Dest]
-	switch {
-	case ok && cur.Local:
-		// never replace our own address
-		return
-	case !ok:
+	if !ok {
 		if cand >= t.infinity {
-			return // don't learn unreachable routes
+			return i // don't learn unreachable routes
 		}
 		if t.HeldDown(e.Dest, now) {
-			return // hold-down: distrust resurrection rumors
+			return i // hold-down: distrust resurrection rumors
 		}
-		t.routes[e.Dest] = t.newRoute(Route{Dest: e.Dest, Metric: cand, NextHop: from, Via: via, Updated: now})
-		t.sortedOK = false
+		t.routes = slices.Insert(t.routes, i, Route{Dest: e.Dest, Metric: cand, NextHop: from, Via: via, Updated: now})
 		res.Changed = true
 		res.Installed = append(res.Installed, e.Dest)
+		return i + 1
+	}
+	cur := &t.routes[i]
+	switch {
+	case cur.Local:
+		// never replace our own address
 	case cur.NextHop == from:
 		// Updates from the current next hop are always believed — this
 		// is how bad news propagates. Repeated unreachable
@@ -248,7 +275,7 @@ func (t *Table) applyOne(e Entry, from netsim.NodeID, via netsim.Medium, now flo
 		if t.HeldDown(e.Dest, now) && cur.Metric >= t.infinity {
 			// hold-down: an unreachable destination stays down until
 			// the hold expires, whatever other neighbors claim
-			return
+			break
 		}
 		cur.Metric = cand
 		cur.NextHop = from
@@ -257,38 +284,40 @@ func (t *Table) applyOne(e Entry, from netsim.NodeID, via netsim.Medium, now flo
 		res.Changed = true
 		res.Installed = append(res.Installed, e.Dest)
 	}
+	return i + 1
 }
 
 // Expire ages routes: entries unrefreshed for longer than timeout are
 // marked unreachable; unreachable entries older than gcAfter are deleted.
 // It returns the destinations that just became unreachable (for triggered
-// updates) and those deleted. Like ApplyResult's slices, both returned
-// lists are scratch-backed and valid until the next Expire call.
+// updates) and those deleted, each in ascending order. Like
+// ApplyResult's slices, both returned lists are scratch-backed and valid
+// until the next Expire call.
 func (t *Table) Expire(now, timeout, gcAfter float64) (newlyUnreachable, deleted []netsim.NodeID) {
 	newlyUnreachable = t.expU[:0]
 	deleted = t.expD[:0]
-	for dest, r := range t.routes {
-		if r.Local {
-			continue
-		}
-		age := now - r.Updated
-		if r.Metric >= t.infinity {
-			if age > gcAfter {
-				delete(t.routes, dest)
-				t.free = append(t.free, r)
-				t.sortedOK = false
-				deleted = append(deleted, dest)
+	n := 0 // routes kept so far, compacted to the front
+	for i := range t.routes {
+		r := &t.routes[i]
+		if !r.Local {
+			age := now - r.Updated
+			if r.Metric >= t.infinity {
+				if age > gcAfter {
+					deleted = append(deleted, r.Dest)
+					continue
+				}
+			} else if age > timeout {
+				r.Metric = t.infinity
+				t.startHold(r.Dest, now)
+				newlyUnreachable = append(newlyUnreachable, r.Dest)
 			}
-			continue
 		}
-		if age > timeout {
-			r.Metric = t.infinity
-			t.startHold(dest, now)
-			newlyUnreachable = append(newlyUnreachable, dest)
+		if n != i {
+			t.routes[n] = *r
 		}
+		n++
 	}
-	slices.Sort(newlyUnreachable)
-	slices.Sort(deleted)
+	t.routes = t.routes[:n]
 	t.expU = newlyUnreachable
 	t.expD = deleted
 	return newlyUnreachable, deleted
@@ -320,8 +349,13 @@ func (t *Table) String() string {
 // Local routes are advertised with metric 0. Agents pass a per-agent
 // scratch slice so steady-state update preparation allocates nothing.
 func (t *Table) ExportInto(dst []Entry, on netsim.Medium, splitHorizon, poisonReverse bool) []Entry {
-	for _, r := range t.sortedRoutes() {
-		if splitHorizon && !r.Local && r.Via == on {
+	split := -1 // no route's Via matches: split horizon is off, or on is new
+	if splitHorizon {
+		split = slices.Index(t.media, on)
+	}
+	for i := range t.routes {
+		r := &t.routes[i]
+		if int(r.Via) == split && !r.Local {
 			if poisonReverse {
 				dst = append(dst, Entry{Dest: r.Dest, Metric: t.infinity})
 			}

@@ -207,3 +207,40 @@ func TestTableString(t *testing.T) {
 		t.Fatalf("unreachable advertisement learned:\n%s", out)
 	}
 }
+
+// TestTableSteadyStateAllocs pins the flat table's claim: once a table
+// of about 200 routes has converged, the update cycle an agent runs —
+// apply each neighbor's update, export on each medium with split horizon
+// and poison reverse, age the routes — allocates nothing.
+func TestTableSteadyStateAllocs(t *testing.T) {
+	const dests = 200
+	tb := NewTable(16)
+	tb.SetLocal(0, 0)
+	media := []netsim.Medium{&fakeMedium{"a"}, &fakeMedium{"b"}}
+	msgs := make([]Message, 4)
+	for i := range msgs {
+		msgs[i].Router = netsim.NodeID(1 + i)
+		for d := 1; d <= dests; d++ {
+			msgs[i].Entries = append(msgs[i].Entries, Entry{Dest: netsim.NodeID(d), Metric: uint32(1 + (d+i)%5)})
+		}
+	}
+	var exp []Entry
+	now := 0.0
+	cycle := func() {
+		now++
+		for i, m := range msgs {
+			tb.ApplyCost(m, media[i%len(media)], now, 1)
+		}
+		for _, m := range media {
+			exp = tb.ExportInto(exp[:0], m, true, true)
+		}
+		tb.Expire(now, 180, 120)
+	}
+	cycle()
+	if tb.Len() != dests+1 {
+		t.Fatalf("converged table holds %d routes, want %d", tb.Len(), dests+1)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state cycle: %v allocs/op, want 0", allocs)
+	}
+}

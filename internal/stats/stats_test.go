@@ -8,105 +8,6 @@ import (
 	"routesync/internal/rng"
 )
 
-// Running accumulates count, mean and variance with Welford's online
-// algorithm, which stays numerically stable across the magnitudes this
-// repository sees (sub-millisecond processing times to 10^12-second hitting
-// times). The zero value is ready to use. No production code keeps
-// running moments; it lives here with its tests.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation into the accumulator.
-func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the sample mean, or NaN with no observations.
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.mean
-}
-
-// Variance returns the unbiased sample variance (n−1 denominator), or NaN
-// with fewer than two observations.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return math.NaN()
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// Min returns the smallest observation, or NaN with none.
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.min
-}
-
-// Max returns the largest observation, or NaN with none.
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.max
-}
-
-// Merge folds another accumulator into r (parallel Welford combination).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	mean := r.mean + d*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	min, max := r.min, r.max
-	if o.min < min {
-		min = o.min
-	}
-	if o.max > max {
-		max = o.max
-	}
-	*r = Running{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
-// Variance returns the unbiased sample variance of xs, or NaN if len < 2.
-func Variance(xs []float64) float64 {
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	return r.Variance()
-}
-
 // BinMax buckets the series into fixed-width x bins of width w and keeps
 // the maximum y per bin; x of each output point is the bin's left edge.
 func (s Series) BinMax(w float64) Series {
@@ -138,106 +39,14 @@ func almostEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.N() != 0 || !math.IsNaN(r.Mean()) || !math.IsNaN(r.Variance()) ||
-		!math.IsNaN(r.Min()) || !math.IsNaN(r.Max()) {
-		t.Fatal("zero-value Running should report NaN statistics")
-	}
-}
-
-func TestRunningBasic(t *testing.T) {
-	var r Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Fatalf("N = %d", r.N())
-	}
-	if !almostEq(r.Mean(), 5, 1e-12) {
-		t.Fatalf("Mean = %v, want 5", r.Mean())
-	}
-	// Population variance of this classic set is 4; sample variance 32/7.
-	if !almostEq(r.Variance(), 32.0/7.0, 1e-12) {
-		t.Fatalf("Variance = %v, want %v", r.Variance(), 32.0/7.0)
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", r.Min(), r.Max())
-	}
-}
-
-func TestRunningSingleObservation(t *testing.T) {
-	var r Running
-	r.Add(3.5)
-	if r.Mean() != 3.5 || !math.IsNaN(r.Variance()) {
-		t.Fatalf("single obs: mean=%v var=%v", r.Mean(), r.Variance())
-	}
-}
-
-// TestRunningMatchesDirect cross-checks Welford against the two-pass
-// formula on random data.
-func TestRunningMatchesDirect(t *testing.T) {
-	if err := quick.Check(func(seed int64) bool {
-		r := rng.New(seed)
-		n := 2 + r.Intn(500)
-		xs := make([]float64, n)
-		var run Running
-		for i := range xs {
-			xs[i] = r.Uniform(-100, 100)
-			run.Add(xs[i])
-		}
-		return almostEq(run.Mean(), Mean(xs), 1e-9) &&
-			almostEq(run.Variance(), Variance(xs), 1e-6)
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMerge(t *testing.T) {
-	if err := quick.Check(func(seed int64) bool {
-		r := rng.New(seed)
-		nA, nB := 1+r.Intn(100), 1+r.Intn(100)
-		var a, b, all Running
-		for i := 0; i < nA; i++ {
-			x := r.Uniform(0, 50)
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < nB; i++ {
-			x := r.Uniform(-50, 0)
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(b)
-		return a.N() == all.N() &&
-			almostEq(a.Mean(), all.Mean(), 1e-9) &&
-			almostEq(a.Variance(), all.Variance(), 1e-6) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(3)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
+// TestMeanVarianceEdge checks Mean on the empty slice and on a classic
+// set.
 func TestMeanVarianceEdge(t *testing.T) {
 	if !math.IsNaN(Mean(nil)) {
 		t.Fatal("Mean(nil) should be NaN")
 	}
-	if !math.IsNaN(Variance([]float64{1})) {
-		t.Fatal("Variance of one value should be NaN")
+	if m := Mean([]float64{2, 4, 4, 4, 5, 5, 7, 9}); m != 5 {
+		t.Fatalf("Mean = %v, want 5", m)
 	}
 }
 
