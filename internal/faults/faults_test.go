@@ -135,8 +135,10 @@ func TestCrashRebootRecovery(t *testing.T) {
 	if got := mid.Table().Len(); got != 0 {
 		t.Fatalf("crashed agent still holds %d routes", got)
 	}
-	if len(mid.Node().FIB) != 0 {
-		t.Fatal("crashed agent still holds FIB entries")
+	for id := netsim.NodeID(0); id < netsim.NodeID(n.NumNodes()); id++ {
+		if eg, ok := mid.Node().Route(id); ok {
+			t.Fatalf("crashed agent still routes to %d via %v", id, eg)
+		}
 	}
 	reqs := mid.Stats().RequestsSent
 	// Reboot at 40; RequestOnStart pulls the neighbor tables immediately,

@@ -399,11 +399,7 @@ func (a *Agent) recompute() {
 	}
 	a.spfQueue = queue[:0]
 	// Withdraw FIB entries that SPF no longer reaches.
-	for dest := range node.FIB {
-		if !inRange(dest) || !visited[dest] {
-			delete(node.FIB, dest)
-		}
-	}
+	node.RetainRoutes(visited)
 	a.fibOK = true
 	a.fibVer = net.TopologyVersion()
 }
@@ -444,7 +440,7 @@ func (a *Agent) sweep() {
 		}
 		if now-e.updated > maxAge {
 			delete(a.lsdb, origin)
-			delete(node.FIB, origin)
+			node.ClearRoute(origin)
 			a.stats.AgedOut++
 			changed = true
 		}

@@ -32,7 +32,7 @@ func fibHops(t *testing.T, net *netsim.Network, src, dest netsim.NodeID) int {
 		if hops > net.NumNodes() {
 			t.Fatalf("forwarding loop from %d toward %d", src, dest)
 		}
-		eg, ok := net.Node(cur).FIB[dest]
+		eg, ok := net.Node(cur).Route(dest)
 		if !ok {
 			return -1
 		}
@@ -160,6 +160,29 @@ func TestSPFDistances(t *testing.T) {
 	}
 }
 
+// TestRecomputeAllocs: once the LSDB has settled, an SPF rerun that
+// reprograms the FIB and withdraws a route it no longer reaches
+// allocates nothing, so neither the withdraw pass nor SPF's closures
+// escape to the heap.
+func TestRecomputeAllocs(t *testing.T) {
+	net, agents := lsChain(5, 2)
+	net.RunUntil(60)
+	a := agents[2]
+	node := a.Node()
+	hop := node.MediumAt(0)
+	run := func() {
+		node.SetRoute(99, hop, agents[1].Node().ID)
+		a.recompute()
+	}
+	run()
+	if _, ok := node.Route(99); ok {
+		t.Fatal("recompute kept a route to a destination SPF does not reach")
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("recompute: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestFIBForwardsEndToEnd(t *testing.T) {
 	net, agents := lsChain(4, 3)
 	net.RunUntil(60)
@@ -256,7 +279,7 @@ func TestDeadRouterAgesOut(t *testing.T) {
 	if d := fibHops(t, net, agents[0].Node().ID, deadID); d != -1 {
 		t.Fatalf("dead router still reachable at distance %d", d)
 	}
-	if _, ok := agents[0].Node().FIB[deadID]; ok {
+	if _, ok := agents[0].Node().Route(deadID); ok {
 		t.Fatal("FIB entry for dead router survived")
 	}
 	if agents[0].stats.AgedOut == 0 {
@@ -293,8 +316,8 @@ func TestLinkFailureReroutes(t *testing.T) {
 	if d := fibHops(t, net, src.ID, dst.ID); d != 2 {
 		t.Fatalf("post-failure distance = %d, want 2 via b1", d)
 	}
-	if nh := net.Node(src.ID).FIB[dst.ID].NextHop; nh != b1.ID {
-		t.Fatalf("post-failure next hop = %v, want b1 (%v)", nh, b1.ID)
+	if eg, _ := net.Node(src.ID).Route(dst.ID); eg.NextHop != b1.ID {
+		t.Fatalf("post-failure next hop = %v, want b1 (%v)", eg.NextHop, b1.ID)
 	}
 	// And data actually flows via the bottom path.
 	got := 0

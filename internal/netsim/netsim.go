@@ -26,6 +26,12 @@
 // split a topology across K logical processes, each on its own
 // des.Simulator, and still produce bit-identical results for any K
 // (including K=1 and the unpartitioned network). See partition.go.
+//
+// A node's forwarding table is one destination-sorted array of
+// pointer-free entries (Node.SetRoute, Node.Route). Only events
+// executing at the node, or single-threaded phases, write it, and only
+// the node's own forwarding path reads it, so each logical process owns
+// its nodes' tables outright and no lock guards them.
 package netsim
 
 import (
@@ -273,18 +279,25 @@ func (n *Network) dropAt(nd *Node, why DropReason) {
 	n.countersFor(nd).drops[dropIndex(why)]++
 }
 
+// maxNodes bounds a network's node count: nextKey keeps the node id in
+// the 26 bits above a 38-bit sequence, which also keeps every id inside
+// the forwarding table's 32-bit fields.
+const maxNodes = 1<<26 - 1
+
 // NewNode adds a node. A nil cpu means an infinitely fast node (hosts,
 // ideal switches).
 func (n *Network) NewNode(name string, cpu *CPUConfig) *Node {
 	if n.parts != nil {
 		panic("netsim: cannot add nodes to a partitioned network")
 	}
+	if len(n.nodes) >= maxNodes {
+		panic(fmt.Sprintf("netsim: more than %d nodes", maxNodes))
+	}
 	id := NodeID(len(n.nodes))
 	nd := &Node{
 		ID:   id,
 		Name: name,
 		net:  n,
-		FIB:  make(map[NodeID]Egress),
 		// A per-node stream: the (node, arrival) → draw mapping is then
 		// independent of global event interleaving, which keeps loss
 		// patterns identical across partition counts.

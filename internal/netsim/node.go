@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"routesync/internal/des"
 	"routesync/internal/rng"
@@ -21,11 +23,21 @@ type Medium interface {
 	Transmit(pkt *Packet, from *Node, to NodeID)
 }
 
-// Egress is a forwarding-table entry: which medium to send on and the
+// Egress is a forwarding decision: which medium to send on and the
 // link-layer next hop.
 type Egress struct {
 	Via     Medium
 	NextHop NodeID
+}
+
+// fibEntry is one forwarding-table entry, 12 bytes with no pointer: via
+// indexes the node's attached media, which only ever grow, so an index
+// stays valid for the node's lifetime. Ids are 32-bit because the
+// distance-vector wire carries them so: every destination and next hop
+// an update can name fits.
+type fibEntry struct {
+	dst, next uint32
+	via       uint16
 }
 
 // Node is a host or router. Hosts have nil CPU (forwarding and delivery
@@ -36,9 +48,15 @@ type Node struct {
 	Name string
 	net  *Network
 
-	// FIB maps final destination to egress. Routing agents (or static
-	// topology setup) populate it.
-	FIB map[NodeID]Egress
+	// fib is the forwarding table, final destination to egress: one
+	// destination-sorted array the garbage collector never scans.
+	// Routing agents (or static topology setup) program it with
+	// SetRoute, ClearRoute, ClearRoutes and RetainRoutes; forwarding
+	// reads it with Route. Only events executing at this node (or
+	// single-threaded phases) write it, and only this node's forwarding
+	// path reads it, so it is owned by the node's logical process and
+	// needs no locking under partitioning.
+	fib []fibEntry
 
 	// CPU is the router processor model, nil for infinitely fast nodes.
 	CPU *CPU
@@ -212,9 +230,99 @@ func (nd *Node) SetFailed(failed bool) {
 	}
 }
 
-// SetRoute installs a forwarding entry for dst.
+// fibID converts a node id to the forwarding table's 32-bit form,
+// reporting false for ids outside [0, 2^32).
+func fibID(id NodeID) (uint32, bool) { return uint32(id), uint64(id) <= math.MaxUint32 }
+
+// fibSearch returns the index of the first forwarding entry whose
+// destination is not below dst, and whether that entry is dst's.
+func (nd *Node) fibSearch(dst uint32) (int, bool) {
+	fib := nd.fib
+	lo, hi := 0, len(fib)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if fib[m].dst < dst {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(fib) && fib[lo].dst == dst
+}
+
+// SetRoute installs the forwarding entry for dst, replacing any earlier
+// one. It panics when via is not attached to the node, or when dst or
+// nextHop lies outside [0, 2^32), which no node or routing update can
+// name.
 func (nd *Node) SetRoute(dst NodeID, via Medium, nextHop NodeID) {
-	nd.FIB[dst] = Egress{Via: via, NextHop: nextHop}
+	d, okD := fibID(dst)
+	next, okN := fibID(nextHop)
+	if !okD || !okN {
+		panic(fmt.Sprintf("netsim: %v: route to %d via next hop %d outside the forwarding table's id range", nd, dst, nextHop))
+	}
+	e := fibEntry{dst: d, next: next, via: nd.mediumIndex(via)}
+	if i, ok := nd.fibSearch(d); ok {
+		nd.fib[i] = e
+	} else {
+		nd.fib = slices.Insert(nd.fib, i, e)
+	}
+}
+
+// mediumIndex returns m's position among the node's attached media.
+func (nd *Node) mediumIndex(m Medium) uint16 {
+	for i, x := range nd.media {
+		if x == m {
+			if i > math.MaxUint16 {
+				panic(fmt.Sprintf("netsim: %v: route via medium %d, beyond the 65536 the forwarding table indexes", nd, i))
+			}
+			return uint16(i)
+		}
+	}
+	panic(fmt.Sprintf("netsim: %v: route via a medium the node is not attached to", nd))
+}
+
+// Route returns the forwarding entry for dst.
+func (nd *Node) Route(dst NodeID) (Egress, bool) {
+	d, ok := fibID(dst)
+	if !ok {
+		return Egress{}, false
+	}
+	i, ok := nd.fibSearch(d)
+	if !ok {
+		return Egress{}, false
+	}
+	e := nd.fib[i]
+	return Egress{Via: nd.media[e.via], NextHop: NodeID(e.next)}, true
+}
+
+// ClearRoute removes the forwarding entry for dst, if there is one.
+func (nd *Node) ClearRoute(dst NodeID) {
+	d, ok := fibID(dst)
+	if !ok {
+		return
+	}
+	if i, ok := nd.fibSearch(d); ok {
+		nd.fib = slices.Delete(nd.fib, i, i+1)
+	}
+}
+
+// ClearRoutes empties the forwarding table, keeping its capacity for
+// the routes the node learns next (a crashed router's restart).
+func (nd *Node) ClearRoutes() { nd.fib = nd.fib[:0] }
+
+// RetainRoutes keeps the forwarding entries whose destination d has
+// reached[d] set and removes the rest, including every destination at or
+// beyond len(reached) — the withdraw pass of a shortest-path computation
+// that marks the nodes it reached.
+func (nd *Node) RetainRoutes(reached []bool) {
+	n := 0
+	for _, e := range nd.fib {
+		if uint64(e.dst) < uint64(len(reached)) && reached[e.dst] {
+			nd.fib[n] = e
+			n++
+		}
+	}
+	nd.fib = nd.fib[:n]
 }
 
 // SendOn transmits pkt directly on a medium, bypassing the FIB — the
@@ -289,7 +397,7 @@ func (nd *Node) forward(pkt *Packet) {
 		nd.dropHere(pkt, DropTTLExpired)
 		return
 	}
-	eg, ok := nd.FIB[pkt.Dst]
+	eg, ok := nd.Route(pkt.Dst)
 	if !ok {
 		nd.dropHere(pkt, DropNoRoute)
 		return
@@ -313,7 +421,7 @@ func (nd *Node) route(pkt *Packet) {
 		nd.deliverLocal(pkt)
 		return
 	}
-	eg, ok := nd.FIB[pkt.Dst]
+	eg, ok := nd.Route(pkt.Dst)
 	if !ok {
 		// Counted network-wide but not against the node: the packet never
 		// traversed the forwarding path.

@@ -402,9 +402,7 @@ func (k *Kernel[A]) Stop() {
 // schedules exactly that) or from a single-threaded phase.
 func (k *Kernel[A]) Crash() {
 	k.Stop()
-	for dst := range k.node.FIB {
-		delete(k.node.FIB, dst)
-	}
+	k.node.ClearRoutes()
 	if k.hooks.ResetVolatile != nil {
 		k.hooks.ResetVolatile()
 	}

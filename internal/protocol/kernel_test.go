@@ -229,11 +229,12 @@ func TestKernelCrashRestart(t *testing.T) {
 	h.Restarted = func() { restarts++ }
 	k := New(Config{Name: "test", Node: node, Jitter: jitter.None{Tp: 10}}, h)
 	k.StartTimer(0)
-	node.FIB[99] = netsim.Egress{}
+	peer := net.NewNode("r1", nil)
+	node.SetRoute(99, net.Connect(node, peer, netsim.LinkConfig{}), peer.ID)
 
 	k.Crash()
-	if len(node.FIB) != 0 {
-		t.Fatalf("FIB has %d entries after Crash, want 0", len(node.FIB))
+	if eg, ok := node.Route(99); ok {
+		t.Fatalf("FIB routes to 99 via %v after Crash, want no entry", eg)
 	}
 	if resets != 1 {
 		t.Fatalf("ResetVolatile called %d times, want 1", resets)

@@ -363,17 +363,18 @@ func (a *Agent) integrate(msg Message, via netsim.Medium) {
 	if res.Changed {
 		a.stats.RouteChanges++
 	}
-	for _, dest := range res.Installed {
-		r := a.table.Get(dest)
-		if r != nil && !r.Local && r.Metric < a.table.Infinity() {
-			node.SetRoute(dest, a.table.Via(r), r.NextHop)
+	for _, i := range res.Installed {
+		// A later entry of the same update may have made it unreachable.
+		r := a.table.At(i)
+		if r.Metric < a.table.Infinity() {
+			node.SetRoute(r.Dest, a.table.Via(r), r.NextHop)
 			if a.OnRouteChange != nil {
-				a.OnRouteChange(dest, r.Metric, true)
+				a.OnRouteChange(r.Dest, r.Metric, true)
 			}
 		}
 	}
 	for _, dest := range res.Unreachable {
-		delete(node.FIB, dest)
+		node.ClearRoute(dest)
 		if a.OnRouteChange != nil {
 			a.OnRouteChange(dest, a.table.Infinity(), false)
 		}
@@ -410,7 +411,7 @@ func (a *Agent) sweep() {
 	a.stats.ExpiredRoutes += uint64(len(unreachable))
 	a.stats.DeletedRoutes += uint64(len(deleted))
 	for _, dest := range unreachable {
-		delete(node.FIB, dest)
+		node.ClearRoute(dest)
 		if a.OnRouteChange != nil {
 			a.OnRouteChange(dest, a.table.Infinity(), false)
 		}

@@ -110,7 +110,7 @@ func TestLinkFailureConvergence(t *testing.T) {
 	if r != nil && r.Metric < 16 {
 		t.Fatalf("route to unreachable dest still alive: %+v", r)
 	}
-	if _, ok := agents[0].Node().FIB[far]; ok {
+	if _, ok := agents[0].Node().Route(far); ok {
 		t.Fatal("FIB entry survived unreachability")
 	}
 	// Much later the entry is garbage collected entirely.
@@ -354,7 +354,7 @@ func TestAgentStop(t *testing.T) {
 func fibPath(net *netsim.Network, src, dst netsim.NodeID) []netsim.NodeID {
 	var path []netsim.NodeID
 	for cur := src; cur != dst; {
-		eg, ok := net.Node(cur).FIB[dst]
+		eg, ok := net.Node(cur).Route(dst)
 		if !ok || len(path) > net.NumNodes() {
 			return nil
 		}

@@ -62,10 +62,10 @@ const fuzzDests = 20
 
 // FuzzRoutingTable replays a program decoded from the fuzz bytes on a
 // Table and on refTable, the map-based table it replaced, and requires
-// after every op the same ApplyResult (flags and list order), the same
-// Expire lists, and the same table as compareTables reads it. The first
-// byte picks 1–4 media; after it one op is a byte whose value mod 8
-// selects:
+// after every op the same ApplyResult (flags, and lists in the same
+// order, Installed resolved through Table.At), the same Expire lists,
+// and the same table as compareTables reads it. The first byte picks 1–4
+// media; after it one op is a byte whose value mod 8 selects:
 //
 //	0        SetLocal: destination
 //	1, 2, 3  ApplyCost: sender, medium, cost (1–4), order, count (0–15),
@@ -152,8 +152,14 @@ func FuzzRoutingTable(f *testing.F) {
 				got := tb.ApplyCost(msg, media[m], now, cost)
 				want := ref.ApplyCost(msg, media[m], now, cost)
 				if got.Changed != want.Changed || got.Worsened != want.Worsened ||
-					!slices.Equal(got.Installed, want.Installed) || !slices.Equal(got.Unreachable, want.Unreachable) {
+					len(got.Installed) != len(want.Installed) || !slices.Equal(got.Unreachable, want.Unreachable) {
 					t.Fatalf("step %d %s = %+v, reference %+v", step, what, got, want)
+				}
+				for i, at := range got.Installed {
+					if d := tb.At(at).Dest; d != want.Installed[i] {
+						t.Fatalf("step %d %s: Installed[%d] = index %d, destination %d; reference %d",
+							step, what, i, at, d, want.Installed[i])
+					}
 				}
 			}
 			compareTables(t, tb, ref, fuzzDests, media, now, fmt.Sprintf("step %d %s", step, what))

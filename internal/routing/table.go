@@ -41,7 +41,8 @@ type Table struct {
 	holdTill map[netsim.NodeID]float64
 
 	// inst/unre back ApplyResult's slices; expU/expD back Expire's.
-	inst, unre []netsim.NodeID
+	inst       []int32
+	unre       []netsim.NodeID
 	expU, expD []netsim.NodeID
 }
 
@@ -94,6 +95,11 @@ func (t *Table) Get(dest netsim.NodeID) *Route {
 	}
 	return nil
 }
+
+// At returns the route at index i of the destination-sorted table, as
+// ApplyResult.Installed names it. The pointer is valid until the next
+// call that changes the table.
+func (t *Table) At(i int32) *Route { return &t.routes[i] }
 
 // Via returns the medium r was learned on (nil for the local route).
 func (t *Table) Via(r *Route) netsim.Medium { return t.media[r.Via] }
@@ -180,11 +186,23 @@ type ApplyResult struct {
 	// Worsened is true if any route's metric increased (including to
 	// infinity) — the trigger condition for a triggered update.
 	Worsened bool
-	// Installed lists destinations whose forwarding entry must be
-	// (re)programmed into the node FIB.
-	Installed []netsim.NodeID
+	// Installed lists, by their index in the table (see Table.At), the
+	// routes whose forwarding entry must be (re)programmed into the node
+	// FIB. An update naming a destination twice lists it twice, and a
+	// later entry may have made it unreachable again.
+	Installed []int32
 	// Unreachable lists destinations that just became unreachable.
 	Unreachable []netsim.NodeID
+
+	// top is one past the largest index in Installed: an insert at or
+	// above it moves none of the installed routes.
+	top int
+}
+
+// install records that the route at index i was (re)programmed.
+func (res *ApplyResult) install(i int) {
+	res.Installed = append(res.Installed, int32(i))
+	res.top = max(res.top, i+1)
 }
 
 // ApplyCost folds one neighbor's update into the table (Bellman–Ford with
@@ -240,8 +258,18 @@ func (t *Table) applyOne(i int, ok bool, e Entry, from netsim.NodeID, via uint16
 			return i // hold-down: distrust resurrection rumors
 		}
 		t.routes = slices.Insert(t.routes, i, Route{Dest: e.Dest, Metric: cand, NextHop: from, Via: via, Updated: now})
+		if i < res.top {
+			// The insert moved the routes from i on up by one, some
+			// installed earlier in this update among them.
+			for k, p := range res.Installed {
+				if int(p) >= i {
+					res.Installed[k] = p + 1
+				}
+			}
+			res.top++
+		}
 		res.Changed = true
-		res.Installed = append(res.Installed, e.Dest)
+		res.install(i)
 		return i + 1
 	}
 	cur := &t.routes[i]
@@ -268,7 +296,7 @@ func (t *Table) applyOne(i int, ok bool, e Entry, from netsim.NodeID, via uint16
 				t.startHold(e.Dest, now)
 				res.Unreachable = append(res.Unreachable, e.Dest)
 			} else {
-				res.Installed = append(res.Installed, e.Dest)
+				res.install(i)
 			}
 		}
 	case cand < cur.Metric:
@@ -282,7 +310,7 @@ func (t *Table) applyOne(i int, ok bool, e Entry, from netsim.NodeID, via uint16
 		cur.Via = via
 		cur.Updated = now
 		res.Changed = true
-		res.Installed = append(res.Installed, e.Dest)
+		res.install(i)
 	}
 	return i + 1
 }

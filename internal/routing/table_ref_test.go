@@ -37,9 +37,17 @@ type refTable struct {
 	sortedOK bool
 	// free recycles refRoute structs deleted by Expire or Reset.
 	free []*refRoute
-	// inst/unre back ApplyResult's slices; expU/expD back Expire's.
+	// inst/unre back refApplyResult's slices; expU/expD back Expire's.
 	inst, unre []netsim.NodeID
 	expU, expD []netsim.NodeID
+}
+
+// refApplyResult is ApplyResult with the installed routes named by
+// destination.
+type refApplyResult struct {
+	Changed, Worsened bool
+	Installed         []netsim.NodeID
+	Unreachable       []netsim.NodeID
 }
 
 // NewTable creates a table with the given unreachable metric.
@@ -145,11 +153,11 @@ func (t *refTable) Reset() {
 // or bandwidth-weighted protocols (Hello, IGRP's composite metric in
 // spirit) supply larger costs for slower media. Cost must be at least 1
 // (a zero-cost hop would allow counting loops that never age).
-func (t *refTable) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32) ApplyResult {
+func (t *refTable) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32) refApplyResult {
 	if cost < 1 {
 		panic("routing: link cost must be at least 1")
 	}
-	var res ApplyResult
+	var res refApplyResult
 	res.Installed = t.inst[:0]
 	res.Unreachable = t.unre[:0]
 	from := m.Router
@@ -170,7 +178,7 @@ func (t *refTable) ApplyCost(m Message, via netsim.Medium, now float64, cost uin
 	return res
 }
 
-func (t *refTable) applyOne(e Entry, from netsim.NodeID, via netsim.Medium, now float64, cost uint32, res *ApplyResult) {
+func (t *refTable) applyOne(e Entry, from netsim.NodeID, via netsim.Medium, now float64, cost uint32, res *refApplyResult) {
 	cand := e.Metric + cost
 	if cand > t.infinity || cand < e.Metric { // cap, guard overflow
 		cand = t.infinity

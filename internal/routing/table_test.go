@@ -87,7 +87,7 @@ func TestTableIgnoresUnreachableNews(t *testing.T) {
 	if tb.Get(5) != nil {
 		t.Fatal("learned an unreachable route")
 	}
-	if len(res.Installed) != 1 || res.Installed[0] != 1 {
+	if len(res.Installed) != 1 || tb.At(res.Installed[0]).Dest != 1 {
 		t.Fatalf("installed = %v, want just the neighbor", res.Installed)
 	}
 }
