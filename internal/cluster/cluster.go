@@ -24,12 +24,11 @@ type Member struct {
 // busy window. Members are ordered by expiry time (first = cluster head,
 // the node that "breaks away from the head of the cluster" in §5.1 when
 // break-up occurs).
+//
+// The busy window opens at the first member's expiry and closes, with
+// every member resetting its timer, len(Members)·Tc later.
 type Cluster struct {
 	Members []Member
-	// Start is the first expiry (when the busy window opens).
-	Start float64
-	// End is Start + len(Members)·Tc (when all members reset timers).
-	End float64
 }
 
 // Size returns the number of members.
@@ -72,11 +71,7 @@ func GrowSorted(sorted []Member, tc float64) Cluster {
 		}
 		break
 	}
-	return Cluster{
-		Members: sorted[:k],
-		Start:   t,
-		End:     t + float64(k)*tc,
-	}
+	return Cluster{Members: sorted[:k]}
 }
 
 // SortMembers orders members in place by (Expiry, ID) ascending — the

@@ -10,7 +10,7 @@ import (
 
 func TestGrowSingle(t *testing.T) {
 	c := Grow([]Member{{ID: 3, Expiry: 10}}, 0.11)
-	if c.Size() != 1 || c.Start != 10 || c.End != 10.11 {
+	if c.Size() != 1 || c.Members[0].ID != 3 || c.Members[0].Expiry != 10 {
 		t.Fatalf("Grow single = %+v", c)
 	}
 }
@@ -27,9 +27,6 @@ func TestGrowPair(t *testing.T) {
 	}, tc)
 	if c.Size() != 2 {
 		t.Fatalf("size = %d, want 2", c.Size())
-	}
-	if c.End != 100+2*tc {
-		t.Fatalf("End = %v, want %v", c.End, 100+2*tc)
 	}
 	if c.Members[0].ID != 0 || c.Members[1].ID != 1 {
 		t.Fatalf("members = %+v", c.Members)
@@ -90,8 +87,9 @@ func TestGrowDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// TestGrowProperties: every member expiry lies in [Start, End); every
-// non-member expiry is >= the final window end; End-Start = size·Tc.
+// TestGrowProperties: with the window [start, start+size·Tc) opened by
+// the first member's expiry, every member expiry lies inside it and every
+// non-member expiry at or after its end.
 func TestGrowProperties(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
 		r := rng.New(seed)
@@ -102,18 +100,17 @@ func TestGrowProperties(t *testing.T) {
 			members[i] = Member{ID: i, Expiry: r.Uniform(0, 20)}
 		}
 		c := Grow(members, tc)
-		if d := (c.End - c.Start) - float64(c.Size())*tc; d > 1e-12 || d < -1e-12 {
-			return false
-		}
+		start := c.Members[0].Expiry
+		end := start + float64(c.Size())*tc
 		inCluster := make(map[int]bool)
 		for _, m := range c.Members {
 			inCluster[m.ID] = true
-			if m.Expiry < c.Start || m.Expiry >= c.End {
+			if m.Expiry < start || m.Expiry >= end {
 				return false
 			}
 		}
 		for _, m := range members {
-			if !inCluster[m.ID] && m.Expiry < c.End && m.Expiry != c.Start {
+			if !inCluster[m.ID] && m.Expiry < end && m.Expiry != start {
 				// a non-member strictly inside the final window would
 				// violate the fixed point (== Start ties join, handled
 				// above via the membership map)

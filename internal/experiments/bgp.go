@@ -65,7 +65,6 @@ const bgpOrigins = 32
 // so the benchmark harness times exactly what the experiment runs.
 type BGPScenario struct {
 	Net    *netsim.Network
-	Graph  *netsim.ASGraph
 	Agents []*pathvector.Agent
 	// FlushTimes[i] collects agent i's update-flush instants; each slice
 	// is appended only from the logical process owning that AS and is
@@ -77,11 +76,9 @@ type BGPScenario struct {
 	// how many such changes it made — the path-exploration storm.
 	StormLast  []float64
 	StormCount []int
-	// Origins is the shared bounded prefix set every agent carries.
-	Origins []netsim.NodeID
-	// ASes and Partitions give the scale; MRAI the batching interval.
-	ASes, Partitions int
-	MRAI             float64
+	// ASes gives the scale; MRAI the batching interval.
+	ASes int
+	MRAI float64
 	// Horizon is the run length; WithdrawAt when the probe origin
 	// withdraws its prefix. ProbeOrigin is the withdrawn AS (the seed
 	// clique's first member — a transit hub, so the storm has fanout).
@@ -145,9 +142,8 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 	nw.Partition(k, netsim.OwnerByBlock(blockSize, k, k))
 
 	sc := &BGPScenario{
-		Net: nw, Graph: g,
-		Origins: origins,
-		ASes:    ases, Partitions: k,
+		Net:         nw,
+		ASes:        ases,
 		MRAI:        mrai,
 		Horizon:     horizon,
 		WithdrawAt:  0.45 * horizon,

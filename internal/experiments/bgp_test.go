@@ -24,6 +24,7 @@ func TestBGPKInvariant(t *testing.T) {
 	run := func(k int) snap {
 		sc := BuildBGP(220, k, 5, "uniform", 9, 120, nil)
 		sc.Run()
+		second := sc.Agents[len(sc.Agents)/bgpOrigins].Node().ID // the origin set's second member
 		return snap{
 			flushes: sc.FlushTimes,
 			last:    sc.StormLast,
@@ -31,7 +32,7 @@ func TestBGPKInvariant(t *testing.T) {
 			sync:    sc.SyncClusterFraction(),
 			burst:   sc.BurstRatio(),
 			storm:   sc.StormLength(),
-			reach:   sc.ReachFraction(sc.Origins[1]),
+			reach:   sc.ReachFraction(second),
 		}
 	}
 	ref := run(1)

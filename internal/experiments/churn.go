@@ -98,13 +98,10 @@ func churnProfile(p ChurnPolicy) routing.Profile {
 // ChurnScenario is one built instance of the churn scenario, exposed so
 // tests and the benchmark harness run exactly what the experiment runs.
 type ChurnScenario struct {
-	Net      *netsim.Network
-	Pinger   *workload.Pinger
-	Injector *faults.Injector
-	Monitor  *faults.Monitor
-	Agents   []*routing.Agent
-	// NumAS and PerAS give the domain geometry; Partitions the realized K.
-	NumAS, PerAS, Partitions int
+	Net     *netsim.Network
+	Pinger  *workload.Pinger
+	Monitor *faults.Monitor
+	Agents  []*routing.Agent
 	// Horizon is the configured run length; call Run to execute it.
 	Horizon float64
 }
@@ -173,11 +170,8 @@ func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy
 	nw.Partition(k, netsim.OwnerByBlock(perAS, numAS, k))
 
 	sc := &ChurnScenario{
-		Net:        nw,
-		NumAS:      numAS,
-		PerAS:      perAS,
-		Partitions: k,
-		Horizon:    horizon,
+		Net:     nw,
+		Horizon: horizon,
 	}
 
 	// Unlike ext_netscale's static inter-domain routes, every router here
@@ -210,7 +204,7 @@ func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy
 	// between the measured domains crosses at least one flapped link).
 	// Churn hits one interior router on each side of the measured path,
 	// away from both ping endpoints.
-	in := faults.NewInjector(nw, seed*7+3)
+	in := faults.NewInjector(seed*7 + 3)
 	fcfg := faults.FlapConfig{MeanUp: meanUp, MeanDown: churnMeanDown, Start: 30, Horizon: horizon - 40}
 	for a := 0; a+1 < numAS; a += 2 {
 		in.FlapLink(churnLink(topo.Gateways[a], topo.Gateways[a+1]), fcfg)
@@ -226,7 +220,6 @@ func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy
 	for _, ag := range churned {
 		in.ChurnAgent(ag, ccfg)
 	}
-	sc.Injector = in
 
 	// Measured path: interior routers of domain 0 and the antipodal
 	// domain, so pings cross the flapped backbone.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -86,7 +87,7 @@ func TestFig3PeriodicOutages(t *testing.T) {
 	// And isolated single losses exist too (background noise).
 	singles := 0
 	for _, o := range audio.Outages() {
-		if o.Lost == 1 {
+		if math.Round(o.Duration/audio.Gap) == 1 {
 			singles++
 		}
 	}
@@ -103,8 +104,8 @@ func TestFig3FixedModeEliminatesSpikes(t *testing.T) {
 	c := PathConfig{PerRouteCost: 1e-9, BackgroundLoss: 0.002}
 	_, audio := Fig3(c, 600)
 	for _, o := range audio.Outages() {
-		if o.Lost > 3 {
-			t.Fatalf("multi-packet outage (%d lost) without CPU stalls", o.Lost)
+		if lost := math.Round(o.Duration / audio.Gap); lost > 3 {
+			t.Fatalf("multi-packet outage (%v lost) without CPU stalls", lost)
 		}
 	}
 }
@@ -149,15 +150,15 @@ func TestFig7MonotoneSyncTimes(t *testing.T) {
 	}
 	cfg := quickModel()
 	cfg.Horizon = 3e6
-	_, pts := Fig7(cfg, []float64{0.6, 1.0})
-	if len(pts) != 2 {
-		t.Fatalf("pts = %+v", pts)
+	rounds := sweepRounds(t, Fig7(cfg, []float64{0.6, 1.0}))
+	if len(rounds) != 2 {
+		t.Fatalf("rounds = %v", rounds)
 	}
-	if !pts[0].Reached || !pts[1].Reached {
-		t.Fatalf("sync not reached: %+v", pts)
+	if rounds[0] < 0 || rounds[1] < 0 {
+		t.Fatalf("sync not reached: %v", rounds)
 	}
-	if pts[0].Rounds >= pts[1].Rounds {
-		t.Fatalf("sync time should grow with Tr: %+v", pts)
+	if rounds[0] >= rounds[1] {
+		t.Fatalf("sync time should grow with Tr: %v", rounds)
 	}
 }
 
@@ -167,13 +168,32 @@ func TestFig8MonotoneBreakTimes(t *testing.T) {
 	}
 	cfg := quickModel()
 	cfg.Horizon = 3e6
-	_, pts := Fig8(cfg, []float64{2.5, 2.8}, 2)
-	if !pts[0].Reached && !pts[1].Reached {
-		t.Fatalf("neither Tr broke synchronization: %+v", pts)
+	rounds := sweepRounds(t, Fig8(cfg, []float64{2.5, 2.8}, 2))
+	if len(rounds) != 2 {
+		t.Fatalf("rounds = %v", rounds)
 	}
-	if pts[1].Reached && pts[0].Reached && pts[1].Rounds > pts[0].Rounds {
-		t.Fatalf("break-up should be faster at higher Tr: %+v", pts)
+	if rounds[0] < 0 && rounds[1] < 0 {
+		t.Fatalf("neither Tr broke synchronization: %v", rounds)
 	}
+	if rounds[1] >= 0 && rounds[0] >= 0 && rounds[1] > rounds[0] {
+		t.Fatalf("break-up should be faster at higher Tr: %v", rounds)
+	}
+}
+
+// sweepRounds reads the round counts off a Fig 7/8 result's notes, one
+// per Tr, with -1 where the condition was not reached by the horizon.
+func sweepRounds(t *testing.T, r *Result) []float64 {
+	t.Helper()
+	rounds := make([]float64, len(r.Notes))
+	for i, note := range r.Notes {
+		rounds[i] = -1
+		if _, after, ok := strings.Cut(note, " after "); ok {
+			if _, err := fmt.Sscanf(after, "%f rounds", &rounds[i]); err != nil {
+				t.Fatalf("note %q: %v", note, err)
+			}
+		}
+	}
+	return rounds
 }
 
 func TestFig9Probabilities(t *testing.T) {

@@ -25,8 +25,6 @@ type MetroLANScenario struct {
 	// Agents lists the attached routing agents (leak audits sum their
 	// pending-packet counts).
 	Agents []*routing.Agent
-	// Segments and PerSeg give the LAN geometry; Partitions the realized K.
-	Segments, PerSeg, Partitions int
 	// Horizon is the configured run length; Net.RunUntil(Horizon) runs it.
 	Horizon float64
 }
@@ -60,11 +58,8 @@ func BuildMetroLAN(segments, perSeg, k int, seed int64, horizon float64, obs des
 	nw.Partition(k, netsim.OwnerByBlock(perSeg, segments, k))
 
 	sc := &MetroLANScenario{
-		Net:        nw,
-		Segments:   segments,
-		PerSeg:     perSeg,
-		Partitions: k,
-		Horizon:    horizon,
+		Net:     nw,
+		Horizon: horizon,
 	}
 	// Compressed protocol (5 s period) so convergence and several full
 	// periods fit a short horizon; every router speaks it, gateways

@@ -155,21 +155,11 @@ func Fig6(c ModelConfig) *Result {
 	return r
 }
 
-// SweepPoint is one (Tr, outcome) of a Figure 7/8-style sweep.
-type SweepPoint struct {
-	TrOverTc float64
-	// Reached tells whether the condition (synchronization for Fig 7,
-	// break-up for Fig 8) was met before the horizon.
-	Reached bool
-	Rounds  float64
-	Seconds float64
-}
-
 // Fig7 regenerates Figure 7: runs starting unsynchronized for a range of
 // random components Tr (the paper uses 0.6·Tc, 1.0·Tc, 1.4·Tc and a 10^7 s
 // horizon); larger Tr takes longer to synchronize. It returns the cluster
-// graph of each run plus the synchronization times.
-func Fig7(c ModelConfig, trOverTc []float64) (*Result, []SweepPoint) {
+// graph of each run, with the synchronization times as notes.
+func Fig7(c ModelConfig, trOverTc []float64) *Result {
 	c = c.Defaults()
 	if len(trOverTc) == 0 {
 		trOverTc = []float64{0.6, 1.0, 1.4}
@@ -182,7 +172,6 @@ func Fig7(c ModelConfig, trOverTc []float64) (*Result, []SweepPoint) {
 			YMin: 0, YMax: float64(c.N),
 		},
 	}
-	var pts []SweepPoint
 	for _, m := range trOverTc {
 		cc := c
 		cc.Tr = m * c.Tc
@@ -196,20 +185,19 @@ func Fig7(c ModelConfig, trOverTc []float64) (*Result, []SweepPoint) {
 
 		s2 := cc.system(periodic.StartUnsynchronized)
 		res := s2.RunUntilSynchronized(c.Horizon)
-		pts = append(pts, SweepPoint{TrOverTc: m, Reached: res.Reached, Rounds: res.Rounds, Seconds: res.Time})
 		if res.Reached {
 			r.Notef("Tr=%.1fTc: synchronized after %.0f rounds (%.2es)", m, res.Rounds, res.Time)
 		} else {
 			r.Notef("Tr=%.1fTc: not synchronized within %.1es", m, c.Horizon)
 		}
 	}
-	return r, pts
+	return r
 }
 
 // Fig8 regenerates Figure 8: runs starting synchronized (as after a wave
 // of triggered updates) for Tr of 2.3·Tc, 2.5·Tc, 2.8·Tc; larger Tr breaks
-// the synchronization faster.
-func Fig8(c ModelConfig, trOverTc []float64, brokenThreshold int) (*Result, []SweepPoint) {
+// the synchronization faster. The break-up times are notes.
+func Fig8(c ModelConfig, trOverTc []float64, brokenThreshold int) *Result {
 	c = c.Defaults()
 	if len(trOverTc) == 0 {
 		trOverTc = []float64{2.3, 2.5, 2.8}
@@ -225,7 +213,6 @@ func Fig8(c ModelConfig, trOverTc []float64, brokenThreshold int) (*Result, []Sw
 			YMin: 0, YMax: float64(c.N),
 		},
 	}
-	var pts []SweepPoint
 	for _, m := range trOverTc {
 		cc := c
 		cc.Tr = m * c.Tc
@@ -239,14 +226,13 @@ func Fig8(c ModelConfig, trOverTc []float64, brokenThreshold int) (*Result, []Sw
 
 		s2 := cc.system(periodic.StartSynchronized)
 		res := s2.RunUntilBroken(brokenThreshold, c.Horizon)
-		pts = append(pts, SweepPoint{TrOverTc: m, Reached: res.Reached, Rounds: res.Rounds, Seconds: res.Time})
 		if res.Reached {
 			r.Notef("Tr=%.1fTc: synchronization broken after %.0f rounds (%.2es)", m, res.Rounds, res.Time)
 		} else {
 			r.Notef("Tr=%.1fTc: synchronization not broken within %.1es", m, c.Horizon)
 		}
 	}
-	return r, pts
+	return r
 }
 
 func fmtTr(m float64) string {

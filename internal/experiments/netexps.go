@@ -76,7 +76,6 @@ func (c PathConfig) Defaults() PathConfig {
 type builtPath struct {
 	net      *netsim.Network
 	src, dst *netsim.Node
-	agents   []*routing.Agent
 }
 
 // buildPath wires: src —link— R1 —LAN(R1..Rk)— R2 —link— dst, with every
@@ -125,7 +124,7 @@ func buildPath(c PathConfig) *builtPath {
 	for i, a := range agents {
 		a.Start(r[i])
 	}
-	return &builtPath{net: net, src: src, dst: dst, agents: agents}
+	return &builtPath{net: net, src: src, dst: dst}
 }
 
 // rngOffsets produces start offsets: all equal when synchronized,

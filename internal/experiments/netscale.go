@@ -62,8 +62,8 @@ type NetScaleScenario struct {
 	Agents []*routing.Agent
 	// Routers is the total router count (domains × RoutersPerAS).
 	Routers int
-	// NumAS and PerAS give the domain geometry; Partitions the realized K.
-	NumAS, PerAS, Partitions int
+	// NumAS is the domain count.
+	NumAS int
 	// Horizon is the configured run length; call Run to execute it.
 	Horizon float64
 }
@@ -141,12 +141,10 @@ func BuildNetScale(routers, perAS, k int, seed int64, horizon float64, obs des.O
 	})
 
 	sc := &NetScaleScenario{
-		Net:        nw,
-		Routers:    numRouters,
-		NumAS:      numAS,
-		PerAS:      perAS,
-		Partitions: k,
-		Horizon:    horizon,
+		Net:     nw,
+		Routers: numRouters,
+		NumAS:   numAS,
+		Horizon: horizon,
 	}
 	cfg := routing.Config{
 		Profile: routing.RIP(),

@@ -164,14 +164,12 @@ func RegisterAll(reg *runner.Registry) {
 	fig(reg, "fig07", func(spec *runner.Spec) *Result {
 		cfg := figModel(spec)
 		cfg.Horizon = figSweepHorizon(spec)
-		r, _ := Fig7(cfg, nil)
-		return r
+		return Fig7(cfg, nil)
 	})
 	fig(reg, "fig08", func(spec *runner.Spec) *Result {
 		cfg := figModel(spec)
 		cfg.Horizon = figSweepHorizon(spec)
-		r, _ := Fig8(cfg, nil, 0)
-		return r
+		return Fig8(cfg, nil, 0)
 	})
 	fig(reg, "fig09", func(spec *runner.Spec) *Result {
 		return Fig9(figMarkov(spec), 0)

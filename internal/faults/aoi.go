@@ -30,11 +30,6 @@ type Monitor struct {
 type Outage struct {
 	Router, Dest       netsim.NodeID
 	LostAt, RegainedAt float64
-	// Resurrected marks a recovery that violated hold-down: the route
-	// came back via a different next hop while the destination was still
-	// inside its hold window. A correct hold-down implementation never
-	// produces one.
-	Resurrected bool
 }
 
 // agentMon is one observer's state, confined to its node's logical
@@ -114,13 +109,14 @@ func (am *agentMon) routeChange(dest netsim.NodeID, up bool) {
 			am.everUp[i] = true
 			return
 		}
-		o := Outage{Router: am.ag.Node().ID, Dest: dest, LostAt: am.lostAt[i], RegainedAt: now}
+		// A recovery via a different next hop while the destination is
+		// still inside its hold window violates hold-down; a correct
+		// hold-down implementation never produces one.
 		if r := am.ag.Table().Get(dest); r != nil &&
 			am.ag.Table().HeldDown(dest, now) && r.NextHop != am.lostNext[i] {
-			o.Resurrected = true
 			am.resurrect++
 		}
-		am.outages = append(am.outages, o)
+		am.outages = append(am.outages, Outage{Router: am.ag.Node().ID, Dest: dest, LostAt: am.lostAt[i], RegainedAt: now})
 	case !up && am.reachable[i]:
 		am.reachable[i] = false
 		am.lostAt[i] = now
@@ -227,8 +223,8 @@ func (m *Monitor) OutageDurations() []float64 {
 	return out
 }
 
-// Resurrections counts hold-down violations (see Outage.Resurrected)
-// across observers.
+// Resurrections counts hold-down violations (recoveries via a new next
+// hop inside the hold window) across observers.
 func (m *Monitor) Resurrections() int {
 	n := 0
 	for _, am := range m.agents {

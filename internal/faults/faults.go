@@ -66,27 +66,22 @@ func (k Kind) String() string {
 type Event struct {
 	At   float64
 	Kind Kind
-	// Link is set for link events, nil otherwise.
-	Link *netsim.Link
-	// Node is the crashed/rebooted node, or the lower-id endpoint for
-	// link events.
-	Node netsim.NodeID
 }
 
-// Injector schedules fault processes on one network and records the
-// resulting timeline. Install every fault after Partition and before
-// the run; the injector itself is then passive (the scheduled events do
-// the work), so reading the timeline during or after the run is safe.
+// Injector schedules fault processes on the links and agents of one
+// network and records the resulting timeline. Install every fault after
+// Partition and before the run; the injector itself is then passive (the
+// scheduled events do the work), so reading the timeline during or after
+// the run is safe.
 type Injector struct {
-	net      *netsim.Network
 	seed     int64
 	timeline []Event
 }
 
 // NewInjector creates an injector whose random fault processes draw
 // from streams derived from seed.
-func NewInjector(net *netsim.Network, seed int64) *Injector {
-	return &Injector{net: net, seed: seed}
+func NewInjector(seed int64) *Injector {
+	return &Injector{seed: seed}
 }
 
 // stream derives the per-target random stream for a fault process: a
@@ -96,25 +91,16 @@ func (in *Injector) stream(salt, a, b int64) *rng.Source {
 	return rng.New(in.seed*1000003 ^ salt*0x9E3779B9 ^ (a+1)*8191 ^ (b+1)*131071)
 }
 
-func linkNode(l *netsim.Link) netsim.NodeID {
-	ends := l.Endpoints()
-	id := ends[0].ID
-	if ends[1].ID < id {
-		id = ends[1].ID
-	}
-	return id
-}
-
 // FailLink schedules a one-shot link failure at absolute time t.
 func (in *Injector) FailLink(l *netsim.Link, t float64) {
 	l.FailAt(t)
-	in.timeline = append(in.timeline, Event{At: t, Kind: LinkDown, Link: l, Node: linkNode(l)})
+	in.timeline = append(in.timeline, Event{At: t, Kind: LinkDown})
 }
 
 // RestoreLink schedules a one-shot link restore at absolute time t.
 func (in *Injector) RestoreLink(l *netsim.Link, t float64) {
 	l.RestoreAt(t)
-	in.timeline = append(in.timeline, Event{At: t, Kind: LinkUp, Link: l, Node: linkNode(l)})
+	in.timeline = append(in.timeline, Event{At: t, Kind: LinkUp})
 }
 
 // FlapConfig parameterizes a seeded link-flap process.
@@ -165,18 +151,16 @@ type Rebootable interface {
 // CrashAgent schedules ag to crash at absolute time t (power failure:
 // volatile routing state lost, data plane dead until reboot).
 func (in *Injector) CrashAgent(ag Rebootable, t float64) {
-	nd := ag.Node()
-	nd.Schedule(t, "fault-crash", func() { ag.Crash() })
-	in.timeline = append(in.timeline, Event{At: t, Kind: NodeCrash, Node: nd.ID})
+	ag.Node().Schedule(t, "fault-crash", func() { ag.Crash() })
+	in.timeline = append(in.timeline, Event{At: t, Kind: NodeCrash})
 }
 
 // RebootAgent schedules ag to reboot at absolute time t with the given
 // start offset (the delay until its first periodic update; with
 // RequestOnStart the table request goes out immediately).
 func (in *Injector) RebootAgent(ag Rebootable, t, startOffset float64) {
-	nd := ag.Node()
-	nd.Schedule(t, "fault-reboot", func() { ag.Restart(startOffset) })
-	in.timeline = append(in.timeline, Event{At: t, Kind: NodeReboot, Node: nd.ID})
+	ag.Node().Schedule(t, "fault-reboot", func() { ag.Restart(startOffset) })
+	in.timeline = append(in.timeline, Event{At: t, Kind: NodeReboot})
 }
 
 // ChurnConfig parameterizes a seeded node crash/reboot process.

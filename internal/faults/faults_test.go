@@ -42,7 +42,7 @@ func TestFlapTimelineDeterministic(t *testing.T) {
 		ab := n.Connect(a, b, netsim.LinkConfig{Delay: 0.01})
 		bc := n.Connect(b, c, netsim.LinkConfig{Delay: 0.01})
 		links := []*netsim.Link{ab, bc}
-		in := NewInjector(n, 42)
+		in := NewInjector(42)
 		cfg := FlapConfig{MeanUp: 30, MeanDown: 10, Start: 5, Horizon: 300}
 		for _, i := range order {
 			in.FlapLink(links[i], cfg)
@@ -54,51 +54,40 @@ func TestFlapTimelineDeterministic(t *testing.T) {
 	if len(fwd) == 0 {
 		t.Fatal("empty flap timeline")
 	}
-	if !reflect.DeepEqual(stripLinks(fwd), stripLinks(rev)) {
-		t.Fatalf("timeline depends on install order:\n fwd %+v\n rev %+v", stripLinks(fwd), stripLinks(rev))
+	if !reflect.DeepEqual(fwd, rev) {
+		t.Fatalf("timeline depends on install order:\n fwd %+v\n rev %+v", fwd, rev)
 	}
-	// Alternating down/up per link, strictly increasing times per link.
-	perNode := map[netsim.NodeID][]Event{}
-	for _, e := range fwd {
-		perNode[e.Node] = append(perNode[e.Node], e)
+	// One link alone: alternating down/up, strictly increasing times.
+	n := netsim.NewNetwork(1)
+	l := n.Connect(n.NewNode("a", nil), n.NewNode("b", nil), netsim.LinkConfig{Delay: 0.01})
+	in := NewInjector(42)
+	in.FlapLink(l, FlapConfig{MeanUp: 30, MeanDown: 10, Start: 5, Horizon: 300})
+	evs := in.Timeline()
+	if len(evs) < 2 {
+		t.Fatalf("one-link timeline too short: %v", evs)
 	}
-	for id, evs := range perNode {
-		for i, e := range evs {
-			wantKind := LinkDown
-			if i%2 == 1 {
-				wantKind = LinkUp
-			}
-			if e.Kind != wantKind {
-				t.Fatalf("link %d event %d: kind %v, want %v", id, i, e.Kind, wantKind)
-			}
-			if i > 0 && e.At <= evs[i-1].At {
-				t.Fatalf("link %d timeline not increasing: %v", id, evs)
-			}
+	for i, e := range evs {
+		wantKind := LinkDown
+		if i%2 == 1 {
+			wantKind = LinkUp
+		}
+		if e.Kind != wantKind {
+			t.Fatalf("event %d: kind %v, want %v", i, e.Kind, wantKind)
+		}
+		if i > 0 && e.At <= evs[i-1].At {
+			t.Fatalf("timeline not increasing: %v", evs)
 		}
 	}
 	// FailureTimes: sorted, only the down/crash instants.
-	ts := func() []float64 {
-		n := netsim.NewNetwork(1)
-		a := n.NewNode("a", nil)
-		b := n.NewNode("b", nil)
-		l := n.Connect(a, b, netsim.LinkConfig{Delay: 0.01})
-		in := NewInjector(n, 42)
-		in.FlapLink(l, FlapConfig{MeanUp: 30, MeanDown: 10, Start: 5, Horizon: 300})
-		return in.FailureTimes()
-	}()
+	ts := in.FailureTimes()
+	if len(ts) != (len(evs)+1)/2 {
+		t.Fatalf("FailureTimes %v, want the LinkDown instants of %v", ts, evs)
+	}
 	for i := 1; i < len(ts); i++ {
 		if ts[i] <= ts[i-1] {
 			t.Fatalf("FailureTimes not strictly increasing: %v", ts)
 		}
 	}
-}
-
-func stripLinks(evs []Event) []Event {
-	out := append([]Event(nil), evs...)
-	for i := range out {
-		out[i].Link = nil
-	}
-	return out
 }
 
 // TestCrashRebootRecovery: a crashed middle router loses its volatile
@@ -125,7 +114,7 @@ func TestCrashRebootRecovery(t *testing.T) {
 		agents = append(agents, ag)
 	}
 	mid := agents[1]
-	in := NewInjector(n, 1)
+	in := NewInjector(1)
 	in.CrashAgent(mid, 30)
 	in.RebootAgent(mid, 40, 0.3)
 	n.RunUntil(30.5)
@@ -192,7 +181,7 @@ func TestMonitorTracksOutage(t *testing.T) {
 	}
 	mon := NewMonitor([]netsim.NodeID{d.ID})
 	mon.Observe(agents[0])
-	in := NewInjector(n, 2)
+	in := NewInjector(2)
 	in.FailLink(bd, 40)
 	in.RestoreLink(bd, 80)
 	mon.ScheduleSampling(10, 3, 120)

@@ -72,7 +72,7 @@ func runChurnedAS(backend des.Backend, k int) churnSnap {
 
 	// Fault processes: flaps on two backbone links, churn on two interior
 	// routers — all scheduled through the keyed event layer.
-	in := NewInjector(n, 5)
+	in := NewInjector(5)
 	in.FlapLink(linkBetween(topo.Gateways[0], topo.Gateways[1]),
 		FlapConfig{MeanUp: 50, MeanDown: 15, Start: 25, Horizon: 170})
 	in.FlapLink(linkBetween(topo.Gateways[2], topo.Gateways[3]),

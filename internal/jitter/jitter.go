@@ -148,8 +148,6 @@ type Recommendation struct {
 	// SafeTr eliminates synchronization for any parameters: Tp/2, i.e.
 	// the timer is drawn from U[0.5·Tp, 1.5·Tp] (paper §5.3/§6).
 	SafeTr float64
-	// Policy is the ready-to-use safe policy.
-	Policy Policy
 }
 
 // Recommend returns the paper's jitter guidance for a protocol with mean
@@ -170,6 +168,5 @@ func Recommend(tp, tc float64) Recommendation {
 	return Recommendation{
 		MinTr:  10 * tc,
 		SafeTr: tp / 2,
-		Policy: HalfSpread{Tp: tp},
 	}
 }

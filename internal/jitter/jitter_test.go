@@ -127,10 +127,6 @@ func TestRecommend(t *testing.T) {
 	if rec.SafeTr != 45 {
 		t.Fatalf("SafeTr = %v, want 45", rec.SafeTr)
 	}
-	hs, ok := rec.Policy.(HalfSpread)
-	if !ok || hs.Tp != 90 {
-		t.Fatalf("Policy = %v", rec.Policy)
-	}
 	// The paper says "at least a second" — our 10·Tc bound must satisfy it.
 	if rec.MinTr < 1 {
 		t.Fatalf("MinTr %v contradicts the paper's >= 1 s statement", rec.MinTr)

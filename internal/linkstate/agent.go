@@ -29,16 +29,6 @@ type Config struct {
 	Seed int64
 }
 
-// Stats counts agent activity.
-type Stats struct {
-	Originated uint64
-	Received   uint64
-	Flooded    uint64
-	Malformed  uint64
-	SPFRuns    uint64
-	AgedOut    uint64
-}
-
 type lsdbEntry struct {
 	lsa     LSA
 	updated float64
@@ -64,9 +54,8 @@ type Agent struct {
 	k   *protocol.Kernel[lsAux]
 	cfg Config
 
-	lsdb  map[netsim.NodeID]lsdbEntry
-	seq   uint32
-	stats Stats
+	lsdb map[netsim.NodeID]lsdbEntry
+	seq  uint32
 
 	// nbrCache holds the sorted adjacency list, valid while nbrVer
 	// matches the network topology version. Callers must not mutate it;
@@ -230,7 +219,6 @@ func (a *Agent) originate() {
 	if !had || !idsEqual(nbrs, prev.lsa.Neighbors) || !a.fibCurrent() {
 		a.recompute()
 	}
-	a.stats.Originated++
 	if a.OnSend != nil {
 		a.OnSend(now)
 	}
@@ -262,7 +250,6 @@ func (a *Agent) floodRaw(payload []byte, except netsim.Medium) {
 			continue
 		}
 		a.k.Send(m, netsim.Broadcast, payload)
-		a.stats.Flooded++
 	}
 }
 
@@ -276,11 +263,9 @@ func (a *Agent) floodRaw(payload []byte, except netsim.Medium) {
 func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 	origin, seq, err := PeekHeader(pkt.Payload)
 	if err != nil {
-		a.stats.Malformed++
 		a.k.Node().ReleasePacket(pkt)
 		return
 	}
-	a.stats.Received++
 	a.k.Process(pkt, via, lsAux{origin: origin, seq: seq}, a.cfg.ProcessCost)
 }
 
@@ -324,8 +309,9 @@ func (a *Agent) integrate(payload []byte, origin netsim.NodeID, seq uint32, via 
 	}
 	lsa, err := Decode(payload)
 	if err != nil {
-		a.stats.Malformed++ // unreachable: PeekHeader validated the frame
-		return
+		// PeekHeader accepted this frame, and FuzzLinkStateDecode holds
+		// the two decoders to the same verdict.
+		panic(fmt.Sprintf("linkstate: LSA from %d passed PeekHeader but not Decode: %v", origin, err))
 	}
 	a.lsdb[origin] = lsdbEntry{lsa: lsa, updated: now}
 	a.floodRaw(payload, via)
@@ -344,7 +330,6 @@ func (a *Agent) integrate(payload []byte, origin netsim.NodeID, seq uint32, via 
 // ids outside the network are ignored, as the bidirectional check would
 // reject them anyway.
 func (a *Agent) recompute() {
-	a.stats.SPFRuns++
 	node := a.k.Node()
 	net := node.Net()
 	n := net.NumNodes()
@@ -441,7 +426,6 @@ func (a *Agent) sweep() {
 		if now-e.updated > maxAge {
 			delete(a.lsdb, origin)
 			node.ClearRoute(origin)
-			a.stats.AgedOut++
 			changed = true
 		}
 	}

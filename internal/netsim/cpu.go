@@ -73,8 +73,6 @@ type CPU struct {
 	thens  ring[func()]
 	thenFn func() // hoisted completion of every item: drain, then callback
 	stepFn func() // hoisted per-packet forward-cost completion
-	// TotalBusy accumulates occupied seconds, for utilization reports.
-	TotalBusy float64
 }
 
 func newCPU(nd *Node, cfg CPUConfig) *CPU {
@@ -137,7 +135,6 @@ func (c *CPU) OccupyThen(d float64, fn func()) {
 		c.busyUntil = now
 	}
 	c.busyUntil += d
-	c.TotalBusy += d
 	c.thens.push(fn)
 	c.node.Schedule(c.busyUntil, "cpu-work-done", c.thenFn)
 }

@@ -203,10 +203,8 @@ type Network struct {
 	// on it; after Partition it only orders pre-run setup (it must be
 	// empty when Run starts — every runtime event lives in a partition).
 	Sim *des.Simulator
-	// Rand is build-time randomness (topology generation). Runtime draws
-	// — per-arrival loss — come from per-node streams so the draw order
-	// cannot depend on the partitioning.
-	Rand  *rng.Source
+	// seed derives the per-node streams behind runtime draws — per-arrival
+	// loss — so the draw order cannot depend on the partitioning.
 	seed  int64
 	nodes []*Node
 	count counterSet
@@ -237,7 +235,6 @@ type Network struct {
 func NewNetwork(seed int64) *Network {
 	return &Network{
 		Sim:  des.New(),
-		Rand: rng.New(seed),
 		seed: seed,
 	}
 }

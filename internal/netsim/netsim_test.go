@@ -200,6 +200,35 @@ func TestCPULegacyBlocksForwarding(t *testing.T) {
 	}
 }
 
+// TestNodeStatsCounters checks each node's packet accounting on a chain:
+// ten data packets each way through the transit router, one routing
+// packet to it, and one data packet while its CPU is stalled.
+func TestNodeStatsCounters(t *testing.T) {
+	n := NewNetwork(7)
+	nodes := n.BuildChain([]string{"src", "r", "dst"}, []*CPUConfig{nil, {Mode: CPUModeLegacy}}, LinkConfig{Delay: 0.01})
+	src, r, dst := nodes[0], nodes[1], nodes[2]
+	inject := func(at float64, kind Kind, from, to *Node) {
+		n.Sim.Schedule(at, "inject", func() { n.Inject(n.NewPacket(kind, from.ID, to.ID, 100)) })
+	}
+	for at := 1.0; at <= 10; at++ {
+		inject(at, KindData, src, dst)
+		inject(at+0.5, KindData, dst, src)
+	}
+	inject(15, KindRouting, src, r)
+	n.Sim.Schedule(20, "occupy", func() { r.CPU.Occupy(1) })
+	inject(20.1, KindData, src, dst)
+	n.RunUntil(30)
+	if st := r.Stats(); st.Received != 22 || st.ForwardedOut != 20 || st.DeliveredLocal != 0 || st.RoutingIn != 1 ||
+		len(st.Dropped) != 1 || st.Dropped[DropCPUBusy] != 1 {
+		t.Fatalf("router stats = %+v, want 22 received, 20 forwarded, 1 routing, 1 cpu-busy drop", st)
+	}
+	for _, nd := range []*Node{src, dst} {
+		if st := nd.Stats(); st.Received != 10 || st.DeliveredLocal != 10 || st.ForwardedOut != 0 || len(st.Dropped) != 0 {
+			t.Fatalf("%s stats = %+v, want 10 received and delivered", nd.Name, st)
+		}
+	}
+}
+
 func TestCPULegacyInputQueueDrains(t *testing.T) {
 	n := NewNetwork(6)
 	nodes := n.BuildChain(
@@ -262,9 +291,6 @@ func TestCPUOccupySerializesFIFO(t *testing.T) {
 	done2 := r.CPU.Occupy(2)
 	if done1 != 1 || done2 != 3 {
 		t.Fatalf("completion times %v, %v; want 1, 3", done1, done2)
-	}
-	if r.CPU.TotalBusy != 3 {
-		t.Fatalf("TotalBusy = %v", r.CPU.TotalBusy)
 	}
 	var order []int
 	r.CPU.OccupyThen(1, func() { order = append(order, 3) })

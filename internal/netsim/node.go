@@ -122,8 +122,10 @@ type NodeStats struct {
 	Dropped map[DropReason]uint64
 }
 
-// Stats returns a snapshot of the node's counters. The netsim and
-// workload tests read it; the experiments report network-wide Counters.
+// Stats returns a snapshot of the node's counters. Only tests read it:
+// the partition K-invariance tests compare every node's snapshot, and the
+// netsim and link-state tests count packets; the experiments report
+// network-wide Counters.
 func (nd *Node) Stats() NodeStats {
 	snap := NodeStats{
 		Received:       nd.stats.received,

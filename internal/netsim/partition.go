@@ -65,7 +65,6 @@ type partition struct {
 	sim   *des.Simulator
 	nodes []*Node
 	count counterSet
-	net   *Network
 	// pool is this logical process's packet slot pool (see pktpool.go).
 	pool pktPool
 	// outbox collects boundary arrivals produced while this partition
@@ -142,7 +141,7 @@ func (n *Network) Partition(k int, owner func(NodeID) int) {
 		if n.obs != nil {
 			sim.SetObserver(n.obs)
 		}
-		p := &partition{idx: i, sim: sim, net: n}
+		p := &partition{idx: i, sim: sim}
 		if i > 0 {
 			// The coordinator runs the lowest-index busy LP of every
 			// window itself, so partition 0 never needs a worker.

@@ -227,7 +227,6 @@ type MetroLANConfig struct {
 type MetroLAN struct {
 	Hosts    [][]*Node
 	Gateways []*Node
-	LANs     []*LAN
 }
 
 // BuildMetroLAN creates a metropolitan campus network: Segments broadcast
@@ -253,7 +252,6 @@ func (n *Network) BuildMetroLAN(cfg MetroLANConfig) *MetroLAN {
 	t := &MetroLAN{
 		Hosts:    make([][]*Node, cfg.Segments),
 		Gateways: make([]*Node, cfg.Segments),
-		LANs:     make([]*LAN, cfg.Segments),
 	}
 	for s := 0; s < cfg.Segments; s++ {
 		hosts := make([]*Node, cfg.HostsPerSeg)
@@ -262,7 +260,7 @@ func (n *Network) BuildMetroLAN(cfg MetroLANConfig) *MetroLAN {
 		}
 		t.Hosts[s] = hosts
 		t.Gateways[s] = hosts[0]
-		t.LANs[s] = n.NewLAN(hosts, cfg.LAN)
+		n.NewLAN(hosts, cfg.LAN)
 	}
 	if cfg.Segments > 1 {
 		for s := 0; s+1 < cfg.Segments; s++ {

@@ -152,26 +152,16 @@ type Config struct {
 
 // Stats counts agent activity.
 type Stats struct {
-	// Flushes is the number of update messages sent (MRAI rounds);
-	// Advertised/Withdrawn count the entries inside them.
-	Flushes    uint64
-	Advertised uint64
-	Withdrawn  uint64
-	// Received counts accepted update messages; Entries the entries
-	// inside them.
-	Received uint64
-	Entries  uint64
+	// Flushes is the number of update messages sent (MRAI rounds).
+	Flushes uint64
+	// Entries counts the entries inside accepted update messages.
+	Entries uint64
 	// LoopRejected counts entries dropped because our own AS was already
 	// in the path (the path-vector loop-prevention rule).
 	LoopRejected uint64
-	Malformed    uint64
 	// BestChanges counts route-selection outcomes that changed the best
 	// path for some origin (each one propagates).
 	BestChanges uint64
-	// Expired counts adj-in routes aged out by the hold timer.
-	Expired uint64
-	// TimerResets is the refresh-timer arm count (kernel-owned).
-	TimerResets uint64
 }
 
 // adjSlot is one (origin, peer) cell of the Adj-RIB-In. The AS path the
@@ -342,11 +332,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 func (a *Agent) Node() *netsim.Node { return a.k.Node() }
 
 // Stats returns a snapshot of the counters.
-func (a *Agent) Stats() Stats {
-	s := a.stats
-	s.TimerResets = a.k.TimerResets()
-	return s
-}
+func (a *Agent) Stats() Stats { return a.stats }
 
 // resetRIB clears the volatile routing state in place: Adj-RIB-In and
 // its hop arena, best selections, and per-peer dirty/advertised/MRAI
@@ -506,8 +492,6 @@ func (a *Agent) flushPeer(p *peerState) {
 	PatchCount(buf, adv+wdr)
 	a.k.Send(p.link, p.id, buf)
 	a.stats.Flushes++
-	a.stats.Advertised += uint64(adv)
-	a.stats.Withdrawn += uint64(wdr)
 	if a.OnFlush != nil {
 		a.OnFlush(node.Now(), p.id, adv, wdr)
 	}
@@ -578,7 +562,6 @@ func (a *Agent) exportable(o int, p *peerState) bool {
 func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 	router, _, err := PeekHeader(pkt.Payload)
 	if err != nil {
-		a.stats.Malformed++
 		a.k.Node().ReleasePacket(pkt)
 		return
 	}
@@ -586,11 +569,9 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 	if !ok || a.peers[a.peerAt[i]].link != via {
 		// Not a configured session (or a spoofed arrival on the wrong
 		// link): not our update.
-		a.stats.Malformed++
 		a.k.Node().ReleasePacket(pkt)
 		return
 	}
-	a.stats.Received++
 	a.k.Process(pkt, via, pvAux{peer: a.peerAt[i]}, a.cfg.ProcessCost)
 }
 
@@ -752,7 +733,6 @@ func (a *Agent) sweep() {
 		for p := range row {
 			if row[p].has && now-row[p].updated > hold {
 				row[p].has, row[p].n = false, 0
-				a.stats.Expired++
 				touched = true
 			}
 		}

@@ -365,6 +365,21 @@ func TestHoldTimerExpiry(t *testing.T) {
 	if ok, _ := agents[0].Reachable(last.Node().ID); !ok {
 		t.Fatal("not converged before stop")
 	}
+	// The silenced AS sends no withdrawal, so only the hold timer can
+	// clear its route from its neighbor's Adj-RIB-In.
+	mid := agents[1]
+	o := mid.origins.index(last.Node().ID)
+	learned := func() bool {
+		for p := range mid.peers {
+			if mid.adj(o, p).has {
+				return true
+			}
+		}
+		return false
+	}
+	if !learned() {
+		t.Fatal("AS1's Adj-RIB-In holds no route to AS2 before stop")
+	}
 	last.Node().Schedule(100, "stop", func() { last.k.Stop(); last.cancelMRAIs() })
 	// Hold time is 4×30 s; give the sweep a full extra period to fire.
 	net.RunUntil(100 + 6*30)
@@ -373,8 +388,8 @@ func TestHoldTimerExpiry(t *testing.T) {
 			t.Fatalf("AS%d still reaches the silenced AS after the hold time", i)
 		}
 	}
-	if agents[0].Stats().Expired == 0 && agents[1].Stats().Expired == 0 {
-		t.Fatal("no hold-timer expirations recorded")
+	if learned() {
+		t.Fatal("the silenced AS's route did not leave AS1's Adj-RIB-In")
 	}
 }
 

@@ -20,10 +20,12 @@ func (s *System) stepReference() Event {
 		ms[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
 	}
 	c := cluster.Grow(ms, s.cfg.Tc)
-	s.now = c.End
+	start := c.Members[0].Expiry
+	end := start + float64(c.Size())*s.cfg.Tc
+	s.now = end
 	ev := Event{
-		Start:    c.Start,
-		End:      c.End,
+		Start:    start,
+		End:      end,
 		Members:  s.evMembers[:c.Size()],
 		Expiries: s.evExpiries[:c.Size()],
 	}
@@ -35,11 +37,11 @@ func (s *System) stepReference() Event {
 		switch s.cfg.Reset {
 		case ResetOnExpiry:
 			next = m.Expiry + delay
-			if next < c.End {
-				next = c.End
+			if next < end {
+				next = end
 			}
 		default: // ResetAfterProcessing, the paper's rule
-			next = c.End + delay
+			next = end + delay
 		}
 		s.expiry[m.ID] = next
 	}

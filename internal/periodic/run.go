@@ -130,7 +130,6 @@ func (s *System) LargestPerRound(horizon float64) (times []float64, sizes []int)
 
 // MessagePoint is one routing-message transmission for offset traces.
 type MessagePoint struct {
-	Router int
 	// Time is the transmission time (the member's timer expiration).
 	Time float64
 	// Offset is Time mod the round window — the paper Fig 4 y-axis.
@@ -144,12 +143,8 @@ func (s *System) OffsetTrace(horizon float64) []MessagePoint {
 	window := s.RoundWindow()
 	var pts []MessagePoint
 	s.OnEvent(func(ev Event) {
-		for i, id := range ev.Members {
-			pts = append(pts, MessagePoint{
-				Router: id,
-				Time:   ev.Expiries[i],
-				Offset: math.Mod(ev.Expiries[i], window),
-			})
+		for _, t := range ev.Expiries {
+			pts = append(pts, MessagePoint{Time: t, Offset: math.Mod(t, window)})
 		}
 	})
 	s.RunUntil(horizon)
@@ -159,9 +154,8 @@ func (s *System) OffsetTrace(horizon float64) []MessagePoint {
 // Mark is a timer event for the paper's Figure 5 ("x" = expiration,
 // "o" = reset).
 type Mark struct {
-	Router int
-	Time   float64
-	Reset  bool // false: timer expiration; true: timer set
+	Time  float64
+	Reset bool // false: timer expiration; true: timer set
 }
 
 // EventMarks runs the system to horizon and returns every timer
@@ -173,9 +167,8 @@ func (s *System) EventMarks(from, horizon float64) []Mark {
 		if ev.End < from {
 			return
 		}
-		for i, id := range ev.Members {
-			marks = append(marks, Mark{Router: id, Time: ev.Expiries[i]})
-			marks = append(marks, Mark{Router: id, Time: ev.End, Reset: true})
+		for _, t := range ev.Expiries {
+			marks = append(marks, Mark{Time: t}, Mark{Time: ev.End, Reset: true})
 		}
 	})
 	s.RunUntil(horizon)

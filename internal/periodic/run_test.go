@@ -145,8 +145,8 @@ func TestOffsetTrace(t *testing.T) {
 		if p.Offset < 0 || p.Offset >= window {
 			t.Fatalf("offset %v outside [0, %v)", p.Offset, window)
 		}
-		if p.Router < 0 || p.Router >= 10 {
-			t.Fatalf("router id %d", p.Router)
+		if p.Offset != math.Mod(p.Time, window) {
+			t.Fatalf("offset %v is not time %v mod %v", p.Offset, p.Time, window)
 		}
 	}
 }

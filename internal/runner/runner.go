@@ -163,7 +163,6 @@ func Run(opts Options) (*Summary, error) {
 			}
 		}
 		spec := &Spec{
-			ID:      e.ID,
 			Quick:   opts.Quick,
 			Jobs:    opts.Jobs,
 			OutDir:  opts.OutDir,

@@ -42,14 +42,14 @@ func countingRegistry(n int) (*Registry, []*atomic.Int64) {
 			ID: id,
 			Run: func(spec *Spec) (*Artifacts, error) {
 				counts[i].Add(1)
-				name := spec.ID + ".csv"
-				content := fmt.Sprintf("id=%s quick=%v\n", spec.ID, spec.Quick)
+				name := id + ".csv"
+				content := fmt.Sprintf("id=%s quick=%v\n", id, spec.Quick)
 				if err := os.WriteFile(filepath.Join(spec.OutDir, name), []byte(content), 0o644); err != nil {
 					return nil, err
 				}
 				return &Artifacts{
-					Title:  "experiment " + spec.ID,
-					Notes:  []string{"note for " + spec.ID},
+					Title:  "experiment " + id,
+					Notes:  []string{"note for " + id},
 					Series: 1, Points: 10,
 					Files: []string{name},
 				}, nil

@@ -7,12 +7,10 @@ import (
 	"routesync/internal/periodic"
 )
 
-// Spec carries everything an experiment Run function may depend on. ID
-// and Quick form the params hash that drives incremental re-runs; the
-// other fields must not change the artifacts.
+// Spec carries everything an experiment Run function may depend on.
+// Quick and the experiment's id form the params hash that drives
+// incremental re-runs; the other fields must not change the artifacts.
 type Spec struct {
-	// ID is the id of the experiment being run.
-	ID string
 	// Quick selects reduced horizons and replication counts.
 	Quick bool
 	// Jobs bounds inner-replication parallelism (internal/parallel

@@ -62,11 +62,9 @@ type ClientServer struct {
 
 	// lastPoll[i] is the time client i last sent a request.
 	lastPoll []float64
-	// responses counts served requests.
-	responses uint64
-	// BusyRuns records, for each server busy period, how many requests
-	// it served back to back — the convoy size distribution.
-	busyRunStart float64
+	// BusyRuns records, for each finished server busy period, how many
+	// requests it served back to back — the convoy size distribution;
+	// busyRunCount is the current period's count so far.
 	busyRunCount int
 	BusyRuns     []int
 }
@@ -111,21 +109,15 @@ func (cs *ClientServer) poll(i int) {
 func (cs *ClientServer) serve(i int) {
 	now := cs.sim.Now()
 	start := math.Max(now, cs.serverBusyUntil)
-	if start > cs.serverBusyUntil || cs.serverBusyUntil <= now {
-		// A new busy run begins if the server was idle.
-		if cs.busyRunCount > 0 && cs.serverBusyUntil <= now {
-			cs.BusyRuns = append(cs.BusyRuns, cs.busyRunCount)
-			cs.busyRunCount = 0
-		}
-		if cs.busyRunCount == 0 {
-			cs.busyRunStart = start
-		}
+	if cs.busyRunCount > 0 && cs.serverBusyUntil <= now {
+		// The server was idle: a new busy run begins.
+		cs.BusyRuns = append(cs.BusyRuns, cs.busyRunCount)
+		cs.busyRunCount = 0
 	}
 	cs.busyRunCount++
 	done := start + cs.cfg.Tc
 	cs.serverBusyUntil = done
 	cs.sim.Schedule(done, "response", func() { cs.respond(i) })
-	cs.responses++
 }
 
 // respond delivers the response: the client re-arms its poll timer from

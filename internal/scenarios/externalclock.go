@@ -47,8 +47,6 @@ func (c ExternalClockConfig) Defaults() ExternalClockConfig {
 
 // ExternalClockResult summarizes the aggregate arrival process.
 type ExternalClockResult struct {
-	// Arrivals is every event time in the window, sorted.
-	Arrivals []float64
 	// Histogram bins the arrivals over the window.
 	Histogram *stats.Histogram
 	// PeakToMean is the ratio of the fullest histogram bin to the mean
@@ -62,43 +60,20 @@ type ExternalClockResult struct {
 // offset) and bins the aggregate.
 func RunExternalClock(cfg ExternalClockConfig) ExternalClockResult {
 	cfg = cfg.Defaults()
-	if cfg.Processes < 1 || cfg.Interval <= 0 || cfg.Duration <= 0 || cfg.StartNoise < 0 {
-		panic("scenarios: invalid external-clock config")
-	}
+	h := clockHistogram(cfg)
 	r := rng.New(cfg.Seed)
 	offsets := make([]float64, cfg.Processes)
 	for i := range offsets {
 		offsets[i] = r.Uniform(0, math.Max(cfg.StartNoise, 1e-9))
 	}
-	var arrivals []float64
 	for b := 0.0; b < cfg.Duration; b += cfg.Interval {
 		for _, off := range offsets {
-			t := b + off
-			if t < cfg.Duration {
-				arrivals = append(arrivals, t)
+			if t := b + off; t < cfg.Duration {
+				h.Add(t)
 			}
 		}
 	}
-	bins := int(cfg.Duration / (cfg.Interval / 60)) // one bin per "minute"
-	if bins < 10 {
-		bins = 10
-	}
-	h := stats.NewHistogram(0, cfg.Duration, bins)
-	for _, t := range arrivals {
-		h.Add(t)
-	}
-	peak := 0
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	mean := float64(h.Total()) / float64(len(h.Counts))
-	res := ExternalClockResult{Arrivals: arrivals, Histogram: h}
-	if mean > 0 {
-		res.PeakToMean = float64(peak) / mean
-	}
-	return res
+	return clockResult(h)
 }
 
 // UniformBaseline runs the same offered load with arrival times uniform
@@ -107,29 +82,32 @@ func RunExternalClock(cfg ExternalClockConfig) ExternalClockResult {
 // quantifies how wrong the intuition is.
 func UniformBaseline(cfg ExternalClockConfig) ExternalClockResult {
 	cfg = cfg.Defaults()
+	h := clockHistogram(cfg)
 	r := rng.New(cfg.Seed + 9999)
-	n := int(cfg.Duration/cfg.Interval) * cfg.Processes
-	arrivals := make([]float64, n)
-	for i := range arrivals {
-		arrivals[i] = r.Uniform(0, cfg.Duration)
+	for n := int(cfg.Duration/cfg.Interval) * cfg.Processes; n > 0; n-- {
+		h.Add(r.Uniform(0, cfg.Duration))
 	}
-	bins := int(cfg.Duration / (cfg.Interval / 60))
-	if bins < 10 {
-		bins = 10
+	return clockResult(h)
+}
+
+// clockHistogram validates cfg and bins its observation window one
+// "minute" (Interval/60) per bin, with at least 10 bins.
+func clockHistogram(cfg ExternalClockConfig) *stats.Histogram {
+	if cfg.Processes < 1 || cfg.Interval <= 0 || cfg.Duration <= 0 || cfg.StartNoise < 0 {
+		panic("scenarios: invalid external-clock config")
 	}
-	h := stats.NewHistogram(0, cfg.Duration, bins)
-	for _, t := range arrivals {
-		h.Add(t)
-	}
+	bins := max(int(cfg.Duration/(cfg.Interval/60)), 10)
+	return stats.NewHistogram(0, cfg.Duration, bins)
+}
+
+// clockResult summarizes a filled histogram.
+func clockResult(h *stats.Histogram) ExternalClockResult {
 	peak := 0
 	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
+		peak = max(peak, c)
 	}
-	mean := float64(h.Total()) / float64(len(h.Counts))
-	res := ExternalClockResult{Arrivals: arrivals, Histogram: h}
-	if mean > 0 {
+	res := ExternalClockResult{Histogram: h}
+	if mean := float64(h.Total()) / float64(len(h.Counts)); mean > 0 {
 		res.PeakToMean = float64(peak) / mean
 	}
 	return res

@@ -52,8 +52,6 @@ func (c TCPSyncConfig) Defaults() TCPSyncConfig {
 
 // TCPSyncResult summarizes a run.
 type TCPSyncResult struct {
-	// Windows[r][i] is flow i's window at round r (sampled every round).
-	Windows [][]int
 	// Utilization is the mean offered load over capacity (can exceed 1;
 	// the excess is dropped).
 	Utilization float64
@@ -68,6 +66,13 @@ type TCPSyncResult struct {
 
 // RunTCPSync simulates the model.
 func RunTCPSync(cfg TCPSyncConfig) TCPSyncResult {
+	res, _ := runTCPSync(cfg)
+	return res
+}
+
+// runTCPSync is RunTCPSync that also returns the window series:
+// windows[r][i] is flow i's window at round r.
+func runTCPSync(cfg TCPSyncConfig) (res TCPSyncResult, windows [][]int) {
 	cfg = cfg.Defaults()
 	if cfg.Flows < 2 || cfg.Capacity < cfg.Flows || cfg.Rounds < 10 {
 		panic("scenarios: invalid tcp-sync config")
@@ -77,7 +82,7 @@ func RunTCPSync(cfg TCPSyncConfig) TCPSyncResult {
 	for i := range w {
 		w[i] = 1 + r.Intn(cfg.Capacity/cfg.Flows) // staggered start
 	}
-	windows := make([][]int, 0, cfg.Rounds)
+	windows = make([][]int, 0, cfg.Rounds)
 	var loadSum float64
 	congestions, cuts := 0, 0
 	for round := 0; round < cfg.Rounds; round++ {
@@ -123,15 +128,12 @@ func RunTCPSync(cfg TCPSyncConfig) TCPSyncResult {
 		copy(snap, w)
 		windows = append(windows, snap)
 	}
-	res := TCPSyncResult{
-		Windows:     windows,
-		Utilization: loadSum / float64(cfg.Rounds),
-	}
+	res.Utilization = loadSum / float64(cfg.Rounds)
 	if congestions > 0 {
 		res.CutsPerCongestion = float64(cuts) / float64(congestions)
 	}
 	res.SawtoothCorrelation = meanPairwiseCorrelation(windows)
-	return res
+	return res, windows
 }
 
 func max1(v int) int {

@@ -39,8 +39,8 @@ func TestTCPRandomDropImprovesUtilization(t *testing.T) {
 
 func TestTCPWindowsAlwaysPositive(t *testing.T) {
 	for _, rd := range []bool{false, true} {
-		res := RunTCPSync(TCPSyncConfig{Flows: 5, Capacity: 50, Rounds: 1000, RandomDrop: rd, Seed: 3})
-		for r, snap := range res.Windows {
+		_, windows := runTCPSync(TCPSyncConfig{Flows: 5, Capacity: 50, Rounds: 1000, RandomDrop: rd, Seed: 3})
+		for r, snap := range windows {
 			for i, w := range snap {
 				if w < 1 {
 					t.Fatalf("flow %d window %d at round %d", i, w, r)

@@ -115,12 +115,10 @@ func Quantile(xs []float64, q float64) float64 {
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Histogram is a fixed-width binned count over [Lo, Hi). Values outside
-// the range are tallied in Under/Over.
+// the range land in no bin but count in Total.
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
-	Under  int
-	Over   int
 	total  int
 }
 
@@ -139,18 +137,14 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 // Add tallies one observation.
 func (h *Histogram) Add(x float64) {
 	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard against floating-point edge
-			i--
-		}
-		h.Counts[i]++
+	if x < h.Lo || x >= h.Hi {
+		return
 	}
+	i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
+	if i == len(h.Counts) { // guard against floating-point edge
+		i--
+	}
+	h.Counts[i]++
 }
 
 // Total returns the number of observations Added, including out-of-range.

@@ -117,8 +117,6 @@ type Outage struct {
 	Start float64
 	// Duration is the outage length in seconds (lost frames × gap).
 	Duration float64
-	// Lost is the number of frames in the run.
-	Lost int
 }
 
 // Outages extracts the outage list from the delivery bitmap.
@@ -129,11 +127,9 @@ func (r AudioResult) Outages() []Outage {
 		if runStart < 0 {
 			return
 		}
-		n := end - runStart
 		out = append(out, Outage{
 			Start:    r.Start + float64(runStart)*r.Gap,
-			Duration: float64(n) * r.Gap,
-			Lost:     n,
+			Duration: float64(end-runStart) * r.Gap,
 		})
 		runStart = -1
 	}

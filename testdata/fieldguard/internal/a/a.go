@@ -1,0 +1,71 @@
+// Package a declares one struct type per field rule of
+// TestNoTestOnlyAPI; each type's doc comment says whether the guard must
+// flag its fields.
+package a
+
+import (
+	"encoding/json"
+	"fmt"
+)
+
+// Written is assigned, incremented and built, never read: flagged.
+type Written struct{ N int }
+
+// Indexed's map is only stored into, element by element: flagged.
+type Indexed struct{ M map[int]int }
+
+// TestOnly is read only by a test: flagged.
+type TestOnly struct{ N int }
+
+// Selected is read by a selector: passes.
+type Selected struct{ N int }
+
+// Printed goes to fmt, which prints its fields and its nested struct's:
+// all pass.
+type Printed struct {
+	N  int
+	In struct{ N int }
+}
+
+// Marshaled goes to encoding/json, which reads the exported field
+// (passes) and skips the unexported one (flagged).
+type Marshaled struct {
+	N       int
+	private int
+}
+
+// Quiet goes to fmt, which calls String instead of reading N: flagged.
+type Quiet struct{ N int }
+
+func (Quiet) String() string { return "quiet" }
+
+// Exposed is aliased by the root package: its exported field passes and
+// its unexported one is flagged.
+type Exposed struct {
+	N      int
+	hidden int
+}
+
+// Generic's field is read on an instance: passes.
+type Generic[T any] struct{ V T }
+
+// Outer's embedded field and the promoted Embedded.N are read by one
+// selection: both pass.
+type Outer struct{ Embedded }
+type Embedded struct{ N int }
+
+// Use exercises every type above.
+func Use() {
+	w := Written{N: 1}
+	w.N = 2
+	w.N++
+	w.N += 3
+	x := Indexed{M: map[int]int{}}
+	x.M[1] = 2
+	_ = TestOnly{N: 1}
+	_ = Selected{}.N
+	fmt.Println(Printed{}, Quiet{N: 1})
+	b, _ := json.Marshal(Marshaled{private: 1})
+	fmt.Println(len(b), Generic[int]{}.V, Outer{}.N)
+	_ = Exposed{hidden: 1}
+}

@@ -14,10 +14,10 @@ import (
 	"testing"
 )
 
-// testOnlyAllowed lists the internal/ functions and methods that no
-// production code reaches but that stay exported, each with its reason:
-// tests in another package use it as a fixture (its doc comment names
-// that use), or it waits for a decision on its whole mechanism.
+// testOnlyAllowed lists the internal/ functions, methods and struct
+// fields that no production code uses but that stay, each with its
+// reason: tests in another package use it as a fixture (its doc comment
+// names that use), or it waits for a decision on its whole mechanism.
 var testOnlyAllowed = map[string]string{
 	"des.Simulator.Processed":         "netsim's CPU tests count fired events",
 	"netsim.CPU.Occupy":               "netsim and workload tests stall a router's CPU",
@@ -27,54 +27,59 @@ var testOnlyAllowed = map[string]string{
 	"netsim.Network.NumPartitions":    "kept until partitioning is kept or deleted as a whole",
 	"netsim.Network.PartitionOf":      "kept until partitioning is kept or deleted as a whole",
 	"netsim.Node.Failed":              "faults and protocol tests check crash state",
-	"netsim.Node.Stats":               "workload tests read per-node packet counters",
+	"netsim.Node.Stats":               "partition K-invariance and link-state tests read per-node packet counters",
+	"netsim.NodeStats.Received":       "partition K-invariance tests compare it; goes when partitioning goes",
+	"netsim.NodeStats.DeliveredLocal": "partition K-invariance tests compare it; goes when partitioning goes",
+	"netsim.NodeStats.ForwardedOut":   "partition K-invariance tests compare it; goes when partitioning goes",
+	"netsim.NodeStats.RoutingIn":      "partition K-invariance tests compare it; goes when partitioning goes",
+	"netsim.NodeStats.Dropped":        "partition K-invariance tests compare it; goes when partitioning goes",
 	"rng.Source.Split":                "the parallel package's seeded-run tests derive streams",
 	"stats.Series.YRange":             "core and experiments tests bound figure series",
 }
 
-// TestNoTestOnlyAPI fails when a function or method declared in a
-// non-test file under internal/ is reached by no production code. The
-// production roots are the root package, cmd/, examples/, simbench/
-// (tests included: the benchmark's smoke tests pin what it calls), and
-// the package-level initializers and init functions of internal/;
-// reachability follows every function reference from there, including
-// calls through interfaces the reached code invokes. Code that only tests
-// reach belongs in a _test.go file of its package or is deleted; the few
-// exceptions are listed in testOnlyAllowed with their reason.
+// TestNoTestOnlyAPI fails when a function, method or struct field
+// declared in a non-test file under internal/ is used by no production
+// code: the root package, cmd/, examples/, simbench/ (tests included: the
+// benchmark's smoke tests pin what it calls), and internal/'s non-test
+// files.
+//
+// A function is used when reachable: from internal/'s package-level
+// initializers and init functions and from every function the other
+// roots refer to, along every function reference, including calls
+// through interfaces the reached code invokes.
+//
+// A field (of a generic type: its origin) is used when production code
+//   - selects it, except as the target of an assignment or of ++/-- (an
+//     indexed target, f[i] = v, writes f too) or as a composite-literal
+//     key; a promoted selection reads each embedded field on its way;
+//   - passes a value containing it to fmt or encoding/json (exported
+//     fields only), except below a type whose method set has String or
+//     Error, which prints it instead;
+//   - exposes its type, if it is exported, through the root package's
+//     exported API.
+//
+// Code only tests use belongs in a _test.go file of its package or is
+// deleted; the few exceptions are in testOnlyAllowed with their reason.
 func TestNoTestOnlyAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	l := newAPILoader(t)
-	var callers []*loadedPkg
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	l, callers := loadModule(t, ".", "routesync")
+	used := l.reached(callers)
+	l.markReads(used)
+	dead := map[string]types.Object{}
+	declared := map[string]bool{}
+	for obj, name := range l.decls {
+		declared[name] = true
+		if !used[obj] {
+			dead[name] = obj
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != "." && (name == "testdata" || name == "out" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		p := l.load(path)
-		if p == nil || isInternal(path) {
-			return nil
-		}
-		callers = append(callers, p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-
-	dead := l.unreached(callers)
 	for name, reason := range testOnlyAllowed {
-		if _, ok := l.declared[name]; !ok {
+		if !declared[name] {
 			t.Errorf("allowlist names %s, which no longer exists (%s)", name, reason)
-		} else if _, ok := dead[name]; !ok {
-			t.Errorf("allowlist names %s, which production code now reaches", name)
+		} else if dead[name] == nil {
+			t.Errorf("allowlist names %s, which production code now uses", name)
 		}
 	}
 	var names []string
@@ -85,8 +90,61 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		t.Errorf("%s: no production code reaches %s; delete it, move it into a _test.go file, or allowlist it with a reason", dead[name], name)
+		pos := l.fset.Position(dead[name].Pos())
+		if _, ok := dead[name].(*types.Var); ok {
+			t.Errorf("%s: no production code reads field %s; delete it and its writes, or allowlist it with a reason", pos, name)
+		} else {
+			t.Errorf("%s: no production code reaches %s; delete it, move it into a _test.go file, or allowlist it with a reason", pos, name)
+		}
 	}
+}
+
+// TestFieldGuardRules runs the field check on the synthetic module in
+// testdata/fieldguard. Each of its struct types exercises one rule, and
+// its doc comment says whether the check must flag the type's fields.
+func TestFieldGuardRules(t *testing.T) {
+	l, _ := loadModule(t, filepath.Join("testdata", "fieldguard"), "fieldguard")
+	read := map[types.Object]bool{}
+	l.markReads(read)
+	var got []string
+	for obj, name := range l.decls {
+		if _, ok := obj.(*types.Var); ok && !read[obj] {
+			got = append(got, name)
+		}
+	}
+	sort.Strings(got)
+	want := "a.Exposed.hidden a.Indexed.M a.Marshaled.private a.Quiet.N a.TestOnly.N a.Written.N"
+	if strings.Join(got, " ") != want {
+		t.Errorf("unread fields:\n got %v\nwant %v", got, want)
+	}
+}
+
+// loadModule type-checks every package of the module rooted at base,
+// whose module path is mod, and returns the loader with the packages
+// outside internal/.
+func loadModule(t *testing.T, base, mod string) (*apiLoader, []*loadedPkg) {
+	l := newAPILoader(t, base, mod)
+	var callers []*loadedPkg
+	err := filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		dir, _ := filepath.Rel(base, path) // path lies under base
+		name := d.Name()
+		if dir != "." && (name == "testdata" || name == "out" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		p := l.load(dir)
+		if p == nil || isInternal(dir) {
+			return nil
+		}
+		callers = append(callers, p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, callers
 }
 
 // isInternal reports whether a slash-or-OS path lies under internal/.
@@ -103,35 +161,37 @@ type loadedPkg struct {
 	info  *types.Info
 }
 
-// apiLoader type-checks the module's packages from source (stdlib from
-// compiler export data) and records every function declared under
-// internal/.
+// apiLoader type-checks a module's packages from source (stdlib from
+// compiler export data) and names every function and struct field
+// declared under internal/.
 type apiLoader struct {
-	t        *testing.T
-	fset     *token.FileSet
-	std      types.Importer
-	pkgs     map[string]*loadedPkg     // by directory
-	declared map[string]token.Position // internal/ functions by name
-	names    map[*types.Func]string
+	t     *testing.T
+	base  string // module root directory
+	mod   string // module path
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*loadedPkg // by directory relative to base
+	decls map[types.Object]string
 }
 
-func newAPILoader(t *testing.T) *apiLoader {
+func newAPILoader(t *testing.T, base, mod string) *apiLoader {
 	fset := token.NewFileSet()
 	return &apiLoader{
-		t:        t,
-		fset:     fset,
-		std:      importer.ForCompiler(fset, "gc", nil),
-		pkgs:     map[string]*loadedPkg{},
-		declared: map[string]token.Position{},
-		names:    map[*types.Func]string{},
+		t:     t,
+		base:  base,
+		mod:   mod,
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "gc", nil),
+		pkgs:  map[string]*loadedPkg{},
+		decls: map[types.Object]string{},
 	}
 }
 
-// Import resolves routesync/... (simbench's module shares the tree) from
-// source and everything else from the standard library.
+// Import resolves the module's own packages (simbench's module shares the
+// tree) from source and everything else from the standard library.
 func (l *apiLoader) Import(path string) (*types.Package, error) {
-	if path == "routesync" || strings.HasPrefix(path, "routesync/") {
-		dir := strings.TrimPrefix(strings.TrimPrefix(path, "routesync"), "/")
+	if path == l.mod || strings.HasPrefix(path, l.mod+"/") {
+		dir := strings.TrimPrefix(strings.TrimPrefix(path, l.mod), "/")
 		if dir == "" {
 			dir = "."
 		}
@@ -151,12 +211,9 @@ func (l *apiLoader) load(dir string) *loadedPkg {
 	if p, ok := l.pkgs[dir]; ok {
 		return p
 	}
-	bp, err := build.Default.ImportDir(dir, 0)
-	if err != nil {
-		if _, ok := err.(*build.NoGoError); ok {
-			l.pkgs[dir] = nil
-			return nil
-		}
+	full := filepath.Join(l.base, dir)
+	bp, err := build.Default.ImportDir(full, 0)
+	if _, noGo := err.(*build.NoGoError); err != nil && !noGo {
 		l.t.Fatalf("%s: %v", dir, err)
 	}
 	names := bp.GoFiles
@@ -168,18 +225,24 @@ func (l *apiLoader) load(dir string) *loadedPkg {
 		return nil
 	}
 	p := &loadedPkg{info: &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(full, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			l.t.Fatal(err)
 		}
 		p.files = append(p.files, f)
 	}
 	conf := types.Config{Importer: l}
-	p.pkg, err = conf.Check(bp.ImportPath, l.fset, p.files, p.info)
+	path := l.mod
+	if dir != "." {
+		path += "/" + filepath.ToSlash(dir)
+	}
+	p.pkg, err = conf.Check(path, l.fset, p.files, p.info)
 	if err != nil {
 		l.t.Fatalf("type-check %s: %v", dir, err)
 	}
@@ -193,40 +256,45 @@ func (l *apiLoader) load(dir string) *loadedPkg {
 				}
 				fn := p.info.Defs[fd.Name].(*types.Func)
 				name := p.pkg.Name() + "." + fd.Name.Name
-				if fd.Recv != nil {
-					name = p.pkg.Name() + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					typ := recv.Type()
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem()
+					}
+					name = p.pkg.Name() + "." + typ.(*types.Named).Obj().Name() + "." + fd.Name.Name
 				}
-				l.names[fn] = name
-				l.declared[name] = l.fset.Position(fd.Pos())
+				l.decls[fn] = name
 			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok && !ts.Assign.IsValid() {
+					l.declareFields(p.pkg.Name()+"."+ts.Name.Name, p.info.Defs[ts.Name].Type().Underlying())
+				}
+				return true
+			})
 		}
 	}
 	return p
 }
 
-// recvName is a receiver type expression's base type name.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
+// declareFields records the fields of a declared type's struct, and of
+// the unnamed structs nested in it, under the type's name.
+func (l *apiLoader) declareFields(prefix string, typ types.Type) {
+	switch u := typ.(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if f := u.Field(i); f.Name() != "_" {
+				l.decls[f] = prefix + "." + f.Name()
+				l.declareFields(prefix+"."+f.Name(), f.Type())
+			}
 		}
+	case interface{ Elem() types.Type }: // pointer, slice, array, map, channel
+		l.declareFields(prefix, u.Elem())
 	}
 }
 
-// unreached walks function references from the production roots and
-// returns the internal/ functions it never visits, by name.
-func (l *apiLoader) unreached(callers []*loadedPkg) map[string]token.Position {
+// reached walks function references from the production roots and
+// returns every function it visits.
+func (l *apiLoader) reached(callers []*loadedPkg) map[types.Object]bool {
 	// Every function an internal/ function body refers to, and the
 	// references made outside any internal/ function body (the roots).
 	edges := map[*types.Func][]*types.Func{}
@@ -278,7 +346,11 @@ func (l *apiLoader) unreached(callers []*loadedPkg) map[string]token.Position {
 		stdIfaces = append(stdIfaces, pkg.Scope().Lookup(ref[1]).Type().Underlying().(*types.Interface))
 	}
 	var methods []*types.Func
-	for fn := range l.names {
+	for obj := range l.decls {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
 		recv := fn.Type().(*types.Signature).Recv()
 		if recv == nil {
 			continue
@@ -296,7 +368,7 @@ func (l *apiLoader) unreached(callers []*loadedPkg) map[string]token.Position {
 		}
 	}
 
-	seen := map[*types.Func]bool{}
+	seen := map[types.Object]bool{}
 	queue := roots
 	for len(queue) > 0 {
 		fn := queue[len(queue)-1]
@@ -322,14 +394,7 @@ func (l *apiLoader) unreached(callers []*loadedPkg) map[string]token.Position {
 			}
 		}
 	}
-
-	dead := map[string]token.Position{}
-	for fn, name := range l.names {
-		if !seen[fn] {
-			dead[name] = l.declared[name]
-		}
-	}
-	return dead
+	return seen
 }
 
 // implements reports whether a receiver type, or a pointer to it,
@@ -342,4 +407,176 @@ func implements(recv types.Type, iface *types.Interface) bool {
 		return false
 	}
 	return types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)
+}
+
+// markReads records every field production code reads in read;
+// TestNoTestOnlyAPI's doc comment lists the ways to read one.
+func (l *apiLoader) markReads(read map[types.Object]bool) {
+	for _, p := range l.pkgs {
+		if p != nil {
+			markFieldReads(p, read)
+		}
+	}
+	if root := l.pkgs["."]; root != nil {
+		w := &fieldWalk{read: read, seen: map[types.Type]bool{}, exportedOnly: true, api: true}
+		for _, name := range root.pkg.Scope().Names() {
+			if obj := root.pkg.Scope().Lookup(name); obj.Exported() {
+				w.mark(obj.Type())
+			}
+		}
+	}
+}
+
+// markFieldReads records the fields one package's code reads by
+// selection or through a value it hands to fmt or encoding/json.
+func markFieldReads(p *loadedPkg, read map[types.Object]bool) {
+	written := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		e = ast.Unparen(e)
+		for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+			e = ast.Unparen(ix.X)
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							written[id] = true
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				if sel, ok := p.info.Selections[n]; ok {
+					markEmbedded(sel, read)
+				}
+			case *ast.CallExpr:
+				markReflected(p.info, n, read)
+			}
+			return true
+		})
+	}
+	for id, obj := range p.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			read[v.Origin()] = true
+		}
+	}
+}
+
+// markEmbedded records the embedded fields a promoted selection passes
+// through on its way to the selected field or method.
+func markEmbedded(sel *types.Selection, read map[types.Object]bool) {
+	typ := sel.Recv()
+	idx := sel.Index()
+	for _, i := range idx[:len(idx)-1] {
+		if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		st, ok := typ.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		f := st.Field(i)
+		read[f.Origin()] = true
+		typ = f.Type()
+	}
+}
+
+// markReflected records the fields that a call into fmt or encoding/json
+// prints or marshals: those of each argument passed as an empty
+// interface, except below a type that formats itself.
+func markReflected(info *types.Info, call *ast.CallExpr, read map[types.Object]bool) {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || (fn.Pkg().Path() != "fmt" && fn.Pkg().Path() != "encoding/json") {
+		return
+	}
+	sig := fn.Type().(*types.Signature)
+	params := sig.Params()
+	for i, arg := range call.Args {
+		param := params.At(min(i, params.Len()-1)).Type()
+		if sig.Variadic() && i >= params.Len()-1 && !call.Ellipsis.IsValid() {
+			param = param.(*types.Slice).Elem()
+		}
+		if iface, ok := param.(*types.Interface); ok && iface.Empty() {
+			w := &fieldWalk{read: read, seen: map[types.Type]bool{}, exportedOnly: fn.Pkg().Path() == "encoding/json"}
+			w.mark(info.TypeOf(arg))
+		}
+	}
+}
+
+// fieldWalk marks the fields a reader of values of some type reaches:
+// a reflective printer (fmt, or encoding/json, which sees exported fields
+// only), or a user of the root package's exported API (api).
+type fieldWalk struct {
+	read         map[types.Object]bool
+	seen         map[types.Type]bool
+	exportedOnly bool
+	// api follows exported methods and signatures too; a printer instead
+	// stops at a type whose method set has String or Error.
+	api bool
+}
+
+func (w *fieldWalk) mark(typ types.Type) {
+	typ = types.Unalias(typ)
+	if w.seen[typ] {
+		return
+	}
+	w.seen[typ] = true
+	if w.api {
+		if n, ok := typ.(*types.Named); ok {
+			for i := 0; i < n.NumMethods(); i++ {
+				if m := n.Method(i); m.Exported() {
+					w.mark(m.Type())
+				}
+			}
+		}
+	} else if ms := types.NewMethodSet(typ); ms.Lookup(nil, "String") != nil || ms.Lookup(nil, "Error") != nil {
+		return // printed through its own method
+	}
+	switch u := typ.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if f := u.Field(i); f.Exported() || !w.exportedOnly {
+				w.read[f.Origin()] = true
+				w.mark(f.Type())
+			}
+		}
+	case *types.Map:
+		w.mark(u.Key())
+		w.mark(u.Elem())
+	case interface{ Elem() types.Type }: // pointer, slice, array, channel
+		w.mark(u.Elem())
+	case *types.Signature:
+		if w.api {
+			for _, tup := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					w.mark(tup.At(i).Type())
+				}
+			}
+		}
+	case *types.Interface:
+		if w.api {
+			for i := 0; i < u.NumMethods(); i++ {
+				w.mark(u.Method(i).Type())
+			}
+		}
+	}
 }
