@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"routesync/internal/jitter"
@@ -32,60 +33,52 @@ func linkBetween(a, b *netsim.Node) *netsim.Link {
 
 // TestFlapTimelineDeterministic: the materialized timeline is a pure
 // function of (seed, target identity) — install order does not matter,
-// and equal seeds reproduce it exactly.
+// each link keeps its own stream, and equal seeds reproduce it exactly.
 func TestFlapTimelineDeterministic(t *testing.T) {
-	build := func(order []int) []Event {
+	flap := func(order ...int) *Injector {
 		n := netsim.NewNetwork(1)
-		a := n.NewNode("a", nil)
-		b := n.NewNode("b", nil)
-		c := n.NewNode("c", nil)
-		ab := n.Connect(a, b, netsim.LinkConfig{Delay: 0.01})
-		bc := n.Connect(b, c, netsim.LinkConfig{Delay: 0.01})
-		links := []*netsim.Link{ab, bc}
+		a, b, c := n.NewNode("a", nil), n.NewNode("b", nil), n.NewNode("c", nil)
+		links := []*netsim.Link{n.Connect(a, b, netsim.LinkConfig{Delay: 0.01}), n.Connect(b, c, netsim.LinkConfig{Delay: 0.01})}
 		in := NewInjector(42)
-		cfg := FlapConfig{MeanUp: 30, MeanDown: 10, Start: 5, Horizon: 300}
 		for _, i := range order {
-			in.FlapLink(links[i], cfg)
+			in.FlapLink(links[i], FlapConfig{MeanUp: 30, MeanDown: 10, Start: 5, Horizon: 300})
 		}
-		return in.Timeline()
+		return in
 	}
-	fwd := build([]int{0, 1})
-	rev := build([]int{1, 0})
-	if len(fwd) == 0 {
-		t.Fatal("empty flap timeline")
-	}
-	if !reflect.DeepEqual(fwd, rev) {
-		t.Fatalf("timeline depends on install order:\n fwd %+v\n rev %+v", fwd, rev)
-	}
-	// One link alone: alternating down/up, strictly increasing times.
-	n := netsim.NewNetwork(1)
-	l := n.Connect(n.NewNode("a", nil), n.NewNode("b", nil), netsim.LinkConfig{Delay: 0.01})
-	in := NewInjector(42)
-	in.FlapLink(l, FlapConfig{MeanUp: 30, MeanDown: 10, Start: 5, Horizon: 300})
-	evs := in.Timeline()
-	if len(evs) < 2 {
-		t.Fatalf("one-link timeline too short: %v", evs)
-	}
-	for i, e := range evs {
-		wantKind := LinkDown
-		if i%2 == 1 {
-			wantKind = LinkUp
+	// Each link alone: alternating down/up, strictly increasing times,
+	// and FailureTimes exactly the down instants.
+	var perLink [2][]Event
+	for i := range perLink {
+		in := flap(i)
+		evs := in.Timeline()
+		if len(evs) < 2 {
+			t.Fatalf("link %d timeline too short: %v", i, evs)
 		}
-		if e.Kind != wantKind {
-			t.Fatalf("event %d: kind %v, want %v", i, e.Kind, wantKind)
+		var downs []float64
+		for j, e := range evs {
+			if e.Kind != []Kind{LinkDown, LinkUp}[j%2] || (j > 0 && e.At <= evs[j-1].At) {
+				t.Fatalf("link %d: event %d breaks down/up alternation at increasing times: %v", i, j, evs)
+			}
+			if e.Kind == LinkDown {
+				downs = append(downs, e.At)
+			}
 		}
-		if i > 0 && e.At <= evs[i-1].At {
-			t.Fatalf("timeline not increasing: %v", evs)
+		if ts := in.FailureTimes(); !reflect.DeepEqual(ts, downs) {
+			t.Fatalf("link %d FailureTimes %v, want the LinkDown instants %v", i, ts, downs)
 		}
+		perLink[i] = evs
 	}
-	// FailureTimes: sorted, only the down/crash instants.
-	ts := in.FailureTimes()
-	if len(ts) != (len(evs)+1)/2 {
-		t.Fatalf("FailureTimes %v, want the LinkDown instants of %v", ts, evs)
+	if reflect.DeepEqual(perLink[0], perLink[1]) {
+		t.Fatalf("both links drew the same flap stream: %v", perLink[0])
 	}
-	for i := 1; i < len(ts); i++ {
-		if ts[i] <= ts[i-1] {
-			t.Fatalf("FailureTimes not strictly increasing: %v", ts)
+	// Both links, in either install order: the time-sorted merge of the
+	// one-link timelines. A stream keyed by install position rather than
+	// by endpoints would hand one link's draws to the other here.
+	want := append(append([]Event(nil), perLink[0]...), perLink[1]...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		if got := flap(order...).Timeline(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("install order %v: timeline\n %+v\nwant the merge of the one-link timelines\n %+v", order, got, want)
 		}
 	}
 }

@@ -256,7 +256,11 @@ func Run(opts Options) (*Summary, error) {
 			TotalSeconds: sum.Total.Seconds(),
 			Drivers:      perDriver,
 		}
-		if err := writeJSON(filepath.Join(opts.OutDir, "TIMINGS.json"), tf); err != nil {
+		buf, err := json.MarshalIndent(tf, "", "  ")
+		if err != nil {
+			return sum, err
+		}
+		if err := os.WriteFile(filepath.Join(opts.OutDir, "TIMINGS.json"), append(buf, '\n'), 0o644); err != nil {
 			return sum, err
 		}
 	}
@@ -391,13 +395,4 @@ func (b *progressBoard) render() string {
 		}
 	}
 	return "  … " + strings.Join(parts, " | ")
-}
-
-// writeJSON marshals v with two-space indentation and a trailing newline.
-func writeJSON(path string, v any) error {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

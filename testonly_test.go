@@ -54,7 +54,10 @@ var testOnlyAllowed = map[string]string{
 //     key; a promoted selection reads each embedded field on its way;
 //   - passes a value containing it to fmt or encoding/json (exported
 //     fields only), except below a type whose method set has String or
-//     Error, which prints it instead;
+//     Error, which prints it instead; the value's static type at the
+//     call is what counts, so a wrapper that takes any (such as
+//     experiments.Result.Notef) hides it: marshal or print the concrete
+//     value where it is built;
 //   - exposes its type, if it is exported, through the root package's
 //     exported API.
 //
