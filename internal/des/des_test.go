@@ -3,6 +3,7 @@ package des
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +53,20 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	s.Schedule(5, "past", func() {})
+}
+
+// A keyed event's past-time panic names the node its key came from, so
+// event labels can stay constant.
+func TestSchedulePastPanicNamesNode(t *testing.T) {
+	s := New()
+	s.RunUntil(10)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `Schedule("late") by node 3 at 5`) {
+			t.Fatalf("panic %q does not name node 3", msg)
+		}
+	}()
+	s.ScheduleKeyed(5, 4<<KeyNodeShift|7, "late", func() {})
 }
 
 func TestScheduleNaNPanics(t *testing.T) {

@@ -104,7 +104,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		Node:       node,
 		Seed:       cfg.Seed ^ int64(node.ID)*0x5DEECE66D,
 		Jitter:     cfg.Jitter,
-		TimerLabel: fmt.Sprintf("lsa-refresh(%s)", node.Name),
+		TimerLabel: "lsa-refresh",
 		RearmLabel: "lsa-rearm-wait",
 		SweepLabel: "lsa-sweep",
 		SweepEvery: cfg.RefreshPeriod,

@@ -19,34 +19,6 @@ type lanFrame struct {
 	to  NodeID
 }
 
-type lanTx struct {
-	busy bool
-	// queue[qhead:] is the output queue; the head index keeps the backing
-	// array's capacity across busy periods (see txState.qpop).
-	queue []lanFrame
-	qhead int
-	// inflight holds serialized frames in propagation order; arrive pops
-	// the head (arrival times are monotone per transmitter).
-	inflight ring[lanFrame]
-	// txDone frees the transmitter and pops the queue; arrive delivers
-	// the head in-flight frame. Hoisted: no per-frame closures.
-	txDone func()
-	arrive func()
-}
-
-func (st *lanTx) qlen() int { return len(st.queue) - st.qhead }
-
-func (st *lanTx) qpop() lanFrame {
-	fr := st.queue[st.qhead]
-	st.queue[st.qhead] = lanFrame{}
-	st.qhead++
-	if st.qhead == len(st.queue) {
-		st.queue = st.queue[:0]
-		st.qhead = 0
-	}
-	return fr
-}
-
 // LAN is an idealized broadcast segment (an Ethernet without collisions):
 // a frame transmitted by one member is received by the addressed member,
 // or by every other member for Broadcast frames. Each member has its own
@@ -59,7 +31,7 @@ type LAN struct {
 	net     *Network
 	cfg     LANConfig
 	members []*Node
-	tx      map[NodeID]*lanTx
+	tx      map[NodeID]*transmitter[lanFrame]
 }
 
 // NewLAN creates a broadcast segment over the given members (at least 2).
@@ -73,15 +45,14 @@ func (n *Network) NewLAN(members []*Node, cfg LANConfig) *LAN {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = DefaultQueueCap
 	}
-	l := &LAN{net: n, cfg: cfg, members: append([]*Node(nil), members...), tx: make(map[NodeID]*lanTx)}
+	l := &LAN{net: n, cfg: cfg, members: append([]*Node(nil), members...), tx: make(map[NodeID]*transmitter[lanFrame])}
 	for _, m := range l.members {
 		if _, dup := l.tx[m.ID]; dup {
 			panic(fmt.Sprintf("netsim: node %v attached to LAN twice", m))
 		}
-		from, st := m, &lanTx{}
+		from, st := m, &transmitter[lanFrame]{}
 		st.txDone = func() {
-			st.busy = false
-			if st.qlen() > 0 {
+			if st.freed() {
 				l.startTx(from, st, st.qpop())
 			}
 		}
@@ -114,13 +85,11 @@ func (l *LAN) Transmit(pkt *Packet, from *Node, to NodeID) {
 	if !ok {
 		panic(fmt.Sprintf("netsim: %v is not attached to this LAN", from))
 	}
-	if st.busy {
-		if st.qlen() >= l.cfg.QueueCap {
+	if st.busy(from) {
+		if !st.enqueue(from, lanFrame{pkt: pkt, to: to}, l.cfg.QueueCap) {
 			l.net.dropAt(from, DropQueueOverflow)
 			l.net.releaseAt(from, pkt)
-			return
 		}
-		st.queue = append(st.queue, lanFrame{pkt: pkt, to: to})
 		return
 	}
 	l.startTx(from, st, lanFrame{pkt: pkt, to: to})
@@ -133,13 +102,12 @@ func (l *LAN) serialization(pkt *Packet) float64 {
 	return float64(pkt.Size*8) / l.cfg.Bandwidth
 }
 
-func (l *LAN) startTx(from *Node, st *lanTx, fr lanFrame) {
-	st.busy = true
+func (l *LAN) startTx(from *Node, st *transmitter[lanFrame], fr lanFrame) {
 	ser := l.serialization(fr.pkt)
 	sim := from.sim()
 	st.inflight.push(fr)
 	sim.ScheduleKeyed(sim.Now()+ser+l.cfg.Delay, from.nextKey(), "lan-arrival", st.arrive)
-	sim.ScheduleKeyed(sim.Now()+ser, from.nextKey(), "lan-tx-done", st.txDone)
+	st.reserve(from, ser)
 }
 
 func (l *LAN) deliver(pkt *Packet, from *Node, to NodeID) {

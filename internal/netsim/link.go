@@ -1,6 +1,9 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // LinkConfig parameterizes a point-to-point link.
 type LinkConfig struct {
@@ -25,7 +28,7 @@ type Link struct {
 	net  *Network
 	cfg  LinkConfig
 	ends [2]*Node
-	tx   [2]txState
+	tx   [2]transmitter[*Packet]
 	// down is the per-endpoint view of the link state, indexed like
 	// ends. Each endpoint's view is only ever written by an event
 	// executing at that endpoint (or during single-threaded setup), so a
@@ -85,17 +88,27 @@ func (l *Link) scheduleDown(t float64, down bool) {
 // Endpoints returns the link's two endpoint nodes in construction order.
 func (l *Link) Endpoints() [2]*Node { return l.ends }
 
-type txState struct {
-	busy bool
+// transmitter is one sender's side of a medium: a serial transmitter
+// with a drop-tail output queue (one per link direction, one per LAN
+// member). T is what the queue and the wire carry.
+type transmitter[T any] struct {
+	// done reserves the tx-done of the transmission on the wire. Its
+	// instant and key are drawn when serialization starts, but the event
+	// is queued only when a packet waits in the output queue, or when
+	// serialization takes no time (see Node.Passed). Most tx-dones find
+	// an empty queue and are never queued. Once queued, done.At moves to
+	// queuedAt, which never passes, and the event's handler clears
+	// done.Key. done.Key is 0 while idle.
+	done Reservation
 	// queue[qhead:] is the output queue. Popping advances the head index
 	// instead of re-slicing from the front, so the backing array's
 	// capacity survives busy periods and steady state never reallocates.
-	queue []*Packet
+	queue []T
 	qhead int
 	// inflight holds serialized packets in propagation order; arrive pops
-	// the head. Arrival times are monotone within a direction (the
-	// transmitter is serial), so FIFO order is arrival order.
-	inflight ring[*Packet]
+	// the head. Arrival times are monotone per transmitter (it is serial),
+	// so FIFO order is arrival order.
+	inflight ring[T]
 	// txDone frees the transmitter and pops the queue; arrive delivers
 	// the head in-flight packet. Both are hoisted so each packet
 	// schedules them without allocating a fresh closure.
@@ -103,17 +116,66 @@ type txState struct {
 	arrive func()
 }
 
-func (st *txState) qlen() int { return len(st.queue) - st.qhead }
+// queuedAt marks a transmitter's tx-done as queued: an instant no clock
+// reaches, so the reservation never reads passed before its handler runs.
+const queuedAt = math.MaxFloat64
 
-func (st *txState) qpop() *Packet {
-	pkt := st.queue[st.qhead]
-	st.queue[st.qhead] = nil
-	st.qhead++
-	if st.qhead == len(st.queue) {
-		st.queue = st.queue[:0]
-		st.qhead = 0
+func (t *transmitter[T]) qlen() int { return len(t.queue) - t.qhead }
+
+func (t *transmitter[T]) qpop() T {
+	v := t.queue[t.qhead]
+	var zero T
+	t.queue[t.qhead] = zero
+	t.qhead++
+	if t.qhead == len(t.queue) {
+		t.queue = t.queue[:0]
+		t.qhead = 0
 	}
-	return pkt
+	return v
+}
+
+// busy reports whether the transmitter is still serializing at from's
+// clock: its tx-done is queued, or reserved and not yet passed.
+func (t *transmitter[T]) busy(from *Node) bool {
+	return t.done.Key != 0 && !from.Passed(t.done)
+}
+
+// enqueue parks v behind the busy transmitter, queueing its tx-done when
+// v is the first to wait. It reports false, queueing nothing, when the
+// output queue is full.
+func (t *transmitter[T]) enqueue(from *Node, v T, limit int) bool {
+	if t.qlen() >= limit {
+		return false
+	}
+	if t.done.At != queuedAt {
+		t.queueDone(from)
+	}
+	t.queue = append(t.queue, v)
+	return true
+}
+
+// reserve draws the tx-done of a transmission starting now and lasting
+// ser seconds. The key is drawn here, after the arrival's, exactly where
+// an eager tx-done would draw it. The event is queued at once when
+// packets already wait (the pop path) or when serialization takes no
+// time.
+func (t *transmitter[T]) reserve(from *Node, ser float64) {
+	t.done = from.Reserve(ser)
+	if t.qlen() > 0 || t.done.At == from.Now() {
+		t.queueDone(from)
+	}
+}
+
+func (t *transmitter[T]) queueDone(from *Node) {
+	from.ScheduleReserved(t.done, "tx-done", t.txDone)
+	t.done.At = queuedAt
+}
+
+// freed is the head of the tx-done handler: it clears the reservation
+// and reports whether a packet waits to go next.
+func (t *transmitter[T]) freed() bool {
+	t.done = Reservation{}
+	return t.qlen() > 0
 }
 
 // Connect creates a link between a and b. It panics if a == b.
@@ -132,9 +194,7 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 		d := d
 		dst := l.ends[1-d]
 		l.tx[d].txDone = func() {
-			st := &l.tx[d]
-			st.busy = false
-			if st.qlen() > 0 {
+			if st := &l.tx[d]; st.freed() {
 				l.startTx(d, st.qpop())
 			}
 		}
@@ -195,13 +255,11 @@ func (l *Link) Transmit(pkt *Packet, from *Node, _ NodeID) {
 		return
 	}
 	st := &l.tx[d]
-	if st.busy {
-		if st.qlen() >= l.cfg.QueueCap {
+	if st.busy(from) {
+		if !st.enqueue(from, pkt, l.cfg.QueueCap) {
 			l.net.dropAt(from, DropQueueOverflow)
 			l.net.releaseAt(from, pkt)
-			return
 		}
-		st.queue = append(st.queue, pkt)
 		return
 	}
 	l.startTx(d, pkt)
@@ -216,7 +274,6 @@ func (l *Link) serialization(pkt *Packet) float64 {
 
 func (l *Link) startTx(d int, pkt *Packet) {
 	st := &l.tx[d]
-	st.busy = true
 	src := l.ends[d]
 	dst := l.ends[1-d]
 	sim := src.sim()
@@ -236,6 +293,6 @@ func (l *Link) startTx(d int, pkt *Packet) {
 		// the receiver orders it exactly as a sequential run would.
 		src.part.send(boundaryEvent{at: arriveAt, key: arriveKey, pkt: pkt, dst: dst, link: l})
 	}
-	// Transmitter frees after serialization; pop the queue.
-	sim.ScheduleKeyed(sim.Now()+ser, src.nextKey(), "link-tx-done", st.txDone)
+	// Transmitter frees after serialization.
+	st.reserve(src, ser)
 }

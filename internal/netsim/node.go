@@ -175,7 +175,7 @@ func (nd *Node) Now() float64 { return nd.sim().Now() }
 // simulator an event was inserted into, or when.
 func (nd *Node) nextKey() uint64 {
 	nd.evSeq++
-	return (uint64(nd.ID)+1)<<38 | nd.evSeq
+	return (uint64(nd.ID)+1)<<des.KeyNodeShift | nd.evSeq
 }
 
 // Schedule queues fn at absolute time at, keyed and clocked by this node.
@@ -191,6 +191,35 @@ func (nd *Node) After(delay float64, label string, fn func()) des.Event {
 	s := nd.sim()
 	return s.ScheduleKeyed(s.Now()+delay, nd.nextKey(), label, fn)
 }
+
+// Reservation is an event instant and key drawn from a node without
+// queueing anything: the key comes from the node's sequence at the point
+// a Schedule would draw it, so the sequence, and with it every later
+// event's order, is the same whether or not the event is ever queued.
+// Key 0 means no reservation.
+type Reservation struct {
+	At  float64
+	Key uint64
+}
+
+// Reserve draws a reservation delay seconds from the node's now. Queue
+// it with ScheduleReserved if something turns out to wait for it, or ask
+// Passed whether the queued event would have fired by now.
+func (nd *Node) Reserve(delay float64) Reservation {
+	return Reservation{At: nd.Now() + delay, Key: nd.nextKey()}
+}
+
+// ScheduleReserved queues fn at r's instant with r's key: the event a
+// Schedule call at reservation time would have queued.
+func (nd *Node) ScheduleReserved(r Reservation, label string, fn func()) des.Event {
+	return nd.sim().ScheduleKeyed(r.At, r.Key, label, fn)
+}
+
+// Passed reports whether r's event would have fired by now had it been
+// queued (see des.Simulator.Fired). A reservation for the node's current
+// instant may read passed while a queued event would still be pending:
+// queue such events at once.
+func (nd *Node) Passed(r Reservation) bool { return nd.sim().Fired(r.At, r.Key) }
 
 // Cancel removes an event previously scheduled via this node.
 func (nd *Node) Cancel(e des.Event) bool { return nd.sim().Cancel(e) }

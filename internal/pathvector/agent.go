@@ -198,12 +198,14 @@ type peerState struct {
 	// unreachable/unexportable send withdrawals exactly once).
 	dirty  uint64
 	advOut uint64
-	// MRAI batching: while armed, flushes wait for the timer; the timer
-	// re-arms only while traffic flows, so idle peers cost no events.
-	mraiArmed bool
-	mraiEv    des.Event
-	mraiFn    func() // hoisted: one closure per peer per agent lifetime
-	label     string
+	// MRAI batching: while the interval runs, flushes wait for its
+	// expiry. A flush only reserves the expiry (mrai.Key 0: none); it is
+	// queued as mraiEv when a change dirties the peer before the
+	// reservation passes, so intervals that end with nothing to send cost
+	// no event. mraiEv is the zero Event while nothing is queued.
+	mrai   netsim.Reservation
+	mraiEv des.Event
+	mraiFn func() // hoisted: one closure per peer per agent lifetime
 }
 
 // Agent is one AS's path-vector process: a BGP-like protocol strategy
@@ -278,12 +280,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 			panic("pathvector: peer without a link")
 		}
 		peer := pc.Link.Peer(node)
-		a.peers[i] = peerState{
-			link:  pc.Link,
-			id:    peer.ID,
-			rel:   pc.Rel,
-			label: fmt.Sprintf("pv-mrai(%s->%s)", node.Name, peer.Name),
-		}
+		a.peers[i] = peerState{link: pc.Link, id: peer.ID, rel: pc.Rel}
 		a.peerAt[i] = i
 	}
 	slices.SortFunc(a.peerAt, func(x, y int) int { return cmp.Compare(a.peers[x].id, a.peers[y].id) })
@@ -308,7 +305,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		Seed:       cfg.Seed ^ int64(node.ID)*0x2545F4914F6CDD1D,
 		Jitter:     cfg.Jitter,
 		Mode:       cfg.Mode,
-		TimerLabel: fmt.Sprintf("pv-refresh(%s)", node.Name),
+		TimerLabel: "pv-refresh",
 		RearmLabel: "pv-rearm-wait",
 		SweepLabel: "pv-hold-sweep",
 		SweepEvery: cfg.RefreshPeriod,
@@ -353,15 +350,15 @@ func (a *Agent) resetRIB() {
 	}
 }
 
+// cancelMRAIs ends every peer's MRAI interval, cancelling the expiries
+// that are queued (Cancel of the zero Event is a no-op); a reservation
+// needs no more than forgetting.
 func (a *Agent) cancelMRAIs() {
 	node := a.k.Node()
 	for i := range a.peers {
 		p := &a.peers[i]
-		if p.mraiArmed {
-			node.Cancel(p.mraiEv)
-			p.mraiEv = des.Event{}
-			p.mraiArmed = false
-		}
+		node.Cancel(p.mraiEv)
+		p.mrai, p.mraiEv = netsim.Reservation{}, des.Event{}
 	}
 }
 
@@ -444,12 +441,24 @@ func (a *Agent) markDirtyAll(o int) {
 	}
 }
 
-// flushIdlePeers flushes every peer with dirty state whose MRAI timer
-// is not running; peers mid-interval keep batching until it expires.
+// flushIdlePeers flushes every peer with dirty state whose MRAI
+// interval is not running; peers mid-interval keep batching until it
+// expires. It is the only place a freshly dirtied peer is looked at, so
+// it is where a reserved expiry gets queued: a peer's dirty set stays
+// empty while its expiry is only reserved.
 func (a *Agent) flushIdlePeers() {
+	node := a.k.Node()
 	for i := range a.peers {
 		p := &a.peers[i]
-		if p.dirty != 0 && !p.mraiArmed {
+		switch {
+		case p.dirty == 0 || p.mraiEv != (des.Event{}):
+			// Clean, or the expiry that will flush it is already queued.
+		case p.mrai.Key != 0 && !node.Passed(p.mrai):
+			p.mraiEv = node.ScheduleReserved(p.mrai, "pv-mrai", p.mraiFn)
+		default:
+			// Idle, or the reserved expiry has passed, finding the peer
+			// clean as onMRAI would have.
+			p.mrai = netsim.Reservation{}
 			a.flushPeer(p)
 		}
 	}
@@ -500,18 +509,28 @@ func (a *Agent) flushPeer(p *peerState) {
 		// kernel's stream with a per-peer id so PerRouterFixed-style
 		// policies decorrelate sessions, not just routers.
 		delay := a.cfg.MRAIJitter.Delay(a.k.RNG(), int(node.ID)*8191+int(p.id))
-		p.mraiEv = node.After(delay, p.label, p.mraiFn)
-		p.mraiArmed = true
+		p.mrai = node.Reserve(delay)
+		// An expiry at this very instant cannot be reserved (see
+		// netsim.Node.Passed): queue it now. A stopped agent never gets
+		// here, so no reservation has to mimic an expiry that fires while
+		// the agent is down (see onMRAI): Crash empties the RIB and the
+		// advertised set, and WithdrawLocal, the one flush path that does
+		// not check Stopped, first turns off the only route left
+		// (TestMRAIReservationAcrossCrash).
+		if !(p.mrai.At > node.Now()) {
+			p.mraiEv = node.ScheduleReserved(p.mrai, "pv-mrai", p.mraiFn)
+		}
 	}
 }
 
-// onMRAI fires at a peer's MRAI expiration: flush any batched changes
-// (restarting the interval), or go idle.
+// onMRAI fires at a queued MRAI expiration: flush any batched changes
+// (restarting the interval), or go idle. On a stopped agent it does
+// nothing, leaving the interval running until a Crash resets it.
 func (a *Agent) onMRAI(p *peerState) {
 	if a.k.Stopped() {
 		return
 	}
-	p.mraiArmed = false
+	p.mrai, p.mraiEv = netsim.Reservation{}, des.Event{}
 	if p.dirty != 0 {
 		a.flushPeer(p)
 	}

@@ -2,9 +2,11 @@ package pathvector
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"routesync/internal/des"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
 )
@@ -499,4 +501,98 @@ func TestAgentDuplicateNeighborPanics(t *testing.T) {
 	cfg.Origins = NewOriginSet([]netsim.NodeID{a.ID})
 	cfg.Peers = []PeerConfig{{Link: l1, Rel: RelPeer}, {Link: l2, Rel: RelPeer}, {Link: l3, Rel: RelCustomer}}
 	mustPanic(t, "two sessions to neighbor", func() { NewAgent(a, cfg) })
+}
+
+// TestMRAIReservationAcrossCrash pins the flush timeline of an MRAI
+// interval whose expiry is only reserved (see peerState.mrai): a crash
+// drops it, its instant passing while the agent is down changes nothing,
+// and after the restart an expiry is queued only for a peer dirtied
+// before it passes. The expected timeline was recorded from the
+// implementation that queued every MRAI expiry.
+func TestMRAIReservationAcrossCrash(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.MRAI = 5
+	net, agents := buildChain(t, 2, cfg)
+	var tl []string
+	for i, a := range agents {
+		a.OnFlush = func(at float64, peer netsim.NodeID, adv, wdr int) {
+			tl = append(tl, fmt.Sprintf("%.3f AS%d->%d adv %d wdr %d", at, i, peer, adv, wdr))
+		}
+	}
+	as0 := agents[0]
+	nd := as0.Node()
+	// AS0's first refresh flushes at 0.5 and reserves its expiry for 5.5.
+	nd.Schedule(1, "crash", func() { as0.Crash() })
+	nd.Schedule(6, "withdraw", func() { as0.WithdrawLocal() }) // down, past 5.5
+	nd.Schedule(6, "check", func() {
+		// The withdrawal on the crashed agent sent nothing and reserved
+		// no expiry: no MRAI event can fire while the agent is down.
+		for _, p := range as0.peers {
+			if p.mrai.Key != 0 || p.mraiEv != (des.Event{}) {
+				t.Errorf("crashed agent holds an MRAI interval: %+v", p.mrai)
+			}
+		}
+	})
+	nd.Schedule(7, "restart", func() { as0.Restart(0.5) })
+	nd.Schedule(8, "announce", func() { as0.AnnounceLocal() })  // flush, expiry 13
+	nd.Schedule(9, "withdraw", func() { as0.WithdrawLocal() })  // batched to 13
+	nd.Schedule(14, "announce", func() { as0.AnnounceLocal() }) // batched to 18
+	nd.Schedule(24, "withdraw", func() { as0.WithdrawLocal() }) // 23 passed: now
+	nd.Schedule(25, "crash", func() { as0.Crash() })
+	nd.Schedule(26, "restart", func() { as0.Restart(0.5) })
+	nd.Schedule(27, "announce", func() { as0.AnnounceLocal() })
+	net.RunUntil(40)
+	want := []string{
+		"0.500 AS0->1 adv 1 wdr 0",
+		"0.600 AS1->0 adv 1 wdr 0",
+		"8.000 AS0->1 adv 1 wdr 0",
+		"13.000 AS0->1 adv 0 wdr 1",
+		"18.000 AS0->1 adv 1 wdr 0",
+		// AS1's refresh dirties AS0's session before 23, which queues
+		// the expiry; it finds nothing exportable and sends nothing.
+		"22.116 AS1->0 adv 1 wdr 0",
+		"24.000 AS0->1 adv 0 wdr 1",
+		// The crash at 25 dropped the interval reserved until 29.
+		"27.000 AS0->1 adv 1 wdr 0",
+	}
+	if !slices.Equal(tl, want) {
+		t.Fatalf("flush timeline\n got %q\nwant %q", tl, want)
+	}
+}
+
+// TestMRAIZeroInterval: an MRAI interval of zero still batches the
+// changes made in the same handler as the flush, because its expiry is a
+// queued event at the flush instant, even after a higher-keyed event has
+// fired at that instant. Here AS0 withdraws, re-announces and withdraws
+// again in one handler that AS1's event scheduled for its own instant:
+// the first withdrawal goes out and the rest batch into an expiry that
+// finds nothing to send. The expected timeline was recorded from the
+// implementation that queued every MRAI expiry.
+func TestMRAIZeroInterval(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.MRAI = 5
+	cfg.MRAIJitter = jitter.None{Tp: 0}
+	net, agents := buildChain(t, 2, cfg)
+	as0, as1 := agents[0], agents[1]
+	var tl []string
+	as0.OnFlush = func(at float64, peer netsim.NodeID, adv, wdr int) {
+		tl = append(tl, fmt.Sprintf("%.3f adv %d wdr %d", at, adv, wdr))
+	}
+	as1.Node().Schedule(50, "hop", func() {
+		as0.Node().Schedule(50, "flap", func() {
+			as0.WithdrawLocal()
+			as0.AnnounceLocal()
+			as0.WithdrawLocal()
+		})
+	})
+	net.RunUntil(60)
+	want := []string{
+		"0.500 adv 1 wdr 0",
+		"15.553 adv 1 wdr 0",
+		"46.866 adv 1 wdr 0",
+		"50.000 adv 0 wdr 1",
+	}
+	if !slices.Equal(tl, want) {
+		t.Fatalf("AS0 flush timeline\n got %q\nwant %q", tl, want)
+	}
 }

@@ -134,9 +134,9 @@ type Config struct {
 	Jitter jitter.Policy
 	// Mode selects the re-arm rule; the zero value is the paper's.
 	Mode TimerMode
-	// TimerLabel, RearmLabel and SweepLabel name the kernel's events
-	// (TimerLabel is per-agent — one fmt.Sprintf per agent, not per
-	// re-arm).
+	// TimerLabel, RearmLabel and SweepLabel name the kernel's events in
+	// des's past-time panic, which also prints the scheduling node, so
+	// constant strings suffice.
 	TimerLabel string
 	RearmLabel string
 	SweepLabel string

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"fmt"
 	"math"
 
 	"routesync/internal/jitter"
@@ -146,7 +145,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		Seed:       cfg.Seed ^ int64(node.ID)*0x9E3779B9,
 		Jitter:     cfg.Jitter,
 		Mode:       cfg.TimerMode,
-		TimerLabel: fmt.Sprintf("routing-timer(%s)", node.Name),
+		TimerLabel: "routing-timer",
 		RearmLabel: "routing-rearm-wait",
 		SweepLabel: "routing-sweep",
 		SweepEvery: cfg.Profile.Period,
