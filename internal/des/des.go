@@ -15,17 +15,17 @@
 // partitioned parallel runs. RunBefore exposes the half-open execution
 // window that conservative parallel simulation is built on.
 //
-// The kernel also keeps a fired frontier: the greatest (time, key) any
-// event has fired at, raised to (now, max key) when RunUntil returns,
-// since every event up to its horizon has fired by then. Fired answers
+// The kernel also keeps a fired frontier: the greatest key fired at the
+// clock's instant, raised to the maximum key when RunUntil returns, since
+// every event up to its horizon has fired by then. Fired answers
 // from it whether an event at a given (time, key) would have fired by
 // now had it been queued. That lets a caller reserve an event instead of
 // scheduling it: draw its time and key, keep them, and queue the event
 // only if something will be waiting for it. Until then Fired tells the
-// caller whether the reserved instant has passed. The packet simulator's
-// link and LAN transmitters reserve their tx-done events this way, and
-// the path-vector agents their idle MRAI expiries; see Fired for the one
-// case a reservation cannot stand in for a queued event.
+// caller whether the reserved instant has passed. The packet simulator
+// reserves its transmitters' tx-done events and its path-vector agents'
+// MRAI expiries this way (netsim.Reservation); see Fired for the one case
+// a reservation cannot stand in for a queued event.
 //
 // The kernel is steady-state allocation-free: events live in a pooled slot
 // array owned by the Simulator and are recycled through a free list, so a
@@ -106,10 +106,10 @@ type Simulator struct {
 	processed uint64
 	running   bool
 	obs       Observer
-	// firedAt/firedKey is the fired frontier: the greatest (at, key) Step
-	// has fired, or (now, MaxUint64) after RunUntil. firedAt starts at
-	// -Inf, before every event.
-	firedAt  Time
+	// firedKey is the fired frontier: the greatest key Step has fired at
+	// the clock's instant, MaxUint64 once RunUntil returns, and 0 while
+	// nothing has fired at it (RunBefore moved the clock past the last
+	// event).
 	firedKey uint64
 }
 
@@ -121,7 +121,7 @@ func New() *Simulator {
 // NewBackend returns a Simulator with the clock at zero using the given
 // event-queue backend.
 func NewBackend(b Backend) *Simulator {
-	return &Simulator{backend: b, firedAt: math.Inf(-1)}
+	return &Simulator{backend: b}
 }
 
 // Backend returns the event-queue backend this Simulator runs on.
@@ -282,10 +282,7 @@ func (s *Simulator) ScheduleKeyed(at Time, key uint64, label string, fn func()) 
 		panic("des: Schedule with NaN time")
 	}
 	if at < s.now {
-		if key != 0 {
-			panic(fmt.Sprintf("des: Schedule(%q) by node %d at %v before now %v", label, int64(key>>KeyNodeShift)-1, at, s.now))
-		}
-		panic(fmt.Sprintf("des: Schedule(%q) at %v before now %v", label, at, s.now))
+		panic(fmt.Sprintf("des: Schedule(%q, key %#x) at %v before now %v", label, key, at, s.now))
 	}
 	if fn == nil {
 		panic("des: Schedule with nil fn")
@@ -297,6 +294,11 @@ func (s *Simulator) ScheduleKeyed(at Time, key uint64, label string, fn func()) 
 	} else {
 		s.pool = append(s.pool, event{index: -1})
 		slot = int32(len(s.pool) - 1)
+		if cap(s.free) < cap(s.pool) {
+			// The free list is empty here. Size it with the pool, so that
+			// release never allocates once the pool has stopped growing.
+			s.free = make([]int32, 0, cap(s.pool))
+		}
 	}
 	ev := &s.pool[slot]
 	ev.at = at
@@ -310,12 +312,6 @@ func (s *Simulator) ScheduleKeyed(at Time, key uint64, label string, fn func()) 
 	}
 	return Event{sim: s, slot: slot, gen: ev.gen}
 }
-
-// KeyNodeShift is where the packet simulator's event keys keep their
-// origin: a netsim key is (node id + 1) << KeyNodeShift | per-node
-// sequence. The past-time panic decodes a keyed event's node from it,
-// so event labels can stay constant strings.
-const KeyNodeShift = 38
 
 // After queues fn to run delay seconds from now. Negative delays panic.
 func (s *Simulator) After(delay Time, label string, fn func()) Event {
@@ -358,12 +354,12 @@ func (s *Simulator) Step() bool {
 	}
 	s.qRemove(slot)
 	ev := &s.pool[slot]
-	s.now = ev.at
-	// ev.at >= firedAt always (the clock never runs backwards), so only
-	// a same-instant event with a lower key leaves the frontier alone.
-	if ev.at > s.firedAt || ev.key > s.firedKey {
-		s.firedAt, s.firedKey = ev.at, ev.key
+	// Only a same-instant event with a lower key leaves the frontier
+	// alone.
+	if ev.at != s.now || ev.key > s.firedKey {
+		s.firedKey = ev.key
 	}
+	s.now = ev.at
 	fn := ev.fn
 	s.release(slot)
 	s.processed++
@@ -406,16 +402,17 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 	}
 	// Every event at or before the horizon has fired, including any at
 	// the instant the clock now shows.
-	s.firedAt, s.firedKey = s.now, math.MaxUint64
+	s.firedKey = math.MaxUint64
 	return n
 }
 
 // Fired reports whether an event at (at, key) would have fired by now
 // had it been queued when it was drawn: at is before the clock, or at
 // the clock's instant and key sorts at or before the fired frontier.
-// RunBefore leaves the frontier where its last event put it, so an
-// instant it stopped short of reads as not fired until an event at it
-// fires or RunUntil passes it.
+// key must be nonzero (an unkeyed event's key is 0). When RunBefore moves
+// the clock past its last event, nothing has fired at the new instant, so
+// a key there reads as not fired until an event at it fires or RunUntil
+// passes it.
 //
 // Fired agrees with a queued event whenever at is after the instant the
 // reservation was drawn. A reservation for the current instant can
@@ -423,7 +420,7 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 // higher-key event at this instant has already fired, yet Fired reports
 // it fired. Callers queue such events at once instead of reserving them.
 func (s *Simulator) Fired(at Time, key uint64) bool {
-	return at < s.now || (at == s.firedAt && key <= s.firedKey)
+	return at < s.now || (at == s.now && key <= s.firedKey)
 }
 
 // RunBefore executes events with timestamps strictly less than horizon (or
@@ -455,6 +452,7 @@ func (s *Simulator) RunBefore(horizon Time) uint64 {
 	}
 	if s.now < horizon {
 		s.now = horizon
+		s.firedKey = 0
 	}
 	return n
 }

@@ -55,18 +55,19 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.Schedule(5, "past", func() {})
 }
 
-// A keyed event's past-time panic names the node its key came from, so
-// event labels can stay constant.
-func TestSchedulePastPanicNamesNode(t *testing.T) {
+// The past-time panic prints the event's key in hex, so a caller that
+// packs its origin into the key (netsim: node id + 1 above bit 38) can
+// read it there while event labels stay constant.
+func TestSchedulePastPanicPrintsKey(t *testing.T) {
 	s := New()
 	s.RunUntil(10)
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, `Schedule("late") by node 3 at 5`) {
-			t.Fatalf("panic %q does not name node 3", msg)
+		if !strings.Contains(msg, `Schedule("late", key 0x4000000007) at 5`) {
+			t.Fatalf("panic %q does not print the key", msg)
 		}
 	}()
-	s.ScheduleKeyed(5, 4<<KeyNodeShift|7, "late", func() {})
+	s.ScheduleKeyed(5, 4<<36|7, "late", func() {})
 }
 
 func TestScheduleNaNPanics(t *testing.T) {

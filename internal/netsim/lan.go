@@ -85,7 +85,7 @@ func (l *LAN) Transmit(pkt *Packet, from *Node, to NodeID) {
 	if !ok {
 		panic(fmt.Sprintf("netsim: %v is not attached to this LAN", from))
 	}
-	if st.busy(from) {
+	if st.done.Pending(from) {
 		if !st.enqueue(from, lanFrame{pkt: pkt, to: to}, l.cfg.QueueCap) {
 			l.net.dropAt(from, DropQueueOverflow)
 			l.net.releaseAt(from, pkt)

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // LinkConfig parameterizes a point-to-point link.
 type LinkConfig struct {
@@ -92,13 +89,10 @@ func (l *Link) Endpoints() [2]*Node { return l.ends }
 // with a drop-tail output queue (one per link direction, one per LAN
 // member). T is what the queue and the wire carry.
 type transmitter[T any] struct {
-	// done reserves the tx-done of the transmission on the wire. Its
-	// instant and key are drawn when serialization starts, but the event
-	// is queued only when a packet waits in the output queue, or when
-	// serialization takes no time (see Node.Passed). Most tx-dones find
-	// an empty queue and are never queued. Once queued, done.At moves to
-	// queuedAt, which never passes, and the event's handler clears
-	// done.Key. done.Key is 0 while idle.
+	// done reserves the tx-done of the transmission on the wire. The
+	// event is queued only when a packet waits in the output queue, or
+	// when serialization takes no time; most tx-dones find an empty queue
+	// and are never queued. The handler clears it.
 	done Reservation
 	// queue[qhead:] is the output queue. Popping advances the head index
 	// instead of re-slicing from the front, so the backing array's
@@ -116,10 +110,6 @@ type transmitter[T any] struct {
 	arrive func()
 }
 
-// queuedAt marks a transmitter's tx-done as queued: an instant no clock
-// reaches, so the reservation never reads passed before its handler runs.
-const queuedAt = math.MaxFloat64
-
 func (t *transmitter[T]) qlen() int { return len(t.queue) - t.qhead }
 
 func (t *transmitter[T]) qpop() T {
@@ -134,12 +124,6 @@ func (t *transmitter[T]) qpop() T {
 	return v
 }
 
-// busy reports whether the transmitter is still serializing at from's
-// clock: its tx-done is queued, or reserved and not yet passed.
-func (t *transmitter[T]) busy(from *Node) bool {
-	return t.done.Key != 0 && !from.Passed(t.done)
-}
-
 // enqueue parks v behind the busy transmitter, queueing its tx-done when
 // v is the first to wait. It reports false, queueing nothing, when the
 // output queue is full.
@@ -147,28 +131,22 @@ func (t *transmitter[T]) enqueue(from *Node, v T, limit int) bool {
 	if t.qlen() >= limit {
 		return false
 	}
-	if t.done.At != queuedAt {
-		t.queueDone(from)
+	if !t.done.Queued() {
+		t.done.Queue(from, "tx-done", t.txDone)
 	}
 	t.queue = append(t.queue, v)
 	return true
 }
 
-// reserve draws the tx-done of a transmission starting now and lasting
-// ser seconds. The key is drawn here, after the arrival's, exactly where
-// an eager tx-done would draw it. The event is queued at once when
-// packets already wait (the pop path) or when serialization takes no
-// time.
+// reserve reserves the tx-done of a transmission starting now and
+// lasting ser seconds, queueing it at once when packets already wait
+// (the pop path). Its key is drawn after the arrival's, where a
+// scheduled tx-done would draw it.
 func (t *transmitter[T]) reserve(from *Node, ser float64) {
-	t.done = from.Reserve(ser)
-	if t.qlen() > 0 || t.done.At == from.Now() {
-		t.queueDone(from)
+	t.done.Reserve(from, ser, "tx-done", t.txDone)
+	if t.qlen() > 0 && !t.done.Queued() {
+		t.done.Queue(from, "tx-done", t.txDone)
 	}
-}
-
-func (t *transmitter[T]) queueDone(from *Node) {
-	from.ScheduleReserved(t.done, "tx-done", t.txDone)
-	t.done.At = queuedAt
 }
 
 // freed is the head of the tx-done handler: it clears the reservation
@@ -255,7 +233,7 @@ func (l *Link) Transmit(pkt *Packet, from *Node, _ NodeID) {
 		return
 	}
 	st := &l.tx[d]
-	if st.busy(from) {
+	if st.done.Pending(from) {
 		if !st.enqueue(from, pkt, l.cfg.QueueCap) {
 			l.net.dropAt(from, DropQueueOverflow)
 			l.net.releaseAt(from, pkt)

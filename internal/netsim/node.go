@@ -172,10 +172,11 @@ func (nd *Node) Now() float64 { return nd.sim().Now() }
 // nextKey draws the node's next event-ordering key: node id in the high
 // bits, a per-node sequence below. Keys are globally unique, so (time,
 // key) totally orders netsim events — the order cannot depend on which
-// simulator an event was inserted into, or when.
+// simulator an event was inserted into, or when. des's past-time panic
+// prints the key in hex: the scheduling node is key>>38 - 1.
 func (nd *Node) nextKey() uint64 {
 	nd.evSeq++
-	return (uint64(nd.ID)+1)<<des.KeyNodeShift | nd.evSeq
+	return (uint64(nd.ID)+1)<<38 | nd.evSeq
 }
 
 // Schedule queues fn at absolute time at, keyed and clocked by this node.
@@ -192,34 +193,50 @@ func (nd *Node) After(delay float64, label string, fn func()) des.Event {
 	return s.ScheduleKeyed(s.Now()+delay, nd.nextKey(), label, fn)
 }
 
-// Reservation is an event instant and key drawn from a node without
-// queueing anything: the key comes from the node's sequence at the point
-// a Schedule would draw it, so the sequence, and with it every later
-// event's order, is the same whether or not the event is ever queued.
-// Key 0 means no reservation.
+// Reservation holds an event that is drawn but not yet queued. Its
+// instant and key come from the node's key sequence at the point a
+// Schedule call would draw them, so every later key, and with it the
+// whole event order, is the same whether or not the event is ever
+// queued. The owner queues it once something will wait for it; until
+// then Pending tells whether its instant is still ahead. The zero
+// Reservation holds nothing.
 type Reservation struct {
-	At  float64
-	Key uint64
+	at  float64 // queuedAt once queued
+	key uint64  // 0: nothing reserved
 }
 
-// Reserve draws a reservation delay seconds from the node's now. Queue
-// it with ScheduleReserved if something turns out to wait for it, or ask
-// Passed whether the queued event would have fired by now.
-func (nd *Node) Reserve(delay float64) Reservation {
-	return Reservation{At: nd.Now() + delay, Key: nd.nextKey()}
+// queuedAt marks a queued reservation: an instant no clock reaches, so
+// it stays pending until its handler clears it.
+const queuedAt = math.MaxFloat64
+
+// Reserve draws a reservation delay seconds from nd's now, replacing
+// what r held. An event at the current instant is queued at once, since
+// a reservation cannot stand in for it (see des.Simulator.Fired);
+// Reserve then returns its handle, and otherwise the zero Event.
+func (r *Reservation) Reserve(nd *Node, delay float64, label string, fn func()) des.Event {
+	*r = Reservation{at: nd.Now() + delay, key: nd.nextKey()}
+	if r.at == nd.Now() {
+		return r.Queue(nd, label, fn)
+	}
+	return des.Event{}
 }
 
-// ScheduleReserved queues fn at r's instant with r's key: the event a
-// Schedule call at reservation time would have queued.
-func (nd *Node) ScheduleReserved(r Reservation, label string, fn func()) des.Event {
-	return nd.sim().ScheduleKeyed(r.At, r.Key, label, fn)
+// Pending reports whether r's event is queued, or reserved with its
+// instant still ahead of nd's clock.
+func (r *Reservation) Pending(nd *Node) bool {
+	return r.key != 0 && !nd.sim().Fired(r.at, r.key)
 }
 
-// Passed reports whether r's event would have fired by now had it been
-// queued (see des.Simulator.Fired). A reservation for the node's current
-// instant may read passed while a queued event would still be pending:
-// queue such events at once.
-func (nd *Node) Passed(r Reservation) bool { return nd.sim().Fired(r.At, r.Key) }
+// Queued reports whether r's event has been queued.
+func (r *Reservation) Queued() bool { return r.at == queuedAt }
+
+// Queue queues r's event at its reserved instant and key and returns
+// its handle. Call it on a pending reservation that is not queued yet.
+func (r *Reservation) Queue(nd *Node, label string, fn func()) des.Event {
+	ev := nd.sim().ScheduleKeyed(r.at, r.key, label, fn)
+	r.at = queuedAt
+	return ev
+}
 
 // Cancel removes an event previously scheduled via this node.
 func (nd *Node) Cancel(e des.Event) bool { return nd.sim().Cancel(e) }

@@ -198,11 +198,10 @@ type peerState struct {
 	// unreachable/unexportable send withdrawals exactly once).
 	dirty  uint64
 	advOut uint64
-	// MRAI batching: while the interval runs, flushes wait for its
-	// expiry. A flush only reserves the expiry (mrai.Key 0: none); it is
-	// queued as mraiEv when a change dirties the peer before the
-	// reservation passes, so intervals that end with nothing to send cost
-	// no event. mraiEv is the zero Event while nothing is queued.
+	// MRAI batching: while the interval runs (mrai pending), flushes wait
+	// for its expiry. A flush only reserves the expiry; flushIdlePeers
+	// queues it, as mraiEv, once a change dirties the peer during the
+	// interval, so intervals that end with nothing to send cost no event.
 	mrai   netsim.Reservation
 	mraiEv des.Event
 	mraiFn func() // hoisted: one closure per peer per agent lifetime
@@ -350,14 +349,11 @@ func (a *Agent) resetRIB() {
 	}
 }
 
-// cancelMRAIs ends every peer's MRAI interval, cancelling the expiries
-// that are queued (Cancel of the zero Event is a no-op); a reservation
-// needs no more than forgetting.
 func (a *Agent) cancelMRAIs() {
 	node := a.k.Node()
 	for i := range a.peers {
 		p := &a.peers[i]
-		node.Cancel(p.mraiEv)
+		node.Cancel(p.mraiEv) // a no-op on the zero Event
 		p.mrai, p.mraiEv = netsim.Reservation{}, des.Event{}
 	}
 }
@@ -443,23 +439,17 @@ func (a *Agent) markDirtyAll(o int) {
 
 // flushIdlePeers flushes every peer with dirty state whose MRAI
 // interval is not running; peers mid-interval keep batching until it
-// expires. It is the only place a freshly dirtied peer is looked at, so
-// it is where a reserved expiry gets queued: a peer's dirty set stays
-// empty while its expiry is only reserved.
+// expires, which is queued here if it was only reserved.
 func (a *Agent) flushIdlePeers() {
 	node := a.k.Node()
 	for i := range a.peers {
 		p := &a.peers[i]
 		switch {
-		case p.dirty == 0 || p.mraiEv != (des.Event{}):
-			// Clean, or the expiry that will flush it is already queued.
-		case p.mrai.Key != 0 && !node.Passed(p.mrai):
-			p.mraiEv = node.ScheduleReserved(p.mrai, "pv-mrai", p.mraiFn)
-		default:
-			// Idle, or the reserved expiry has passed, finding the peer
-			// clean as onMRAI would have.
-			p.mrai = netsim.Reservation{}
+		case p.dirty == 0:
+		case !p.mrai.Pending(node):
 			a.flushPeer(p)
+		case !p.mrai.Queued():
+			p.mraiEv = p.mrai.Queue(node, "pv-mrai", p.mraiFn)
 		}
 	}
 }
@@ -509,23 +499,15 @@ func (a *Agent) flushPeer(p *peerState) {
 		// kernel's stream with a per-peer id so PerRouterFixed-style
 		// policies decorrelate sessions, not just routers.
 		delay := a.cfg.MRAIJitter.Delay(a.k.RNG(), int(node.ID)*8191+int(p.id))
-		p.mrai = node.Reserve(delay)
-		// An expiry at this very instant cannot be reserved (see
-		// netsim.Node.Passed): queue it now. A stopped agent never gets
-		// here, so no reservation has to mimic an expiry that fires while
-		// the agent is down (see onMRAI): Crash empties the RIB and the
-		// advertised set, and WithdrawLocal, the one flush path that does
-		// not check Stopped, first turns off the only route left
-		// (TestMRAIReservationAcrossCrash).
-		if !(p.mrai.At > node.Now()) {
-			p.mraiEv = node.ScheduleReserved(p.mrai, "pv-mrai", p.mraiFn)
-		}
+		p.mraiEv = p.mrai.Reserve(node, delay, "pv-mrai", p.mraiFn)
 	}
 }
 
 // onMRAI fires at a queued MRAI expiration: flush any batched changes
 // (restarting the interval), or go idle. On a stopped agent it does
-// nothing, leaving the interval running until a Crash resets it.
+// nothing. That no reserved expiry has to mimic this holds because Crash
+// drops every interval and nothing is flushed while the agent is down
+// (TestMRAIAcrossCrash).
 func (a *Agent) onMRAI(p *peerState) {
 	if a.k.Stopped() {
 		return

@@ -503,13 +503,16 @@ func TestAgentDuplicateNeighborPanics(t *testing.T) {
 	mustPanic(t, "two sessions to neighbor", func() { NewAgent(a, cfg) })
 }
 
-// TestMRAIReservationAcrossCrash pins the flush timeline of an MRAI
-// interval whose expiry is only reserved (see peerState.mrai): a crash
-// drops it, its instant passing while the agent is down changes nothing,
-// and after the restart an expiry is queued only for a peer dirtied
-// before it passes. The expected timeline was recorded from the
+// TestMRAIAcrossCrash pins the flush timeline of MRAI intervals across
+// crashes: a crash drops the running interval, whose instant then passes
+// while the agent is down, a withdrawal on the crashed agent sends
+// nothing and starts none, and after the restart changes batch into the
+// running interval and a change after an idle expiry goes out at once.
+// A flush only reserves its expiry (see peerState.mrai), so the timeline
+// is the one a queued expiry gives only if nothing is flushed while the
+// agent is down. The expected timeline was recorded from the
 // implementation that queued every MRAI expiry.
-func TestMRAIReservationAcrossCrash(t *testing.T) {
+func TestMRAIAcrossCrash(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.MRAI = 5
 	net, agents := buildChain(t, 2, cfg)
@@ -525,11 +528,11 @@ func TestMRAIReservationAcrossCrash(t *testing.T) {
 	nd.Schedule(1, "crash", func() { as0.Crash() })
 	nd.Schedule(6, "withdraw", func() { as0.WithdrawLocal() }) // down, past 5.5
 	nd.Schedule(6, "check", func() {
-		// The withdrawal on the crashed agent sent nothing and reserved
-		// no expiry: no MRAI event can fire while the agent is down.
+		// The withdrawal on the crashed agent sent nothing and started
+		// no interval: no MRAI event can fire while the agent is down.
 		for _, p := range as0.peers {
-			if p.mrai.Key != 0 || p.mraiEv != (des.Event{}) {
-				t.Errorf("crashed agent holds an MRAI interval: %+v", p.mrai)
+			if p.mrai != (netsim.Reservation{}) || p.mraiEv != (des.Event{}) {
+				t.Errorf("crashed agent holds an MRAI interval to AS%d", p.id)
 			}
 		}
 	})
@@ -537,7 +540,7 @@ func TestMRAIReservationAcrossCrash(t *testing.T) {
 	nd.Schedule(8, "announce", func() { as0.AnnounceLocal() })  // flush, expiry 13
 	nd.Schedule(9, "withdraw", func() { as0.WithdrawLocal() })  // batched to 13
 	nd.Schedule(14, "announce", func() { as0.AnnounceLocal() }) // batched to 18
-	nd.Schedule(24, "withdraw", func() { as0.WithdrawLocal() }) // 23 passed: now
+	nd.Schedule(24, "withdraw", func() { as0.WithdrawLocal() }) // idle since 23: now
 	nd.Schedule(25, "crash", func() { as0.Crash() })
 	nd.Schedule(26, "restart", func() { as0.Restart(0.5) })
 	nd.Schedule(27, "announce", func() { as0.AnnounceLocal() })
@@ -552,7 +555,7 @@ func TestMRAIReservationAcrossCrash(t *testing.T) {
 		// the expiry; it finds nothing exportable and sends nothing.
 		"22.116 AS1->0 adv 1 wdr 0",
 		"24.000 AS0->1 adv 0 wdr 1",
-		// The crash at 25 dropped the interval reserved until 29.
+		// The crash at 25 cancelled the interval running until 29.
 		"27.000 AS0->1 adv 1 wdr 0",
 	}
 	if !slices.Equal(tl, want) {

@@ -135,8 +135,8 @@ type Config struct {
 	// Mode selects the re-arm rule; the zero value is the paper's.
 	Mode TimerMode
 	// TimerLabel, RearmLabel and SweepLabel name the kernel's events in
-	// des's past-time panic, which also prints the scheduling node, so
-	// constant strings suffice.
+	// des's past-time panic, which also prints the event's key (and with
+	// it the scheduling node), so constant strings suffice.
 	TimerLabel string
 	RearmLabel string
 	SweepLabel string
