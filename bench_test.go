@@ -92,14 +92,14 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates the transition-probability figure.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig9(experiments.MarkovConfig{}, 0)
+		experiments.Fig9(experiments.MarkovConfig{})
 	}
 }
 
 // BenchmarkFig10 regenerates the f(i) analysis-vs-simulation figure.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig10(benchMarkov(), 0)
+		experiments.Fig10(benchMarkov())
 	}
 }
 
@@ -108,14 +108,14 @@ func BenchmarkFig11(b *testing.B) {
 	cfg := benchMarkov()
 	cfg.SimHorizon = 3e6
 	for i := 0; i < b.N; i++ {
-		experiments.Fig11(cfg, 0)
+		experiments.Fig11(cfg)
 	}
 }
 
 // BenchmarkFig12 regenerates the f(N)/g(1) Tr sweep.
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig12(experiments.MarkovConfig{}, 0, 0, 0)
+		experiments.Fig12(experiments.MarkovConfig{})
 	}
 }
 
@@ -129,21 +129,21 @@ func BenchmarkFig13(b *testing.B) {
 // BenchmarkFig14 regenerates the fraction-vs-Tr phase transition.
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig14(experiments.MarkovConfig{}, 0, 0, 0)
+		experiments.Fig14(experiments.MarkovConfig{})
 	}
 }
 
 // BenchmarkFig15 regenerates the fraction-vs-N phase transition.
 func BenchmarkFig15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig15(experiments.MarkovConfig{}, 0, 0, 0)
+		experiments.Fig15(experiments.MarkovConfig{})
 	}
 }
 
 // BenchmarkClaimPARC regenerates the §1 worked example.
 func BenchmarkClaimPARC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ClaimPARC(0, 1)
+		experiments.ClaimPARC(1)
 	}
 }
 
@@ -164,7 +164,7 @@ func BenchmarkAblationTimerPolicy(b *testing.B) {
 // BenchmarkAblationSolver regenerates ablation A2.
 func BenchmarkAblationSolver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.AblationSolver(experiments.MarkovConfig{}, 0)
+		experiments.AblationSolver(experiments.MarkovConfig{})
 	}
 }
 
@@ -199,7 +199,7 @@ func BenchmarkExtPerRouterFixed(b *testing.B) {
 // BenchmarkExtProtocolComparison regenerates the protocol-profile sweep.
 func BenchmarkExtProtocolComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ExtProtocolComparison(0, 0)
+		experiments.ExtProtocolComparison()
 	}
 }
 
@@ -276,9 +276,9 @@ func BenchmarkAblationQueueing(b *testing.B) {
 }
 
 // BenchmarkExtLinkState regenerates the link-state synchronization figure
-// at reduced scale.
+// over a reduced horizon.
 func BenchmarkExtLinkState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ExtLinkState(6, 2e4, 1)
+		experiments.ExtLinkState(2e4, 1)
 	}
 }

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	figures [-out dir] [-quick] [-only fig04,fig12] [-jobs n] [-force]
-//	figures -bench [-out dir]
 //
 // The experiments live in the registry under internal/runner (populated
 // by internal/experiments); this command is the runner's only frontend.
@@ -15,12 +14,10 @@
 // skipped unless -force, so iterating on one figure no longer costs a
 // full regeneration.
 //
-// -bench skips the figure drivers and instead runs the hot-path
-// micro-benchmarks (internal/bench), writing the next free
-// <out>/BENCH_NNNN.json — ns/op and allocs/op per benchmark plus an echo
-// of the latest full-run TIMINGS.json, the cross-PR
-// performance-regression trajectory. It never overwrites a snapshot.
-// -cpuprofile/-memprofile capture pprof profiles of either mode.
+// -cpuprofile/-memprofile capture pprof profiles of the run. The
+// hot-path benchmark snapshots (<out>/BENCH_NNNN.json) are not written
+// here: cmd/benchguard -record gates `go test -bench` output of
+// internal/bench and writes them.
 //
 // The default (paper-scale) run uses the paper's horizons — notably the
 // 10^7-second sweeps of Figures 7 and 8 — and takes a few seconds.
@@ -57,7 +54,6 @@ func run() int {
 		jobs     = flag.Int("jobs", 0, "max concurrent figure drivers (0 = one per CPU)")
 		force    = flag.Bool("force", false, "re-run experiments even when their manifest entry is up to date")
 		progress = flag.Bool("progress", false, "print live per-experiment engine counters to stderr")
-		doBench  = flag.Bool("bench", false, "run hot-path micro-benchmarks and write the next BENCH_NNNN.json instead of figures")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -91,14 +87,6 @@ func run() int {
 			}
 			f.Close()
 		}()
-	}
-
-	if *doBench {
-		if err := runBench(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 1
-		}
-		return 0
 	}
 
 	opts := runner.Options{

@@ -22,7 +22,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("running ~3x10^5 simulated seconds for each timer policy (takes ~1 min)...")
 	fmt.Println()
-	r := experiments.ExtLinkState(20, 3e5, 1)
+	r := experiments.ExtLinkState(3e5, 1)
 	for _, n := range r.Notes {
 		fmt.Println(" ", n)
 	}

@@ -59,11 +59,9 @@ func AblationTimerPolicy(c ModelConfig) *Result {
 // times with the paper's printed Eq 3–6 recursion under both t(j,·)
 // variants. With the conditional wait time the recursion is exact; with
 // the printed t values it understates the times by a bounded factor.
-func AblationSolver(c MarkovConfig, tr float64) *Result {
+func AblationSolver(c MarkovConfig) *Result {
 	c = c.Defaults()
-	if tr == 0 {
-		tr = 0.2
-	}
+	const tr = 0.2
 	ch, err := markov.New(markov.Params{N: c.N, Tp: c.Tp, Tr: tr, Tc: c.Tc, F2: c.F2})
 	if err != nil {
 		panic(err)

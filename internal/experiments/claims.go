@@ -13,11 +13,9 @@ import (
 // add at least a second of randomness to their update intervals to
 // prevent synchronization". The driver sweeps Tr for the PARC parameters
 // and reports where the network flips to predominately unsynchronized.
-func ClaimPARC(n int, seed int64) *Result {
-	if n == 0 {
-		n = 20
-	}
+func ClaimPARC(seed int64) *Result {
 	const (
+		n  = 20
 		tp = 90.0 // IGRP period on the measured network
 		tc = 0.3  // 300 ms measured processing cost
 	)

@@ -197,7 +197,7 @@ func sweepRounds(t *testing.T, r *Result) []float64 {
 }
 
 func TestFig9Probabilities(t *testing.T) {
-	r := Fig9(MarkovConfig{}, 0)
+	r := Fig9(MarkovConfig{})
 	if len(r.Series) != 3 {
 		t.Fatal("want up/down/stay series")
 	}
@@ -214,7 +214,7 @@ func TestFig10AnalysisOverpredicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation overlay")
 	}
-	r := Fig10(MarkovConfig{Sims: 3, SimHorizon: 2e6}, 0)
+	r := Fig10(MarkovConfig{Sims: 3, SimHorizon: 2e6})
 	if len(r.Series) != 2 {
 		t.Fatalf("want analysis+sim series, got %d", len(r.Series))
 	}
@@ -234,7 +234,7 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation overlay")
 	}
-	r := Fig11(MarkovConfig{Sims: 3, SimHorizon: 5e6}, 0)
+	r := Fig11(MarkovConfig{Sims: 3, SimHorizon: 5e6})
 	an := r.Series[0]
 	// g(i): smaller target sizes take longer — as y (target size) rises,
 	// the time x must not increase.
@@ -249,7 +249,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12RegionsAndCross(t *testing.T) {
-	r := Fig12(MarkovConfig{}, 0, 0, 0)
+	r := Fig12(MarkovConfig{})
 	if len(r.Series) != 2 {
 		t.Fatalf("without Sims, want 2 series, got %d", len(r.Series))
 	}
@@ -274,7 +274,7 @@ func TestFig12SimulationMarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation overlay")
 	}
-	r := Fig12(MarkovConfig{Sims: 2, SimHorizon: 2e6}, 0, 0, 0)
+	r := Fig12(MarkovConfig{Sims: 2, SimHorizon: 2e6})
 	if len(r.Series) != 4 {
 		t.Fatalf("with Sims, want 4 series, got %d", len(r.Series))
 	}
@@ -302,7 +302,7 @@ func TestFig13SeriesCount(t *testing.T) {
 }
 
 func TestFig14SharpTransition(t *testing.T) {
-	r := Fig14(MarkovConfig{}, 0, 0, 0)
+	r := Fig14(MarkovConfig{})
 	s := r.Series[0]
 	lo, hi := s.Y[0], s.Y[s.Len()-1]
 	if lo > 0.05 || hi < 0.95 {
@@ -324,7 +324,7 @@ func TestFig14SharpTransition(t *testing.T) {
 }
 
 func TestFig15SingleRouterFlip(t *testing.T) {
-	r := Fig15(MarkovConfig{}, 0, 0, 0)
+	r := Fig15(MarkovConfig{})
 	s := r.Series[0]
 	if s.Y[0] < 0.9 {
 		t.Fatalf("small N should be unsynchronized: %v", s.Y[0])
@@ -345,7 +345,7 @@ func TestFig15SingleRouterFlip(t *testing.T) {
 }
 
 func TestClaimPARC(t *testing.T) {
-	r := ClaimPARC(0, 1)
+	r := ClaimPARC(1)
 	// The 1/2 crossing should sit near 1 second (paper: "at least a
 	// second of randomness").
 	found := false
@@ -392,7 +392,7 @@ func TestAblationTimerPolicy(t *testing.T) {
 }
 
 func TestAblationSolver(t *testing.T) {
-	r := AblationSolver(MarkovConfig{}, 0)
+	r := AblationSolver(MarkovConfig{})
 	if len(r.Series) != 3 {
 		t.Fatal("want three solver series")
 	}
@@ -418,7 +418,7 @@ func TestAblationDelivery(t *testing.T) {
 
 func TestResultWriteFiles(t *testing.T) {
 	dir := t.TempDir()
-	r := Fig9(MarkovConfig{}, 0)
+	r := Fig9(MarkovConfig{})
 	if err := r.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}

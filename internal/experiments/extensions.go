@@ -219,13 +219,11 @@ func ExtPerRouterFixed(spreads []float64, seed int64) *Result {
 // the Markov model at their own periods and a common Tc, asking which
 // deployments sit on the dangerous side of the transition without added
 // jitter (Tr = OS noise only, 50 ms).
-func ExtProtocolComparison(n int, tc float64) *Result {
-	if n == 0 {
-		n = 20
-	}
-	if tc == 0 {
+func ExtProtocolComparison() *Result {
+	const (
+		n  = 20
 		tc = 0.3 // the PARC-measured 300 ms update cost
-	}
+	)
 	res := &Result{
 		ID:    "ext_protocols",
 		Title: "protocol profiles: fraction of time unsynchronized without added jitter",

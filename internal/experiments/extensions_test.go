@@ -80,7 +80,7 @@ func TestExtPerRouterFixedPlateau(t *testing.T) {
 }
 
 func TestExtProtocolComparison(t *testing.T) {
-	r := ExtProtocolComparison(0, 0)
+	r := ExtProtocolComparison()
 	if len(r.Series) != 2 {
 		t.Fatal("want noise-only and recommended series")
 	}

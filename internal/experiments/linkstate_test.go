@@ -11,7 +11,7 @@ func TestExtLinkStateSynchronizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level LAN run (~20 s)")
 	}
-	r := ExtLinkState(20, 2e5, 1)
+	r := ExtLinkState(2e5, 1)
 	if len(r.Series) != 2 {
 		t.Fatalf("series = %d", len(r.Series))
 	}

@@ -18,10 +18,8 @@ import (
 // share a LAN with per-LSA processing cost Tc; the figure tracks the
 // spread of each round's origination times for low jitter (synchronizes)
 // and Tp/2 jitter (does not).
-func ExtLinkState(routers int, horizon float64, seed int64) *Result {
-	if routers == 0 {
-		routers = 10
-	}
+func ExtLinkState(horizon float64, seed int64) *Result {
+	const routers = 20
 	if horizon == 0 {
 		horizon = 3e5
 	}

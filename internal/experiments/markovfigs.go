@@ -69,12 +69,11 @@ func (c MarkovConfig) chain(tr float64) *markov.Chain {
 }
 
 // Fig9 renders the Markov chain itself (the paper's Figure 9): the
-// up/down transition probabilities per state for a representative Tr.
-func Fig9(c MarkovConfig, tr float64) *Result {
+// up/down transition probabilities per state for a representative
+// Tr = 0.2 s.
+func Fig9(c MarkovConfig) *Result {
 	c = c.Defaults()
-	if tr == 0 {
-		tr = 0.2
-	}
+	const tr = 0.2
 	ch := c.chain(tr)
 	up := stats.Series{Name: "p(i,i+1)"}
 	dn := stats.Series{Name: "p(i,i-1)"}
@@ -99,11 +98,9 @@ func Fig9(c MarkovConfig, tr float64) *Result {
 // cluster size i starting from size 1, for Tr = 0.1 s — the Markov chain
 // prediction f(i)·(Tp+Tc) against simulation replications. The paper
 // finds the analysis lands within 2–3× of the simulations.
-func Fig10(c MarkovConfig, tr float64) *Result {
+func Fig10(c MarkovConfig) *Result {
 	c = c.Defaults()
-	if tr == 0 {
-		tr = 0.1
-	}
+	const tr = 0.1
 	ch := c.chain(tr)
 	f := ch.F()
 	analysis := stats.Series{Name: "analysis f(i)"}
@@ -195,11 +192,9 @@ func averagePassages(perSim [][]float64, n, sims int) []float64 {
 
 // Fig11 regenerates Figure 11: expected time to reach cluster size i
 // starting from size N (synchronized), for Tr = 0.3 s.
-func Fig11(c MarkovConfig, tr float64) *Result {
+func Fig11(c MarkovConfig) *Result {
 	c = c.Defaults()
-	if tr == 0 {
-		tr = 0.3
-	}
+	const tr = 0.3
 	ch := c.chain(tr)
 	g := ch.G()
 	analysis := stats.Series{Name: "analysis g(i)"}
@@ -237,11 +232,9 @@ func Fig11(c MarkovConfig, tr float64) *Result {
 // (runs from an unsynchronized start) and "+" (from a synchronized
 // start) at the Tr values where the expected times fit in the sim
 // horizon.
-func Fig12(c MarkovConfig, trOverTcLo, trOverTcHi, step float64) *Result {
+func Fig12(c MarkovConfig) *Result {
 	c = c.Defaults()
-	if step == 0 {
-		trOverTcLo, trOverTcHi, step = 0.55, 4.5, 0.05
-	}
+	const trOverTcLo, trOverTcHi, step = 0.55, 4.5, 0.05
 	fn := stats.Series{Name: "f(N): unsync→sync"}
 	g1 := stats.Series{Name: "g(1): sync→unsync"}
 	for m := trOverTcLo; m <= trOverTcHi+1e-9; m += step {
@@ -369,11 +362,9 @@ func Fig13(c MarkovConfig, ns []int, tcs []float64) *Result {
 // Fig14 regenerates Figure 14: the estimated fraction of time the system
 // is unsynchronized, f(N)/(f(N)+g(1)), against Tr — the abrupt
 // predominately-synchronized → predominately-unsynchronized transition.
-func Fig14(c MarkovConfig, trOverTcLo, trOverTcHi, step float64) *Result {
+func Fig14(c MarkovConfig) *Result {
 	c = c.Defaults()
-	if step == 0 {
-		trOverTcLo, trOverTcHi, step = 0.55, 3.0, 0.025
-	}
+	const trOverTcLo, trOverTcHi, step = 0.55, 3.0, 0.025
 	ser := stats.Series{Name: "fraction unsynchronized"}
 	for m := trOverTcLo; m <= trOverTcHi+1e-9; m += step {
 		ch := c.chain(m * c.Tc)
@@ -396,14 +387,12 @@ func Fig14(c MarkovConfig, trOverTcLo, trOverTcHi, step float64) *Result {
 // function of the number of routers N, with Tr fixed (paper: 0.3 s).
 // Adding a single router flips the network from predominately
 // unsynchronized to predominately synchronized.
-func Fig15(c MarkovConfig, tr float64, nLo, nHi int) *Result {
+func Fig15(c MarkovConfig) *Result {
 	c = c.Defaults()
-	if tr == 0 {
-		tr = 0.3
-	}
-	if nHi == 0 {
+	const (
+		tr       = 0.3
 		nLo, nHi = 3, 28
-	}
+	)
 	ser := stats.Series{Name: "fraction unsynchronized"}
 	for n := nLo; n <= nHi; n++ {
 		cc := c

@@ -13,9 +13,9 @@ import (
 // conservative engine's window size (the lookahead) is four orders of
 // magnitude below the routing-protocol period that actually spaces the
 // cross-segment traffic, and a run pays a barrier per 100 µs of progress
-// near every event cluster. The benchmark harness
-// (internal/bench.NetsimLowLookahead → out/BENCH_*.json) times this
-// build; its K-invariance is tested in internal/experiments.
+// near every event cluster. BenchmarkNetsimLowLookahead in internal/bench
+// (→ out/BENCH_*.json) times this build; its K-invariance is tested in
+// internal/experiments.
 
 // MetroLANScenario is one built instance of the metro-LAN scenario,
 // exposed so tests and the benchmark harness run exactly the same thing.
@@ -25,8 +25,6 @@ type MetroLANScenario struct {
 	// Agents lists the attached routing agents (leak audits sum their
 	// pending-packet counts).
 	Agents []*routing.Agent
-	// Horizon is the configured run length; Net.RunUntil(Horizon) runs it.
-	Horizon float64
 }
 
 // BuildMetroLAN wires the metro-LAN scenario — segments broadcast LANs
@@ -57,10 +55,7 @@ func BuildMetroLAN(segments, perSeg, k int, seed int64, horizon float64, obs des
 	})
 	nw.Partition(k, netsim.OwnerByBlock(perSeg, segments, k))
 
-	sc := &MetroLANScenario{
-		Net:     nw,
-		Horizon: horizon,
-	}
+	sc := &MetroLANScenario{Net: nw}
 	// Compressed protocol (5 s period) so convergence and several full
 	// periods fit a short horizon; every router speaks it, gateways
 	// included, since the bridges are the only inter-segment paths.

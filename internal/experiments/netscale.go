@@ -20,8 +20,8 @@ import (
 // The run is partitioned into K logical processes along domain
 // boundaries; by the engine's determinism guarantee the emitted figures
 // are bit-identical for every K, so the CSV carries only simulation
-// metrics — wall-time and speedup measurements live in the benchmark
-// harness (internal/bench.NetsimScale → out/BENCH_*.json), which runs
+// metrics — wall-time and speedup measurements live in
+// BenchmarkNetsimScale in internal/bench (→ out/BENCH_*.json), which runs
 // the same scenario through BuildNetScale.
 
 // NetScaleConfig parameterizes ExtNetScale.

@@ -36,8 +36,8 @@ func TestFig10ByteIdenticalAcrossJobs(t *testing.T) {
 	// Seed+s and the averages are reduced in index order.
 	serialCfg := MarkovConfig{Sims: 3, SimHorizon: 2e5, Jobs: 1}
 	wideCfg := MarkovConfig{Sims: 3, SimHorizon: 2e5, Jobs: runtime.GOMAXPROCS(0) + 3}
-	serialCSV, serialTXT := writeFigure(t, Fig10(serialCfg, 0))
-	wideCSV, wideTXT := writeFigure(t, Fig10(wideCfg, 0))
+	serialCSV, serialTXT := writeFigure(t, Fig10(serialCfg))
+	wideCSV, wideTXT := writeFigure(t, Fig10(wideCfg))
 	if !bytes.Equal(serialCSV, wideCSV) {
 		t.Fatal("fig10.csv differs between jobs=1 and a wide worker pool")
 	}

@@ -172,28 +172,28 @@ func RegisterAll(reg *runner.Registry) {
 		return Fig8(cfg, nil, 0)
 	})
 	fig(reg, "fig09", func(spec *runner.Spec) *Result {
-		return Fig9(figMarkov(spec), 0)
+		return Fig9(figMarkov(spec))
 	})
 	fig(reg, "fig10", func(spec *runner.Spec) *Result {
-		return Fig10(figMarkov(spec), 0)
+		return Fig10(figMarkov(spec))
 	})
 	fig(reg, "fig11", func(spec *runner.Spec) *Result {
-		return Fig11(figMarkov(spec), 0)
+		return Fig11(figMarkov(spec))
 	})
 	fig(reg, "fig12", func(spec *runner.Spec) *Result {
-		return Fig12(figMarkov(spec), 0, 0, 0)
+		return Fig12(figMarkov(spec))
 	})
 	fig(reg, "fig13", func(spec *runner.Spec) *Result {
 		return Fig13(figMarkov(spec), nil, nil)
 	})
 	fig(reg, "fig14", func(spec *runner.Spec) *Result {
-		return Fig14(figMarkov(spec), 0, 0, 0)
+		return Fig14(figMarkov(spec))
 	})
 	fig(reg, "fig15", func(spec *runner.Spec) *Result {
-		return Fig15(figMarkov(spec), 0, 0, 0)
+		return Fig15(figMarkov(spec))
 	})
 	fig(reg, "claim_parc", func(spec *runner.Spec) *Result {
-		return ClaimPARC(0, 1)
+		return ClaimPARC(1)
 	})
 	fig(reg, "claim_guidance", func(spec *runner.Spec) *Result {
 		return ClaimGuidance()
@@ -202,7 +202,7 @@ func RegisterAll(reg *runner.Registry) {
 		return AblationTimerPolicy(figModel(spec))
 	})
 	fig(reg, "ablation_solver", func(spec *runner.Spec) *Result {
-		return AblationSolver(figMarkov(spec), 0)
+		return AblationSolver(figMarkov(spec))
 	})
 	fig(reg, "ablation_delivery", func(spec *runner.Spec) *Result {
 		return AblationDelivery(nil, 1)
@@ -227,7 +227,7 @@ func RegisterAll(reg *runner.Registry) {
 		return ExtPerRouterFixed(nil, 1)
 	})
 	fig(reg, "ext_protocols", func(spec *runner.Spec) *Result {
-		return ExtProtocolComparison(0, 0)
+		return ExtProtocolComparison()
 	})
 	fig(reg, "ext_clientserver", func(spec *runner.Spec) *Result {
 		return ExtClientServer(0, 1)
@@ -249,7 +249,7 @@ func RegisterAll(reg *runner.Registry) {
 		if spec.Quick {
 			horizon = 5e4
 		}
-		return ExtLinkState(20, horizon, 1)
+		return ExtLinkState(horizon, 1)
 	})
 	fig(reg, "ext_triggered", func(spec *runner.Spec) *Result {
 		horizon := 3e6

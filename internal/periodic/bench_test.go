@@ -13,7 +13,7 @@ import (
 // k, while the reference re-sorts all N expiries. The configuration pins
 // the desynchronized steady state (Tp scaled with N, Tr far above the
 // synchronization threshold) so k measures the engine, not the physics —
-// see bench.PeriodicBenchConfig.
+// see BenchmarkPeriodicStep in internal/bench.
 func BenchmarkStep(b *testing.B) {
 	for _, n := range []int{20, 100, 1000} {
 		for _, engine := range []string{"heap", "bucket", "reference"} {

@@ -105,9 +105,6 @@ type Hooks[A any] struct {
 	// Sweep runs at each housekeeping expiration (route aging, LSA
 	// MaxAge, stale-path GC); the kernel re-schedules the next sweep.
 	Sweep func()
-	// TimerArmed observes every periodic re-arm with the absolute expiry
-	// time; nil costs one predictable branch per re-arm.
-	TimerArmed func(resetAt, expiresAt float64)
 	// ResetVolatile clears the protocol state a power failure loses —
 	// tables, databases, adjacency caches — during Crash, after the
 	// kernel has stopped the agent and flushed the node FIB. Reset in
@@ -296,9 +293,6 @@ func (k *Kernel[A]) ScheduleSweep() {
 func (k *Kernel[A]) armAt(at float64) {
 	k.timerEv = k.node.Schedule(at, k.timerLabel, k.timerFn)
 	k.timerResets++
-	if k.hooks.TimerArmed != nil {
-		k.hooks.TimerArmed(k.node.Now(), at)
-	}
 }
 
 // onTimer fires at a periodic timer expiration.

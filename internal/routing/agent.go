@@ -103,9 +103,6 @@ type Agent struct {
 	// OnSend, if set, observes every update transmission (experiments
 	// use it for cluster detection on the packet-level substrate).
 	OnSend func(t float64, triggered bool)
-	// OnTimerReset, if set, observes every timer re-arm with the
-	// absolute expiry time.
-	OnTimerReset func(resetAt, expiresAt float64)
 	// OnRouteChange, if set, observes forwarding-state transitions for a
 	// destination: reachable == true when a route is (re)programmed into
 	// the FIB, false when the destination becomes unreachable or its
@@ -154,11 +151,6 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		Receive: a.receive,
 		Process: a.process,
 		Sweep:   a.sweep,
-		TimerArmed: func(resetAt, expiresAt float64) {
-			if a.OnTimerReset != nil {
-				a.OnTimerReset(resetAt, expiresAt)
-			}
-		},
 		// Reset in place: the table's route array, interned media and
 		// scratch keep their capacity, so repeated crash/reboot cycles
 		// stop allocating once the first life's high-water marks are

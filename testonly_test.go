@@ -19,9 +19,12 @@ import (
 // reason: tests in another package use it as a fixture (its doc comment
 // names that use), or it waits for a decision on its whole mechanism.
 var testOnlyAllowed = map[string]string{
+	"cluster.Grow":                    "the ClusterGrow benchmark rows and periodic's reference stepper run the unsorted cluster rule",
 	"des.Simulator.Processed":         "netsim's CPU tests count fired events",
+	"experiments.BuildChurnBench":     "the NetsimChurn benchmark rows and the leak test build the churn scenario without its monitor",
 	"netsim.CPU.Occupy":               "netsim and workload tests stall a router's CPU",
 	"netsim.Link.SetDown":             "routing, linkstate and workload tests fail links during setup",
+	"netsim.Network.BuildChain":       "netsim and workload tests and the NetsimForward benchmark build chains",
 	"netsim.Network.BuildRandomGraph": "routing and linkstate convergence tests build random graphs",
 	"netsim.Network.HopDistances":     "routing and linkstate tests check installed routes against BFS",
 	"netsim.Network.NumPartitions":    "kept until partitioning is kept or deleted as a whole",
