@@ -12,7 +12,7 @@ import (
 )
 
 func benchModel() experiments.ModelConfig {
-	return experiments.ModelConfig{N: 20, Tp: 121, Tc: 0.11, Tr: 0.1, Seed: 1, Horizon: 5e4}
+	return experiments.ModelConfig{Tr: 0.1, Horizon: 5e4}
 }
 
 func benchMarkov() experiments.MarkovConfig {

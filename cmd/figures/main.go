@@ -48,14 +48,13 @@ func main() { os.Exit(run()) }
 // os.Exit so the profiling defers below always flush.
 func run() int {
 	var (
-		out      = flag.String("out", "out", "output directory")
-		quick    = flag.Bool("quick", false, "reduced horizons and replications")
-		only     = flag.String("only", "", "comma-separated figure ids to run (default all)")
-		jobs     = flag.Int("jobs", 0, "max concurrent figure drivers (0 = one per CPU)")
-		force    = flag.Bool("force", false, "re-run experiments even when their manifest entry is up to date")
-		progress = flag.Bool("progress", false, "print live per-experiment engine counters to stderr")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		out     = flag.String("out", "out", "output directory")
+		quick   = flag.Bool("quick", false, "reduced horizons and replications")
+		only    = flag.String("only", "", "comma-separated figure ids to run (default all)")
+		jobs    = flag.Int("jobs", 0, "max concurrent figure drivers (0 = one per CPU)")
+		force   = flag.Bool("force", false, "re-run experiments even when their manifest entry is up to date")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -89,18 +88,14 @@ func run() int {
 		}()
 	}
 
-	opts := runner.Options{
+	sum, err := runner.Run(runner.Options{
 		Only:   *only,
 		OutDir: *out,
 		Quick:  *quick,
 		Jobs:   *jobs,
 		Force:  *force,
 		Stdout: os.Stdout,
-	}
-	if *progress {
-		opts.Progress = os.Stderr
-	}
-	sum, err := runner.Run(opts)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return 1

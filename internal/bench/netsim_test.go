@@ -51,7 +51,7 @@ func BenchmarkNetsimForward(b *testing.B) {
 func BenchmarkPathVectorUpdate(b *testing.B) {
 	const warmup, period = 200.0, 30.0
 	net := netsim.NewNetwork(1)
-	cpu := &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 64}
+	cpu := &netsim.CPUConfig{InputQueueCap: 64}
 	na := net.NewNode("asA", cpu)
 	nb := net.NewNode("asB", cpu)
 	l := net.Connect(na, nb, netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64})

@@ -25,15 +25,15 @@ func AblationTimerPolicy(c ModelConfig) *Result {
 		Title: "timer reset policy: coupled (paper) vs clock-driven (RFC 1058)",
 		Plot: trace.PlotOptions{
 			XLabel: "time (s)", YLabel: "largest cluster size",
-			YMin: 0, YMax: float64(c.N),
+			YMin: 0, YMax: float64(paperN),
 		},
 	}
 	for _, mode := range []periodic.TimerReset{periodic.ResetAfterProcessing, periodic.ResetOnExpiry} {
 		cfg := periodic.Config{
-			N: c.N, Tc: c.Tc,
-			Jitter:   jitter.Uniform{Tp: c.Tp, Tr: c.Tr},
+			N: paperN, Tc: paperTc,
+			Jitter:   jitter.Uniform{Tp: paperTp, Tr: c.Tr},
 			Reset:    mode,
-			Seed:     c.Seed,
+			Seed:     paperSeed,
 			Observer: c.Obs,
 		}
 		s := periodic.New(cfg)
@@ -62,7 +62,7 @@ func AblationTimerPolicy(c ModelConfig) *Result {
 func AblationSolver(c MarkovConfig) *Result {
 	c = c.Defaults()
 	const tr = 0.2
-	ch, err := markov.New(markov.Params{N: c.N, Tp: c.Tp, Tr: tr, Tc: c.Tc, F2: c.F2})
+	ch, err := markov.New(markov.Params{N: c.N, Tp: paperTp, Tr: tr, Tc: c.Tc, F2: paperF2})
 	if err != nil {
 		panic(err)
 	}
@@ -122,8 +122,8 @@ func AblationDelivery(delays []float64, seed int64) *Result {
 	}
 	for _, d := range delays {
 		net := netsim.NewNetwork(seed + 1)
-		a := net.NewNode("a", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-		b := net.NewNode("b", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+		a := net.NewNode("a", &netsim.CPUConfig{})
+		b := net.NewNode("b", &netsim.CPUConfig{})
 		net.NewLAN([]*netsim.Node{a, b}, netsim.LANConfig{Delay: d})
 		cfg := routing.Config{
 			Profile: routing.RIP(),

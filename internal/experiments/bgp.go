@@ -108,7 +108,7 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 	g := nw.BuildPreferentialAttachment(netsim.PreferentialAttachmentConfig{
 		N: ases, M: 2,
 		Link: netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64},
-		CPU:  &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 64},
+		CPU:  &netsim.CPUConfig{InputQueueCap: 64},
 		Seed: seed,
 	})
 

@@ -164,7 +164,7 @@ func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy
 		RoutersPerAS: perAS,
 		IntraLink:    netsim.LinkConfig{Delay: 0.002, Bandwidth: 10e6, QueueCap: 16},
 		InterLink:    netsim.LinkConfig{Delay: 0.012, Bandwidth: 1.5e6, QueueCap: 32},
-		CPU:          &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4},
+		CPU:          &netsim.CPUConfig{InputQueueCap: 4},
 		Chords:       1,
 	})
 	nw.Partition(k, netsim.OwnerByBlock(perAS, numAS, k))

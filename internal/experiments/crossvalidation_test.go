@@ -30,7 +30,7 @@ func TestPacketSubstrateSynchronizesLikeModel(t *testing.T) {
 	offsets := rng.New(7 + 31)
 	nodes := make([]*netsim.Node, routers)
 	for i := range nodes {
-		nodes[i] = net.NewNode("dv", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+		nodes[i] = net.NewNode("dv", &netsim.CPUConfig{})
 	}
 	net.NewLAN(nodes, netsim.LANConfig{})
 	last := make([]float64, routers)

@@ -13,7 +13,7 @@ import (
 
 // quickModel is a scaled-down ModelConfig for fast tests.
 func quickModel() ModelConfig {
-	return ModelConfig{N: 20, Tp: 121, Tc: 0.11, Tr: 0.1, Seed: 1, Horizon: 1e5}
+	return ModelConfig{Tr: 0.1, Horizon: 1e5}
 }
 
 func TestFig1ShowsPeriodicLoss(t *testing.T) {
@@ -97,10 +97,10 @@ func TestFig3PeriodicOutages(t *testing.T) {
 }
 
 func TestFig3FixedModeEliminatesSpikes(t *testing.T) {
-	// Ablation within the Fig 3 scenario: with CPUModeFixed routers the
-	// periodic spikes disappear — only background noise remains. This is
-	// the post-fix NEARnet behaviour of §2. We emulate it by zeroing the
-	// processing cost, which removes the stall window entirely.
+	// Ablation within the Fig 3 scenario: with the post-fix NEARnet
+	// routers of §2, which forward while processing updates, the periodic
+	// spikes disappear and only background noise remains. A negligible
+	// per-route cost emulates them: each stall shrinks to nanoseconds.
 	c := PathConfig{PerRouteCost: 1e-9, BackgroundLoss: 0.002}
 	_, audio := Fig3(c, 600)
 	for _, o := range audio.Outages() {

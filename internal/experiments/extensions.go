@@ -39,7 +39,7 @@ func ExtCoherence(c ModelConfig) *Result {
 		},
 	}
 	if len(r) > 0 {
-		res.Notef("R: start %.2f → end %.2f (1/√N = %.2f)", r[0], r[len(r)-1], 1/math.Sqrt(float64(c.N)))
+		res.Notef("R: start %.2f → end %.2f (1/√N = %.2f)", r[0], r[len(r)-1], 1/math.Sqrt(paperN))
 	}
 	return res
 }
@@ -65,7 +65,7 @@ func ExtStorm(routers int, seed int64) *Result {
 		net := netsim.NewNetwork(seed)
 		nodes := make([]*netsim.Node, routers)
 		for i := range nodes {
-			nodes[i] = net.NewNode("r", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+			nodes[i] = net.NewNode("r", &netsim.CPUConfig{})
 		}
 		net.NewLAN(nodes, netsim.LANConfig{})
 		sends := make([][]float64, routers)

@@ -42,7 +42,7 @@ func ExtLinkState(horizon float64, seed int64) *Result {
 		offsets := rng.New(seed + 31)
 		nodes := make([]*netsim.Node, routers)
 		for i := range nodes {
-			nodes[i] = net.NewNode("ls", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+			nodes[i] = net.NewNode("ls", &netsim.CPUConfig{})
 		}
 		net.NewLAN(nodes, netsim.LANConfig{})
 		last := make([]float64, routers)

@@ -16,13 +16,14 @@ import (
 // 32 thousand years"). Infinite hitting times render clamped here.
 const AxisCap = 1e12
 
+// paperF2 is f(2), the expected rounds for the system to first form a
+// cluster of size 2 from the unsynchronized state (paper Fig 10: 19).
+const paperF2 = 19
+
 // MarkovConfig parameterizes the §5 analysis figures.
 type MarkovConfig struct {
-	N    int     // paper: 20
-	Tp   float64 // paper: 121
-	Tc   float64 // paper: 0.11
-	F2   float64 // paper Fig 10: 19 rounds
-	Seed int64
+	N  int     // paper: 20
+	Tc float64 // paper: 0.11
 	// Sims is the number of simulation replications overlaid on the
 	// analysis (paper: 20); zero disables simulation overlays.
 	Sims int
@@ -30,29 +31,20 @@ type MarkovConfig struct {
 	SimHorizon float64
 	// Jobs bounds the workers running replications concurrently; zero
 	// or negative means one per CPU. Replication s always uses seed
-	// Seed+s, so results are identical for every Jobs value.
+	// paperSeed+s, so results are identical for every Jobs value.
 	Jobs int
 	// Obs, when non-nil, observes every simulation replication the
-	// driver runs. Instrumentation only; excluded from params hashing.
-	Obs periodic.Observer `json:"-"`
+	// driver runs. Instrumentation only: it never affects output.
+	Obs periodic.Observer
 }
 
 // Defaults fills zero fields with the paper's values.
 func (c MarkovConfig) Defaults() MarkovConfig {
 	if c.N == 0 {
-		c.N = 20
-	}
-	if c.Tp == 0 {
-		c.Tp = 121
+		c.N = paperN
 	}
 	if c.Tc == 0 {
-		c.Tc = 0.11
-	}
-	if c.F2 == 0 {
-		c.F2 = 19
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
+		c.Tc = paperTc
 	}
 	if c.SimHorizon == 0 {
 		c.SimHorizon = 2e6
@@ -61,7 +53,7 @@ func (c MarkovConfig) Defaults() MarkovConfig {
 }
 
 func (c MarkovConfig) chain(tr float64) *markov.Chain {
-	ch, err := markov.New(markov.Params{N: c.N, Tp: c.Tp, Tr: tr, Tc: c.Tc, F2: c.F2})
+	ch, err := markov.New(markov.Params{N: c.N, Tp: paperTp, Tr: tr, Tc: c.Tc, F2: paperF2})
 	if err != nil {
 		panic(err)
 	}
@@ -141,8 +133,8 @@ func simFirstPassageUp(c MarkovConfig, tr float64) []float64 {
 	perSim := parallel.Run(c.Sims, c.Jobs, func(s int) []float64 {
 		sys := periodic.New(periodic.Config{
 			N: c.N, Tc: c.Tc,
-			Jitter:   jitter.Uniform{Tp: c.Tp, Tr: tr},
-			Seed:     c.Seed + int64(s),
+			Jitter:   jitter.Uniform{Tp: paperTp, Tr: tr},
+			Seed:     paperSeed + int64(s),
 			Observer: c.Obs,
 		})
 		return sys.FirstPassageUp(c.SimHorizon)
@@ -156,9 +148,9 @@ func simFirstPassageDown(c MarkovConfig, tr float64) []float64 {
 	perSim := parallel.Run(c.Sims, c.Jobs, func(s int) []float64 {
 		sys := periodic.New(periodic.Config{
 			N: c.N, Tc: c.Tc,
-			Jitter:   jitter.Uniform{Tp: c.Tp, Tr: tr},
+			Jitter:   jitter.Uniform{Tp: paperTp, Tr: tr},
 			Start:    periodic.StartSynchronized,
-			Seed:     c.Seed + int64(s),
+			Seed:     paperSeed + int64(s),
 			Observer: c.Obs,
 		})
 		return sys.FirstPassageDown(c.SimHorizon)
@@ -263,9 +255,9 @@ func Fig12(c MarkovConfig) *Result {
 			times := parallel.Run(seeds, c.Jobs, func(s int) float64 {
 				sys := periodic.New(periodic.Config{
 					N: c.N, Tc: c.Tc,
-					Jitter:   jitter.Uniform{Tp: c.Tp, Tr: m * c.Tc},
+					Jitter:   jitter.Uniform{Tp: paperTp, Tr: m * c.Tc},
 					Start:    start,
-					Seed:     c.Seed + int64(s),
+					Seed:     paperSeed + int64(s),
 					Observer: c.Obs,
 				})
 				res := run(sys)

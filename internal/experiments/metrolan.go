@@ -51,7 +51,7 @@ func BuildMetroLAN(segments, perSeg, k int, seed int64, horizon float64, obs des
 	topo := nw.BuildMetroLAN(netsim.MetroLANConfig{
 		Segments:    segments,
 		HostsPerSeg: perSeg,
-		CPU:         &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4},
+		CPU:         &netsim.CPUConfig{InputQueueCap: 4},
 	})
 	nw.Partition(k, netsim.OwnerByBlock(perSeg, segments, k))
 

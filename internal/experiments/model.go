@@ -10,37 +10,32 @@ import (
 	"routesync/internal/trace"
 )
 
+// The paper's §4 values, which every Periodic Messages model figure runs
+// with: N routers, mean period Tp and per-message processing Tc in
+// seconds, and the model's seed. The §5 Markov figures share them (there
+// N and Tc are only the defaults of the swept values).
+const (
+	paperN    = 20
+	paperTp   = 121.0
+	paperTc   = 0.11
+	paperSeed = 1
+)
+
 // ModelConfig parameterizes the Periodic Messages model figures (4–8).
 // The zero value is replaced by the paper's parameters via Defaults.
 type ModelConfig struct {
-	N       int     // routers (paper: 20)
-	Tp      float64 // mean period (paper: 121 s)
-	Tc      float64 // per-message processing (paper: 0.11 s)
 	Tr      float64 // random component (paper Fig 4: 0.1 s)
-	Seed    int64
 	Horizon float64 // simulation horizon in seconds
 	// Obs, when non-nil, observes every periodic.System the driver
 	// builds. It is instrumentation, not a model parameter: it never
-	// affects output and is excluded from params hashing.
-	Obs periodic.Observer `json:"-"`
+	// affects output.
+	Obs periodic.Observer
 }
 
 // Defaults fills zero fields with the paper's §4 values.
 func (c ModelConfig) Defaults() ModelConfig {
-	if c.N == 0 {
-		c.N = 20
-	}
-	if c.Tp == 0 {
-		c.Tp = 121
-	}
-	if c.Tc == 0 {
-		c.Tc = 0.11
-	}
 	if c.Tr == 0 {
 		c.Tr = 0.1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 1e5
@@ -50,11 +45,11 @@ func (c ModelConfig) Defaults() ModelConfig {
 
 func (c ModelConfig) system(start periodic.StartState) *periodic.System {
 	return periodic.New(periodic.Config{
-		N:        c.N,
-		Tc:       c.Tc,
-		Jitter:   jitter.Uniform{Tp: c.Tp, Tr: c.Tr},
+		N:        paperN,
+		Tc:       paperTc,
+		Jitter:   jitter.Uniform{Tp: paperTp, Tr: c.Tr},
 		Start:    start,
-		Seed:     c.Seed,
+		Seed:     paperSeed,
 		Observer: c.Obs,
 	})
 }
@@ -144,14 +139,14 @@ func Fig6(c ModelConfig) *Result {
 		Series: []stats.Series{ser},
 		Plot: trace.PlotOptions{
 			XLabel: "time (s)", YLabel: "largest cluster size",
-			YMin: 0, YMax: float64(c.N),
+			YMin: 0, YMax: float64(paperN),
 		},
 	}
 	last := 0
 	if len(sizes) > 0 {
 		last = sizes[len(sizes)-1]
 	}
-	r.Notef("final round largest cluster = %d of %d", last, c.N)
+	r.Notef("final round largest cluster = %d of %d", last, paperN)
 	return r
 }
 
@@ -169,12 +164,12 @@ func Fig7(c ModelConfig, trOverTc []float64) *Result {
 		Title: "time to synchronize vs random component (unsynchronized start)",
 		Plot: trace.PlotOptions{
 			XLabel: "time (s)", YLabel: "largest cluster size",
-			YMin: 0, YMax: float64(c.N),
+			YMin: 0, YMax: float64(paperN),
 		},
 	}
 	for _, m := range trOverTc {
 		cc := c
-		cc.Tr = m * c.Tc
+		cc.Tr = m * paperTc
 		s := cc.system(periodic.StartUnsynchronized)
 		times, sizes := s.LargestPerRound(c.Horizon)
 		ser := stats.Series{Name: fmtTr(m)}
@@ -210,12 +205,12 @@ func Fig8(c ModelConfig, trOverTc []float64, brokenThreshold int) *Result {
 		Title: "time to break up vs random component (synchronized start)",
 		Plot: trace.PlotOptions{
 			XLabel: "time (s)", YLabel: "largest cluster size",
-			YMin: 0, YMax: float64(c.N),
+			YMin: 0, YMax: float64(paperN),
 		},
 	}
 	for _, m := range trOverTc {
 		cc := c
-		cc.Tr = m * c.Tc
+		cc.Tr = m * paperTc
 		s := cc.system(periodic.StartSynchronized)
 		times, sizes := s.LargestPerRound(c.Horizon)
 		ser := stats.Series{Name: fmtTr(m)}

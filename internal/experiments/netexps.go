@@ -35,8 +35,6 @@ type PathConfig struct {
 	// ForwardCost is seconds of CPU per forwarded packet on the path
 	// routers (see netsim.CPUConfig.ForwardCost); zero means free.
 	ForwardCost float64
-	// LinkDelay is the per-link propagation delay of the measured path.
-	LinkDelay float64
 	// BackgroundLoss is a random per-arrival loss probability at the
 	// receiving host (Fig 3's isolated single-packet losses).
 	BackgroundLoss float64
@@ -45,9 +43,13 @@ type PathConfig struct {
 	Synchronized bool
 	Seed         int64
 	// Obs, when non-nil, observes the network's event kernel.
-	// Instrumentation only; excluded from params hashing.
-	Obs des.Observer `json:"-"`
+	// Instrumentation only: it never affects output.
+	Obs des.Observer
 }
+
+// pathLinkDelay is the propagation delay, in seconds, of each host link
+// on the measured path.
+const pathLinkDelay = 0.015
 
 // Defaults fills zero fields with the Figure 1 scenario.
 func (c PathConfig) Defaults() PathConfig {
@@ -62,9 +64,6 @@ func (c PathConfig) Defaults() PathConfig {
 	}
 	if c.PerRouteCost == 0 {
 		c.PerRouteCost = 0.001
-	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = 0.015
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -88,7 +87,6 @@ func buildPath(c PathConfig) *builtPath {
 		net.SetObserver(c.Obs)
 	}
 	cpuCfg := &netsim.CPUConfig{
-		Mode:          netsim.CPUModeLegacy,
 		InputQueueCap: c.InputQueueCap,
 		ForwardCost:   c.ForwardCost,
 	}
@@ -99,8 +97,8 @@ func buildPath(c PathConfig) *builtPath {
 	src := net.NewNode("src", nil)
 	dst := net.NewNode("dst", nil)
 	net.NewLAN(routers, netsim.LANConfig{Delay: 0.001})
-	net.Connect(src, routers[0], netsim.LinkConfig{Delay: c.LinkDelay})
-	net.Connect(routers[1], dst, netsim.LinkConfig{Delay: c.LinkDelay})
+	net.Connect(src, routers[0], netsim.LinkConfig{Delay: pathLinkDelay})
+	net.Connect(routers[1], dst, netsim.LinkConfig{Delay: pathLinkDelay})
 	net.InstallStaticRoutes()
 	dst.LossProb = c.BackgroundLoss
 

@@ -108,7 +108,7 @@ func BuildNetScale(routers, perAS, k int, seed int64, horizon float64, obs des.O
 		RoutersPerAS: perAS,
 		IntraLink:    netsim.LinkConfig{Delay: 0.002, Bandwidth: 10e6, QueueCap: 16},
 		InterLink:    netsim.LinkConfig{Delay: 0.01, Bandwidth: 1.5e6, QueueCap: 32},
-		CPU:          &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4},
+		CPU:          &netsim.CPUConfig{InputQueueCap: 4},
 		Chords:       2,
 	})
 	// The backbone is a ring (plus skip links), so domain numAS-1 sits

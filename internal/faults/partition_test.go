@@ -45,7 +45,7 @@ func runChurnedAS(backend des.Backend, k int) churnSnap {
 		RoutersPerAS: perAS,
 		IntraLink:    netsim.LinkConfig{Delay: 0.002, Bandwidth: 1.5e6, QueueCap: 16},
 		InterLink:    netsim.LinkConfig{Delay: 0.012, Bandwidth: 1.5e6, QueueCap: 16},
-		CPU:          &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4},
+		CPU:          &netsim.CPUConfig{InputQueueCap: 4},
 		Chords:       1,
 	})
 	if k > 0 {

@@ -22,9 +22,6 @@ type Config struct {
 	// handle one LSA (flooding work).
 	PrepareCost float64
 	ProcessCost float64
-	// MaxAgeFactor: LSAs unrefreshed for MaxAgeFactor·RefreshPeriod are
-	// withdrawn from the database (OSPF MaxAge); zero means 4.
-	MaxAgeFactor float64
 	// Seed drives the agent's jitter stream.
 	Seed int64
 }
@@ -91,9 +88,6 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 	}
 	if cfg.Jitter == nil {
 		cfg.Jitter = jitter.None{Tp: cfg.RefreshPeriod}
-	}
-	if cfg.MaxAgeFactor == 0 {
-		cfg.MaxAgeFactor = 4
 	}
 	a := &Agent{
 		cfg:  cfg,
@@ -411,13 +405,17 @@ func (a *Agent) installRoute(dest, firstHop netsim.NodeID) {
 	}
 }
 
+// maxAgeFactor: LSAs unrefreshed for maxAgeFactor·RefreshPeriod are
+// withdrawn from the database (OSPF MaxAge).
+const maxAgeFactor = 4
+
 // sweep ages the database: entries unrefreshed past MaxAge are
 // withdrawn and routes recomputed. The kernel schedules it every
 // RefreshPeriod.
 func (a *Agent) sweep() {
 	node := a.k.Node()
 	now := node.Now()
-	maxAge := a.cfg.MaxAgeFactor * a.cfg.RefreshPeriod
+	maxAge := maxAgeFactor * a.cfg.RefreshPeriod
 	changed := false
 	for origin, e := range a.lsdb {
 		if origin == node.ID {

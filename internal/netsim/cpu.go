@@ -1,43 +1,16 @@
 package netsim
 
-// CPUMode selects how a busy router CPU treats the forwarding path.
-type CPUMode int
-
-const (
-	// CPUModeLegacy stalls forwarding while the CPU is occupied with
-	// routing-update work — the pre-fix NEARnet behaviour that caused the
-	// paper's Figure 1 losses. Arriving data packets wait in a bounded
-	// input queue; overflow is dropped.
-	CPUModeLegacy CPUMode = iota
-	// CPUModeFixed lets forwarding proceed during update processing —
-	// the post-fix router software ("the router software has been
-	// changed so that normal packet routing can be carried out while the
-	// routers are dealing with routing update messages", §2).
-	CPUModeFixed
-)
-
-// String returns the mode name.
-func (m CPUMode) String() string {
-	switch m {
-	case CPUModeLegacy:
-		return "legacy"
-	case CPUModeFixed:
-		return "fixed"
-	default:
-		return "unknown"
-	}
-}
-
-// CPUConfig parameterizes a router CPU.
+// CPUConfig parameterizes a router CPU. A busy CPU stalls forwarding —
+// the pre-fix NEARnet behaviour that caused the paper's Figure 1 losses:
+// data packets arriving meanwhile wait in a bounded input queue, and
+// overflow is dropped.
 type CPUConfig struct {
-	// Mode selects the forwarding interaction; the zero value is Legacy.
-	Mode CPUMode
-	// InputQueueCap bounds the packets held while the CPU blocks
-	// forwarding (Legacy mode). Zero means no buffering: every packet
-	// arriving during a busy period is dropped.
+	// InputQueueCap bounds the packets held while the CPU is busy. Zero
+	// means no buffering: every packet arriving during a busy period is
+	// dropped.
 	InputQueueCap int
-	// ForwardCost is seconds of CPU per forwarded packet (Legacy mode).
-	// Zero means forwarding is free once the CPU is idle. A non-zero
+	// ForwardCost is seconds of CPU per forwarded packet. Zero means
+	// forwarding is free once the CPU is idle. A non-zero
 	// cost makes queued packets drain serially after a routing-update
 	// stall, producing the RTT ramps visible in the paper's Figure 1
 	// alongside the outright drops.
@@ -101,11 +74,6 @@ func (c *CPU) Busy() bool { return c.busyUntil > c.node.Now() }
 
 // BusyUntil returns the time the current work backlog completes.
 func (c *CPU) BusyUntil() float64 { return c.busyUntil }
-
-// BlocksForwarding reports whether data packets arriving now would stall.
-func (c *CPU) BlocksForwarding() bool {
-	return c.cfg.Mode == CPUModeLegacy && c.Busy()
-}
 
 // nop is the completion callback of Occupy's work items.
 var nop = func() {}

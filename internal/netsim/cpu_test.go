@@ -95,7 +95,7 @@ func TestCPUCompletionOrder(t *testing.T) {
 			n := NewNetwork(61)
 			nodes := n.BuildChain(
 				[]string{"h1", "r"},
-				[]*CPUConfig{nil, {Mode: CPUModeLegacy, InputQueueCap: 8, ForwardCost: tc.forwardCost}},
+				[]*CPUConfig{nil, {InputQueueCap: 8, ForwardCost: tc.forwardCost}},
 				LinkConfig{},
 			)
 			h1, r := nodes[0], nodes[1]

@@ -103,7 +103,7 @@ func TestLinkFailDropsInFlight(t *testing.T) {
 func TestNodeFailure(t *testing.T) {
 	n := NewNetwork(6)
 	nodes := n.BuildChain([]string{"h1", "r", "h2"}, []*CPUConfig{
-		nil, {Mode: CPUModeLegacy, InputQueueCap: 8}, nil,
+		nil, {InputQueueCap: 8}, nil,
 	}, LinkConfig{Delay: 0.01})
 	h1, r, h2 := nodes[0], nodes[1], nodes[2]
 	got := 0

@@ -7,9 +7,10 @@
 // The CPU model is the paper's §2 measurement result turned into a
 // mechanism: the NEARnet core routers "were prevented from routing other
 // packets while the synchronized routing updates were being processed",
-// which produced the 90-second periodic losses of Figure 1. CPUModeLegacy
-// reproduces that behaviour; CPUModeFixed models the post-fix software
-// where forwarding continues during update processing.
+// which produced the 90-second periodic losses of Figure 1. A node's CPU
+// reproduces that behaviour. The post-fix software, where forwarding
+// continues during update processing, has no mode of its own: a
+// negligible processing cost leaves no stall to wait behind.
 //
 // netsim deliberately shares no shortcut assumptions with
 // internal/periodic: messages here are real packets crossing real links,

@@ -174,7 +174,7 @@ func TestCPULegacyBlocksForwarding(t *testing.T) {
 	n := NewNetwork(5)
 	nodes := n.BuildChain(
 		[]string{"h1", "r", "h2"},
-		[]*CPUConfig{nil, {Mode: CPUModeLegacy, InputQueueCap: 0}},
+		[]*CPUConfig{nil, {InputQueueCap: 0}},
 		LinkConfig{},
 	)
 	r, h2 := nodes[1], nodes[2]
@@ -205,7 +205,7 @@ func TestCPULegacyBlocksForwarding(t *testing.T) {
 // packet to it, and one data packet while its CPU is stalled.
 func TestNodeStatsCounters(t *testing.T) {
 	n := NewNetwork(7)
-	nodes := n.BuildChain([]string{"src", "r", "dst"}, []*CPUConfig{nil, {Mode: CPUModeLegacy}}, LinkConfig{Delay: 0.01})
+	nodes := n.BuildChain([]string{"src", "r", "dst"}, []*CPUConfig{nil, {}}, LinkConfig{Delay: 0.01})
 	src, r, dst := nodes[0], nodes[1], nodes[2]
 	inject := func(at float64, kind Kind, from, to *Node) {
 		n.Sim.Schedule(at, "inject", func() { n.Inject(n.NewPacket(kind, from.ID, to.ID, 100)) })
@@ -233,7 +233,7 @@ func TestCPULegacyInputQueueDrains(t *testing.T) {
 	n := NewNetwork(6)
 	nodes := n.BuildChain(
 		[]string{"h1", "r", "h2"},
-		[]*CPUConfig{nil, {Mode: CPUModeLegacy, InputQueueCap: 2}},
+		[]*CPUConfig{nil, {InputQueueCap: 2}},
 		LinkConfig{},
 	)
 	r, h2 := nodes[1], nodes[2]
@@ -259,28 +259,6 @@ func TestCPULegacyInputQueueDrains(t *testing.T) {
 	}
 	if c := n.Counters(); c.Drops[DropCPUBusy] != 1 {
 		t.Fatalf("drops = %+v", c.Drops)
-	}
-}
-
-func TestCPUFixedModeForwardsWhileBusy(t *testing.T) {
-	n := NewNetwork(7)
-	nodes := n.BuildChain(
-		[]string{"h1", "r", "h2"},
-		[]*CPUConfig{nil, {Mode: CPUModeFixed}},
-		LinkConfig{},
-	)
-	r, h2 := nodes[1], nodes[2]
-	got := 0
-	h2.OnDeliver = map[Kind]func(*Packet){
-		KindData: func(p *Packet) { got++ },
-	}
-	n.Sim.Schedule(1.0, "occupy", func() { r.CPU.Occupy(10) })
-	n.Sim.Schedule(2.0, "inject", func() {
-		n.Inject(n.NewPacket(KindData, nodes[0].ID, h2.ID, 100))
-	})
-	n.RunUntil(20)
-	if got != 1 {
-		t.Fatalf("fixed-mode router dropped the packet (got %d)", got)
 	}
 }
 
@@ -441,7 +419,7 @@ func TestConservationProperty(t *testing.T) {
 		for i := range names {
 			names[i] = "n"
 			if i > 0 && i < k-1 && r.Bernoulli(0.5) {
-				cpus[i] = &CPUConfig{Mode: CPUModeLegacy, InputQueueCap: r.Intn(4)}
+				cpus[i] = &CPUConfig{InputQueueCap: r.Intn(4)}
 			}
 		}
 		nodes := n.BuildChain(names, cpus, LinkConfig{
@@ -481,9 +459,6 @@ func TestKindStrings(t *testing.T) {
 		Kind(9).String() == "" {
 		t.Fatal("Kind.String mismatch")
 	}
-	if CPUModeLegacy.String() != "legacy" || CPUModeFixed.String() != "fixed" || CPUMode(9).String() != "unknown" {
-		t.Fatal("CPUMode.String mismatch")
-	}
 }
 
 func TestNodeLookupPanics(t *testing.T) {
@@ -500,7 +475,7 @@ func TestForwardCostSerialDrain(t *testing.T) {
 	n := NewNetwork(51)
 	nodes := n.BuildChain(
 		[]string{"h1", "r", "h2"},
-		[]*CPUConfig{nil, {Mode: CPUModeLegacy, InputQueueCap: 8, ForwardCost: 0.05}},
+		[]*CPUConfig{nil, {InputQueueCap: 8, ForwardCost: 0.05}},
 		LinkConfig{},
 	)
 	r, h2 := nodes[1], nodes[2]
@@ -532,7 +507,7 @@ func TestForwardCostZeroInstantDrain(t *testing.T) {
 	n := NewNetwork(52)
 	nodes := n.BuildChain(
 		[]string{"h1", "r", "h2"},
-		[]*CPUConfig{nil, {Mode: CPUModeLegacy, InputQueueCap: 8}},
+		[]*CPUConfig{nil, {InputQueueCap: 8}},
 		LinkConfig{},
 	)
 	r, h2 := nodes[1], nodes[2]

@@ -406,8 +406,8 @@ func (nd *Node) receive(pkt *Packet, via Medium) {
 		nd.net.releaseAt(nd, pkt)
 		return
 	}
-	if nd.CPU != nil && nd.CPU.BlocksForwarding() {
-		// Legacy router behaviour (paper §2): while routing updates are
+	if nd.CPU != nil && nd.CPU.Busy() {
+		// Pre-fix router behaviour (paper §2): while routing updates are
 		// being processed the forwarding path is stalled; a small input
 		// queue absorbs what it can and the rest is lost.
 		nd.CPU.enqueueOrDrop(pkt)

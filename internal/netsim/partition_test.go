@@ -38,7 +38,7 @@ func runScaleTopo(t *testing.T, backend des.Backend, k int) partitionSnapshot {
 		RoutersPerAS: perAS,
 		IntraLink:    LinkConfig{Delay: 0.002, Bandwidth: 10e6, QueueCap: 16},
 		InterLink:    LinkConfig{Delay: 0.01, Bandwidth: 1.5e6, QueueCap: 16},
-		CPU:          &CPUConfig{Mode: CPUModeLegacy, InputQueueCap: 4, ForwardCost: 0.0002},
+		CPU:          &CPUConfig{InputQueueCap: 4, ForwardCost: 0.0002},
 		Chords:       2,
 	})
 	// A couple of measurement hosts on distinct domains.

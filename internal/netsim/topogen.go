@@ -205,16 +205,6 @@ type MetroLANConfig struct {
 	// Segments is the number of LAN segments; HostsPerSeg the number of
 	// routers on each (including the segment's gateway).
 	Segments, HostsPerSeg int
-	// LAN configures each broadcast segment; a zero Delay means 50 µs at
-	// 10 Mb/s (a classic shared Ethernet).
-	LAN LANConfig
-	// Bridge configures the gateway-to-gateway links joining the
-	// segments; a zero Delay means 100 µs at 100 Mb/s (a metro fiber
-	// bridge). The bridge delay is the synchronization lookahead when the
-	// build is partitioned along segment boundaries — deliberately tiny
-	// relative to any routing-protocol period, which is what makes this
-	// the low-lookahead stress topology for the partition engine.
-	Bridge LinkConfig
 	// CPU configures every router's CPU; nil means no CPU model.
 	CPU *CPUConfig
 }
@@ -231,24 +221,24 @@ type MetroLAN struct {
 
 // BuildMetroLAN creates a metropolitan campus network: Segments broadcast
 // LANs, each segment's router 0 acting as its gateway, joined by a
-// bridge ring over the gateways plus skip links every 4 segments. The
-// layout is fully deterministic. No routes are installed; callers attach
-// agents and workloads.
+// bridge ring over the gateways plus skip links every 4 segments. Each
+// segment is a classic shared Ethernet (50 µs at 10 Mb/s), each bridge
+// link a metro fiber (100 µs at 100 Mb/s). The layout is fully
+// deterministic. No routes are installed; callers attach agents and
+// workloads.
 //
 // The interesting property is the ratio between the bridge delay (the
-// partitioned lookahead, ~100 µs) and the inter-segment traffic gap
-// (routing periods, seconds): the partitioned run must barrier every
-// lookahead even though virtually no window moves a boundary packet.
+// synchronization lookahead when the build is partitioned along segment
+// boundaries) and the inter-segment traffic gap (routing periods,
+// seconds): the partitioned run must barrier every lookahead even though
+// virtually no window moves a boundary packet. That makes this the
+// low-lookahead stress topology for the partition engine.
 func (n *Network) BuildMetroLAN(cfg MetroLANConfig) *MetroLAN {
 	if cfg.Segments < 1 || cfg.HostsPerSeg < 2 {
 		panic("netsim: BuildMetroLAN needs segments of at least 2 hosts")
 	}
-	if cfg.LAN.Delay == 0 {
-		cfg.LAN = LANConfig{Delay: 50e-6, Bandwidth: 10e6, QueueCap: cfg.LAN.QueueCap}
-	}
-	if cfg.Bridge.Delay == 0 {
-		cfg.Bridge = LinkConfig{Delay: 100e-6, Bandwidth: 100e6, QueueCap: cfg.Bridge.QueueCap}
-	}
+	lan := LANConfig{Delay: 50e-6, Bandwidth: 10e6}
+	bridge := LinkConfig{Delay: 100e-6, Bandwidth: 100e6}
 	t := &MetroLAN{
 		Hosts:    make([][]*Node, cfg.Segments),
 		Gateways: make([]*Node, cfg.Segments),
@@ -260,17 +250,17 @@ func (n *Network) BuildMetroLAN(cfg MetroLANConfig) *MetroLAN {
 		}
 		t.Hosts[s] = hosts
 		t.Gateways[s] = hosts[0]
-		n.NewLAN(hosts, cfg.LAN)
+		n.NewLAN(hosts, lan)
 	}
 	if cfg.Segments > 1 {
 		for s := 0; s+1 < cfg.Segments; s++ {
-			n.Connect(t.Gateways[s], t.Gateways[s+1], cfg.Bridge)
+			n.Connect(t.Gateways[s], t.Gateways[s+1], bridge)
 		}
 		if cfg.Segments > 2 {
-			n.Connect(t.Gateways[cfg.Segments-1], t.Gateways[0], cfg.Bridge)
+			n.Connect(t.Gateways[cfg.Segments-1], t.Gateways[0], bridge)
 		}
 		for s := 0; s+4 < cfg.Segments; s += 4 {
-			n.Connect(t.Gateways[s], t.Gateways[s+4], cfg.Bridge)
+			n.Connect(t.Gateways[s], t.Gateways[s+4], bridge)
 		}
 	}
 	return t

@@ -140,12 +140,6 @@ type Config struct {
 	// flush and to process one received update message.
 	PrepareCost float64
 	ProcessCost float64
-	// HoldFactor: adj-in routes unrefreshed for HoldFactor·RefreshPeriod
-	// are expired as implicit withdrawals (the hold timer); zero means 4.
-	HoldFactor float64
-	// Mode selects the refresh-timer re-arm rule (the paper's coupling
-	// by default).
-	Mode protocol.TimerMode
 	// Seed drives the agent's jitter streams.
 	Seed int64
 }
@@ -263,9 +257,6 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 	if cfg.MRAI > 0 && cfg.MRAIJitter == nil {
 		cfg.MRAIJitter = jitter.None{Tp: cfg.MRAI}
 	}
-	if cfg.HoldFactor == 0 {
-		cfg.HoldFactor = 4
-	}
 	a := &Agent{
 		cfg:     cfg,
 		origins: cfg.Origins,
@@ -303,7 +294,6 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		Node:       node,
 		Seed:       cfg.Seed ^ int64(node.ID)*0x2545F4914F6CDD1D,
 		Jitter:     cfg.Jitter,
-		Mode:       cfg.Mode,
 		TimerLabel: "pv-refresh",
 		RearmLabel: "pv-rearm-wait",
 		SweepLabel: "pv-hold-sweep",
@@ -719,13 +709,17 @@ func (a *Agent) reselect(o, touched int) bool {
 	return true
 }
 
+// holdFactor: adj-in routes unrefreshed for holdFactor·RefreshPeriod are
+// expired as implicit withdrawals (the hold timer).
+const holdFactor = 4
+
 // sweep expires adj-in routes unrefreshed past the hold time — implicit
 // withdrawals from dead or partitioned peers — and propagates any
 // resulting selection changes. The kernel schedules it every
 // RefreshPeriod.
 func (a *Agent) sweep() {
 	now := a.k.Node().Now()
-	hold := a.cfg.HoldFactor * a.cfg.RefreshPeriod
+	hold := holdFactor * a.cfg.RefreshPeriod
 	changed := false
 	np := len(a.peers)
 	for o := range a.best {

@@ -185,7 +185,7 @@ func FuzzAdjRIBIn(f *testing.F) {
 				what = fmt.Sprintf("sweep after %v s", dt)
 				net.RunUntil(net.Now() + dt)
 				a.sweep()
-				ref.sweep(net.Now(), a.cfg.HoldFactor*a.cfg.RefreshPeriod)
+				ref.sweep(net.Now(), holdFactor*a.cfg.RefreshPeriod)
 			case 5:
 				what = "reset"
 				a.resetRIB()

@@ -54,7 +54,7 @@ func buildChain(t *testing.T, k int, cfg Config) (*netsim.Network, []*Agent) {
 	net := netsim.NewNetwork(cfg.Seed + 4000)
 	nodes := make([]*netsim.Node, k)
 	for i := range nodes {
-		nodes[i] = net.NewNode("as", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+		nodes[i] = net.NewNode("as", &netsim.CPUConfig{})
 	}
 	links := make([]*netsim.Link, k-1)
 	for i := 0; i+1 < k; i++ {
@@ -131,11 +131,11 @@ func TestGaoRexfordValley(t *testing.T) {
 	cfg := defaultCfg()
 	net := netsim.NewNetwork(99)
 	lc := netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64}
-	coreA := net.NewNode("coreA", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-	coreB := net.NewNode("coreB", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-	coreC := net.NewNode("coreC", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-	stubA := net.NewNode("stubA", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-	stubB := net.NewNode("stubB", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+	coreA := net.NewNode("coreA", &netsim.CPUConfig{})
+	coreB := net.NewNode("coreB", &netsim.CPUConfig{})
+	coreC := net.NewNode("coreC", &netsim.CPUConfig{})
+	stubA := net.NewNode("stubA", &netsim.CPUConfig{})
+	stubB := net.NewNode("stubB", &netsim.CPUConfig{})
 	lAB := net.Connect(coreA, coreB, lc) // peer—peer
 	lAC := net.Connect(coreA, coreC, lc) // peer—peer
 	lBC := net.Connect(coreB, coreC, lc) // peer—peer
@@ -194,9 +194,9 @@ func TestLocalPrefOverridesPathLength(t *testing.T) {
 	net := netsim.NewNetwork(17)
 	lc := netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64}
 	// origin ←customer— mid ←customer— self —peer→ origin (direct).
-	self := net.NewNode("self", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-	mid := net.NewNode("mid", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-	origin := net.NewNode("origin", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+	self := net.NewNode("self", &netsim.CPUConfig{})
+	mid := net.NewNode("mid", &netsim.CPUConfig{})
+	origin := net.NewNode("origin", &netsim.CPUConfig{})
 	lSM := net.Connect(self, mid, lc)    // mid is self's customer
 	lMO := net.Connect(mid, origin, lc)  // origin is mid's customer
 	lSO := net.Connect(self, origin, lc) // self—origin peering
@@ -257,7 +257,7 @@ func TestLoopRejection(t *testing.T) {
 	lc := netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64}
 	nodes := make([]*netsim.Node, 3)
 	for i := range nodes {
-		nodes[i] = net.NewNode("as", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+		nodes[i] = net.NewNode("as", &netsim.CPUConfig{})
 	}
 	l01 := net.Connect(nodes[0], nodes[1], lc)
 	l12 := net.Connect(nodes[1], nodes[2], lc)
@@ -491,9 +491,9 @@ func TestOriginSetTooManyPanics(t *testing.T) {
 func TestAgentDuplicateNeighborPanics(t *testing.T) {
 	net := netsim.NewNetwork(3)
 	lc := netsim.LinkConfig{Delay: 0.01, Bandwidth: 10e6, QueueCap: 64}
-	a := net.NewNode("a", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-	b := net.NewNode("b", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
-	c := net.NewNode("c", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+	a := net.NewNode("a", &netsim.CPUConfig{})
+	b := net.NewNode("b", &netsim.CPUConfig{})
+	c := net.NewNode("c", &netsim.CPUConfig{})
 	l1 := net.Connect(a, b, lc)
 	l2 := net.Connect(a, c, lc)
 	l3 := net.Connect(a, b, lc)

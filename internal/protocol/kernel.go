@@ -22,21 +22,6 @@ import (
 	"routesync/internal/rng"
 )
 
-// TimerMode selects when the periodic timer is re-armed, mirroring
-// internal/periodic's TimerReset for the packet-level implementations.
-type TimerMode int
-
-const (
-	// TimerResetAfterProcessing re-arms the timer only once the CPU has
-	// finished preparing the router's own update and processing any
-	// updates that arrived meanwhile — the paper's §3 model and the
-	// behaviour of the implementations it cites ([Li93]).
-	TimerResetAfterProcessing TimerMode = iota
-	// TimerResetOnExpiry re-arms relative to the previous expiration,
-	// regardless of processing time (the RFC 1058 suggestion).
-	TimerResetOnExpiry
-)
-
 // FIFO is a growable queue with a head index: pops keep the backing
 // array, so steady-state push/pop cycles never allocate. The kernel uses
 // it for work parked behind the CPU-occupancy model, and protocol
@@ -129,8 +114,6 @@ type Config struct {
 	// Jitter yields periodic-timer intervals; required (families
 	// substitute jitter.None before constructing the kernel).
 	Jitter jitter.Policy
-	// Mode selects the re-arm rule; the zero value is the paper's.
-	Mode TimerMode
 	// TimerLabel, RearmLabel and SweepLabel name the kernel's events in
 	// des's past-time panic, which also prints the event's key (and with
 	// it the scheduling node), so constant strings suffice.
@@ -147,7 +130,6 @@ type Kernel[A any] struct {
 	node *netsim.Node
 	r    *rng.Source
 	jit  jitter.Policy
-	mode TimerMode
 	name string
 
 	timerLabel string
@@ -155,11 +137,10 @@ type Kernel[A any] struct {
 	sweepLabel string
 	sweepEvery float64
 
-	timerEv    des.Event
-	sweepEv    des.Event
-	waitEv     des.Event
-	lastExpiry float64
-	stopped    bool
+	timerEv des.Event
+	sweepEv des.Event
+	waitEv  des.Event
+	stopped bool
 	// gen counts agent lifetimes: Stop bumps it, and CPU-completion
 	// callbacks issued before the stop compare their captured gen so a
 	// reboot (Crash/Restart) never processes work from a previous life.
@@ -211,7 +192,6 @@ func New[A any](cfg Config, hooks Hooks[A]) *Kernel[A] {
 		node:       cfg.Node,
 		r:          rng.New(cfg.Seed),
 		jit:        cfg.Jitter,
-		mode:       cfg.Mode,
 		name:       cfg.Name,
 		timerLabel: cfg.TimerLabel,
 		rearmLabel: cfg.RearmLabel,
@@ -276,9 +256,7 @@ func (k *Kernel[A]) StartTimer(startOffset float64) {
 	if startOffset < 0 {
 		panic(k.name + ": negative start offset")
 	}
-	now := k.node.Now()
-	k.lastExpiry = now + startOffset
-	k.armAt(now + startOffset)
+	k.armAt(k.node.Now() + startOffset)
 }
 
 // ScheduleSweep arms the next housekeeping sweep (a no-op when the
@@ -300,7 +278,6 @@ func (k *Kernel[A]) onTimer() {
 	if k.stopped {
 		return
 	}
-	k.lastExpiry = k.node.Now()
 	k.hooks.Fire()
 }
 
@@ -329,19 +306,7 @@ func (k *Kernel[A]) rearmWhenIdle() {
 		return
 	}
 	k.node.Cancel(k.timerEv)
-	delay := k.jit.Delay(k.r, int(k.node.ID))
-	now := k.node.Now()
-	var at float64
-	switch k.mode {
-	case TimerResetOnExpiry:
-		at = k.lastExpiry + delay
-		if at < now {
-			at = now
-		}
-	default:
-		at = now + delay
-	}
-	k.armAt(at)
+	k.armAt(k.node.Now() + k.jit.Delay(k.r, int(k.node.ID)))
 }
 
 // Process routes an arrived packet through the CPU model: with a CPU

@@ -107,9 +107,9 @@ func TestFIFOHeadReuse(t *testing.T) {
 
 // newTimerKernel builds a kernel whose Fire records expiry times and
 // charges cost seconds of preparation CPU.
-func newTimerKernel(mode TimerMode, tp, cost float64) (*netsim.Network, *Kernel[int], *[]float64) {
+func newTimerKernel(tp, cost float64) (*netsim.Network, *Kernel[int], *[]float64) {
 	net := netsim.NewNetwork(1)
-	node := net.NewNode("r0", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4})
+	node := net.NewNode("r0", &netsim.CPUConfig{InputQueueCap: 4})
 	fires := &[]float64{}
 	var k *Kernel[int]
 	h := testHooks()
@@ -121,61 +121,36 @@ func newTimerKernel(mode TimerMode, tp, cost float64) (*netsim.Network, *Kernel[
 		Name:       "test",
 		Node:       node,
 		Jitter:     jitter.None{Tp: tp},
-		Mode:       mode,
 		TimerLabel: "test-timer",
 		RearmLabel: "test-rearm",
 	}, h)
 	return net, k, fires
 }
 
-func TestKernelTimerModes(t *testing.T) {
-	// Tp=10, preparation cost 0.5, first expiry at t=1. AfterProcessing
-	// re-arms from the CPU drain (1.5), OnExpiry from the expiry (1.0):
-	// the half-second processing drift accumulates only in the first mode
-	// — the paper's §3 coupling vs the RFC 1058 fixed-phase suggestion.
-	cases := []struct {
-		mode TimerMode
-		want []float64
-	}{
-		{TimerResetAfterProcessing, []float64{1, 11.5, 22}},
-		{TimerResetOnExpiry, []float64{1, 11, 21}},
-	}
-	for _, c := range cases {
-		net, k, fires := newTimerKernel(c.mode, 10, 0.5)
-		k.StartTimer(1)
-		net.RunUntil(25)
-		if len(*fires) != len(c.want) {
-			t.Fatalf("mode %d: %d fires %v, want %d", c.mode, len(*fires), *fires, len(c.want))
-		}
-		for i, want := range c.want {
-			if got := (*fires)[i]; got != want {
-				t.Fatalf("mode %d: fire #%d at %g, want %g", c.mode, i, got, want)
-			}
-		}
-		if k.TimerResets() == 0 {
-			t.Fatalf("mode %d: TimerResets not counted", c.mode)
-		}
-	}
-}
-
-func TestKernelTimerOnExpiryClampsToNow(t *testing.T) {
-	// When processing outlasts the period (cost 1.0 > Tp 0.2), the
-	// expiry-relative arm time lands in the past and must clamp to now:
-	// the next fire happens the instant the CPU drains, not before.
-	net, k, fires := newTimerKernel(TimerResetOnExpiry, 0.2, 1.0)
+func TestKernelTimerRearmsAfterProcessing(t *testing.T) {
+	// Tp=10, preparation cost 0.5, first expiry at t=1: the timer re-arms
+	// from the CPU drain (1.5), not from the expiry, so the half-second
+	// processing drift accumulates — the paper's §3 coupling.
+	net, k, fires := newTimerKernel(10, 0.5)
 	k.StartTimer(1)
-	net.RunUntil(2.5)
-	if len(*fires) < 2 {
-		t.Fatalf("fires = %v, want at least 2", *fires)
+	net.RunUntil(25)
+	want := []float64{1, 11.5, 22}
+	if len(*fires) != len(want) {
+		t.Fatalf("%d fires %v, want %d", len(*fires), *fires, len(want))
 	}
-	if (*fires)[1] != 2.0 {
-		t.Fatalf("clamped fire at %g, want 2.0 (CPU drain)", (*fires)[1])
+	for i, w := range want {
+		if got := (*fires)[i]; got != w {
+			t.Fatalf("fire #%d at %g, want %g", i, got, w)
+		}
+	}
+	if k.TimerResets() == 0 {
+		t.Fatal("TimerResets not counted")
 	}
 }
 
 func TestKernelStopInvalidatesPendingWork(t *testing.T) {
 	net := netsim.NewNetwork(1)
-	node := net.NewNode("r0", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4})
+	node := net.NewNode("r0", &netsim.CPUConfig{InputQueueCap: 4})
 	processed := false
 	h := testHooks()
 	h.Process = func(pkt *netsim.Packet, via netsim.Medium, aux int) { processed = true }
@@ -222,7 +197,7 @@ func TestKernelProcessSynchronousWithoutCPU(t *testing.T) {
 
 func TestKernelCrashRestart(t *testing.T) {
 	net := netsim.NewNetwork(1)
-	node := net.NewNode("r0", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4})
+	node := net.NewNode("r0", &netsim.CPUConfig{InputQueueCap: 4})
 	resets, restarts := 0, 0
 	h := testHooks()
 	h.ResetVolatile = func() { resets++ }

@@ -8,11 +8,6 @@ import (
 	"routesync/internal/protocol"
 )
 
-// TimerMode selects when the routing timer is re-armed; it is the
-// kernel's TimerMode (protocol.TimerResetAfterProcessing or
-// protocol.TimerResetOnExpiry).
-type TimerMode = protocol.TimerMode
-
 // Costs models router CPU consumption per routing message, following the
 // paper's Xerox PARC measurement of roughly 1 ms per route.
 type Costs struct {
@@ -43,15 +38,10 @@ type Config struct {
 	// Costs models CPU consumption; the zero value means free processing
 	// (useful for pure-convergence tests).
 	Costs Costs
-	// TimerMode selects the re-arm rule; zero value is the paper's.
-	TimerMode TimerMode
 	// TriggeredResetsTimer controls whether a triggered update re-arms
 	// the periodic timer (§3 step 4 does; some real implementations do
 	// not [Li93]).
 	TriggeredResetsTimer bool
-	// TriggerHoldoff rate-limits triggered updates (seconds); zero means
-	// 1 s.
-	TriggerHoldoff float64
 	// ExtraRoutes inflates the advertised table with this many synthetic
 	// routes, modelling routers that carry many more destinations than
 	// the simulated topology (the PARC routers carried ~300 routes).
@@ -60,11 +50,6 @@ type Config struct {
 	// (RFC 1058 §3.4.1), so a rebooted router converges without waiting
 	// up to a full period for its neighbors' timers.
 	RequestOnStart bool
-	// LinkCost returns the metric charged for a hop over the given
-	// medium (>= 1). Nil means hop count (cost 1 everywhere). Delay-
-	// weighted protocols like Hello supply costs derived from the
-	// medium's latency.
-	LinkCost func(netsim.Medium) uint32
 	// Seed drives the agent's private jitter stream.
 	Seed int64
 }
@@ -121,9 +106,6 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 	if cfg.Jitter == nil {
 		cfg.Jitter = jitter.None{Tp: cfg.Profile.Period}
 	}
-	if cfg.TriggerHoldoff == 0 {
-		cfg.TriggerHoldoff = 1
-	}
 	if cfg.Costs.PerRoutePrepare < 0 || cfg.Costs.PerRouteProcess < 0 ||
 		cfg.Costs.MinPrepare < 0 || cfg.Costs.MinProcess < 0 {
 		panic("routing: negative costs")
@@ -141,7 +123,6 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		Node:       node,
 		Seed:       cfg.Seed ^ int64(node.ID)*0x9E3779B9,
 		Jitter:     cfg.Jitter,
-		Mode:       cfg.TimerMode,
 		TimerLabel: "routing-timer",
 		RearmLabel: "routing-rearm-wait",
 		SweepLabel: "routing-sweep",
@@ -157,7 +138,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		// reached.
 		ResetVolatile: func() { a.table.Reset() },
 		Restarted: func() {
-			a.lastTrig = a.k.Node().Now() - a.cfg.TriggerHoldoff
+			a.lastTrig = a.k.Node().Now() - triggerHoldoff
 		},
 	})
 	return a
@@ -346,11 +327,7 @@ func (a *Agent) PendingPackets() int { return a.k.PendingPackets() }
 func (a *Agent) integrate(msg Message, via netsim.Medium) {
 	node := a.k.Node()
 	now := node.Now()
-	cost := uint32(1)
-	if a.cfg.LinkCost != nil {
-		cost = a.cfg.LinkCost(via)
-	}
-	res := a.table.ApplyCost(msg, via, now, cost)
+	res := a.table.ApplyCost(msg, via, now, 1) // the agent counts hops
 	if res.Changed {
 		a.stats.RouteChanges++
 	}
@@ -381,10 +358,13 @@ func (a *Agent) integrate(msg Message, via netsim.Medium) {
 	}
 }
 
+// triggerHoldoff is the minimum spacing of triggered updates, in seconds.
+const triggerHoldoff = 1.0
+
 // triggerUpdate sends a rate-limited triggered update.
 func (a *Agent) triggerUpdate() {
 	now := a.k.Node().Now()
-	if now-a.lastTrig < a.cfg.TriggerHoldoff {
+	if now-a.lastTrig < triggerHoldoff {
 		return
 	}
 	a.lastTrig = now

@@ -7,7 +7,6 @@ import (
 
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
-	"routesync/internal/protocol"
 )
 
 // lanOfRouters builds n routers on one zero-delay LAN, each running an
@@ -17,7 +16,7 @@ func lanOfRouters(n int, cfg Config, offsets []float64) (*netsim.Network, []*Age
 	net := netsim.NewNetwork(cfg.Seed + 1000)
 	nodes := make([]*netsim.Node, n)
 	for i := range nodes {
-		nodes[i] = net.NewNode("r", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+		nodes[i] = net.NewNode("r", &netsim.CPUConfig{})
 	}
 	net.NewLAN(nodes, netsim.LANConfig{})
 	agents := make([]*Agent, n)
@@ -59,7 +58,7 @@ func chainOfRouters(k int, cfg Config) (*netsim.Network, []*Agent, []*netsim.Lin
 	net := netsim.NewNetwork(cfg.Seed + 2000)
 	nodes := make([]*netsim.Node, k)
 	for i := range nodes {
-		nodes[i] = net.NewNode("r", &netsim.CPUConfig{Mode: netsim.CPUModeFixed})
+		nodes[i] = net.NewNode("r", &netsim.CPUConfig{})
 	}
 	links := make([]*netsim.Link, k-1)
 	for i := 0; i+1 < k; i++ {
@@ -178,35 +177,6 @@ func TestLockStepCoupling(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		if s0[i] != s1[i] {
 			t.Fatalf("round %d sends differ: %v vs %v (not lock-step)", i, s0[i], s1[i])
-		}
-	}
-}
-
-// TestResetOnExpiryKeepsOffsets: the RFC 1058 timer mode removes the
-// coupling — the 50 ms phase offset persists.
-func TestResetOnExpiryKeepsOffsets(t *testing.T) {
-	cfg := Config{
-		Profile:   RIP(),
-		Jitter:    jitter.None{Tp: 30},
-		Costs:     Costs{MinPrepare: 0.1, MinProcess: 0.1},
-		TimerMode: protocol.TimerResetOnExpiry,
-		Seed:      6,
-	}
-	sends := make(map[int][]float64)
-	net, agents := lanOfRouters(2, cfg, []float64{1.0, 1.05})
-	for i, a := range agents {
-		i := i
-		a.OnSend = func(at float64, trig bool) {
-			if !trig {
-				sends[i] = append(sends[i], at)
-			}
-		}
-	}
-	net.RunUntil(400)
-	s0, s1 := sends[0], sends[1]
-	for i := 0; i < 5 && i < len(s0) && i < len(s1); i++ {
-		if math.Abs((s1[i]-s0[i])-0.05) > 1e-9 {
-			t.Fatalf("round %d gap = %v, want 0.05 preserved", i, s1[i]-s0[i])
 		}
 	}
 }

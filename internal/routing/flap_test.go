@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"routesync/internal/netsim"
-	"routesync/internal/protocol"
 )
 
 // flapTransition is one forwarding-state edge for the watched
@@ -27,7 +26,7 @@ type flapTransition struct {
 //
 // The B–D link flaps twice via scheduled FailAt/RestoreAt. Returns A's
 // transition timeline for dest D and the final table entry.
-func runFlapScenario(t *testing.T, mode TimerMode, holdDown float64) ([]flapTransition, *Route) {
+func runFlapScenario(t *testing.T, holdDown float64) ([]flapTransition, *Route) {
 	t.Helper()
 	n := netsim.NewNetwork(17)
 	mk := func(name string) *netsim.Node { return n.NewNode(name, nil) }
@@ -47,7 +46,7 @@ func runFlapScenario(t *testing.T, mode TimerMode, holdDown float64) ([]flapTran
 		TriggeredUpdates: true, SplitHorizon: true,
 		HoldDown: holdDown,
 	}
-	cfg := Config{Profile: prof, TimerMode: mode, Seed: 5}
+	cfg := Config{Profile: prof, Seed: 5}
 	var agents []*Agent
 	for i, nd := range []*netsim.Node{a, b, c1, c2, d} {
 		ag := NewAgent(nd, cfg)
@@ -84,75 +83,72 @@ func runFlapScenario(t *testing.T, mode TimerMode, holdDown float64) ([]flapTran
 // different next hop inside the hold window; with hold-down off, it
 // must fail over to the alternate path well before a hold window would
 // have expired. In both configurations convergence after the final
-// restore is bounded. Both timer re-arm modes are covered.
+// restore is bounded.
 func TestHoldDownUnderRepeatedFlaps(t *testing.T) {
 	const holdDown = 20.0
-	for _, mode := range []TimerMode{protocol.TimerResetAfterProcessing, protocol.TimerResetOnExpiry} {
-		for _, hd := range []float64{0, holdDown} {
-			name := fmt.Sprintf("mode=%d/holddown=%v", int(mode), hd)
-			t.Run(name, func(t *testing.T) {
-				timeline, final := runFlapScenario(t, mode, hd)
-				if len(timeline) < 4 {
-					t.Fatalf("timeline too short (%d transitions): flaps did not propagate", len(timeline))
-				}
-				if timeline[0].up != true {
-					t.Fatalf("first transition is not the initial convergence: %+v", timeline[0])
-				}
-				lastRestore := 150.0
-				var lossAt = math.NaN()
-				var lastUpHop netsim.NodeID = -1
-				sawFailover := false
-				recovered := math.NaN()
-				for i, tr := range timeline {
-					if tr.up {
-						// Recovery after the final restore may be a plain
-						// metric improvement (hold-down off: the alternate
-						// path was already carrying the route), so any
-						// up-edge counts.
-						if tr.at > lastRestore && math.IsNaN(recovered) {
-							recovered = tr.at
-						}
-						if !math.IsNaN(lossAt) {
-							// Recovery edge: inside the hold window only the
-							// pre-loss next hop may reinstall the route.
-							if hd > 0 && tr.at < lossAt+hd && tr.nextHop != lastUpHop {
-								t.Errorf("resurrection inside hold window: lost %.2f, back %.2f via %d (was %d)",
-									lossAt, tr.at, tr.nextHop, lastUpHop)
-							}
-							if tr.nextHop != lastUpHop {
-								sawFailover = true
-								if hd == 0 && tr.at-lossAt > 15 {
-									t.Errorf("failover without hold-down took %.2f s (lost %.2f, back %.2f), want < 15",
-										tr.at-lossAt, lossAt, tr.at)
-								}
-							}
-							lossAt = math.NaN()
-						}
-						lastUpHop = tr.nextHop
-					} else if math.IsNaN(lossAt) {
-						lossAt = tr.at
-						_ = i
+	for _, hd := range []float64{0, holdDown} {
+		t.Run(fmt.Sprintf("holddown=%v", hd), func(t *testing.T) {
+			timeline, final := runFlapScenario(t, hd)
+			if len(timeline) < 4 {
+				t.Fatalf("timeline too short (%d transitions): flaps did not propagate", len(timeline))
+			}
+			if timeline[0].up != true {
+				t.Fatalf("first transition is not the initial convergence: %+v", timeline[0])
+			}
+			lastRestore := 150.0
+			var lossAt = math.NaN()
+			var lastUpHop netsim.NodeID = -1
+			sawFailover := false
+			recovered := math.NaN()
+			for i, tr := range timeline {
+				if tr.up {
+					// Recovery after the final restore may be a plain
+					// metric improvement (hold-down off: the alternate
+					// path was already carrying the route), so any
+					// up-edge counts.
+					if tr.at > lastRestore && math.IsNaN(recovered) {
+						recovered = tr.at
 					}
+					if !math.IsNaN(lossAt) {
+						// Recovery edge: inside the hold window only the
+						// pre-loss next hop may reinstall the route.
+						if hd > 0 && tr.at < lossAt+hd && tr.nextHop != lastUpHop {
+							t.Errorf("resurrection inside hold window: lost %.2f, back %.2f via %d (was %d)",
+								lossAt, tr.at, tr.nextHop, lastUpHop)
+						}
+						if tr.nextHop != lastUpHop {
+							sawFailover = true
+							if hd == 0 && tr.at-lossAt > 15 {
+								t.Errorf("failover without hold-down took %.2f s (lost %.2f, back %.2f), want < 15",
+									tr.at-lossAt, lossAt, tr.at)
+							}
+						}
+						lossAt = math.NaN()
+					}
+					lastUpHop = tr.nextHop
+				} else if math.IsNaN(lossAt) {
+					lossAt = tr.at
+					_ = i
 				}
-				// Bounded convergence tail: the final restore at t=150 must
-				// be followed by a recovery well under GC + hold + a few
-				// periods.
-				if math.IsNaN(recovered) {
-					t.Fatal("no recovery after the final restore")
-				}
-				if tail := recovered - lastRestore; tail > 50 {
-					t.Errorf("convergence tail after final restore = %.2f s, want ≤ 50", tail)
-				}
-				if final == nil || final.Metric >= 16 {
-					t.Fatalf("destination unreachable at end of run: %+v", final)
-				}
-				if final.Metric != 2 {
-					t.Errorf("final metric = %d, want 2 (short path restored)", final.Metric)
-				}
-				if !sawFailover {
-					t.Error("alternate path never used: flap scenario is inert")
-				}
-			})
-		}
+			}
+			// Bounded convergence tail: the final restore at t=150 must
+			// be followed by a recovery well under GC + hold + a few
+			// periods.
+			if math.IsNaN(recovered) {
+				t.Fatal("no recovery after the final restore")
+			}
+			if tail := recovered - lastRestore; tail > 50 {
+				t.Errorf("convergence tail after final restore = %.2f s, want ≤ 50", tail)
+			}
+			if final == nil || final.Metric >= 16 {
+				t.Fatalf("destination unreachable at end of run: %+v", final)
+			}
+			if final.Metric != 2 {
+				t.Errorf("final metric = %d, want 2 (short path restored)", final.Metric)
+			}
+			if !sawFailover {
+				t.Error("alternate path never used: flap scenario is inert")
+			}
+		})
 	}
 }

@@ -1,11 +1,6 @@
 package routing
 
-import (
-	"testing"
-
-	"routesync/internal/jitter"
-	"routesync/internal/netsim"
-)
+import "testing"
 
 func TestApplyCostWeighted(t *testing.T) {
 	tb := NewTable(1000)
@@ -39,50 +34,4 @@ func TestApplyCostZeroPanics(t *testing.T) {
 		}
 	}()
 	tb.ApplyCost(Message{Router: 1}, &fakeMedium{"x"}, 0, 0)
-}
-
-// TestWeightedProtocolPrefersCheapDetour: a diamond where the direct link
-// is expensive (cost 10) and the two-hop detour is cheap (1+1): a
-// cost-aware agent must route around, a hop-count agent straight through.
-func TestWeightedProtocolPrefersCheapDetour(t *testing.T) {
-	build := func(costAware bool) (src, dst *netsim.Node, agSrc *Agent, net *netsim.Network) {
-		net = netsim.NewNetwork(61)
-		src = net.NewNode("src", nil)
-		mid := net.NewNode("mid", nil)
-		dst = net.NewNode("dst", nil)
-		slow := net.Connect(src, dst, netsim.LinkConfig{Delay: 0.05}) // satellite hop
-		net.Connect(src, mid, netsim.LinkConfig{Delay: 0.001})
-		net.Connect(mid, dst, netsim.LinkConfig{Delay: 0.001})
-
-		prof := Hello() // delay-weighted protocol profile
-		cfg := Config{Profile: prof, Jitter: jitter.HalfSpread{Tp: prof.Period}, Seed: 5}
-		if costAware {
-			cfg.LinkCost = func(m netsim.Medium) uint32 {
-				if m == netsim.Medium(slow) {
-					return 10
-				}
-				return 1
-			}
-		}
-		for i, nd := range []*netsim.Node{src, mid, dst} {
-			ag := NewAgent(nd, cfg)
-			ag.Start(float64(i) + 1)
-			if nd == src {
-				agSrc = ag
-			}
-		}
-		net.RunUntil(6 * prof.Period)
-		return src, dst, agSrc, net
-	}
-
-	_, dst, agHop, _ := build(false)
-	if r := agHop.Table().Get(dst.ID); r == nil || r.Metric != 1 {
-		t.Fatalf("hop-count route = %+v, want direct (metric 1)", r)
-	}
-
-	_, dst2, agCost, _ := build(true)
-	r := agCost.Table().Get(dst2.ID)
-	if r == nil || r.Metric != 2 {
-		t.Fatalf("cost-aware route = %+v, want detour (metric 2)", r)
-	}
 }

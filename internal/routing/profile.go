@@ -95,12 +95,14 @@ func EGP() Profile {
 }
 
 // Hello returns a Hello-protocol-shaped profile (RFC 891 DCN): frequent
-// small updates.
+// small updates. Real Hello metrics are milliseconds of delay, hence the
+// large Infinity; the agent counts hops, so here it only bounds a count
+// to infinity.
 func Hello() Profile {
 	return Profile{
 		Name:             "hello",
 		Period:           30,
-		Infinity:         30000, // Hello metrics are milliseconds of delay
+		Infinity:         30000,
 		TimeoutFactor:    4,
 		GCFactor:         8,
 		TriggeredUpdates: true,

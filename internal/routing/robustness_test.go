@@ -108,10 +108,10 @@ func TestManyAgentsSoak(t *testing.T) {
 	net := netsim.NewNetwork(77)
 	var lanA, lanB []*netsim.Node
 	for i := 0; i < 5; i++ {
-		lanA = append(lanA, net.NewNode("a", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy}))
-		lanB = append(lanB, net.NewNode("b", &netsim.CPUConfig{Mode: netsim.CPUModeLegacy}))
+		lanA = append(lanA, net.NewNode("a", &netsim.CPUConfig{}))
+		lanB = append(lanB, net.NewNode("b", &netsim.CPUConfig{}))
 	}
-	bridge := net.NewNode("bridge", &netsim.CPUConfig{Mode: netsim.CPUModeFixed})
+	bridge := net.NewNode("bridge", &netsim.CPUConfig{})
 	net.NewLAN(append(append([]*netsim.Node{}, lanA...), bridge), netsim.LANConfig{})
 	net.NewLAN(append(append([]*netsim.Node{}, lanB...), bridge), netsim.LANConfig{})
 

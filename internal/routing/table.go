@@ -209,10 +209,10 @@ func (res *ApplyResult) install(i int) {
 // the "believe your next hop" rule): the advertised metric plus the
 // ingress link cost — the metric charged for the hop to the advertising
 // neighbor — capped at infinity. via is the medium the update arrived
-// on, now the current time. Hop-count protocols (RIP) use cost 1; delay-
-// or bandwidth-weighted protocols (Hello, IGRP's composite metric in
-// spirit) supply larger costs for slower media. Cost must be at least 1
-// (a zero-cost hop would allow counting loops that never age).
+// on, now the current time. The agent counts hops and charges cost 1;
+// a delay- or bandwidth-weighted metric would charge more for slower
+// media. Cost must be at least 1 (a zero-cost hop would allow counting
+// loops that never age).
 func (t *Table) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32) ApplyResult {
 	if cost < 1 {
 		panic("routing: link cost must be at least 1")

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"routesync/internal/des"
@@ -11,8 +10,8 @@ import (
 // run. It implements both des.Observer and periodic.Observer (des.Time is
 // a float64 alias, so plain float64 signatures satisfy both interfaces).
 // All methods are lock-free atomic updates: the simulation thread pays a
-// few nanoseconds per event and zero allocations, and the runner's
-// progress goroutine may read concurrently.
+// few nanoseconds per event and zero allocations, and an experiment's
+// concurrent replications may observe into one Metrics.
 type Metrics struct {
 	scheduled atomic.Uint64
 	fired     atomic.Uint64
@@ -103,21 +102,4 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 		s.DESBackend = des.DefaultBackend().String()
 	}
 	return s
-}
-
-// progress renders a short live-status fragment for the runner's
-// progress lines, or "" when nothing has been observed yet.
-func (m *Metrics) progress() string {
-	rounds := m.rounds.Load()
-	fired := m.fired.Load()
-	switch {
-	case rounds > 0 && fired > 0:
-		return fmt.Sprintf("%d rounds, %d events", rounds, fired)
-	case rounds > 0:
-		return fmt.Sprintf("%d rounds", rounds)
-	case fired > 0:
-		return fmt.Sprintf("%d events", fired)
-	default:
-		return ""
-	}
 }

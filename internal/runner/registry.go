@@ -2,8 +2,8 @@
 // a registry of named experiments, a Spec→Artifacts run contract,
 // MANIFEST.json provenance (params hash, code version, git describe,
 // wall time, content hash of every emitted file), incremental re-runs
-// that skip up-to-date experiments, and live progress wiring for the
-// engine observer hooks in internal/des and internal/periodic.
+// that skip up-to-date experiments, and the manifest's metrics block fed
+// by the engine observer hooks in internal/des and internal/periodic.
 //
 // It owns -only selection, -jobs scheduling with output in registration
 // order, TIMINGS.json bookkeeping, and partial-run index protection. The

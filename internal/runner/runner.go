@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"routesync/internal/parallel"
@@ -73,12 +72,6 @@ type Options struct {
 	// means os.Stderr. The run continues past failures (matching the old
 	// cmd/figures behavior) but reports them in Run's error.
 	Errout io.Writer
-	// Progress, when non-nil, receives live one-line status updates for
-	// in-flight experiments (engine observer counts). Intended for a
-	// terminal's stderr; keep it off when stderr is redirected.
-	Progress io.Writer
-	// ProgressEvery overrides the progress line interval (default 1s).
-	ProgressEvery time.Duration
 }
 
 // Summary reports what one invocation did.
@@ -145,8 +138,6 @@ func Run(opts Options) (*Summary, error) {
 	codeVersion := CodeVersion()
 
 	shared := newSharedCache()
-	inflight := newProgressBoard(opts, active)
-	defer inflight.stop()
 
 	var index strings.Builder
 	index.WriteString("# Regenerated figures\n\n")
@@ -169,11 +160,9 @@ func Run(opts Options) (*Summary, error) {
 			Metrics: &Metrics{},
 			shared:  shared,
 		}
-		inflight.start(e.ID, spec.Metrics)
 		start := time.Now()
 		art, err := e.Run(spec)
 		seconds := time.Since(start).Seconds()
-		inflight.finish(e.ID)
 		if err != nil {
 			return expRun{err: fmt.Errorf("%s: %w", e.ID, err), seconds: seconds}
 		}
@@ -233,7 +222,6 @@ func Run(opts Options) (*Summary, error) {
 		fmt.Fprintf(&index, "- files: [`%s.csv`](%s.csv), [`%s.txt`](%s.txt)\n\n", e.ID, e.ID, e.ID, e.ID)
 	})
 	sum.Total = time.Since(t0)
-	inflight.stop()
 
 	if sum.Failed > 0 {
 		return sum, fmt.Errorf("%d of %d experiments failed", sum.Failed, len(active))
@@ -296,103 +284,4 @@ func (e *ManifestEntry) artifacts() *Artifacts {
 		Series: e.Series,
 		Points: e.Points,
 	}
-}
-
-// progressBoard tracks in-flight experiments and, when enabled, prints a
-// one-line status every interval from a background goroutine. All engine
-// metric reads are atomic, so the goroutine never blocks a simulation.
-type progressBoard struct {
-	w        io.Writer
-	interval time.Duration
-	order    []string
-
-	mu       sync.Mutex
-	inflight map[string]*Metrics
-	stopping chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-}
-
-func newProgressBoard(opts Options, active []*Experiment) *progressBoard {
-	b := &progressBoard{
-		w:        opts.Progress,
-		interval: opts.ProgressEvery,
-		inflight: map[string]*Metrics{},
-		stopping: make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	for _, e := range active {
-		b.order = append(b.order, e.ID)
-	}
-	if b.interval <= 0 {
-		b.interval = time.Second
-	}
-	if b.w != nil {
-		go b.loop()
-	} else {
-		close(b.done)
-	}
-	return b
-}
-
-func (b *progressBoard) start(id string, m *Metrics) {
-	if b.w == nil {
-		return
-	}
-	b.mu.Lock()
-	b.inflight[id] = m
-	b.mu.Unlock()
-}
-
-func (b *progressBoard) finish(id string) {
-	if b.w == nil {
-		return
-	}
-	b.mu.Lock()
-	delete(b.inflight, id)
-	b.mu.Unlock()
-}
-
-func (b *progressBoard) stop() {
-	b.stopOnce.Do(func() { close(b.stopping) })
-	<-b.done
-}
-
-func (b *progressBoard) loop() {
-	defer close(b.done)
-	tick := time.NewTicker(b.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-b.stopping:
-			return
-		case <-tick.C:
-			if line := b.render(); line != "" {
-				fmt.Fprintln(b.w, line)
-			}
-		}
-	}
-}
-
-// render lists in-flight experiments in registration order with their
-// live observer counts.
-func (b *progressBoard) render() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.inflight) == 0 {
-		return ""
-	}
-	var parts []string
-	for _, id := range b.order {
-		m, ok := b.inflight[id]
-		if !ok {
-			continue
-		}
-		if p := m.progress(); p != "" {
-			parts = append(parts, fmt.Sprintf("%s: %s", id, p))
-		} else {
-			parts = append(parts, fmt.Sprintf("%s: running", id))
-		}
-	}
-	return "  … " + strings.Join(parts, " | ")
 }

@@ -358,9 +358,6 @@ func TestMetricsSnapshot(t *testing.T) {
 	if s.DESBackend != des.DefaultBackend().String() {
 		t.Fatalf("DESBackend = %q, want %q", s.DESBackend, des.DefaultBackend().String())
 	}
-	if p := m.progress(); p != "1 rounds, 1 events" {
-		t.Fatalf("progress = %q", p)
-	}
 	// An experiment that never touched the DES kernel records no backend.
 	rounds := &Metrics{}
 	rounds.RoundCompleted(1.0, 3)

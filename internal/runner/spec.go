@@ -18,8 +18,8 @@ type Spec struct {
 	Jobs int
 	// OutDir is where the experiment writes its files.
 	OutDir string
-	// Metrics, when non-nil, accumulates engine observer counts for live
-	// progress lines and the manifest metrics block.
+	// Metrics, when non-nil, accumulates engine observer counts for the
+	// manifest metrics block.
 	Metrics *Metrics
 
 	shared *sharedCache

@@ -1,8 +1,6 @@
 package scenarios
 
 import (
-	"math"
-
 	"routesync/internal/rng"
 	"routesync/internal/stats"
 )
@@ -13,32 +11,22 @@ import (
 // [Pa93a]). The processes never communicate, yet their traffic is
 // perfectly synchronized because they share a wall clock.
 type ExternalClockConfig struct {
-	// Processes firing per clock boundary.
-	Processes int
-	// Interval between clock boundaries (3600 s for "hourly").
-	Interval float64
-	// StartNoise is the per-process fixed offset spread around the
-	// boundary (cron jitter, clock skew), uniform in [0, StartNoise].
-	StartNoise float64
-	// Duration of the observation window.
-	Duration float64
-	Seed     int64
+	Seed int64
 }
 
-// Defaults fills zero fields with an hourly-cron picture.
+// The scenario is an hourly-cron picture: clockProcesses processes fire
+// at each clock boundary, boundaries clockInterval seconds apart, each
+// process at its own fixed offset uniform in [0, clockStartNoise] (cron
+// jitter, clock skew), observed for clockDuration seconds.
+const (
+	clockProcesses  = 50
+	clockInterval   = 3600.0
+	clockStartNoise = 30.0
+	clockDuration   = 6 * clockInterval
+)
+
+// Defaults fills a zero Seed.
 func (c ExternalClockConfig) Defaults() ExternalClockConfig {
-	if c.Processes == 0 {
-		c.Processes = 50
-	}
-	if c.Interval == 0 {
-		c.Interval = 3600
-	}
-	if c.StartNoise == 0 {
-		c.StartNoise = 30
-	}
-	if c.Duration == 0 {
-		c.Duration = 6 * c.Interval
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -60,15 +48,15 @@ type ExternalClockResult struct {
 // offset) and bins the aggregate.
 func RunExternalClock(cfg ExternalClockConfig) ExternalClockResult {
 	cfg = cfg.Defaults()
-	h := clockHistogram(cfg)
+	h := clockHistogram()
 	r := rng.New(cfg.Seed)
-	offsets := make([]float64, cfg.Processes)
+	offsets := make([]float64, clockProcesses)
 	for i := range offsets {
-		offsets[i] = r.Uniform(0, math.Max(cfg.StartNoise, 1e-9))
+		offsets[i] = r.Uniform(0, clockStartNoise)
 	}
-	for b := 0.0; b < cfg.Duration; b += cfg.Interval {
+	for b := 0.0; b < clockDuration; b += clockInterval {
 		for _, off := range offsets {
-			if t := b + off; t < cfg.Duration {
+			if t := b + off; t < clockDuration {
 				h.Add(t)
 			}
 		}
@@ -82,22 +70,18 @@ func RunExternalClock(cfg ExternalClockConfig) ExternalClockResult {
 // quantifies how wrong the intuition is.
 func UniformBaseline(cfg ExternalClockConfig) ExternalClockResult {
 	cfg = cfg.Defaults()
-	h := clockHistogram(cfg)
+	h := clockHistogram()
 	r := rng.New(cfg.Seed + 9999)
-	for n := int(cfg.Duration/cfg.Interval) * cfg.Processes; n > 0; n-- {
-		h.Add(r.Uniform(0, cfg.Duration))
+	for n := int(clockDuration/clockInterval) * clockProcesses; n > 0; n-- {
+		h.Add(r.Uniform(0, clockDuration))
 	}
 	return clockResult(h)
 }
 
-// clockHistogram validates cfg and bins its observation window one
-// "minute" (Interval/60) per bin, with at least 10 bins.
-func clockHistogram(cfg ExternalClockConfig) *stats.Histogram {
-	if cfg.Processes < 1 || cfg.Interval <= 0 || cfg.Duration <= 0 || cfg.StartNoise < 0 {
-		panic("scenarios: invalid external-clock config")
-	}
-	bins := max(int(cfg.Duration/(cfg.Interval/60)), 10)
-	return stats.NewHistogram(0, cfg.Duration, bins)
+// clockHistogram bins the observation window one "minute"
+// (clockInterval/60) per bin.
+func clockHistogram() *stats.Histogram {
+	return stats.NewHistogram(0, clockDuration, int(clockDuration/(clockInterval/60)))
 }
 
 // clockResult summarizes a filled histogram.

@@ -37,14 +37,14 @@ type PlotOptions struct {
 	Title  string
 	XLabel string
 	YLabel string
-	// Width and Height are the plotting area in characters; zero values
-	// default to 72×20.
-	Width, Height int
 	// LogY plots log10(y); non-positive values are skipped.
 	LogY bool
 	// YMin/YMax fix the y range; NaN (or zero-valued struct) means auto.
 	YMin, YMax float64
 }
+
+// plotWidth and plotHeight are the plotting area in characters.
+const plotWidth, plotHeight = 72, 20
 
 // Markers assigns one rune per series, cycling if there are more series.
 var Markers = []rune{'*', '+', 'o', 'x', '#', '@', '%', '~'}
@@ -53,13 +53,7 @@ var Markers = []rune{'*', '+', 'o', 'x', '#', '@', '%', '~'}
 // skipped. An empty plot (no finite points) renders the frame with a
 // "no data" note.
 func Render(opt PlotOptions, series ...stats.Series) string {
-	w, h := opt.Width, opt.Height
-	if w <= 0 {
-		w = 72
-	}
-	if h <= 0 {
-		h = 20
-	}
+	w, h := plotWidth, plotHeight
 
 	tx := func(x float64) float64 { return x }
 	ty := func(y float64) float64 { return y }

@@ -49,14 +49,14 @@ func TestRenderBasics(t *testing.T) {
 
 func TestRenderCornersLandAtCorners(t *testing.T) {
 	s := mkSeries("", [2]float64{0, 0}, [2]float64{1, 1})
-	out := Render(PlotOptions{Width: 11, Height: 5}, s)
+	out := Render(PlotOptions{}, s)
 	lines := strings.Split(out, "\n")
 	// top row contains the max point at the right edge
 	if !strings.HasSuffix(strings.TrimRight(lines[0], " "), "*") {
 		t.Fatalf("top row = %q", lines[0])
 	}
 	// bottom plot row contains the min point right after the axis bar
-	bottom := lines[4]
+	bottom := lines[plotHeight-1]
 	idx := strings.Index(bottom, "|")
 	if idx < 0 || bottom[idx+1] != '*' {
 		t.Fatalf("bottom row = %q", bottom)
@@ -77,23 +77,23 @@ func TestRenderEmpty(t *testing.T) {
 
 func TestRenderLogY(t *testing.T) {
 	s := mkSeries("exp", [2]float64{0, 1}, [2]float64{1, 100}, [2]float64{2, 10000})
-	out := Render(PlotOptions{LogY: true, Width: 21, Height: 9}, s)
-	// On a log axis the three points form a straight diagonal: marker
-	// columns 0, 10, 20; rows 8, 4, 0.
+	out := Render(PlotOptions{LogY: true}, s)
+	// On a log axis the three points form a straight diagonal: the middle
+	// one lands halfway along each axis, rounded toward the bottom left.
 	lines := strings.Split(out, "\n")
 	find := func(row int) int {
 		line := lines[row]
 		idx := strings.Index(line, "|")
 		return strings.IndexRune(line[idx+1:], '*')
 	}
-	if c := find(8); c != 0 {
+	if c := find(plotHeight - 1); c != 0 {
 		t.Fatalf("bottom point at col %d, want 0", c)
 	}
-	if c := find(4); c != 10 {
-		t.Fatalf("middle point at col %d, want 10", c)
+	if mid, c := (plotWidth-1)/2, find(plotHeight-1-(plotHeight-1)/2); c != mid {
+		t.Fatalf("middle point at col %d, want %d", c, mid)
 	}
-	if c := find(0); c != 20 {
-		t.Fatalf("top point at col %d, want 20", c)
+	if c := find(0); c != plotWidth-1 {
+		t.Fatalf("top point at col %d, want %d", c, plotWidth-1)
 	}
 	if !strings.Contains(out, "e+") {
 		t.Fatal("log axis labels should be scientific")
@@ -119,7 +119,7 @@ func TestRenderLogYSkipsNonPositive(t *testing.T) {
 
 func TestRenderFixedYRange(t *testing.T) {
 	s := mkSeries("s", [2]float64{0, 5}, [2]float64{1, 6})
-	out := Render(PlotOptions{YMin: 0, YMax: 10, Height: 11, Width: 11}, s)
+	out := Render(PlotOptions{YMin: 0, YMax: 10}, s)
 	if !strings.Contains(out, "10") {
 		t.Fatalf("fixed y max not applied: %q", out)
 	}

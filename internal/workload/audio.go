@@ -11,10 +11,11 @@ type AudioConfig struct {
 	Rate float64
 	// Duration of the stream in seconds (paper's figure: 600 s).
 	Duration float64
-	// Size of each audio packet in bytes; zero means 180 (20 ms of
-	// 8 kHz PCM plus headers, the vat default era framing).
-	Size int
 }
+
+// audioSize is the size of each audio packet in bytes: 20 ms of 8 kHz
+// PCM plus headers, the vat default era framing.
+const audioSize = 180
 
 // AudioStream sends CBR traffic from src to dst and records which frames
 // arrive.
@@ -32,9 +33,6 @@ type AudioStream struct {
 func NewAudioStream(src, dst *netsim.Node, cfg AudioConfig) *AudioStream {
 	if cfg.Rate <= 0 || cfg.Duration <= 0 {
 		panic("workload: audio rate and duration must be positive")
-	}
-	if cfg.Size == 0 {
-		cfg.Size = 180
 	}
 	count := int(cfg.Rate * cfg.Duration)
 	s := &AudioStream{
@@ -67,7 +65,7 @@ func (s *AudioStream) Start(at float64) {
 	for i := 0; i < s.count; i++ {
 		i := i
 		s.src.Schedule(at+float64(i)*gap, "audio-frame", func() {
-			pkt := s.net.NewPacket(netsim.KindData, s.src.ID, s.dst.ID, s.cfg.Size)
+			pkt := s.net.NewPacket(netsim.KindData, s.src.ID, s.dst.ID, audioSize)
 			pkt.Seq = int64(i)
 			s.net.Inject(pkt)
 		})

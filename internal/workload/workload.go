@@ -23,9 +23,10 @@ type PingConfig struct {
 	// Timeout after which an unanswered echo counts as lost; zero means
 	// Interval.
 	Timeout float64
-	// Size of each echo packet in bytes; zero means 64.
-	Size int
 }
+
+// pingSize is the size of each echo packet in bytes.
+const pingSize = 64
 
 // PingResult holds a completed run. RTTs[i] is the round-trip time of
 // ping i in seconds, or NaN if it was lost.
@@ -114,9 +115,6 @@ func NewPinger(src, dst *netsim.Node, cfg PingConfig) *Pinger {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = cfg.Interval
 	}
-	if cfg.Size == 0 {
-		cfg.Size = 64
-	}
 	p := &Pinger{
 		net:  src.Net(),
 		src:  src,
@@ -152,7 +150,7 @@ func (p *Pinger) Start(at float64) {
 		when := at + float64(i)*p.cfg.Interval
 		p.src.Schedule(when, "ping", func() {
 			p.sent[i] = p.src.Now()
-			pkt := p.net.NewPacket(netsim.KindEchoRequest, p.src.ID, p.dst.ID, p.cfg.Size)
+			pkt := p.net.NewPacket(netsim.KindEchoRequest, p.src.ID, p.dst.ID, pingSize)
 			pkt.Seq = int64(i)
 			p.net.Inject(pkt)
 		})

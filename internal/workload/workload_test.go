@@ -37,7 +37,7 @@ func TestPingAllAnswered(t *testing.T) {
 }
 
 func TestPingLossDuringCPUBusy(t *testing.T) {
-	n, nodes := pingPath(2, &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+	n, nodes := pingPath(2, &netsim.CPUConfig{})
 	p := NewPinger(nodes[0], nodes[2], PingConfig{Interval: 1.0, Count: 20})
 	p.Start(0.5) // pings at 0.5, 1.5, 2.5, ...
 	// Block the router 4.9..8.1: pings at 5.5, 6.5, 7.5 die.
@@ -136,7 +136,7 @@ func TestAudioOutageExtraction(t *testing.T) {
 }
 
 func TestAudioLossDuringCPUBusy(t *testing.T) {
-	n, nodes := pingPath(6, &netsim.CPUConfig{Mode: netsim.CPUModeLegacy})
+	n, nodes := pingPath(6, &netsim.CPUConfig{})
 	s := NewAudioStream(nodes[0], nodes[2], AudioConfig{Rate: 50, Duration: 30})
 	s.Start(0)
 	// Two busy periods: 10.0–11.5 and 20.0–21.5.

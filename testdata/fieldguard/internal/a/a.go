@@ -1,6 +1,7 @@
 // Package a declares one struct type per field rule of
 // TestNoTestOnlyAPI; each type's doc comment says whether the guard must
-// flag its fields.
+// flag its fields. The *Config and *Options types are knobs: each field
+// is read, and the comment says how production sets it.
 package a
 
 import (
@@ -54,6 +55,34 @@ type Generic[T any] struct{ V T }
 type Outer struct{ Embedded }
 type Embedded struct{ N int }
 
+// KnobConfig's N is set only by a test: flagged. Its unexported field is
+// no knob: passes.
+type KnobConfig struct {
+	N int
+	n int
+}
+
+// DefaultConfig's N is set only to fill in its default, inside an if
+// whose condition reads it: flagged.
+type DefaultConfig struct{ N int }
+
+// KeyedConfig's N is set by a composite-literal key: passes.
+type KeyedConfig struct{ N int }
+
+// AssignedOptions' fields are set by =, by += and by ++: all pass.
+type AssignedOptions struct{ N, M, K int }
+
+// GuardedConfig's N is set inside an if whose condition reads only M,
+// and M is keyed: both pass.
+type GuardedConfig struct{ N, M int }
+
+// ForeignConfig's N is defaulted by the root package, outside its own
+// package: passes.
+type ForeignConfig struct{ N int }
+
+// Settings is not named like a knob, so its unset field passes.
+type Settings struct{ N int }
+
 // Use exercises every type above.
 func Use() {
 	w := Written{N: 1}
@@ -68,4 +97,19 @@ func Use() {
 	b, _ := json.Marshal(Marshaled{private: 1})
 	fmt.Println(len(b), Generic[int]{}.V, Outer{}.N)
 	_ = Exposed{hidden: 1}
+
+	k := KnobConfig{}
+	d := DefaultConfig{}
+	if d.N == 0 {
+		d.N = 4
+	}
+	var o AssignedOptions
+	o.N = 1
+	o.M += 2
+	o.K++
+	g := GuardedConfig{M: 1}
+	if g.M > 0 {
+		g.N = g.M
+	}
+	fmt.Println(k.N+k.n, d.N, KeyedConfig{N: 1}.N, o.N+o.M+o.K, g.N, Settings{}.N)
 }

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -15,29 +16,35 @@ import (
 )
 
 // testOnlyAllowed lists the internal/ functions, methods and struct
-// fields that no production code uses but that stay, each with its
-// reason: tests in another package use it as a fixture (its doc comment
-// names that use), or it waits for a decision on its whole mechanism.
+// fields that no production code uses (or, for a knob, sets) but that
+// stay, each with its reason: tests in another package use it as a
+// fixture (its doc comment names that use), tests set it as a seam, or
+// it waits for a decision on its whole mechanism.
 var testOnlyAllowed = map[string]string{
-	"cluster.Grow":                    "the ClusterGrow benchmark rows and periodic's reference stepper run the unsorted cluster rule",
-	"des.Simulator.Processed":         "netsim's CPU tests count fired events",
-	"experiments.BuildChurnBench":     "the NetsimChurn benchmark rows and the leak test build the churn scenario without its monitor",
-	"netsim.CPU.Occupy":               "netsim and workload tests stall a router's CPU",
-	"netsim.Link.SetDown":             "routing, linkstate and workload tests fail links during setup",
-	"netsim.Network.BuildChain":       "netsim and workload tests and the NetsimForward benchmark build chains",
-	"netsim.Network.BuildRandomGraph": "routing and linkstate convergence tests build random graphs",
-	"netsim.Network.HopDistances":     "routing and linkstate tests check installed routes against BFS",
-	"netsim.Network.NumPartitions":    "kept until partitioning is kept or deleted as a whole",
-	"netsim.Network.PartitionOf":      "kept until partitioning is kept or deleted as a whole",
-	"netsim.Node.Failed":              "faults and protocol tests check crash state",
-	"netsim.Node.Stats":               "partition K-invariance and link-state tests read per-node packet counters",
-	"netsim.NodeStats.Received":       "partition K-invariance tests compare it; goes when partitioning goes",
-	"netsim.NodeStats.DeliveredLocal": "partition K-invariance tests compare it; goes when partitioning goes",
-	"netsim.NodeStats.ForwardedOut":   "partition K-invariance tests compare it; goes when partitioning goes",
-	"netsim.NodeStats.RoutingIn":      "partition K-invariance tests compare it; goes when partitioning goes",
-	"netsim.NodeStats.Dropped":        "partition K-invariance tests compare it; goes when partitioning goes",
-	"rng.Source.Split":                "the parallel package's seeded-run tests derive streams",
-	"stats.Series.YRange":             "core and experiments tests bound figure series",
+	"cluster.Grow":                            "the ClusterGrow benchmark rows and periodic's reference stepper run the unsorted cluster rule",
+	"des.Simulator.Processed":                 "netsim's CPU tests count fired events",
+	"experiments.BuildChurnBench":             "the NetsimChurn benchmark rows and the leak test build the churn scenario without its monitor",
+	"experiments.NetScaleConfig.RoutersPerAS": "tests shrink the routing domains to keep the sweep small",
+	"experiments.PathConfig.Profile":          "crossvalidation_test runs the path scenario on a compressed protocol profile",
+	"netsim.CPU.Occupy":                       "netsim and workload tests stall a router's CPU",
+	"netsim.Link.SetDown":                     "routing, linkstate and workload tests fail links during setup",
+	"netsim.LANConfig.QueueCap":               "the tx-done boundary tests need a one-packet LAN queue to tell a busy transmitter from a free one",
+	"netsim.Network.BuildChain":               "netsim and workload tests and the NetsimForward benchmark build chains",
+	"netsim.Network.BuildRandomGraph":         "routing and linkstate convergence tests build random graphs",
+	"netsim.Network.HopDistances":             "routing and linkstate tests check installed routes against BFS",
+	"netsim.Network.NumPartitions":            "kept until partitioning is kept or deleted as a whole",
+	"netsim.Network.PartitionOf":              "kept until partitioning is kept or deleted as a whole",
+	"netsim.Node.Failed":                      "faults and protocol tests check crash state",
+	"netsim.Node.Stats":                       "partition K-invariance and link-state tests read per-node packet counters",
+	"netsim.NodeStats.Received":               "partition K-invariance tests compare it; goes when partitioning goes",
+	"netsim.NodeStats.DeliveredLocal":         "partition K-invariance tests compare it; goes when partitioning goes",
+	"netsim.NodeStats.ForwardedOut":           "partition K-invariance tests compare it; goes when partitioning goes",
+	"netsim.NodeStats.RoutingIn":              "partition K-invariance tests compare it; goes when partitioning goes",
+	"netsim.NodeStats.Dropped":                "partition K-invariance tests compare it; goes when partitioning goes",
+	"rng.Source.Split":                        "the parallel package's seeded-run tests derive streams",
+	"runner.Options.Errout":                   "runner tests capture per-experiment failures instead of writing them to stderr",
+	"runner.Options.Registry":                 "runner tests run fresh registries of stub experiments instead of Default",
+	"stats.Series.YRange":                     "core and experiments tests bound figure series",
 }
 
 // TestNoTestOnlyAPI fails when a function, method or struct field
@@ -64,6 +71,13 @@ var testOnlyAllowed = map[string]string{
 //   - exposes its type, if it is exported, through the root package's
 //     exported API.
 //
+// An exported field of a struct type named *Config or *Options (a knob)
+// must also be set by production code: assigned (with any operator),
+// incremented or decremented, or keyed in a composite literal. A set in
+// the field's own package inside an if whose condition reads the same
+// field fills in a default and does not count: a knob that only tests
+// turn is a constant, and its other values are code only tests reach.
+//
 // Code only tests use belongs in a _test.go file of its package or is
 // deleted; the few exceptions are in testOnlyAllowed with their reason.
 func TestNoTestOnlyAPI(t *testing.T) {
@@ -73,11 +87,13 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	l, callers := loadModule(t, ".", "routesync")
 	used := l.reached(callers)
 	l.markReads(used)
+	set := map[types.Object]bool{}
+	l.markSets(set)
 	dead := map[string]types.Object{}
 	declared := map[string]bool{}
 	for obj, name := range l.decls {
 		declared[name] = true
-		if !used[obj] {
+		if !used[obj] || l.knobs[obj] && !set[obj] {
 			dead[name] = obj
 		}
 	}
@@ -97,7 +113,9 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		pos := l.fset.Position(dead[name].Pos())
-		if _, ok := dead[name].(*types.Var); ok {
+		if _, ok := dead[name].(*types.Var); ok && used[dead[name]] {
+			t.Errorf("%s: no production code sets knob %s; make it the value production runs and delete it, or allowlist it with a reason", pos, name)
+		} else if ok {
 			t.Errorf("%s: no production code reads field %s; delete it and its writes, or allowlist it with a reason", pos, name)
 		} else {
 			t.Errorf("%s: no production code reaches %s; delete it, move it into a _test.go file, or allowlist it with a reason", pos, name)
@@ -112,16 +130,25 @@ func TestFieldGuardRules(t *testing.T) {
 	l, _ := loadModule(t, filepath.Join("testdata", "fieldguard"), "fieldguard")
 	read := map[types.Object]bool{}
 	l.markReads(read)
-	var got []string
+	set := map[types.Object]bool{}
+	l.markSets(set)
+	var unread, unset []string
 	for obj, name := range l.decls {
 		if _, ok := obj.(*types.Var); ok && !read[obj] {
-			got = append(got, name)
+			unread = append(unread, name)
+		}
+		if l.knobs[obj] && !set[obj] {
+			unset = append(unset, name)
 		}
 	}
-	sort.Strings(got)
+	sort.Strings(unread)
+	sort.Strings(unset)
 	want := "a.Exposed.hidden a.Indexed.M a.Marshaled.private a.Quiet.N a.TestOnly.N a.Written.N"
-	if strings.Join(got, " ") != want {
-		t.Errorf("unread fields:\n got %v\nwant %v", got, want)
+	if strings.Join(unread, " ") != want {
+		t.Errorf("unread fields:\n got %v\nwant %v", unread, want)
+	}
+	if want := "a.DefaultConfig.N a.KnobConfig.N"; strings.Join(unset, " ") != want {
+		t.Errorf("unset knobs:\n got %v\nwant %v", unset, want)
 	}
 }
 
@@ -178,6 +205,7 @@ type apiLoader struct {
 	std   types.Importer
 	pkgs  map[string]*loadedPkg // by directory relative to base
 	decls map[types.Object]string
+	knobs map[types.Object]bool // exported fields of *Config and *Options structs
 }
 
 func newAPILoader(t *testing.T, base, mod string) *apiLoader {
@@ -190,6 +218,7 @@ func newAPILoader(t *testing.T, base, mod string) *apiLoader {
 		std:   importer.ForCompiler(fset, "gc", nil),
 		pkgs:  map[string]*loadedPkg{},
 		decls: map[types.Object]string{},
+		knobs: map[types.Object]bool{},
 	}
 }
 
@@ -273,7 +302,16 @@ func (l *apiLoader) load(dir string) *loadedPkg {
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if ts, ok := n.(*ast.TypeSpec); ok && !ts.Assign.IsValid() {
-					l.declareFields(p.pkg.Name()+"."+ts.Name.Name, p.info.Defs[ts.Name].Type().Underlying())
+					typ := p.info.Defs[ts.Name].Type().Underlying()
+					l.declareFields(p.pkg.Name()+"."+ts.Name.Name, typ)
+					st, ok := typ.(*types.Struct)
+					if ok && (strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+						for i := 0; i < st.NumFields(); i++ {
+							if f := st.Field(i); f.Exported() {
+								l.knobs[f] = true
+							}
+						}
+					}
 				}
 				return true
 			})
@@ -437,32 +475,12 @@ func (l *apiLoader) markReads(read map[types.Object]bool) {
 // selection or through a value it hands to fmt or encoding/json.
 func markFieldReads(p *loadedPkg, read map[types.Object]bool) {
 	written := map[*ast.Ident]bool{}
-	target := func(e ast.Expr) {
-		e = ast.Unparen(e)
-		for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
-			e = ast.Unparen(ix.X)
-		}
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			written[sel.Sel] = true
-		}
-	}
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			for _, id := range writes(n) {
+				written[id] = true
+			}
 			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					target(lhs)
-				}
-			case *ast.IncDecStmt:
-				target(n.X)
-			case *ast.CompositeLit:
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							written[id] = true
-						}
-					}
-				}
 			case *ast.SelectorExpr:
 				if sel, ok := p.info.Selections[n]; ok {
 					markEmbedded(sel, read)
@@ -478,6 +496,88 @@ func markFieldReads(p *loadedPkg, read map[types.Object]bool) {
 			read[v.Origin()] = true
 		}
 	}
+}
+
+// markSets records every field production code sets in set;
+// TestNoTestOnlyAPI's doc comment says which sets count.
+func (l *apiLoader) markSets(set map[types.Object]bool) {
+	for _, p := range l.pkgs {
+		if p != nil {
+			for _, f := range p.files {
+				markFieldSets(p, f, nil, set)
+			}
+		}
+	}
+}
+
+// markFieldSets records the fields that the code in n sets, except for
+// the fields in defaulted, which the enclosing ifs' conditions read in
+// their own package.
+func markFieldSets(p *loadedPkg, n ast.Node, defaulted map[types.Object]bool, set map[types.Object]bool) {
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if is, ok := n.(*ast.IfStmt); ok {
+			inner := map[types.Object]bool{}
+			maps.Copy(inner, defaulted)
+			ast.Inspect(is.Cond, func(c ast.Node) bool {
+				if id, ok := c.(*ast.Ident); ok {
+					if v := field(id); v != nil && v.Pkg() == p.pkg {
+						inner[v] = true
+					}
+				}
+				return true
+			})
+			for _, part := range []ast.Node{is.Init, is.Cond} {
+				if part != nil {
+					markFieldSets(p, part, defaulted, set)
+				}
+			}
+			markFieldSets(p, is.Body, inner, set)
+			if is.Else != nil {
+				markFieldSets(p, is.Else, inner, set)
+			}
+			return false
+		}
+		for _, id := range writes(n) {
+			if v := field(id); v != nil && !defaulted[v] {
+				set[v] = true
+			}
+		}
+		return true
+	})
+}
+
+// writes returns the identifiers through which node n may write a field:
+// the selector of each assignment or ++/-- target (an indexed target,
+// x.f[i] = v, writes f) and a composite-literal key.
+func writes(n ast.Node) []*ast.Ident {
+	var targets []ast.Expr
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		targets = n.Lhs
+	case *ast.IncDecStmt:
+		targets = []ast.Expr{n.X}
+	case *ast.KeyValueExpr:
+		if id, ok := n.Key.(*ast.Ident); ok {
+			return []*ast.Ident{id}
+		}
+	}
+	var ids []*ast.Ident
+	for _, e := range targets {
+		e = ast.Unparen(e)
+		for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+			e = ast.Unparen(ix.X)
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			ids = append(ids, sel.Sel)
+		}
+	}
+	return ids
 }
 
 // markEmbedded records the embedded fields a promoted selection passes
