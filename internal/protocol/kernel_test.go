@@ -127,24 +127,34 @@ func newTimerKernel(tp, cost float64) (*netsim.Network, *Kernel[int], *[]float64
 	return net, k, fires
 }
 
-func TestKernelTimerRearmsAfterProcessing(t *testing.T) {
-	// Tp=10, preparation cost 0.5, first expiry at t=1: the timer re-arms
-	// from the CPU drain (1.5), not from the expiry, so the half-second
-	// processing drift accumulates — the paper's §3 coupling.
-	net, k, fires := newTimerKernel(10, 0.5)
-	k.StartTimer(1)
-	net.RunUntil(25)
-	want := []float64{1, 11.5, 22}
-	if len(*fires) != len(want) {
-		t.Fatalf("%d fires %v, want %d", len(*fires), *fires, len(want))
+func TestKernelTimerModes(t *testing.T) {
+	// The timer re-arms from the CPU drain, not from the expiry, so the
+	// processing drift accumulates — the paper's §3 coupling. Tp=10 with
+	// preparation cost 0.5 drifts half a second a round; Tp=0.2 with
+	// cost 1.0 (processing outlasts the period) fires Tp after each drain,
+	// never while the CPU is still busy.
+	cases := []struct {
+		tp, cost, until float64
+		want            []float64
+	}{
+		{10, 0.5, 25, []float64{1, 11.5, 22}},
+		{0.2, 1.0, 3, []float64{1, 2.2}},
 	}
-	for i, w := range want {
-		if got := (*fires)[i]; got != w {
-			t.Fatalf("fire #%d at %g, want %g", i, got, w)
+	for _, c := range cases {
+		net, k, fires := newTimerKernel(c.tp, c.cost)
+		k.StartTimer(1)
+		net.RunUntil(c.until)
+		if len(*fires) != len(c.want) {
+			t.Fatalf("Tp %g cost %g: %d fires %v, want %d", c.tp, c.cost, len(*fires), *fires, len(c.want))
 		}
-	}
-	if k.TimerResets() == 0 {
-		t.Fatal("TimerResets not counted")
+		for i, w := range c.want {
+			if got := (*fires)[i]; got != w {
+				t.Fatalf("Tp %g cost %g: fire #%d at %g, want %g", c.tp, c.cost, i, got, w)
+			}
+		}
+		if k.TimerResets() == 0 {
+			t.Fatalf("Tp %g cost %g: TimerResets not counted", c.tp, c.cost)
+		}
 	}
 }
 

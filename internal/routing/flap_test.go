@@ -83,11 +83,12 @@ func runFlapScenario(t *testing.T, holdDown float64) ([]flapTransition, *Route) 
 // different next hop inside the hold window; with hold-down off, it
 // must fail over to the alternate path well before a hold window would
 // have expired. In both configurations convergence after the final
-// restore is bounded.
+// restore is bounded. The subtest names keep a mode=0 level: mode 0 is
+// the kernel's re-arm after processing, its only timer mode.
 func TestHoldDownUnderRepeatedFlaps(t *testing.T) {
 	const holdDown = 20.0
 	for _, hd := range []float64{0, holdDown} {
-		t.Run(fmt.Sprintf("holddown=%v", hd), func(t *testing.T) {
+		t.Run(fmt.Sprintf("mode=0/holddown=%v", hd), func(t *testing.T) {
 			timeline, final := runFlapScenario(t, hd)
 			if len(timeline) < 4 {
 				t.Fatalf("timeline too short (%d transitions): flaps did not propagate", len(timeline))

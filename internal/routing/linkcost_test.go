@@ -35,3 +35,26 @@ func TestApplyCostZeroPanics(t *testing.T) {
 	}()
 	tb.ApplyCost(Message{Router: 1}, &fakeMedium{"x"}, 0, 0)
 }
+
+// TestWeightedProtocolPrefersCheapDetour: a diamond where the direct link
+// to dst is expensive (cost 10) and the two-hop detour via mid is cheap
+// (1+1). Fed the same two updates, a table that charges link costs must
+// route around, and one that counts hops (cost 1 everywhere, as the agent
+// charges) straight through.
+func TestWeightedProtocolPrefersCheapDetour(t *testing.T) {
+	const mid, dst = 1, 2
+	slow, fast := &fakeMedium{"slow"}, &fakeMedium{"fast"}
+	build := func(slowCost uint32) *Route {
+		tb := NewTable(1000)
+		tb.SetLocal(0, 0)
+		tb.ApplyCost(Message{Router: dst}, slow, 0, slowCost)
+		tb.ApplyCost(Message{Router: mid, Entries: []Entry{{Dest: dst, Metric: 1}}}, fast, 0, 1)
+		return tb.Get(dst)
+	}
+	if r := build(1); r == nil || r.Metric != 1 || r.NextHop != dst {
+		t.Fatalf("hop-count route = %+v, want direct (metric 1)", r)
+	}
+	if r := build(10); r == nil || r.Metric != 2 || r.NextHop != mid {
+		t.Fatalf("cost-aware route = %+v, want detour via mid (metric 2)", r)
+	}
+}
