@@ -112,17 +112,16 @@ func BenchmarkDESScheduleFire(b *testing.B) {
 }
 
 // BenchmarkPeriodicStep measures one cluster firing of the Periodic
-// Messages model at population n on the engine periodic.New picks by n:
-// the heap engine at n=20, O(k log N) in the cluster size k, and the
-// bucket engine from n=100 on, O(k) — either way not O(N log N) in the
-// population. The configuration pins the system in the desynchronized
-// steady state so k measures the engine, not the physics: Tp scales with
-// n (n=20 gives the paper's 121 s) to hold the expiry density per Tc
-// window constant — at the paper's fixed Tp = 121 an n=1000 system
-// saturates (N·Tc ≈ Tp) — and Tr = Tp/20 is jitter far above the
-// synchronization threshold, since a benchmark long enough to
-// synchronize would silently switch to measuring O(N) clusters on every
-// engine.
+// Messages model at population n on its bucket engine: O(k) in the
+// cluster size k, not O(N log N) in the population. The configuration
+// pins the system in the desynchronized steady state so k measures the
+// engine, not the physics: Tp scales with n (n=20 gives the paper's
+// 121 s) to hold the expiry density per Tc window constant — at the
+// paper's fixed Tp = 121 an n=1000 system saturates (N·Tc ≈ Tp) — and
+// Tr = Tp/20 is jitter far above the synchronization threshold, since a
+// benchmark long enough to synchronize would silently switch to
+// measuring O(N) clusters. Its days hold about one router each;
+// PeriodicSyncRound covers crowded days.
 func BenchmarkPeriodicStep(b *testing.B) { periodicSteps(b, []int{20, 100, 1000}, nil) }
 
 // BenchmarkPeriodicStepObserved is PeriodicStep with a counting
@@ -135,6 +134,40 @@ func BenchmarkPeriodicStepObserved(b *testing.B) {
 // BenchmarkPeriodicStepLargeN is PeriodicStep at bucket-engine scale,
 // under the name the committed BENCH_*.json snapshots record.
 func BenchmarkPeriodicStepLargeN(b *testing.B) { periodicSteps(b, []int{10000, 100000}, nil) }
+
+// BenchmarkPeriodicSyncRound measures one full round of a synchronized
+// system per op: Steps until n routers have fired, at the ext_largen
+// point (Tp = 6.05·n, Tr = 2.5·Tc, synchronized start). There the
+// cluster holds together, so each round re-arms all n timers into one or
+// two crowded days, and the row times the crowded-day gather and the
+// radix sort that the desynchronized PeriodicStep rows never reach. The
+// first round — an n-way tie at time 0 — and the sort scratch it
+// allocates run before the timer starts.
+func BenchmarkPeriodicSyncRound(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			tp := 6.05 * float64(n)
+			sys := periodic.New(periodic.Config{
+				N:      n,
+				Tc:     0.11,
+				Jitter: jitter.Uniform{Tp: tp, Tr: 2.5 * 0.11},
+				Start:  periodic.StartSynchronized,
+				Seed:   1,
+			})
+			round := func() {
+				for fired := 0; fired < n; {
+					fired += sys.Step().Size()
+				}
+			}
+			round()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
+	}
+}
 
 func periodicSteps(b *testing.B, ns []int, obs periodic.Observer) {
 	for _, n := range ns {

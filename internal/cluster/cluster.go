@@ -42,9 +42,9 @@ func (c Cluster) Size() int { return len(c.Members) }
 // yields only exact ties).
 //
 // Grow does not mutate pending. It is the reference implementation — the
-// periodic package's test-only reference stepper, which both engines are
-// differential-tested against, is built on it — and is equivalent to
-// sorting pending and calling GrowSorted.
+// periodic package's test-only reference stepper, which its engine and
+// test-only heap oracle are differential-tested against, is built on it —
+// and is equivalent to sorting pending and calling GrowSorted.
 func Grow(pending []Member, tc float64) Cluster {
 	if len(pending) == 0 {
 		panic("cluster: Grow with no pending members")

@@ -6,54 +6,53 @@ import (
 	"routesync/internal/cluster"
 )
 
-// bucketEngineMinN is the population size at which New switches from
-// the heap to the bucket engine: the measured crossover of ns per
-// firing (EXPERIMENTS.md, "Periodic engine"). The heap wins at N = 20
-// by about 1.14×, the two tie around N = 32–40, and the bucket engine
-// wins from N = 50 on (median ratio 0.92 at N = 50 and 64, 0.88 at 100).
-const bucketEngineMinN = 50
-
-// bucketMaxVB caps day indices so arithmetic on far-future expiries
+// bucketMaxDay caps day indices so arithmetic on far-future expiries
 // cannot overflow int64.
-const bucketMaxVB = int64(1) << 62
+const bucketMaxDay = int64(1) << 62
 
 // bucketState is the structure-of-arrays engine state. Time is cut into
 // fixed-width "days" of w = Tp/N + Tc seconds — about one expiry per day
 // in steady state — and day d maps to physical bucket d mod nb. Routers
-// in one bucket form an intrusive doubly-linked list over the next/prev
-// arrays, so link and unlink are O(1) with no per-router allocation. The
-// width never adapts: Tp and N are fixed per System, so the steady-state
-// expiry density is too.
+// in one bucket form an intrusive singly-linked list over the next
+// array: a re-armed timer is pushed at its bucket's head, and
+// bucketGather detaches a day's members whole as it walks, so a firing
+// costs one list write per router and no allocation. The width never
+// adapts: Tp and N are fixed per System, so the steady-state expiry
+// density is too.
 type bucketState struct {
-	w    float64 // day width in seconds
+	invW float64 // 1/w for day width w in seconds
 	mask int     // len(head)-1; power-of-two bucket count >= 2N
 	head []int32 // per bucket: first router id, -1 when empty
 	next []int32 // per router: next id in its bucket list, -1 at tail
-	prev []int32 // per router: previous id, -1 at head
-	vb   []int64 // per router: cached day of its pending expiry
 	cur  int64   // day holding the earliest pending expiry
 	min  float64 // the earliest pending expiry itself (NextExpiry cache)
-	// cand is scratch: the current day's candidates with their expiries
-	// inline, sorted by (expiry, id).
+	// cand holds the routers of day cday, detached from their bucket,
+	// with their expiries inline, sorted by (expiry, id). cand[ci:] are
+	// the ones not yet admitted: after a Step they are the rest of the
+	// frontier's day, kept so the next Step starts from them instead of
+	// gathering and sorting that day again.
 	cand []cluster.Member
+	ci   int
+	cday int64
 }
 
-// bvbFor maps an expiry to its day: float division, then int64
-// truncation toward zero, so day 0 spans (−w, w). Truncation is still
+// dayOf maps an expiry to its day: multiplication by 1/w, then int64
+// truncation toward zero, so day 0 spans (−w, w). Both steps are
 // monotone in the expiry, which is what makes day-ordered processing
-// agree exactly with the heap's (expiry, id) order: e1 < e2 implies
-// day(e1) <= day(e2), and equal expiries share a day.
-func (b *bucketState) bvbFor(e float64) int64 {
-	q := e / b.w
-	if !(q < float64(bucketMaxVB)) {
-		return bucketMaxVB
+// agree exactly with the model's (expiry, id) firing order: e1 < e2
+// implies day(e1) <= day(e2), and equal expiries share a day.
+func (b *bucketState) dayOf(e float64) int64 {
+	q := e * b.invW
+	if !(q < float64(bucketMaxDay)) {
+		return bucketMaxDay
 	}
 	return int64(q)
 }
 
 // bucketInit sizes the engine for cfg.N routers. Bucket count 2N at day
-// width Tp/N + Tc covers more than a full period plus a saturated busy
-// window, so pending days can never alias within one calendar cycle.
+// width Tp/N + Tc spans more than two mean periods, so two pending days
+// share a bucket only under jitter close to Tp itself; bucketGather
+// leaves the other day's routers linked.
 func (s *System) bucketInit() {
 	b := &s.bucket
 	nb := 1
@@ -63,19 +62,19 @@ func (s *System) bucketInit() {
 	b.mask = nb - 1
 	b.head = make([]int32, nb)
 	b.next = make([]int32, s.cfg.N)
-	b.prev = make([]int32, s.cfg.N)
-	b.vb = make([]int64, s.cfg.N)
 	b.cand = make([]cluster.Member, 0, s.cfg.N)
-	b.w = s.cfg.Jitter.Mean()/float64(s.cfg.N) + s.cfg.Tc
+	b.invW = 1 / (s.cfg.Jitter.Mean()/float64(s.cfg.N) + s.cfg.Tc)
 }
 
 // bucketRebuild relinks every router from the expiry array; called
-// whenever the expiry set changes wholesale.
+// whenever the expiry set changes wholesale. A kept day is dropped: its
+// routers are relinked with the rest.
 func (s *System) bucketRebuild() {
 	b := &s.bucket
 	for i := range b.head {
 		b.head[i] = -1
 	}
+	b.cand, b.ci = b.cand[:0], 0
 	b.min = math.Inf(1)
 	for i := 0; i < s.cfg.N; i++ {
 		s.bucketLink(int32(i))
@@ -83,36 +82,15 @@ func (s *System) bucketRebuild() {
 			b.min = s.expiry[i]
 		}
 	}
-	b.cur = b.bvbFor(b.min)
+	b.cur = b.dayOf(b.min)
 }
 
-// bucketLink inserts a router at the head of its day's bucket list.
+// bucketLink pushes a router at the head of its day's bucket list.
 func (s *System) bucketLink(id int32) {
 	b := &s.bucket
-	vb := b.bvbFor(s.expiry[id])
-	b.vb[id] = vb
-	bi := int(vb) & b.mask
-	h := b.head[bi]
-	b.next[id] = h
-	b.prev[id] = -1
-	if h >= 0 {
-		b.prev[h] = id
-	}
+	bi := int(b.dayOf(s.expiry[id])) & b.mask
+	b.next[id] = b.head[bi]
 	b.head[bi] = id
-}
-
-// bucketUnlink removes a router from its bucket list.
-func (s *System) bucketUnlink(id int32) {
-	b := &s.bucket
-	n, p := b.next[id], b.prev[id]
-	if p >= 0 {
-		b.next[p] = n
-	} else {
-		b.head[int(b.vb[id])&b.mask] = n
-	}
-	if n >= 0 {
-		b.prev[n] = p
-	}
 }
 
 // radixMinDay is the candidate count above which bucketGather radix-sorts
@@ -121,16 +99,24 @@ func (s *System) bucketUnlink(id int32) {
 // sort"), and 64 keeps the radix path within FuzzPeriodicEngines' N.
 const radixMinDay = 64
 
-// bucketGather fills b.cand with the routers whose expiry falls on the
-// given day, sorted by (expiry, id) — the model's firing order.
+// bucketGather detaches the routers whose expiry falls on the given day
+// from their bucket list into b.cand, sorted by (expiry, id) — the
+// model's firing order. Entries of other days that alias onto the same
+// bucket stay linked, in their order.
 func (s *System) bucketGather(day int64) {
 	b := &s.bucket
-	b.cand = b.cand[:0]
-	for id := b.head[int(day)&b.mask]; id >= 0; id = b.next[id] {
-		if b.vb[id] == day {
-			b.cand = append(b.cand, cluster.Member{ID: int(id), Expiry: s.expiry[id]})
+	b.cand, b.ci, b.cday = b.cand[:0], 0, day
+	tail := &b.head[int(day)&b.mask]
+	for id := *tail; id >= 0; id = b.next[id] {
+		e := s.expiry[id]
+		if b.dayOf(e) == day {
+			b.cand = append(b.cand, cluster.Member{ID: int(id), Expiry: e})
+		} else {
+			*tail = id
+			tail = &b.next[id]
 		}
 	}
+	*tail = -1
 	if n := len(b.cand); n > radixMinDay {
 		radixCand(b.cand, s.scratch())
 	} else if n > 1 {
@@ -155,28 +141,35 @@ func radixKey(e float64) uint64 {
 }
 
 // radixCand sorts c by (expiry, id) with an LSD radix sort over the
-// eight bytes of radixKey, using tmp (len >= len(c)) as scratch. One
-// counting pass fills every digit's histogram; a digit that every key
-// shares — most high bytes within one day — costs no pass. The passes
-// are stable but the gather order is not by id, so a last scan sorts
-// each run of equal expiries by id. Round 0 of a synchronized start is
-// a single N-way tie: every digit is skipped and that scan does the work.
+// bytes of radixKey, using tmp (len >= len(c)) as scratch. A first pass
+// finds the bytes that vary; a byte every key shares — most high bytes
+// within one day — gets no histogram and no pass. The passes are stable
+// but the gather order is not by id, so a last scan sorts each run of
+// equal expiries by id. Round 0 of a synchronized start is a single
+// N-way tie: no byte varies and that scan does the work.
 func radixCand(c, tmp []cluster.Member) {
-	var counts [8][256]int
 	k0 := radixKey(c[0].Expiry)
 	var diff uint64
 	for _, m := range c {
+		diff |= radixKey(m.Expiry) ^ k0
+	}
+	var shifts [8]uint
+	nd := 0
+	for sh := uint(0); sh < 64; sh += 8 {
+		if byte(diff>>sh) != 0 {
+			shifts[nd] = sh
+			nd++
+		}
+	}
+	var counts [8][256]int
+	for _, m := range c {
 		k := radixKey(m.Expiry)
-		diff |= k ^ k0
-		for d := 0; d < 8; d++ {
-			counts[d][byte(k>>(8*d))]++
+		for d, sh := range shifts[:nd] {
+			counts[d][byte(k>>sh)]++
 		}
 	}
 	src, dst := c, tmp[:len(c)]
-	for d := 0; d < 8; d++ {
-		if byte(diff>>(8*d)) == 0 {
-			continue
-		}
+	for d, sh := range shifts[:nd] {
 		cnt := &counts[d]
 		off := 0
 		for i, n := range cnt {
@@ -184,7 +177,7 @@ func radixCand(c, tmp []cluster.Member) {
 			off += n
 		}
 		for _, m := range src {
-			j := byte(radixKey(m.Expiry) >> (8 * d))
+			j := byte(radixKey(m.Expiry) >> sh)
 			dst[cnt[j]] = m
 			cnt[j]++
 		}
@@ -259,93 +252,4 @@ func sortCand(c []cluster.Member) {
 			c[j], c[j-1] = c[j-1], c[j]
 		}
 	}
-}
-
-// stepBucket is the bucket engine's Step. It walks days forward from the
-// cached minimum's day, gathering and sorting each day's candidates, and
-// runs the identical admission loop — the same floating-point window
-// expression, the same (expiry, id) order, the same RNG call order — as
-// the heap engine, so the two replay bit-identically. Per round the day
-// cursor advances about one period, i.e. about N days of O(1) checks for
-// N member firings, plus the sort of each day's candidates: O(k) per
-// cluster for days of a few routers, O(k) radix passes for crowded days,
-// and O(k log k) for runs of exactly equal expiries, against the heap's
-// O(k log N).
-func (s *System) stepBucket() Event {
-	b := &s.bucket
-	day := b.cur
-	s.bucketGather(day)
-	ci := 0
-	for len(b.cand) == 0 {
-		day++
-		s.bucketGather(day)
-	}
-
-	members, expiries := s.evMembers, s.evExpiries
-	c := b.cand[ci]
-	ci++
-	s.bucketUnlink(int32(c.ID))
-	t := c.Expiry
-	members[0], expiries[0] = c.ID, t
-	k := 1
-	frontier := math.Inf(1)
-	for k < s.cfg.N {
-		if ci == len(b.cand) {
-			day++
-			s.bucketGather(day)
-			ci = 0
-			continue
-		}
-		c = b.cand[ci]
-		if c.Expiry < t+float64(k)*s.cfg.Tc || c.Expiry == t {
-			ci++
-			s.bucketUnlink(int32(c.ID))
-			members[k], expiries[k] = c.ID, c.Expiry
-			k++
-			continue
-		}
-		frontier = c.Expiry
-		break
-	}
-
-	end := t + float64(k)*s.cfg.Tc
-	s.now = end
-	ev := Event{
-		Start:    t,
-		End:      end,
-		Members:  members[:k],
-		Expiries: expiries[:k],
-	}
-	rearmMin := math.Inf(1)
-	for i, id := range ev.Members {
-		delay := s.cfg.Jitter.Delay(s.r, id)
-		var next float64
-		switch s.cfg.Reset {
-		case ResetOnExpiry:
-			next = ev.Expiries[i] + delay
-			if next < end {
-				next = end
-			}
-		default: // ResetAfterProcessing, the paper's rule
-			next = end + delay
-		}
-		s.expiry[id] = next
-		s.bucketLink(int32(id))
-		if next < rearmMin {
-			rearmMin = next
-		}
-	}
-	ev.Next = frontier
-	if rearmMin < ev.Next {
-		ev.Next = rearmMin
-	}
-	b.min = ev.Next
-	b.cur = b.bvbFor(ev.Next)
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.RoundCompleted(s.now, k)
-	}
-	for _, fn := range s.onEvent {
-		fn(ev)
-	}
-	return ev
 }

@@ -27,7 +27,7 @@ func (s *System) OrderParameter() float64 {
 // pendingClusters sorts the pending expirations into (expiry, id) order
 // and partitions them into consecutive clusters, calling fn with each
 // cluster's size in firing order. It sorts in the analysis scratch, which
-// the bucket engine also borrows inside Step, so it must not be called
+// bucketGather also borrows inside Step, so it must not be called
 // from within a Step's gathers (see System.analysis).
 func (s *System) pendingClusters(fn func(size int)) {
 	ms := s.scratch()

@@ -147,41 +147,27 @@ type System struct {
 	// onEvent observers are invoked, in registration order, after every
 	// cluster firing.
 	onEvent []func(Event)
-	// heap is a binary min-heap of router ids keyed by (expiry, id) — the
-	// model's deterministic firing order. Step pops one cluster (k
-	// members) and pushes the re-armed timers back, so each firing costs
-	// O(k log N) instead of the O(N log N) full sort.
-	heap []int32
 	// analysis is N-sized scratch shared by two users that never overlap:
 	// pendingClusters (LargestPending; ClusterSizes in tests), which runs
 	// between Steps or from observers after a Step's gathers are done, and
-	// the bucket engine's radixCand, which runs only inside bucketGather.
+	// radixCand, which runs only inside bucketGather.
 	// scratch allocates it on first use, so a run that needs neither —
 	// an unsynchronized one that never asks for its clusters — never
 	// holds its 16 B per router.
 	analysis []cluster.Member
 	// evMembers/evExpiries back the Members/Expiries slices of returned
-	// Events, reused every Step; both engines admit into them directly.
+	// Events, reused every Step; Step admits into them directly.
 	evMembers  []int
 	evExpiries []float64
-	// useBucket routes Step through the structure-of-arrays bucket
-	// engine; bucket holds its state.
-	useBucket bool
-	bucket    bucketState
+	// bucket indexes the pending expiries by day (bucket.go).
+	bucket bucketState
 }
 
 // New constructs a System from cfg. It panics on invalid configuration:
 // N < 1, Tc negative or non-finite, nil Jitter, a non-finite jitter mean,
 // or a mean period that does not exceed N·Tc (the network would spend all
 // its time processing updates).
-//
-// The engine is chosen by N alone: the heap below bucketEngineMinN, the
-// bucket engine from it on. Both replay bit-identically.
-func New(cfg Config) *System { return newSystem(cfg, cfg.N >= bucketEngineMinN) }
-
-// newSystem is New with the engine forced; the differential tests use it
-// to run both engines at the same N.
-func newSystem(cfg Config, bucket bool) *System {
+func New(cfg Config) *System {
 	if cfg.N < 1 {
 		panic("periodic: need at least one router")
 	}
@@ -204,13 +190,8 @@ func newSystem(cfg Config, bucket bool) *System {
 		expiry:     make([]float64, cfg.N),
 		evMembers:  make([]int, cfg.N),
 		evExpiries: make([]float64, cfg.N),
-		useBucket:  bucket,
 	}
-	if bucket {
-		s.bucketInit()
-	} else {
-		s.heap = make([]int32, cfg.N)
-	}
+	s.bucketInit()
 	switch cfg.Start {
 	case StartSynchronized:
 		// all zero: one size-N cluster fires immediately
@@ -219,7 +200,7 @@ func newSystem(cfg Config, bucket bool) *System {
 			s.expiry[i] = s.r.Uniform(0, mean)
 		}
 	}
-	s.rebuild()
+	s.bucketRebuild()
 	return s
 }
 
@@ -231,27 +212,13 @@ func (s *System) scratch() []cluster.Member {
 	return s.analysis
 }
 
-// rebuild refreshes the active engine's index of the expiry array.
-func (s *System) rebuild() {
-	if s.useBucket {
-		s.bucketRebuild()
-	} else {
-		s.rebuildHeap()
-	}
-}
-
 // Now returns the current simulation time (the End of the last event).
 func (s *System) Now() float64 { return s.now }
 
-// NextExpiry returns the earliest pending timer expiration, an O(1) read
-// on either engine; callers inside run loops can read Event.Next from the
-// previous Step instead.
-func (s *System) NextExpiry() float64 {
-	if s.useBucket {
-		return s.bucket.min
-	}
-	return s.expiry[s.heap[0]]
-}
+// NextExpiry returns the earliest pending timer expiration, an O(1) read;
+// callers inside run loops can read Event.Next from the previous Step
+// instead.
+func (s *System) NextExpiry() float64 { return s.bucket.min }
 
 // OnEvent registers an observer invoked after every cluster firing.
 func (s *System) OnEvent(fn func(Event)) { s.onEvent = append(s.onEvent, fn) }
@@ -264,46 +231,60 @@ func (s *System) TriggerUpdate() {
 	for i := range s.expiry {
 		s.expiry[i] = s.now
 	}
-	s.rebuild()
+	s.bucketRebuild()
 }
 
-// Step processes the next cluster firing and returns it.
+// Step processes the next cluster firing and returns it. It starts from
+// the kept rest of the last Step's frontier day, or else gathers days
+// forward from the earliest pending expiry's day, and admits routers in
+// (expiry, id) order while they fire inside the growing busy window
+// [t, t+k·Tc) — the test-only sort-based reference's cluster.Grow, bit
+// for bit. Per round the day cursor advances about one period, i.e.
+// about N days of O(1) checks for N member firings, and each day is
+// gathered and sorted once: O(k) per cluster for days of a few routers,
+// O(k) radix passes for crowded days, and O(k log k) for runs of exactly
+// equal expiries.
 func (s *System) Step() Event {
-	if s.useBucket {
-		return s.stepBucket()
+	b := &s.bucket
+	for day := b.cur; b.ci == len(b.cand); day++ {
+		s.bucketGather(day)
 	}
-	// Pop the cluster off the heap. The heap yields routers in
-	// (expiry, id) order, so the admission loop sees exactly the sorted
-	// prefix cluster.Grow would, and the window test below is the same
-	// floating-point expression — the engines replay bit-identically.
+	cand, ci := b.cand, b.ci
+
 	members, expiries := s.evMembers, s.evExpiries
-	head := s.heapPop()
-	t := s.expiry[head]
-	members[0], expiries[0] = int(head), t
+	c := cand[ci]
+	ci++
+	t := c.Expiry
+	members[0], expiries[0] = c.ID, t
 	k := 1
-	for len(s.heap) > 0 {
-		e := s.expiry[s.heap[0]]
-		if e < t+float64(k)*s.cfg.Tc || e == t {
-			members[k], expiries[k] = int(s.heapPop()), e
+	frontier := math.Inf(1)
+	for k < s.cfg.N {
+		if ci == len(cand) {
+			s.bucketGather(b.cday + 1)
+			cand, ci = b.cand, 0
+			continue
+		}
+		c = cand[ci]
+		if c.Expiry < t+float64(k)*s.cfg.Tc || c.Expiry == t {
+			ci++
+			members[k], expiries[k] = c.ID, c.Expiry
 			k++
 			continue
 		}
+		frontier = c.Expiry
 		break
 	}
+	b.ci = ci
+
 	end := t + float64(k)*s.cfg.Tc
 	s.now = end
-	ev := Event{
-		Start:    t,
-		End:      end,
-		Members:  members[:k],
-		Expiries: expiries[:k],
-	}
-	for i, id := range ev.Members {
+	rearmMin := math.Inf(1)
+	for i, id := range members[:k] {
 		delay := s.cfg.Jitter.Delay(s.r, id)
 		var next float64
 		switch s.cfg.Reset {
 		case ResetOnExpiry:
-			next = ev.Expiries[i] + delay
+			next = expiries[i] + delay
 			if next < end {
 				// The timer would have fired during the busy window;
 				// the message goes out as soon as processing finishes.
@@ -313,9 +294,34 @@ func (s *System) Step() Event {
 			next = end + delay
 		}
 		s.expiry[id] = next
-		s.heapPush(int32(id))
+		s.bucketLink(int32(id))
+		if next < rearmMin {
+			rearmMin = next
+		}
 	}
-	ev.Next = s.expiry[s.heap[0]]
+	if ci < len(cand) && b.dayOf(rearmMin) <= b.cday {
+		// A re-armed timer landed at or before the kept day, which is
+		// then no longer whole in cand: relink its rest for the next
+		// Step to gather. Otherwise the next Step starts on the kept day,
+		// since its Next is the frontier or an earlier re-arm.
+		for _, m := range cand[ci:] {
+			s.bucketLink(int32(m.ID))
+		}
+		b.cand, b.ci = cand[:0], 0
+	}
+	next := frontier
+	if rearmMin < next {
+		next = rearmMin
+	}
+	b.min = next
+	b.cur = b.dayOf(next)
+	ev := Event{
+		Start:    t,
+		End:      end,
+		Members:  members[:k],
+		Expiries: expiries[:k],
+		Next:     next,
+	}
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.RoundCompleted(s.now, k)
 	}
@@ -342,73 +348,4 @@ func (s *System) RunUntil(horizon float64) uint64 {
 // "the time mod T, for T = Tp + Tc").
 func (s *System) RoundWindow() float64 {
 	return s.cfg.Jitter.Mean() + s.cfg.Tc
-}
-
-// heapLess reports whether router a's timer fires before router b's:
-// earlier expiry, lower id on ties — the same order cluster.Grow sorts by.
-func (s *System) heapLess(a, b int32) bool {
-	ea, eb := s.expiry[a], s.expiry[b]
-	if ea != eb {
-		return ea < eb
-	}
-	return a < b
-}
-
-// rebuildHeap re-heapifies all N routers in O(N); called whenever the
-// expiry set changes wholesale (construction, TriggerUpdate, and the
-// tests' SetExpiries).
-func (s *System) rebuildHeap() {
-	s.heap = s.heap[:0]
-	for i := 0; i < s.cfg.N; i++ {
-		s.heap = append(s.heap, int32(i))
-	}
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-}
-
-func (s *System) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.heapLess(s.heap[i], s.heap[p]) {
-			return
-		}
-		s.heap[i], s.heap[p] = s.heap[p], s.heap[i]
-		i = p
-	}
-}
-
-func (s *System) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		small := l
-		if r := l + 1; r < n && s.heapLess(s.heap[r], s.heap[l]) {
-			small = r
-		}
-		if !s.heapLess(s.heap[small], s.heap[i]) {
-			return
-		}
-		s.heap[i], s.heap[small] = s.heap[small], s.heap[i]
-		i = small
-	}
-}
-
-func (s *System) heapPop() int32 {
-	id := s.heap[0]
-	n := len(s.heap) - 1
-	s.heap[0] = s.heap[n]
-	s.heap = s.heap[:n]
-	if n > 0 {
-		s.siftDown(0)
-	}
-	return id
-}
-
-func (s *System) heapPush(id int32) {
-	s.heap = append(s.heap, id)
-	s.siftUp(len(s.heap) - 1)
 }

@@ -38,7 +38,7 @@ func (s *System) SetExpiries(e []float64) {
 		}
 	}
 	copy(s.expiry, e)
-	s.rebuild()
+	s.bucketRebuild()
 }
 
 func TestNewValidation(t *testing.T) {
