@@ -8,6 +8,7 @@ import (
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
 	"routesync/internal/pathvector"
+	"routesync/internal/routing"
 )
 
 // BenchmarkNetsimForward measures the packet-forwarding hot path: one op
@@ -75,6 +76,54 @@ func BenchmarkPathVectorUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.RunUntil(net.Now() + period)
+	}
+}
+
+// benchMedium is a medium that transmits nothing: the routing row
+// exercises the table alone.
+type benchMedium struct{ name string }
+
+func (*benchMedium) Transmit(*netsim.Packet, *netsim.Node, netsim.NodeID) {}
+
+// BenchmarkRoutingUpdateCycle measures the distance-vector update cycle
+// on a converged table, off the simulator: one op applies a neighbor's
+// full-table update straight from its wire bytes, appends the router's
+// own update for the other medium straight into an encode buffer (RIP's
+// split horizon), and runs the route-aging sweep one simulated second
+// later. The sweep walks the table only once a route could have aged, so
+// most ops skip it, as an agent's periodic sweeps do. Warm ops run at
+// 0 allocs/op.
+func BenchmarkRoutingUpdateCycle(b *testing.B) {
+	for _, routes := range []int{200} {
+		b.Run(fmt.Sprintf("routes=%d", routes), func(b *testing.B) {
+			p := routing.RIP()
+			timeout, gc := p.TimeoutFactor*p.Period, p.GCFactor*p.Period
+			in, out := &benchMedium{"in"}, &benchMedium{"out"}
+			msg := routing.Message{Router: 1}
+			for d := 2; d <= routes; d++ {
+				msg.Entries = append(msg.Entries, routing.Entry{Dest: netsim.NodeID(d), Metric: uint32(1 + d%5)})
+			}
+			upd, err := routing.EncodeInto(nil, msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tb := routing.NewTable(p.Infinity)
+			tb.SetLocal(0, 0)
+			var enc []byte
+			now := 0.0
+			cycle := func() {
+				now++
+				tb.ApplyCost(upd, in, now, 1)
+				enc = tb.AppendUpdate(enc[:0], 0, false, out, p.SplitHorizon, p.PoisonReverse, 0)
+				tb.Expire(now, timeout, gc)
+			}
+			cycle()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }
 

@@ -162,8 +162,8 @@ type Kernel[A any] struct {
 	recvQ FIFO[recvItem[A]]
 	prepQ FIFO[prepItem]
 
-	// Enc is the wire-encoding scratch buffer: families encode with
-	// EncodeInto(k.Enc[:0], ...) and store the result back, so
+	// Enc is the wire-encoding scratch buffer: families append a message
+	// to k.Enc[:0] and store the result back, so
 	// steady-state update encoding allocates nothing once the buffer
 	// reaches its high-water size (SetPayload copies the bytes into the
 	// packet's pooled payload arena).

@@ -79,12 +79,6 @@ type Agent struct {
 	lastTrig float64
 	stats    Stats
 
-	// Scratch buffers for the steady-state update cycle: entries
-	// exported for an outgoing update and entries decoded from an
-	// incoming one (the encode scratch lives on the kernel).
-	expScratch []Entry
-	entScratch []Entry
-
 	// OnSend, if set, observes every update transmission (experiments
 	// use it for cluster detection on the packet-level substrate).
 	OnSend func(t float64, triggered bool)
@@ -223,20 +217,15 @@ func (a *Agent) sendUpdate(triggered, resetTimer bool) {
 }
 
 // broadcast transmits the table on every attached medium, applying split
-// horizon per medium. Export, encode and payload all ride per-agent (or
-// per-packet-slot) scratch, so a steady-state update allocates nothing.
+// horizon per medium. The table appends each update straight into the
+// kernel's encode scratch, and SetPayload copies it into the packet's
+// pooled payload, so a steady-state update allocates nothing.
 func (a *Agent) broadcast(triggered bool) {
 	node := a.k.Node()
 	for i := 0; i < node.NumMedia(); i++ {
 		m := node.MediumAt(i)
-		a.expScratch = a.table.ExportInto(a.expScratch[:0], m, a.cfg.Profile.SplitHorizon, a.cfg.Profile.PoisonReverse)
-		a.expScratch = a.padSynthetic(a.expScratch)
-		payload, err := EncodeInto(a.k.Enc[:0], Message{Router: node.ID, Triggered: triggered, Entries: a.expScratch})
-		if err != nil {
-			panic(err) // table size is bounded by MaxEntries via ExtraRoutes validation
-		}
-		a.k.Enc = payload
-		a.k.Send(m, netsim.Broadcast, payload)
+		a.k.Enc = a.table.AppendUpdate(a.k.Enc[:0], node.ID, triggered, m, a.cfg.Profile.SplitHorizon, a.cfg.Profile.PoisonReverse, a.cfg.ExtraRoutes)
+		a.k.Send(m, netsim.Broadcast, a.k.Enc)
 	}
 	if triggered {
 		a.stats.TriggeredSent++
@@ -246,25 +235,6 @@ func (a *Agent) broadcast(triggered bool) {
 	if a.OnSend != nil {
 		a.OnSend(node.Now(), triggered)
 	}
-}
-
-// padSynthetic appends the configured synthetic routes, advertised as
-// unreachable-1 so they never win over real ones. They exist to make
-// update preparation/processing cost realistic (the PARC ~300-route
-// tables).
-func (a *Agent) padSynthetic(entries []Entry) []Entry {
-	if a.cfg.ExtraRoutes == 0 {
-		return entries
-	}
-	node := a.k.Node()
-	base := netsim.NodeID(1 << 20) // far outside real node-id space
-	for i := 0; i < a.cfg.ExtraRoutes; i++ {
-		entries = append(entries, Entry{
-			Dest:   base + netsim.NodeID(int(node.ID)*MaxEntries+i),
-			Metric: a.cfg.Profile.Infinity - 1,
-		})
-	}
-	return entries
 }
 
 // receive handles an incoming routing packet: consume CPU, then fold the
@@ -298,22 +268,10 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 	a.k.Process(pkt, via, struct{}{}, proc)
 }
 
-// process is the kernel's processing completion: decode and integrate
-// the validated update (the synchronous no-CPU path lands here too).
+// process is the kernel's processing completion: integrate the
+// validated update (the synchronous no-CPU path lands here too).
 func (a *Agent) process(pkt *netsim.Packet, via netsim.Medium, _ struct{}) {
-	a.integrateWire(pkt.Payload, via)
-}
-
-// integrateWire decodes a validated update into per-agent scratch and
-// integrates it — the allocation-free path behind both the synchronous
-// branch of receive and the CPU completion.
-func (a *Agent) integrateWire(payload []byte, via netsim.Medium) {
-	router, triggered, _, _, err := PeekHeader(payload)
-	if err != nil {
-		panic("routing: integrateWire on unvalidated payload")
-	}
-	a.entScratch = AppendEntries(a.entScratch[:0], payload)
-	a.integrate(Message{Router: router, Triggered: triggered, Entries: a.entScratch}, via)
+	a.integrate(pkt.Payload, via)
 }
 
 // PendingPackets returns the number of received updates the agent is
@@ -322,12 +280,13 @@ func (a *Agent) integrateWire(payload []byte, via netsim.Medium) {
 // netsim's parked counts.
 func (a *Agent) PendingPackets() int { return a.k.PendingPackets() }
 
-// integrate applies a decoded update and reacts: FIB programming,
-// triggered-update propagation.
-func (a *Agent) integrate(msg Message, via netsim.Medium) {
+// integrate applies an update that receive validated straight off the
+// wire and reacts: FIB programming, triggered-update propagation.
+func (a *Agent) integrate(payload []byte, via netsim.Medium) {
+	triggered := payload[3]&flagTriggered != 0
 	node := a.k.Node()
 	now := node.Now()
-	res := a.table.ApplyCost(msg, via, now, 1) // the agent counts hops
+	res := a.table.ApplyCost(payload, via, now, 1) // the agent counts hops
 	if res.Changed {
 		a.stats.RouteChanges++
 	}
@@ -353,7 +312,7 @@ func (a *Agent) integrate(msg Message, via netsim.Medium) {
 	// §3 step 4: an incoming triggered update that changes the table, or
 	// any worsening, provokes our own triggered update ("the first
 	// triggered update results in a wave of triggered updates").
-	if (msg.Triggered && res.Changed) || res.Worsened {
+	if (triggered && res.Changed) || res.Worsened {
 		a.triggerUpdate()
 	}
 }

@@ -16,7 +16,8 @@ import (
 //   - PeekHeader, the agents' allocation-free receive path, accepts and
 //     rejects exactly what Decode does, with the same router, flags and
 //     entry count;
-//   - on an accepted frame, AppendEntries yields Decode's entries;
+//   - an accepted frame applied in place by Table.ApplyCost changes a
+//     table exactly as Decode's Message changes refTable;
 //   - an accepted Message re-encodes to bytes that decode to the same
 //     Message.
 //
@@ -37,8 +38,13 @@ func FuzzRoutingDecode(f *testing.F) {
 			t.Fatalf("PeekHeader = (%d, %v, %v, %d), Decode = (%d, %v, %v, %d)",
 				router, triggered, request, count, m.Router, m.Triggered, m.Request, len(m.Entries))
 		}
-		if got := AppendEntries(nil, data); !slices.Equal(got, m.Entries) {
-			t.Fatalf("AppendEntries = %v, Decode entries = %v", got, m.Entries)
+		via := &fakeMedium{"lan"}
+		tb, ref := NewTable(16), newRefTable(16)
+		tb.SetLocal(0, 0)
+		ref.SetLocal(0, 0)
+		applyBoth(t, tb, ref, data, m, via, 1, 1, "ApplyCost")
+		if tb.Len() <= MaxEntries { // a longer table cannot be sent
+			compareTables(t, tb, ref, fuzzDests, []netsim.Medium{via}, 1, "after ApplyCost")
 		}
 
 		buf, err := EncodeInto(nil, m)
@@ -64,8 +70,11 @@ const fuzzDests = 20
 // Table and on refTable, the map-based table it replaced, and requires
 // after every op the same ApplyResult (flags, and lists in the same
 // order, Installed resolved through Table.At), the same Expire lists,
-// and the same table as compareTables reads it. The first byte picks 1–4
-// media; after it one op is a byte whose value mod 8 selects:
+// and the same table as compareTables reads it. The Table applies each
+// update from its EncodeInto bytes, as agents do. refTable always walks
+// in Expire, so it is the oracle for the walks Table skips. The first
+// byte picks 1–4 media; after it one op is a byte whose value mod 8
+// selects:
 //
 //	0        SetLocal: destination
 //	1, 2, 3  ApplyCost: sender, medium, cost (1–4), order, count (0–15),
@@ -148,21 +157,32 @@ func FuzzRoutingTable(f *testing.F) {
 					slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Dest, b.Dest) })
 				}
 				msg := Message{Router: from, Entries: entries}
+				buf, err := EncodeInto(nil, msg)
+				if err != nil {
+					t.Fatal(err)
+				}
 				what = fmt.Sprintf("ApplyCost(from %d, medium %d, cost %d, %v) at %v", from, m, cost, entries, now)
-				got := tb.ApplyCost(msg, media[m], now, cost)
-				want := ref.ApplyCost(msg, media[m], now, cost)
-				if got.Changed != want.Changed || got.Worsened != want.Worsened ||
-					len(got.Installed) != len(want.Installed) || !slices.Equal(got.Unreachable, want.Unreachable) {
-					t.Fatalf("step %d %s = %+v, reference %+v", step, what, got, want)
-				}
-				for i, at := range got.Installed {
-					if d := tb.At(at).Dest; d != want.Installed[i] {
-						t.Fatalf("step %d %s: Installed[%d] = index %d, destination %d; reference %d",
-							step, what, i, at, d, want.Installed[i])
-					}
-				}
+				applyBoth(t, tb, ref, buf, msg, media[m], now, cost, fmt.Sprintf("step %d %s", step, what))
 			}
 			compareTables(t, tb, ref, fuzzDests, media, now, fmt.Sprintf("step %d %s", step, what))
 		}
 	})
+}
+
+// applyBoth applies the update to tb from its wire bytes buf and to ref
+// from msg, the same update decoded, and fails t unless both report the
+// same ApplyResult (Installed resolved through Table.At).
+func applyBoth(t *testing.T, tb *Table, ref *refTable, buf []byte, msg Message, via netsim.Medium, now float64, cost uint32, where string) {
+	t.Helper()
+	got := tb.ApplyCost(buf, via, now, cost)
+	want := ref.ApplyCost(msg, via, now, cost)
+	if got.Changed != want.Changed || got.Worsened != want.Worsened ||
+		len(got.Installed) != len(want.Installed) || !slices.Equal(got.Unreachable, want.Unreachable) {
+		t.Fatalf("%s = %+v, reference %+v", where, got, want)
+	}
+	for i, at := range got.Installed {
+		if d := tb.At(at).Dest; d != want.Installed[i] {
+			t.Fatalf("%s: Installed[%d] = index %d, destination %d; reference %d", where, i, at, d, want.Installed[i])
+		}
+	}
 }

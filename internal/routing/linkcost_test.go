@@ -5,7 +5,7 @@ import "testing"
 func TestApplyCostWeighted(t *testing.T) {
 	tb := NewTable(1000)
 	m := &fakeMedium{"slow"}
-	res := tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 10}}}, m, 0, 7)
+	res := applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 10}}}, m, 0, 7)
 	if !res.Changed {
 		t.Fatal("no change")
 	}
@@ -20,7 +20,7 @@ func TestApplyCostWeighted(t *testing.T) {
 func TestApplyCostOverflowCapsAtInfinity(t *testing.T) {
 	tb := NewTable(1 << 30)
 	m := &fakeMedium{"x"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: ^uint32(0) - 2}}}, m, 0, 7)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: ^uint32(0) - 2}}}, m, 0, 7)
 	if r := tb.Get(5); r != nil && r.Metric < 7 {
 		t.Fatalf("overflowed metric: %+v", r)
 	}
@@ -33,7 +33,7 @@ func TestApplyCostZeroPanics(t *testing.T) {
 			t.Fatal("zero cost did not panic")
 		}
 	}()
-	tb.ApplyCost(Message{Router: 1}, &fakeMedium{"x"}, 0, 0)
+	applyMsg(tb, Message{Router: 1}, &fakeMedium{"x"}, 0, 0)
 }
 
 // TestWeightedProtocolPrefersCheapDetour: a diamond where the direct link
@@ -47,8 +47,8 @@ func TestWeightedProtocolPrefersCheapDetour(t *testing.T) {
 	build := func(slowCost uint32) *Route {
 		tb := NewTable(1000)
 		tb.SetLocal(0, 0)
-		tb.ApplyCost(Message{Router: dst}, slow, 0, slowCost)
-		tb.ApplyCost(Message{Router: mid, Entries: []Entry{{Dest: dst, Metric: 1}}}, fast, 0, 1)
+		applyMsg(tb, Message{Router: dst}, slow, 0, slowCost)
+		applyMsg(tb, Message{Router: mid, Entries: []Entry{{Dest: dst, Metric: 1}}}, fast, 0, 1)
 		return tb.Get(dst)
 	}
 	if r := build(1); r == nil || r.Metric != 1 || r.NextHop != dst {

@@ -11,9 +11,9 @@ func TestExportPoisonReverse(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	lan := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, lan, 1, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, lan, 1, 1)
 
-	got := tb.ExportInto(nil, lan, true, true)
+	got := exportEntries(tb, lan, true, true)
 	byDest := map[netsim.NodeID]uint32{}
 	for _, e := range got {
 		byDest[e.Dest] = e.Metric
@@ -34,19 +34,19 @@ func TestHoldDownBlocksResurrection(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetHoldDown(100)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
 	// Next hop declares dest 5 dead at t=10 → hold until t=110.
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 10, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 10, 1)
 	if !tb.HeldDown(5, 50) {
 		t.Fatal("destination not held down")
 	}
 	// Another neighbor claims a path during the hold: rejected.
-	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 3}}}, m, 50, 1)
+	applyMsg(tb, Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 3}}}, m, 50, 1)
 	if r := tb.Get(5); r.Metric != 16 {
 		t.Fatalf("hold-down violated: %+v", r)
 	}
 	// After the hold expires the same news is accepted.
-	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 3}}}, m, 120, 1)
+	applyMsg(tb, Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 3}}}, m, 120, 1)
 	if r := tb.Get(5); r.Metric != 4 || r.NextHop != 2 {
 		t.Fatalf("post-hold adoption failed: %+v", r)
 	}
@@ -56,12 +56,12 @@ func TestHoldDownAfterTimeout(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetHoldDown(100)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
 	tb.Expire(200, 180, 1000) // times out → hold until 300
 	if !tb.HeldDown(5, 250) {
 		t.Fatal("timeout did not start hold-down")
 	}
-	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 2}}}, m, 250, 1)
+	applyMsg(tb, Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 2}}}, m, 250, 1)
 	if r := tb.Get(5); r.Metric != 16 {
 		t.Fatalf("hold-down after timeout violated: %+v", r)
 	}
@@ -71,19 +71,19 @@ func TestHoldDownBlocksRelearnAfterGC(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetHoldDown(500)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 10, 1) // hold until 510
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 10, 1) // hold until 510
 	tb.Expire(400, 180, 300)                                                            // GC deletes the dead entry
 	if tb.Get(5) != nil {
 		t.Fatal("route not deleted")
 	}
 	// A fresh advertisement inside the hold window is still rejected.
-	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 450, 1)
+	applyMsg(tb, Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 450, 1)
 	if tb.Get(5) != nil {
 		t.Fatal("hold-down bypassed after GC")
 	}
 	// And accepted after it.
-	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 600, 1)
+	applyMsg(tb, Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 600, 1)
 	if r := tb.Get(5); r == nil || r.Metric != 2 {
 		t.Fatalf("post-hold relearn failed: %+v", r)
 	}

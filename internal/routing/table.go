@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -27,10 +29,11 @@ type Route struct {
 // Table is a distance-vector routing table: one []Route sorted by
 // destination and held by value. Lookups are binary searches, or a short
 // forward step when an update's entries arrive in destination order (as
-// ExportInto emits them); inserts shift the tail, and Expire compacts
-// the array in place. Result lists are retained scratch, so the
-// steady-state update cycle — export, apply, expire — allocates nothing
-// once the table has reached its high-water size.
+// AppendUpdate emits them); inserts shift the tail, and Expire compacts
+// the array in place. Updates go straight between the table and wire
+// bytes, and result lists are retained scratch, so the steady-state
+// update cycle — append an update, apply one, expire — allocates nothing
+// once the table and buffers have reached their high-water sizes.
 type Table struct {
 	routes []Route
 	// media interns the media routes were learned on; Route.Via indexes
@@ -39,6 +42,11 @@ type Table struct {
 	infinity uint32
 	holdDown float64
 	holdTill map[netsim.NodeID]float64
+	// oldest is at most every non-local route's Updated (+Inf in an empty
+	// table): inserts lower it, refreshes only raise Updated as time
+	// runs forward, and each Expire walk recomputes it exactly. Expire
+	// skips the walk while no route can be old enough to age.
+	oldest float64
 
 	// inst/unre back ApplyResult's slices; expU/expD back Expire's.
 	inst       []int32
@@ -52,6 +60,7 @@ func NewTable(infinity uint32) *Table {
 		media:    []netsim.Medium{nil},
 		infinity: infinity,
 		holdTill: make(map[netsim.NodeID]float64),
+		oldest:   math.Inf(1),
 	}
 }
 
@@ -162,7 +171,7 @@ func (t *Table) SetLocal(self netsim.NodeID, now float64) {
 }
 
 // Routes returns a copy of the entries sorted by destination (dumps,
-// tests). Hot paths use ExportInto, which reads the table in place.
+// tests). Hot paths use AppendUpdate, which reads the table in place.
 func (t *Table) Routes() []Route { return slices.Clone(t.routes) }
 
 // Reset clears the table in place for a cold restart (router crash):
@@ -171,13 +180,14 @@ func (t *Table) Routes() []Route { return slices.Clone(t.routes) }
 // life. The configured infinity and hold-down are retained.
 func (t *Table) Reset() {
 	t.routes = t.routes[:0]
+	t.oldest = math.Inf(1)
 	clear(t.holdTill)
 }
 
 // ApplyResult reports what an incoming update changed.
 //
 // Installed and Unreachable are backed by scratch the table reuses: they
-// are valid until the next Apply/ApplyCost call on the same table, which
+// are valid until the next ApplyCost call on the same table, which
 // is the lifetime every caller needs (agents react to the result before
 // processing the next update).
 type ApplyResult struct {
@@ -208,19 +218,21 @@ func (res *ApplyResult) install(i int) {
 // ApplyCost folds one neighbor's update into the table (Bellman–Ford with
 // the "believe your next hop" rule): the advertised metric plus the
 // ingress link cost — the metric charged for the hop to the advertising
-// neighbor — capped at infinity. via is the medium the update arrived
-// on, now the current time. The agent counts hops and charges cost 1;
-// a delay- or bandwidth-weighted metric would charge more for slower
-// media. Cost must be at least 1 (a zero-cost hop would allow counting
-// loops that never age).
-func (t *Table) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32) ApplyResult {
+// neighbor — capped at infinity. payload is the update's wire bytes,
+// already validated by PeekHeader; the entries are read in place, in
+// message order, after the sender's own route. via is the medium the
+// update arrived on, now the current time. The agent counts hops and
+// charges cost 1; a delay- or bandwidth-weighted metric would charge
+// more for slower media. Cost must be at least 1 (a zero-cost hop would
+// allow counting loops that never age).
+func (t *Table) ApplyCost(payload []byte, via netsim.Medium, now float64, cost uint32) ApplyResult {
 	if cost < 1 {
 		panic("routing: link cost must be at least 1")
 	}
 	var res ApplyResult
 	res.Installed = t.inst[:0]
 	res.Unreachable = t.unre[:0]
-	from := m.Router
+	from := netsim.NodeID(binary.BigEndian.Uint32(payload[4:]))
 	vi := t.medium(via)
 
 	// The neighbor itself is reachable at one hop — distance-vector
@@ -229,7 +241,12 @@ func (t *Table) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32
 	t.applyOne(i, ok, Entry{Dest: from, Metric: 0}, from, vi, now, cost, &res)
 
 	next := 0
-	for _, e := range m.Entries {
+	body := payload[headerLen : headerLen+entryLen*int(binary.BigEndian.Uint16(payload[8:]))]
+	for ; len(body) >= entryLen; body = body[entryLen:] {
+		e := Entry{
+			Dest:   netsim.NodeID(binary.BigEndian.Uint32(body)),
+			Metric: binary.BigEndian.Uint32(body[4:]),
+		}
 		if e.Dest == from {
 			continue // the neighbor's self-route was handled above
 		}
@@ -258,6 +275,7 @@ func (t *Table) applyOne(i int, ok bool, e Entry, from netsim.NodeID, via uint16
 			return i // hold-down: distrust resurrection rumors
 		}
 		t.routes = slices.Insert(t.routes, i, Route{Dest: e.Dest, Metric: cand, NextHop: from, Via: via, Updated: now})
+		t.oldest = min(t.oldest, now)
 		if i < res.top {
 			// The insert moved the routes from i on up by one, some
 			// installed earlier in this update among them.
@@ -320,10 +338,15 @@ func (t *Table) applyOne(i int, ok bool, e Entry, from netsim.NodeID, via uint16
 // It returns the destinations that just became unreachable (for triggered
 // updates) and those deleted, each in ascending order. Like
 // ApplyResult's slices, both returned lists are scratch-backed and valid
-// until the next Expire call.
+// until the next Expire call. While even the oldest route is within both
+// ages, nothing can age and the table is not walked.
 func (t *Table) Expire(now, timeout, gcAfter float64) (newlyUnreachable, deleted []netsim.NodeID) {
 	newlyUnreachable = t.expU[:0]
 	deleted = t.expD[:0]
+	if now-t.oldest <= min(timeout, gcAfter) {
+		return newlyUnreachable, deleted
+	}
+	oldest := math.Inf(1)
 	n := 0 // routes kept so far, compacted to the front
 	for i := range t.routes {
 		r := &t.routes[i]
@@ -339,6 +362,7 @@ func (t *Table) Expire(now, timeout, gcAfter float64) (newlyUnreachable, deleted
 				t.startHold(r.Dest, now)
 				newlyUnreachable = append(newlyUnreachable, r.Dest)
 			}
+			oldest = min(oldest, r.Updated)
 		}
 		if n != i {
 			t.routes[n] = *r
@@ -346,6 +370,7 @@ func (t *Table) Expire(now, timeout, gcAfter float64) (newlyUnreachable, deleted
 		n++
 	}
 	t.routes = t.routes[:n]
+	t.oldest = oldest
 	t.expU = newlyUnreachable
 	t.expD = deleted
 	return newlyUnreachable, deleted
@@ -371,25 +396,51 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// ExportInto appends the advertisement entries for an update sent on
-// `on` onto dst, applying split horizon when enabled: routes learned over
-// `on` are omitted, or — with poison reverse — advertised as unreachable.
-// Local routes are advertised with metric 0. Agents pass a per-agent
-// scratch slice so steady-state update preparation allocates nothing.
-func (t *Table) ExportInto(dst []Entry, on netsim.Medium, splitHorizon, poisonReverse bool) []Entry {
+// AppendUpdate appends router's full-table update for medium `on` to dst
+// in EncodeInto's wire format, walking the table once: split horizon,
+// when enabled, omits routes learned over `on`, or with poison reverse
+// advertises them as unreachable; local routes carry metric 0. extra
+// synthetic routes follow, advertised as unreachable-1 so they never win
+// over real ones; they make update preparation and processing cost
+// realistic (the PARC routers carried ~300 routes). The count is patched
+// once the entries are written; more than MaxEntries panics with
+// ErrTooMany, the error EncodeInto returns.
+func (t *Table) AppendUpdate(dst []byte, router netsim.NodeID, triggered bool, on netsim.Medium, splitHorizon, poisonReverse bool, extra int) []byte {
+	start := len(dst)
+	var flags byte
+	if triggered {
+		flags = flagTriggered
+	}
+	dst = binary.BigEndian.AppendUint16(dst, magic)
+	dst = append(dst, version, flags)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(router))
+	dst = append(dst, 0, 0, 0, 0) // count, patched below; reserved
+
 	split := -1 // no route's Via matches: split horizon is off, or on is new
 	if splitHorizon {
 		split = slices.Index(t.media, on)
 	}
 	for i := range t.routes {
 		r := &t.routes[i]
+		metric := r.Metric
 		if int(r.Via) == split && !r.Local {
-			if poisonReverse {
-				dst = append(dst, Entry{Dest: r.Dest, Metric: t.infinity})
+			if !poisonReverse {
+				continue
 			}
-			continue
+			metric = t.infinity
 		}
-		dst = append(dst, Entry{Dest: r.Dest, Metric: r.Metric})
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Dest))
+		dst = binary.BigEndian.AppendUint32(dst, metric)
 	}
+	base := netsim.NodeID(1<<20) + router*MaxEntries // far outside real node-id space
+	for i := 0; i < extra; i++ {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(base+netsim.NodeID(i)))
+		dst = binary.BigEndian.AppendUint32(dst, t.infinity-1)
+	}
+	count := (len(dst) - start - headerLen) / entryLen
+	if count > MaxEntries {
+		panic(fmt.Errorf("%w: %d", ErrTooMany, count))
+	}
+	binary.BigEndian.PutUint16(dst[start+8:], uint16(count))
 	return dst
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"testing"
 
@@ -290,10 +291,25 @@ func (t *refTable) ExportInto(dst []Entry, on netsim.Medium, splitHorizon, poiso
 	return dst
 }
 
+// syntheticEntries returns the extra routes an update from router
+// carries after its table, as Table.AppendUpdate writes them.
+func syntheticEntries(router netsim.NodeID, extra int, infinity uint32) []Entry {
+	var es []Entry
+	base := netsim.NodeID(1 << 20)
+	for i := 0; i < extra; i++ {
+		es = append(es, Entry{Dest: base + netsim.NodeID(int(router)*MaxEntries+i), Metric: infinity - 1})
+	}
+	return es
+}
+
 // compareTables fails t unless tb and ref agree on Len, on every route
 // for destinations below dests (Get, with Via resolved through the
-// table's media), on HeldDown at now, and on ExportInto over each of
-// media with split horizon off, on, and on with poison reverse.
+// table's media), on HeldDown at now, and on the update each appends
+// for each of media with split horizon off, on, and on with poison
+// reverse: tb's AppendUpdate bytes, decoded, must carry the header asked
+// for and ref's ExportInto entries followed by the synthetic routes (one
+// more per medium). It also checks tb's expiry bound: at most every
+// non-local route's Updated, and +Inf while the table is empty.
 func compareTables(t *testing.T, tb *Table, ref *refTable, dests int, media []netsim.Medium, now float64, where string) {
 	t.Helper()
 	if tb.Len() != ref.Len() {
@@ -312,13 +328,23 @@ func compareTables(t *testing.T, tb *Table, ref *refTable, dests int, media []ne
 			t.Fatalf("%s: HeldDown(%d, %v) = %v, reference %v", where, d, now, tb.HeldDown(d, now), ref.HeldDown(d, now))
 		}
 	}
+	if tb.Len() == 0 && !math.IsInf(tb.oldest, 1) {
+		t.Fatalf("%s: empty table's oldest = %v, want +Inf", where, tb.oldest)
+	}
+	for _, r := range tb.routes {
+		if !r.Local && r.Updated < tb.oldest {
+			t.Fatalf("%s: oldest = %v above route %+v", where, tb.oldest, r)
+		}
+	}
 	for i, m := range media {
+		router, triggered := netsim.NodeID(7+i), i%2 == 1
 		for _, mode := range [][2]bool{{false, false}, {true, false}, {true, true}} {
-			got := tb.ExportInto(nil, m, mode[0], mode[1])
-			want := ref.ExportInto(nil, m, mode[0], mode[1])
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: ExportInto(medium %d, split %v, poison %v) = %v, reference %v",
-					where, i, mode[0], mode[1], got, want)
+			got, err := Decode(tb.AppendUpdate(nil, router, triggered, m, mode[0], mode[1], i))
+			want := append(ref.ExportInto(nil, m, mode[0], mode[1]), syntheticEntries(router, i, ref.infinity)...)
+			if err != nil || got.Router != router || got.Triggered != triggered || got.Request ||
+				!slices.Equal(got.Entries, want) {
+				t.Fatalf("%s: AppendUpdate(medium %d, split %v, poison %v, extra %d) = %+v (err %v), reference entries %v",
+					where, i, mode[0], mode[1], i, got, err, want)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,11 +14,31 @@ type fakeMedium struct{ name string }
 
 func (f *fakeMedium) Transmit(*netsim.Packet, *netsim.Node, netsim.NodeID) {}
 
+// applyMsg encodes m with EncodeInto and applies the bytes, as an agent
+// applies a received update.
+func applyMsg(tb *Table, m Message, via netsim.Medium, now float64, cost uint32) ApplyResult {
+	buf, err := EncodeInto(nil, m)
+	if err != nil {
+		panic(err)
+	}
+	return tb.ApplyCost(buf, via, now, cost)
+}
+
+// exportEntries returns the entries of the update tb appends for medium
+// on, decoded.
+func exportEntries(tb *Table, on netsim.Medium, splitHorizon, poisonReverse bool) []Entry {
+	m, err := Decode(tb.AppendUpdate(nil, 0, false, on, splitHorizon, poisonReverse, 0))
+	if err != nil {
+		panic(err)
+	}
+	return m.Entries
+}
+
 func TestTableLearnsNeighborFromUpdate(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	res := tb.ApplyCost(Message{Router: 1}, m, 10, 1)
+	res := applyMsg(tb, Message{Router: 1}, m, 10, 1)
 	if !res.Changed {
 		t.Fatal("learning the neighbor should change the table")
 	}
@@ -31,17 +53,17 @@ func TestTableBellmanFord(t *testing.T) {
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
 	// Neighbor 1 advertises dest 5 at metric 2 → we reach it at 3.
-	res := tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 2}}}, m, 1, 1)
+	res := applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 2}}}, m, 1, 1)
 	if r := tb.Get(5); r == nil || r.Metric != 3 || r.NextHop != 1 {
 		t.Fatalf("route to 5 = %+v (res %+v)", tb.Get(5), res)
 	}
 	// Neighbor 2 advertises dest 5 at metric 1 → better path at 2.
-	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 2, 1)
+	applyMsg(tb, Message{Router: 2, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 2, 1)
 	if r := tb.Get(5); r.Metric != 2 || r.NextHop != 2 {
 		t.Fatalf("route to 5 after better offer = %+v", r)
 	}
 	// Neighbor 1 advertises metric 9: worse, from a non-next-hop → ignored.
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 9}}}, m, 3, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 9}}}, m, 3, 1)
 	if r := tb.Get(5); r.Metric != 2 || r.NextHop != 2 {
 		t.Fatalf("worse offer from non-next-hop adopted: %+v", r)
 	}
@@ -51,9 +73,9 @@ func TestTableBelievesNextHopBadNews(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 1, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 1, 1)
 	// Current next hop raises the metric: must be believed.
-	res := tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 7}}}, m, 2, 1)
+	res := applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 7}}}, m, 2, 1)
 	if !res.Worsened {
 		t.Fatal("metric increase from next hop not reported as worsened")
 	}
@@ -61,7 +83,7 @@ func TestTableBelievesNextHopBadNews(t *testing.T) {
 		t.Fatalf("route metric = %d, want 8", r.Metric)
 	}
 	// Next hop declares it unreachable.
-	res = tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 3, 1)
+	res = applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 3, 1)
 	if len(res.Unreachable) != 1 || res.Unreachable[0] != 5 {
 		t.Fatalf("unreachable = %v", res.Unreachable)
 	}
@@ -73,8 +95,8 @@ func TestTableBelievesNextHopBadNews(t *testing.T) {
 func TestTableMetricCapsAtInfinity(t *testing.T) {
 	tb := NewTable(16)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 1, 1)
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 40}}}, m, 2, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 1, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 40}}}, m, 2, 1)
 	if r := tb.Get(5); r.Metric != 16 {
 		t.Fatalf("metric = %d, want capped at 16", r.Metric)
 	}
@@ -83,7 +105,7 @@ func TestTableMetricCapsAtInfinity(t *testing.T) {
 func TestTableIgnoresUnreachableNews(t *testing.T) {
 	tb := NewTable(16)
 	m := &fakeMedium{"lan"}
-	res := tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 1, 1)
+	res := applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 16}}}, m, 1, 1)
 	if tb.Get(5) != nil {
 		t.Fatal("learned an unreachable route")
 	}
@@ -96,7 +118,7 @@ func TestTableNeverReplacesLocal(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 0, Metric: 0}}}, m, 1, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 0, Metric: 0}}}, m, 1, 1)
 	r := tb.Get(0)
 	if !r.Local || r.Metric != 0 {
 		t.Fatalf("local route overwritten: %+v", r)
@@ -107,7 +129,7 @@ func TestTableExpireLifecycle(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
 
 	// Within timeout: nothing happens.
 	un, del := tb.Expire(100, 180, 300)
@@ -142,8 +164,8 @@ func TestTableExpireLifecycle(t *testing.T) {
 func TestTableRefreshPreventsExpiry(t *testing.T) {
 	tb := NewTable(16)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 150, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 0, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, m, 150, 1)
 	un, _ := tb.Expire(200, 180, 300)
 	if len(un) != 0 {
 		t.Fatalf("refreshed route expired: %v", un)
@@ -155,12 +177,12 @@ func TestExportSplitHorizon(t *testing.T) {
 	tb.SetLocal(0, 0)
 	lan := &fakeMedium{"lan"}
 	other := &fakeMedium{"other"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, lan, 1, 1)
-	tb.ApplyCost(Message{Router: 2, Entries: []Entry{{Dest: 9, Metric: 1}}}, other, 1, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}}}, lan, 1, 1)
+	applyMsg(tb, Message{Router: 2, Entries: []Entry{{Dest: 9, Metric: 1}}}, other, 1, 1)
 
 	// With split horizon on the LAN: routes learned over the LAN (1, 5)
 	// are suppressed; local and other-medium routes remain.
-	got := tb.ExportInto(nil, lan, true, false)
+	got := exportEntries(tb, lan, true, false)
 	dests := map[netsim.NodeID]bool{}
 	for _, e := range got {
 		dests[e.Dest] = true
@@ -173,7 +195,7 @@ func TestExportSplitHorizon(t *testing.T) {
 	}
 
 	// Without split horizon everything is advertised.
-	if got := tb.ExportInto(nil, lan, false, false); len(got) != 5 {
+	if got := exportEntries(tb, lan, false, false); len(got) != 5 {
 		t.Fatalf("full export = %v", got)
 	}
 }
@@ -181,7 +203,7 @@ func TestExportSplitHorizon(t *testing.T) {
 func TestRoutesSortedDeterministic(t *testing.T) {
 	tb := NewTable(16)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 9, Entries: []Entry{{Dest: 3, Metric: 1}, {Dest: 1, Metric: 1}}}, m, 0, 1)
+	applyMsg(tb, Message{Router: 9, Entries: []Entry{{Dest: 3, Metric: 1}, {Dest: 1, Metric: 1}}}, m, 0, 1)
 	rs := tb.Routes()
 	for i := 1; i < len(rs); i++ {
 		if rs[i-1].Dest >= rs[i].Dest {
@@ -194,7 +216,7 @@ func TestTableString(t *testing.T) {
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	m := &fakeMedium{"lan"}
-	tb.ApplyCost(Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}, {Dest: 7, Metric: 16}}}, m, 3, 1)
+	applyMsg(tb, Message{Router: 1, Entries: []Entry{{Dest: 5, Metric: 1}, {Dest: 7, Metric: 16}}}, m, 3, 1)
 	out := tb.String()
 	for _, want := range []string{"3 routes", "local", "dest 5", "metric 2"} {
 		if !strings.Contains(out, want) {
@@ -210,21 +232,23 @@ func TestTableString(t *testing.T) {
 
 // TestTableSteadyStateAllocs pins the flat table's claim: once a table
 // of about 200 routes has converged, the update cycle an agent runs —
-// apply each neighbor's update, export on each medium with split horizon
-// and poison reverse, age the routes — allocates nothing.
+// apply each neighbor's update from its wire bytes, append an update on
+// each medium with split horizon and poison reverse, age the routes —
+// allocates nothing.
 func TestTableSteadyStateAllocs(t *testing.T) {
 	const dests = 200
 	tb := NewTable(16)
 	tb.SetLocal(0, 0)
 	media := []netsim.Medium{&fakeMedium{"a"}, &fakeMedium{"b"}}
-	msgs := make([]Message, 4)
+	msgs := make([][]byte, 4)
 	for i := range msgs {
-		msgs[i].Router = netsim.NodeID(1 + i)
+		m := Message{Router: netsim.NodeID(1 + i)}
 		for d := 1; d <= dests; d++ {
-			msgs[i].Entries = append(msgs[i].Entries, Entry{Dest: netsim.NodeID(d), Metric: uint32(1 + (d+i)%5)})
+			m.Entries = append(m.Entries, Entry{Dest: netsim.NodeID(d), Metric: uint32(1 + (d+i)%5)})
 		}
+		msgs[i], _ = EncodeInto(nil, m)
 	}
-	var exp []Entry
+	var enc []byte
 	now := 0.0
 	cycle := func() {
 		now++
@@ -232,7 +256,7 @@ func TestTableSteadyStateAllocs(t *testing.T) {
 			tb.ApplyCost(m, media[i%len(media)], now, 1)
 		}
 		for _, m := range media {
-			exp = tb.ExportInto(exp[:0], m, true, true)
+			enc = tb.AppendUpdate(enc[:0], 0, false, m, true, true, 0)
 		}
 		tb.Expire(now, 180, 120)
 	}
@@ -242,5 +266,57 @@ func TestTableSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("steady-state cycle: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestAppendUpdateTooManyPanics pins the count guard: an update of more
+// than MaxEntries routes, real or synthetic, panics with ErrTooMany
+// instead of writing a wrapped uint16 count, while exactly MaxEntries
+// encodes.
+func TestAppendUpdateTooManyPanics(t *testing.T) {
+	m := &fakeMedium{"lan"}
+	for _, tc := range []struct {
+		name          string
+		routes, extra int
+		ok            bool
+	}{
+		{"MaxEntries routes", MaxEntries, 0, true},
+		{"MaxEntries-1 routes plus one extra", MaxEntries - 1, 1, true},
+		{"MaxEntries+1 routes", MaxEntries + 1, 0, false},
+		{"MaxEntries routes plus one extra", MaxEntries, 1, false},
+		{"extra routes alone", 0, MaxEntries + 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A sender learned at one hop and the routes it advertised.
+			tb := NewTable(16)
+			if tc.routes > 0 {
+				msg := Message{Router: 1}
+				for d := 2; d <= tc.routes; d++ {
+					msg.Entries = append(msg.Entries, Entry{Dest: netsim.NodeID(d), Metric: 1})
+				}
+				applyMsg(tb, msg, m, 0, 1)
+			}
+			var buf []byte
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						if err, _ = r.(error); err == nil {
+							err = fmt.Errorf("non-error panic %v", r)
+						}
+					}
+				}()
+				buf = tb.AppendUpdate(nil, 0, false, m, false, false, tc.extra)
+				return nil
+			}()
+			if !tc.ok {
+				if !errors.Is(err, ErrTooMany) {
+					t.Fatalf("AppendUpdate of %d routes + %d extra: err %v, want ErrTooMany", tb.Len(), tc.extra, err)
+				}
+				return
+			}
+			if dec, err := Decode(buf); err != nil || len(dec.Entries) != tc.routes+tc.extra {
+				t.Fatalf("decoded %d entries (err %v), want %d", len(dec.Entries), err, tc.routes+tc.extra)
+			}
+		})
 	}
 }

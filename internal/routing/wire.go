@@ -53,7 +53,8 @@ type Message struct {
 	Entries []Entry
 }
 
-// Errors returned by PeekHeader and EncodeInto.
+// Errors returned by PeekHeader and EncodeInto (Table.AppendUpdate
+// panics with ErrTooMany).
 var (
 	ErrTruncated  = errors.New("routing: truncated message")
 	ErrBadMagic   = errors.New("routing: bad magic")
@@ -67,8 +68,9 @@ var (
 //	uint16 magic | uint8 version | uint8 flags | uint32 router |
 //	uint16 count | uint16 reserved | count × (uint32 dest, uint32 metric)
 //
-// Agents pass a per-agent scratch buffer so steady-state update encoding
-// allocates nothing. The returned slice aliases dst's array when it was
+// Agents encode only table requests this way, into the kernel's Enc
+// scratch; updates go straight from the table onto the wire through
+// Table.AppendUpdate. The returned slice aliases dst's array when it was
 // large enough; callers that keep the bytes past the next encode must
 // copy (netsim.Packet.SetPayload does).
 func EncodeInto(dst []byte, m Message) ([]byte, error) {
@@ -103,7 +105,8 @@ func EncodeInto(dst []byte, m Message) ([]byte, error) {
 
 // PeekHeader validates buf with exactly Decode's checks and returns the
 // header fields without materializing the entry slice — the agents'
-// allocation-free receive path. count is the number of entries present.
+// allocation-free receive path, after which Table.ApplyCost reads the
+// entries in place. count is the number of entries present.
 func PeekHeader(buf []byte) (router netsim.NodeID, triggered, request bool, count int, err error) {
 	if len(buf) < headerLen {
 		return 0, false, false, 0, ErrTruncated
@@ -125,19 +128,4 @@ func PeekHeader(buf []byte) (router netsim.NodeID, triggered, request bool, coun
 	request = buf[3]&flagRequest != 0
 	router = netsim.NodeID(binary.BigEndian.Uint32(buf[4:]))
 	return router, triggered, request, count, nil
-}
-
-// AppendEntries decodes buf's entries onto dst and returns it. buf must
-// have passed PeekHeader; with a reused dst the decode is
-// allocation-free once the scratch reaches its high-water size.
-func AppendEntries(dst []Entry, buf []byte) []Entry {
-	count := int(binary.BigEndian.Uint16(buf[8:]))
-	for i := 0; i < count; i++ {
-		off := headerLen + entryLen*i
-		dst = append(dst, Entry{
-			Dest:   netsim.NodeID(binary.BigEndian.Uint32(buf[off:])),
-			Metric: binary.BigEndian.Uint32(buf[off+4:]),
-		})
-	}
-	return dst
 }

@@ -13,8 +13,8 @@ import (
 
 // Decode parses a wire message, validating magic, version, entry count
 // (at most MaxEntries, the most EncodeInto writes) and length. Agents
-// decode through PeekHeader and AppendEntries; Decode is the tests' and
-// the fuzz target's independent reference.
+// validate through PeekHeader and Table.ApplyCost reads the entries in
+// place; Decode is the tests' and the fuzz targets' independent reference.
 func Decode(buf []byte) (Message, error) {
 	var m Message
 	if len(buf) < headerLen {
