@@ -42,13 +42,13 @@ func BenchmarkNetsimForward(b *testing.B) {
 // BenchmarkPathVectorUpdate measures the path-vector update hot path in
 // isolation: two ASes exchanging full refresh rounds through per-peer
 // MRAI batching. One op is one refresh period — each side fires its
-// periodic timer, encodes its adj-out into the kernel's scratch buffer,
-// the peer decodes, runs best-path selection, and the MRAI timer batches
-// and flushes the resulting advertisements. Adj-in slots keep their run
-// of the agent's hop arena across re-advertisements, the
+// periodic timer, encodes its adj-out straight into the update packet's
+// payload, the peer decodes, runs best-path selection, and the MRAI
+// timer batches and flushes the resulting advertisements. Adj-in slots
+// keep their run of the agent's hop arena across re-advertisements, the
 // dirty/advertised sets are single-word bitsets, and the flush encodes
-// from the arena into the kernel scratch, so warm rounds run at
-// 0 allocs/op — the number benchguard gates.
+// from the arena into the pooled packet's own payload arena, so warm
+// rounds run at 0 allocs/op — the number benchguard gates.
 func BenchmarkPathVectorUpdate(b *testing.B) {
 	const warmup, period = 200.0, 30.0
 	net := netsim.NewNetwork(1)
@@ -87,9 +87,9 @@ func (*benchMedium) Transmit(*netsim.Packet, *netsim.Node, netsim.NodeID) {}
 
 // BenchmarkRoutingUpdateCycle measures the distance-vector update cycle
 // on a converged table, off the simulator: one op applies a neighbor's
-// full-table update straight from its wire bytes, appends the router's
-// own update for the other medium straight into an encode buffer (RIP's
-// split horizon), and runs the route-aging sweep one simulated second
+// full-table update straight from its wire bytes, writes the router's
+// own update for the other medium into a buffer (RIP's split horizon),
+// and runs the route-aging sweep one simulated second
 // later. The sweep walks the table only once a route could have aged, so
 // most ops skip it, as an agent's periodic sweeps do. Warm ops run at
 // 0 allocs/op.
@@ -114,7 +114,9 @@ func BenchmarkRoutingUpdateCycle(b *testing.B) {
 			cycle := func() {
 				now++
 				tb.ApplyCost(upd, in, now, 1)
-				enc = tb.AppendUpdate(enc[:0], 0, false, out, p.SplitHorizon, p.PoisonReverse, 0)
+				for u := tb.NewUpdate(0, false, out, p.SplitHorizon, p.PoisonReverse, 0); u.More(); {
+					enc = u.Append(enc[:0])
+				}
 				tb.Expire(now, timeout, gc)
 			}
 			cycle()

@@ -209,7 +209,7 @@ func (a *Agent) originate() {
 	now := node.Now()
 	prev, had := a.lsdb[node.ID]
 	a.lsdb[node.ID] = lsdbEntry{lsa: lsa, updated: now}
-	a.flood(lsa, nil)
+	a.flood(lsa)
 	if !had || !idsEqual(nbrs, prev.lsa.Neighbors) || !a.fibCurrent() {
 		a.recompute()
 	}
@@ -219,31 +219,38 @@ func (a *Agent) originate() {
 	a.k.FinishSend(a.cfg.PrepareCost, true)
 }
 
-// flood encodes an LSA into the kernel's scratch buffer and transmits it
-// on every medium.
-func (a *Agent) flood(lsa LSA, except netsim.Medium) {
-	payload, err := EncodeInto(a.k.Enc[:0], lsa)
-	if err != nil {
-		panic(err) // own adjacency lists are bounded by the topology
+// flood transmits the router's own LSA on every medium, encoding it
+// straight into each packet's payload. Encoding is as cheap as the copy
+// re-flooding makes, and writing each packet from the LSA needs no
+// other packet still held: a synchronous drop (a down link) releases a
+// packet as it is sent.
+func (a *Agent) flood(lsa LSA) {
+	node := a.k.Node()
+	n := headerLen + neighLen*len(lsa.Neighbors)
+	for i, nm := 0, node.NumMedia(); i < nm; i++ {
+		pkt, buf := a.k.Begin(netsim.Broadcast, n)
+		payload, err := EncodeInto(buf, lsa)
+		if err != nil {
+			panic(err) // own adjacency lists are bounded by the topology
+		}
+		a.k.Send(node.MediumAt(i), pkt, payload)
 	}
-	a.k.Enc = payload
-	a.floodRaw(payload, except)
 }
 
-// floodRaw transmits an already-encoded LSA on every medium except the
-// one it arrived on. Re-flooding reuses the incoming payload bytes —
-// EncodeInto is canonical, so re-encoding the decoded LSA would reproduce
-// them anyway. SetPayload copies them into each outgoing packet's own
-// arena, so the source (scratch buffer or an about-to-be-released
-// incoming packet) may be reused immediately.
-func (a *Agent) floodRaw(payload []byte, except netsim.Medium) {
+// reflood transmits a received LSA on every medium except the one it
+// arrived on, copying its bytes into each outgoing packet — EncodeInto
+// is canonical, so re-encoding the decoded LSA would reproduce them
+// anyway. The incoming packet stays the agent's until processing ends,
+// so its payload outlives the loop.
+func (a *Agent) reflood(payload []byte, except netsim.Medium) {
 	node := a.k.Node()
 	for i, nm := 0, node.NumMedia(); i < nm; i++ {
 		m := node.MediumAt(i)
 		if m == except {
 			continue
 		}
-		a.k.Send(m, netsim.Broadcast, payload)
+		pkt, buf := a.k.Begin(netsim.Broadcast, len(payload))
+		a.k.Send(m, pkt, append(buf, payload...))
 	}
 }
 
@@ -295,7 +302,7 @@ func (a *Agent) integrate(payload []byte, origin netsim.NodeID, seq uint32, via 
 		cur.lsa.Seq = seq
 		cur.updated = now
 		a.lsdb[origin] = cur
-		a.floodRaw(payload, via)
+		a.reflood(payload, via)
 		if !a.fibCurrent() {
 			a.recompute()
 		}
@@ -308,7 +315,7 @@ func (a *Agent) integrate(payload []byte, origin netsim.NodeID, seq uint32, via 
 		panic(fmt.Sprintf("linkstate: LSA from %d passed PeekHeader but not Decode: %v", origin, err))
 	}
 	a.lsdb[origin] = lsdbEntry{lsa: lsa, updated: now}
-	a.floodRaw(payload, via)
+	a.reflood(payload, via)
 	a.recompute()
 }
 

@@ -56,10 +56,9 @@ var (
 //	uint16 magic | uint8 version | uint8 reserved | uint32 origin |
 //	uint32 seq | uint16 count | uint16 reserved | count × uint32 neighbor
 //
-// Agents pass a per-agent scratch buffer so steady-state LSA origination
-// allocates nothing. The returned slice aliases dst's array when it was
-// large enough; callers keeping the bytes past the next encode must copy
-// (netsim.Packet.SetPayload does).
+// Agents encode straight into each outgoing packet's payload, so
+// steady-state LSA origination allocates nothing. The returned slice
+// aliases dst's array when it was large enough.
 func EncodeInto(dst []byte, l LSA) ([]byte, error) {
 	if len(l.Neighbors) > MaxNeighbors {
 		return nil, fmt.Errorf("%w: %d", ErrTooMany, len(l.Neighbors))

@@ -1,6 +1,9 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the pooled packet lifecycle: packets are slots
 // drawn from a per-logical-process free list and returned to the free
@@ -121,13 +124,28 @@ func (n *Network) releaseAt(nd *Node, pkt *Packet) {
 // or touching it through a stale PacketRef afterwards, panics.
 func (nd *Node) ReleasePacket(pkt *Packet) { nd.net.releaseAt(nd, pkt) }
 
-// SetPayload copies b into the packet's retained payload arena and
-// points Payload at the copy. Protocol encoders use it so one scratch
-// encode buffer can serve every outgoing packet: the bytes are copied
-// into the slot, whose arena grows to the high-water payload size and
-// is then reused for the slot's whole lifetime — no per-packet
-// allocation at steady state. Assigning Payload directly remains valid
-// for callers that manage their own buffers.
+// PayloadArena returns the slot's payload arena, emptied and grown to
+// hold n bytes. An encoder appends its n-byte message to it — straight
+// into the packet, with no scratch buffer in between — and passes the
+// result to CommitPayload. Growing from the retained arena to exactly n
+// gives the slot the capacity a copy of those n bytes would (SetPayload
+// grows the same way), so a slot's arena is sized by its high-water
+// message and reused for its whole lifetime.
+func (p *Packet) PayloadArena(n int) []byte { return slices.Grow(p.payloadBuf[:0], n) }
+
+// CommitPayload makes b — the slice PayloadArena returned, with the
+// message appended — the packet's payload, and keeps its backing array
+// as the slot's arena.
+func (p *Packet) CommitPayload(b []byte) {
+	p.payloadBuf = b
+	p.Payload = b
+}
+
+// SetPayload copies b into the packet's payload arena and points
+// Payload at the copy. LAN broadcast gives each receiver's clone its
+// own copy this way; protocol encoders write through PayloadArena
+// instead. Assigning Payload directly remains valid for callers that
+// manage their own buffers.
 func (p *Packet) SetPayload(b []byte) {
 	p.payloadBuf = append(p.payloadBuf[:0], b...)
 	p.Payload = p.payloadBuf
@@ -158,11 +176,11 @@ func (r PacketRef) Get() *Packet {
 }
 
 // clonePacket draws a slot from the pool at nd and copies pkt into it:
-// scalar fields, payload bytes (into the clone's own arena) and the
-// recorded path. LAN broadcast uses it to give every receiver a private
-// copy with independent TTL and bookkeeping; the clone keeps the
-// original's ID (it is the same datagram) and draws no per-node
-// sequence numbers, so cloning is invisible to the determinism keys.
+// scalar fields and payload bytes (into the clone's own arena). LAN
+// broadcast uses it to give every receiver a private copy with
+// independent TTL and bookkeeping; the clone keeps the original's ID (it
+// is the same datagram) and draws no per-node sequence numbers, so
+// cloning is invisible to the determinism keys.
 func (n *Network) clonePacket(nd *Node, pkt *Packet) *Packet {
 	cp := n.poolFor(nd).get()
 	cp.ID = pkt.ID

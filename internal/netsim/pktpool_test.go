@@ -213,3 +213,49 @@ func TestLivePacketsAcrossPartitions(t *testing.T) {
 func (r PacketRef) Live() bool {
 	return r.pkt != nil && (!r.pkt.pooled || (r.pkt.live && r.pkt.gen == r.gen))
 }
+
+// TestPayloadArena checks the encode-in-place contract: PayloadArena
+// hands out the slot's own arena, emptied and grown to exactly the
+// capacity SetPayload's copy of n bytes would give; a message appended
+// to it and committed is the payload, with no copy; and a later message
+// that fits reuses the same array across release/reuse.
+func TestPayloadArena(t *testing.T) {
+	nw := NewNetwork(1)
+	a := nw.NewNode("a", nil)
+	b := nw.NewNode("b", nil)
+	nw.Connect(a, b, LinkConfig{Delay: 0.001, Bandwidth: 1e6, QueueCap: 8})
+
+	msg := []byte("hello, wire")
+	pkt := nw.NewPacket(KindData, a.ID, b.ID, 64)
+	buf := pkt.PayloadArena(len(msg))
+	if len(buf) != 0 || cap(buf) != cap(append([]byte(nil), msg...)) {
+		t.Fatalf("fresh arena len %d cap %d, want 0 and a fresh copy's %d", len(buf), cap(buf), cap(append([]byte(nil), msg...)))
+	}
+	buf = append(buf, msg...)
+	pkt.CommitPayload(buf)
+	if string(pkt.Payload) != string(msg) || &pkt.Payload[0] != &buf[0] {
+		t.Fatalf("committed payload %q does not alias the encoded buffer", pkt.Payload)
+	}
+	a.ReleasePacket(pkt)
+
+	pkt2 := nw.NewPacket(KindData, a.ID, b.ID, 64)
+	if pkt2 != pkt {
+		t.Fatal("expected the released slot to be reused")
+	}
+	short := pkt2.PayloadArena(2)
+	if cap(short) != cap(buf) || &short[:1][0] != &buf[0] {
+		t.Fatal("a shorter message did not reuse the slot's arena")
+	}
+	pkt2.CommitPayload(append(short, "hi"...))
+	if string(pkt2.Payload) != "hi" {
+		t.Fatalf("payload after shrink = %q", pkt2.Payload)
+	}
+	// Growing past the arena sizes it as SetPayload's copy would.
+	long := make([]byte, 100)
+	var ref Packet
+	ref.SetPayload(buf[:cap(buf)])
+	ref.SetPayload(long)
+	if got := pkt2.PayloadArena(len(long)); cap(got) != cap(ref.Payload) {
+		t.Fatalf("grown arena cap %d, SetPayload's copy %d", cap(got), cap(ref.Payload))
+	}
+}

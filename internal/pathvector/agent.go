@@ -3,6 +3,7 @@ package pathvector
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -214,13 +215,13 @@ type Agent struct {
 	// matching indexes into peers: receive resolves a sender by binary
 	// search (hubs have 100+ sessions).
 	peerIDs []netsim.NodeID
-	peerAt  []int
+	peerAt  []int16
 	origins *OriginSet
 	selfIdx int  // index of own prefix in origins, or -1
 	localUp bool // own prefix currently originated
 
 	adjIn []adjSlot // [origin*len(peers)+peer]
-	best  []int     // [origin] → bestSelf, bestNone, or peer index
+	best  []int16   // [origin] → bestSelf, bestNone, or peer index
 	// hops is the arena behind every slot's path, as wire-width hops. A
 	// slot that outgrows its run moves to a fresh one at the end; dead
 	// counts the entries the moves left behind (see growAdj).
@@ -251,6 +252,9 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 	if cfg.PrepareCost < 0 || cfg.ProcessCost < 0 || cfg.MRAI < 0 {
 		panic("pathvector: negative costs or MRAI")
 	}
+	if len(cfg.Peers) > math.MaxInt16 {
+		panic(fmt.Sprintf("pathvector: %d peers exceed %d", len(cfg.Peers), math.MaxInt16))
+	}
 	if cfg.Jitter == nil {
 		cfg.Jitter = jitter.None{Tp: cfg.RefreshPeriod}
 	}
@@ -264,16 +268,16 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 	}
 	a.localUp = a.selfIdx >= 0
 	a.peers = make([]peerState, len(cfg.Peers))
-	a.peerAt = make([]int, len(cfg.Peers))
+	a.peerAt = make([]int16, len(cfg.Peers))
 	for i, pc := range cfg.Peers {
 		if pc.Link == nil {
 			panic("pathvector: peer without a link")
 		}
 		peer := pc.Link.Peer(node)
 		a.peers[i] = peerState{link: pc.Link, id: peer.ID, rel: pc.Rel}
-		a.peerAt[i] = i
+		a.peerAt[i] = int16(i)
 	}
-	slices.SortFunc(a.peerAt, func(x, y int) int { return cmp.Compare(a.peers[x].id, a.peers[y].id) })
+	slices.SortFunc(a.peerAt, func(x, y int16) int { return cmp.Compare(a.peers[x].id, a.peers[y].id) })
 	a.peerIDs = make([]netsim.NodeID, len(a.peerAt))
 	for i, pi := range a.peerAt {
 		a.peerIDs[i] = a.peers[pi].id
@@ -282,7 +286,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		}
 	}
 	a.adjIn = make([]adjSlot, cfg.Origins.Len()*len(cfg.Peers))
-	a.best = make([]int, cfg.Origins.Len())
+	a.best = make([]int16, cfg.Origins.Len())
 	for i := range a.best {
 		a.best[i] = bestNone
 	}
@@ -398,7 +402,7 @@ func (a *Agent) Reachable(origin netsim.NodeID) (bool, int) {
 	case bestSelf:
 		return true, 0
 	default:
-		return true, int(a.adj(o, b).n)
+		return true, int(a.adj(o, int(b)).n)
 	}
 }
 
@@ -448,41 +452,51 @@ func (a *Agent) flushIdlePeers() {
 // dirty set — advertisements for exportable reachable origins,
 // withdrawals for origins previously advertised and no longer
 // exportable — then starts the MRAI interval. A flush whose dirty set
-// produces no entries (nothing exportable, nothing to withdraw) sends
-// nothing and does not arm the timer.
+// produces no entries (nothing exportable, nothing to withdraw) draws no
+// packet, sends nothing and does not arm the timer.
+//
+// A first pass decides each dirty origin's entry once and sums the
+// message's exact length; the second encodes the entries, in origin
+// order, straight into the packet's payload.
 func (a *Agent) flushPeer(p *peerState) {
 	node := a.k.Node()
-	buf := AppendHeader(a.k.Enc[:0], node.ID)
-	adv, wdr := 0, 0
-	dirty := p.dirty
-	p.dirty = 0
-	for dirty != 0 {
+	var adv, wdr uint64
+	n := headerLen
+	for dirty := p.dirty; dirty != 0; dirty &= dirty - 1 {
 		o := bits.TrailingZeros64(dirty)
-		dirty &^= uint64(1) << uint(o)
 		bit := uint64(1) << uint(o)
 		if a.exportable(o, p) {
-			var err error
-			buf, err = appendAdvertise(buf, a.origins.ids[o], node.ID, a.bestPathFor(o))
-			if err != nil {
-				panic(err) // paths are bounded by the topology diameter
-			}
-			p.advOut |= bit
-			adv++
+			adv |= bit
+			n += entryFixed + hopLen*(1+len(a.bestPathFor(o)))
 		} else if p.advOut&bit != 0 {
-			buf = AppendWithdraw(buf, a.origins.ids[o])
-			p.advOut &^= bit
-			wdr++
+			wdr |= bit
+			n += entryFixed
 		}
 	}
-	a.k.Enc = buf
-	if adv+wdr == 0 {
+	p.dirty = 0
+	if adv|wdr == 0 {
 		return
 	}
-	PatchCount(buf, adv+wdr)
-	a.k.Send(p.link, p.id, buf)
+	nadv, nwdr := bits.OnesCount64(adv), bits.OnesCount64(wdr)
+	pkt, buf := a.k.Begin(p.id, n)
+	buf = AppendHeader(buf, node.ID, nadv+nwdr)
+	for m := adv | wdr; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
+		if adv&(uint64(1)<<uint(o)) == 0 {
+			buf = AppendWithdraw(buf, a.origins.ids[o])
+			continue
+		}
+		var err error
+		buf, err = appendAdvertise(buf, a.origins.ids[o], node.ID, a.bestPathFor(o))
+		if err != nil {
+			panic(err) // paths are bounded by the topology diameter
+		}
+	}
+	p.advOut = p.advOut&^wdr | adv
+	a.k.Send(p.link, pkt, buf)
 	a.stats.Flushes++
 	if a.OnFlush != nil {
-		a.OnFlush(node.Now(), p.id, adv, wdr)
+		a.OnFlush(node.Now(), p.id, nadv, nwdr)
 	}
 	if a.cfg.MRAI > 0 {
 		// Per-peer MRAI interval through the jitter policy, drawn from the
@@ -512,7 +526,7 @@ func (a *Agent) onMRAI(p *peerState) {
 // empty for a self-originated or unreachable prefix. The slice views the
 // hop arena: callers must not mutate or keep it.
 func (a *Agent) bestPathFor(o int) []uint32 {
-	if b := a.best[o]; b >= 0 {
+	if b := int(a.best[o]); b >= 0 {
 		return a.pathOf(a.adj(o, b))
 	}
 	return nil
@@ -530,7 +544,7 @@ func (a *Agent) pathOf(s *adjSlot) []uint32 { return a.hops[s.off : s.off+uint32
 // our providers and peers). A peer already on the path is skipped —
 // the sender-side half of loop prevention.
 func (a *Agent) exportable(o int, p *peerState) bool {
-	b := a.best[o]
+	b := int(a.best[o])
 	switch {
 	case b == bestNone:
 		return false
@@ -563,7 +577,7 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 		a.k.Node().ReleasePacket(pkt)
 		return
 	}
-	a.k.Process(pkt, via, pvAux{peer: a.peerAt[i]}, a.cfg.ProcessCost)
+	a.k.Process(pkt, via, pvAux{peer: int(a.peerAt[i])}, a.cfg.ProcessCost)
 }
 
 // process is the kernel's processing completion: integrate each entry,
@@ -675,7 +689,7 @@ func (a *Agent) clearAdj(o, peer int) bool {
 // route changed, marking the origin dirty toward every peer when it
 // did.
 func (a *Agent) reselect(o, touched int) bool {
-	prev := a.best[o]
+	prev := int(a.best[o])
 	next := bestNone
 	if a.selfIdx == o && a.localUp {
 		next = bestSelf
@@ -700,7 +714,7 @@ func (a *Agent) reselect(o, touched int) bool {
 		// route is untouched.
 		return false
 	}
-	a.best[o] = next
+	a.best[o] = int16(next)
 	a.stats.BestChanges++
 	a.markDirtyAll(o)
 	if a.OnBestChange != nil {

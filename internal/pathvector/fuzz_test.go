@@ -88,7 +88,7 @@ func roundTrip(t *testing.T, data []byte) {
 		entries = append(entries, e)
 	}
 
-	buf := AppendHeader(nil, router)
+	buf := AppendHeader(nil, router, len(entries))
 	for _, e := range entries {
 		if e.withdraw {
 			buf = AppendWithdraw(buf, e.origin)
@@ -99,7 +99,6 @@ func roundTrip(t *testing.T, data []byte) {
 			t.Fatalf("AppendAdvertise rejected a %d-hop path: %v", len(e.path), err)
 		}
 	}
-	PatchCount(buf, len(entries))
 
 	gotRouter, count, err := PeekHeader(buf)
 	if err != nil || gotRouter != router || count != len(entries) {
@@ -209,9 +208,8 @@ func FuzzAdjRIBIn(f *testing.F) {
 					path[loop%n] = a.Node().ID
 				}
 				what = fmt.Sprintf("advertise(peer %d, origin %d, %v)", p, o, path)
-				buf = AppendHeader(buf[:0], path[0])
+				buf = AppendHeader(buf[:0], path[0], 1)
 				buf, _ = appendAdvertise(buf, a.origins.ids[o], path[0], path[1:])
-				PatchCount(buf, 1)
 				c := NewCursor(buf)
 				c.Next()
 				got := a.integrate(o, p, &c, net.Now())
@@ -348,7 +346,7 @@ func (r *refRIB) compare(t *testing.T, a *Agent, where string) {
 	t.Helper()
 	for o, id := range a.origins.ids {
 		want := r.selected(o)
-		if a.best[o] != want {
+		if int(a.best[o]) != want {
 			t.Fatalf("%s: origin %d selects %d, reference %d", where, id, a.best[o], want)
 		}
 		var wantPath []netsim.NodeID

@@ -2,6 +2,7 @@ package pathvector
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -398,7 +399,7 @@ func TestHoldTimerExpiry(t *testing.T) {
 // TestWireRoundTrip exercises the encoder/cursor pair, including
 // withdrawals and multi-entry messages.
 func TestWireRoundTrip(t *testing.T) {
-	buf := AppendHeader(nil, 42)
+	buf := AppendHeader(nil, 42, 3)
 	var err error
 	buf, err = appendAdvertise(buf, 7, 42, []netsim.NodeID{3, 9, 7})
 	if err != nil {
@@ -409,7 +410,6 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PatchCount(buf, 3)
 	if want := WireSize([]int{4, 1}, 1); len(buf) != want {
 		t.Fatalf("encoded size %d, want %d", len(buf), want)
 	}
@@ -501,6 +501,22 @@ func TestAgentDuplicateNeighborPanics(t *testing.T) {
 	cfg.Origins = NewOriginSet([]netsim.NodeID{a.ID})
 	cfg.Peers = []PeerConfig{{Link: l1, Rel: RelPeer}, {Link: l2, Rel: RelPeer}, {Link: l3, Rel: RelCustomer}}
 	mustPanic(t, "two sessions to neighbor", func() { NewAgent(a, cfg) })
+}
+
+// TestAgentTooManyPeersPanics: peer indexes are int16, so a session
+// count past math.MaxInt16 is refused before any session is read.
+func TestAgentTooManyPeersPanics(t *testing.T) {
+	net := netsim.NewNetwork(3)
+	a := net.NewNode("a", nil)
+	cfg := defaultCfg()
+	cfg.Origins = NewOriginSet([]netsim.NodeID{a.ID})
+	cfg.Peers = make([]PeerConfig, math.MaxInt16+1)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "peers exceed") {
+			t.Fatalf("NewAgent with %d peers: panic %v, want the peer-count panic", len(cfg.Peers), r)
+		}
+	}()
+	NewAgent(a, cfg)
 }
 
 // TestMRAIAcrossCrash pins the flush timeline of MRAI intervals across
@@ -597,5 +613,43 @@ func TestMRAIZeroInterval(t *testing.T) {
 	}
 	if !slices.Equal(tl, want) {
 		t.Fatalf("AS0 flush timeline\n got %q\nwant %q", tl, want)
+	}
+}
+
+// TestEmptyFlushDrawsNoPacket: a flush whose dirty set yields no entry —
+// an origin neither exportable nor previously advertised — draws no
+// packet, so the live count and the node's next packet id stay where a
+// run without the flush would have them. A flush with an entry draws
+// exactly one.
+func TestEmptyFlushDrawsNoPacket(t *testing.T) {
+	net := netsim.NewNetwork(1)
+	na := net.NewNode("a", nil)
+	nb := net.NewNode("b", nil)
+	l := net.Connect(na, nb, netsim.LinkConfig{Delay: 0.01, QueueCap: 8})
+	a := NewAgent(na, Config{
+		Origins:       NewOriginSet([]netsim.NodeID{na.ID, nb.ID}),
+		Peers:         []PeerConfig{{Link: l, Rel: RelPeer}},
+		RefreshPeriod: 30,
+	})
+	// nextID draws and releases a probe packet at a, returning its id.
+	nextID := func() uint64 {
+		pkt := net.NewPacket(netsim.KindData, na.ID, nb.ID, 64)
+		id := pkt.ID
+		na.ReleasePacket(pkt)
+		return id
+	}
+	p := &a.peers[0]
+	id, live := nextID(), net.LivePackets()
+	p.dirty = 1 << 1 // origin b: unreachable, never advertised
+	a.flushPeer(p)
+	if got := nextID(); got != id+1 || net.LivePackets() != live || p.dirty != 0 || a.Stats().Flushes != 0 {
+		t.Fatalf("empty flush: next id %d (want %d), live %d (want %d), dirty %b, flushes %d",
+			got, id+1, net.LivePackets(), live, p.dirty, a.Stats().Flushes)
+	}
+	p.dirty = 1 << 0 // origin a: self-originated, exportable
+	a.flushPeer(p)
+	if got := nextID(); got != id+3 || net.LivePackets() != live+1 || a.Stats().Flushes != 1 {
+		t.Fatalf("flush with an entry: next id %d (want %d), live %d (want %d), flushes %d",
+			got, id+3, net.LivePackets(), live+1, a.Stats().Flushes)
 	}
 }

@@ -55,27 +55,20 @@ var (
 	ErrPathLong   = errors.New("pathvector: AS path too long")
 )
 
-// AppendHeader writes the 12-byte message header onto dst:
+// AppendHeader writes the 12-byte header of a message carrying count
+// entries onto dst:
 //
 //	uint16 magic | uint8 version | uint8 flags(0) | uint32 router |
 //	uint16 count | uint16 reserved
-//
-// count is patched afterwards by PatchCount, so a flush can append
-// entries as it walks the dirty set without counting first.
-func AppendHeader(dst []byte, router netsim.NodeID) []byte {
+func AppendHeader(dst []byte, router netsim.NodeID, count int) []byte {
 	var h [headerLen]byte
 	binary.BigEndian.PutUint16(h[0:], magic)
 	h[2] = version
 	h[3] = 0
 	binary.BigEndian.PutUint32(h[4:], uint32(router))
-	binary.BigEndian.PutUint16(h[8:], 0)
+	binary.BigEndian.PutUint16(h[8:], uint16(count))
 	binary.BigEndian.PutUint16(h[10:], 0) // reserved
 	return append(dst, h[:]...)
-}
-
-// PatchCount stores the final entry count into an encoded message.
-func PatchCount(buf []byte, count int) {
-	binary.BigEndian.PutUint16(buf[8:], uint16(count))
 }
 
 // appendAdvertise appends one advertisement entry: the sender's AS

@@ -2,8 +2,8 @@
 // lifecycle machinery every routing-protocol family on the netsim
 // substrate needs — periodic/triggered timer arming with jitter
 // policies, the CPU-model pending FIFO holding received packets by
-// generation-checked handle, wire-encoding scratch, Crash/Restart with
-// cold start, and zero-cost observer hooks.
+// generation-checked handle, the routing-packet send path, Crash/Restart
+// with cold start, and zero-cost observer hooks.
 //
 // The distance-vector (internal/routing), link-state
 // (internal/linkstate) and path-vector (internal/pathvector) agents are
@@ -162,13 +162,6 @@ type Kernel[A any] struct {
 	recvQ FIFO[recvItem[A]]
 	prepQ FIFO[prepItem]
 
-	// Enc is the wire-encoding scratch buffer: families append a message
-	// to k.Enc[:0] and store the result back, so
-	// steady-state update encoding allocates nothing once the buffer
-	// reaches its high-water size (SetPayload copies the bytes into the
-	// packet's pooled payload arena).
-	Enc []byte
-
 	hooks Hooks[A]
 }
 
@@ -324,15 +317,29 @@ func (k *Kernel[A]) Process(pkt *netsim.Packet, via netsim.Medium, aux A, cost f
 	k.node.ReleasePacket(pkt)
 }
 
-// Send transmits payload as a routing-kind packet on m toward to
-// (netsim.Broadcast for every member), with the 28-byte UDP/IP-style
-// framing overhead every family charges. SetPayload copies the bytes
-// into the packet's pooled arena, so the caller's scratch may be reused
-// immediately.
-func (k *Kernel[A]) Send(m netsim.Medium, to netsim.NodeID, payload []byte) {
-	pkt := k.node.Net().NewPacket(netsim.KindRouting, k.node.ID, to, 28+len(payload))
-	pkt.SetPayload(payload)
-	k.node.SendOn(m, to, pkt)
+// wireOverhead is the UDP/IP-style framing every family's routing
+// packets are charged on the wire.
+const wireOverhead = 28
+
+// Begin draws the routing packet for an n-byte message toward to
+// (netsim.Broadcast for every member) and returns it with its payload
+// arena, emptied and grown to exactly n bytes. The family appends the
+// message to buf — straight into the packet, no scratch in between —
+// and hands the result to Send. The draw takes the node's next packet
+// id, so draw only for a message that will be sent, at the point it is
+// sent.
+func (k *Kernel[A]) Begin(to netsim.NodeID, n int) (pkt *netsim.Packet, buf []byte) {
+	pkt = k.node.Net().NewPacket(netsim.KindRouting, k.node.ID, to, wireOverhead+n)
+	return pkt, pkt.PayloadArena(n)
+}
+
+// Send commits payload — the buffer Begin returned, with the message
+// appended — as pkt's payload and transmits pkt on m, charging its
+// length plus the framing overhead on the wire.
+func (k *Kernel[A]) Send(m netsim.Medium, pkt *netsim.Packet, payload []byte) {
+	pkt.CommitPayload(payload)
+	pkt.Size = wireOverhead + len(payload)
+	k.node.SendOn(m, pkt.Dst, pkt)
 }
 
 // Stop halts the agent: the periodic timer, housekeeping sweep and any

@@ -166,16 +166,17 @@ func (a *Agent) Start(startOffset float64) {
 	}
 }
 
-// sendRequest broadcasts a table request on every medium.
+// sendRequest broadcasts a table request on every medium, encoding it
+// straight into each packet.
 func (a *Agent) sendRequest() {
 	node := a.k.Node()
-	payload, err := EncodeInto(a.k.Enc[:0], Message{Router: node.ID, Request: true})
-	if err != nil {
-		panic(err)
-	}
-	a.k.Enc = payload
 	for i := 0; i < node.NumMedia(); i++ {
-		a.k.Send(node.MediumAt(i), netsim.Broadcast, payload)
+		pkt, buf := a.k.Begin(netsim.Broadcast, headerLen)
+		payload, err := EncodeInto(buf, Message{Router: node.ID, Request: true})
+		if err != nil {
+			panic(err)
+		}
+		a.k.Send(node.MediumAt(i), pkt, payload)
 	}
 	a.stats.RequestsSent++
 }
@@ -217,15 +218,21 @@ func (a *Agent) sendUpdate(triggered, resetTimer bool) {
 }
 
 // broadcast transmits the table on every attached medium, applying split
-// horizon per medium. The table appends each update straight into the
-// kernel's encode scratch, and SetPayload copies it into the packet's
-// pooled payload, so a steady-state update allocates nothing.
+// horizon per medium. Each message of the update is written straight
+// from the table into its packet's pooled payload, sized exactly
+// beforehand, so a steady-state update allocates nothing. A table past
+// MaxEntries goes out as several messages back to back; it still counts
+// as one update.
 func (a *Agent) broadcast(triggered bool) {
 	node := a.k.Node()
+	p := &a.cfg.Profile
 	for i := 0; i < node.NumMedia(); i++ {
 		m := node.MediumAt(i)
-		a.k.Enc = a.table.AppendUpdate(a.k.Enc[:0], node.ID, triggered, m, a.cfg.Profile.SplitHorizon, a.cfg.Profile.PoisonReverse, a.cfg.ExtraRoutes)
-		a.k.Send(m, netsim.Broadcast, a.k.Enc)
+		u := a.table.NewUpdate(node.ID, triggered, m, p.SplitHorizon, p.PoisonReverse, a.cfg.ExtraRoutes)
+		for u.More() {
+			pkt, buf := a.k.Begin(netsim.Broadcast, u.Len())
+			a.k.Send(m, pkt, u.Append(buf))
+		}
 	}
 	if triggered {
 		a.stats.TriggeredSent++

@@ -393,3 +393,47 @@ func TestPathMovesAfterReconvergence(t *testing.T) {
 		t.Fatalf("post-failure transit = %v, want 0.003 (3 hops)", d)
 	}
 }
+
+// TestLargeTableConvergesNeighbor: a router whose table holds more than
+// MaxEntries destinations sends each update as ⌈n/MaxEntries⌉ messages
+// back to back, still counted as one update, and its neighbor learns
+// every destination from them.
+func TestLargeTableConvergesNeighbor(t *testing.T) {
+	const dests = MaxEntries + 1000
+	net := netsim.NewNetwork(1)
+	far := net.NewNode("far", nil) // the destinations' advertiser; runs no agent
+	hub := net.NewNode("hub", nil)
+	leaf := net.NewNode("leaf", nil)
+	toFar := net.Connect(far, hub, netsim.LinkConfig{Delay: 0.001})
+	net.Connect(hub, leaf, netsim.LinkConfig{Delay: 0.001})
+	cfg := Config{Profile: RIP(), Seed: 1}
+	h, l := NewAgent(hub, cfg), NewAgent(leaf, cfg)
+	// The hub has learned the destinations from far at one hop, in
+	// messages EncodeInto accepts.
+	const first = netsim.NodeID(100)
+	for lo := 0; lo < dests; lo += MaxEntries {
+		msg := Message{Router: far.ID}
+		for d := lo; d < min(dests, lo+MaxEntries); d++ {
+			msg.Entries = append(msg.Entries, Entry{Dest: first + netsim.NodeID(d), Metric: 1})
+		}
+		applyMsg(h.Table(), msg, toFar, 0, 1)
+	}
+	h.Start(1)
+	l.Start(2)
+	net.RunUntil(10)
+
+	// The hub's update carries its own route, far's and the destinations.
+	if hs, ls := h.Stats(), l.Stats(); hs.PeriodicSent != 1 || ls.Received != 2 || ls.Malformed != 0 {
+		t.Fatalf("hub sent %d updates, leaf received %d messages (%d malformed); want 1 update in 2 messages",
+			hs.PeriodicSent, ls.Received, ls.Malformed)
+	}
+	if got := l.Table().Len(); got != dests+3 {
+		t.Fatalf("leaf table holds %d routes, want %d", got, dests+3)
+	}
+	for d := first; d < first+dests; d++ {
+		r := l.Table().Get(d)
+		if r == nil || r.Metric != 3 || r.NextHop != hub.ID {
+			t.Fatalf("leaf route to %d = %+v, want metric 3 via hub %d", d, r, hub.ID)
+		}
+	}
+}

@@ -29,7 +29,7 @@ type Route struct {
 // Table is a distance-vector routing table: one []Route sorted by
 // destination and held by value. Lookups are binary searches, or a short
 // forward step when an update's entries arrive in destination order (as
-// AppendUpdate emits them); inserts shift the tail, and Expire compacts
+// an Update emits them); inserts shift the tail, and Expire compacts
 // the array in place. Updates go straight between the table and wire
 // bytes, and result lists are retained scratch, so the steady-state
 // update cycle — append an update, apply one, expire — allocates nothing
@@ -171,7 +171,7 @@ func (t *Table) SetLocal(self netsim.NodeID, now float64) {
 }
 
 // Routes returns a copy of the entries sorted by destination (dumps,
-// tests). Hot paths use AppendUpdate, which reads the table in place.
+// tests). Hot paths use NewUpdate, which reads the table in place.
 func (t *Table) Routes() []Route { return slices.Clone(t.routes) }
 
 // Reset clears the table in place for a cold restart (router crash):
@@ -396,51 +396,92 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// AppendUpdate appends router's full-table update for medium `on` to dst
-// in EncodeInto's wire format, walking the table once: split horizon,
-// when enabled, omits routes learned over `on`, or with poison reverse
-// advertises them as unreachable; local routes carry metric 0. extra
-// synthetic routes follow, advertised as unreachable-1 so they never win
-// over real ones; they make update preparation and processing cost
-// realistic (the PARC routers carried ~300 routes). The count is patched
-// once the entries are written; more than MaxEntries panics with
-// ErrTooMany, the error EncodeInto returns.
-func (t *Table) AppendUpdate(dst []byte, router netsim.NodeID, triggered bool, on netsim.Medium, splitHorizon, poisonReverse bool, extra int) []byte {
-	start := len(dst)
-	var flags byte
-	if triggered {
-		flags = flagTriggered
-	}
-	dst = binary.BigEndian.AppendUint16(dst, magic)
-	dst = append(dst, version, flags)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(router))
-	dst = append(dst, 0, 0, 0, 0) // count, patched below; reserved
+// Update is router's full-table update for one medium, cut into
+// messages of at most MaxEntries entries each, as RIP cuts a large
+// table into several packets. Table.NewUpdate counts the entries, so
+// each message's exact length is known before it is written: an agent
+// sizes the packet's payload with Len, then writes the message into it
+// with Append. The table must not change until every message is
+// written.
+type Update struct {
+	t      *Table
+	router netsim.NodeID
+	flags  byte
+	split  int // media index split horizon acts on; -1 for none
+	poison bool
+	msgs   int // messages not yet written
+	left   int // entries not yet written
+	next   int // next route index; past the routes, len(routes)+synthetic index
+}
 
-	split := -1 // no route's Via matches: split horizon is off, or on is new
-	if splitHorizon {
-		split = slices.Index(t.media, on)
+// NewUpdate starts router's full-table update for medium `on`, in
+// EncodeInto's wire format: split horizon, when enabled, omits routes
+// learned over `on`, or with poison reverse advertises them as
+// unreachable; local routes carry metric 0. extra synthetic routes
+// follow, advertised as unreachable-1 so they never win over real ones;
+// they make update preparation and processing cost realistic (the PARC
+// routers carried ~300 routes). An update always has at least one
+// message, even one with no entries.
+func (t *Table) NewUpdate(router netsim.NodeID, triggered bool, on netsim.Medium, splitHorizon, poisonReverse bool, extra int) Update {
+	u := Update{t: t, router: router, split: -1, poison: poisonReverse}
+	if triggered {
+		u.flags = flagTriggered
 	}
-	for i := range t.routes {
-		r := &t.routes[i]
+	if splitHorizon {
+		u.split = slices.Index(t.media, on)
+	}
+	n := len(t.routes) + extra
+	if u.split >= 0 && !poisonReverse {
+		for i := range t.routes {
+			if r := &t.routes[i]; int(r.Via) == u.split && !r.Local {
+				n--
+			}
+		}
+	}
+	u.left = n
+	u.msgs = max(1, (u.left+MaxEntries-1)/MaxEntries)
+	return u
+}
+
+// More reports whether a message remains to be written.
+func (u *Update) More() bool { return u.msgs > 0 }
+
+// Len returns the byte length of the next message.
+func (u *Update) Len() int { return headerLen + entryLen*min(u.left, MaxEntries) }
+
+// Append appends the next message — exactly Len bytes — to dst, walking
+// the table from where the previous message stopped.
+func (u *Update) Append(dst []byte) []byte {
+	t := u.t
+	count := min(u.left, MaxEntries)
+	dst = binary.BigEndian.AppendUint16(dst, magic)
+	dst = append(dst, version, u.flags)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(u.router))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(count))
+	dst = append(dst, 0, 0) // reserved
+	u.left -= count
+	u.msgs--
+	routes, split, poison := t.routes, u.split, u.poison
+	i := u.next
+	for ; count > 0 && i < len(routes); i++ {
+		r := &routes[i]
 		metric := r.Metric
 		if int(r.Via) == split && !r.Local {
-			if !poisonReverse {
+			if !poison {
 				continue
 			}
 			metric = t.infinity
 		}
 		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Dest))
 		dst = binary.BigEndian.AppendUint32(dst, metric)
+		count--
 	}
-	base := netsim.NodeID(1<<20) + router*MaxEntries // far outside real node-id space
-	for i := 0; i < extra; i++ {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(base+netsim.NodeID(i)))
+	base := netsim.NodeID(1<<20) + u.router*MaxEntries // far outside real node-id space
+	for ; count > 0; i++ {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(base+netsim.NodeID(i-len(routes))))
 		dst = binary.BigEndian.AppendUint32(dst, t.infinity-1)
+		count--
 	}
-	count := (len(dst) - start - headerLen) / entryLen
-	if count > MaxEntries {
-		panic(fmt.Errorf("%w: %d", ErrTooMany, count))
-	}
-	binary.BigEndian.PutUint16(dst[start+8:], uint16(count))
+	u.next = i
 	return dst
 }

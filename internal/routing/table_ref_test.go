@@ -292,7 +292,7 @@ func (t *refTable) ExportInto(dst []Entry, on netsim.Medium, splitHorizon, poiso
 }
 
 // syntheticEntries returns the extra routes an update from router
-// carries after its table, as Table.AppendUpdate writes them.
+// carries after its table, as an Update writes them.
 func syntheticEntries(router netsim.NodeID, extra int, infinity uint32) []Entry {
 	var es []Entry
 	base := netsim.NodeID(1 << 20)
@@ -306,7 +306,7 @@ func syntheticEntries(router netsim.NodeID, extra int, infinity uint32) []Entry 
 // for destinations below dests (Get, with Via resolved through the
 // table's media), on HeldDown at now, and on the update each appends
 // for each of media with split horizon off, on, and on with poison
-// reverse: tb's AppendUpdate bytes, decoded, must carry the header asked
+// reverse: tb's Update messages, decoded, must carry the header asked
 // for and ref's ExportInto entries followed by the synthetic routes (one
 // more per medium). It also checks tb's expiry bound: at most every
 // non-local route's Updated, and +Inf while the table is empty.
@@ -339,11 +339,11 @@ func compareTables(t *testing.T, tb *Table, ref *refTable, dests int, media []ne
 	for i, m := range media {
 		router, triggered := netsim.NodeID(7+i), i%2 == 1
 		for _, mode := range [][2]bool{{false, false}, {true, false}, {true, true}} {
-			got, err := Decode(tb.AppendUpdate(nil, router, triggered, m, mode[0], mode[1], i))
+			got, _, err := decodeUpdate(tb, router, triggered, m, mode[0], mode[1], i)
 			want := append(ref.ExportInto(nil, m, mode[0], mode[1]), syntheticEntries(router, i, ref.infinity)...)
 			if err != nil || got.Router != router || got.Triggered != triggered || got.Request ||
 				!slices.Equal(got.Entries, want) {
-				t.Fatalf("%s: AppendUpdate(medium %d, split %v, poison %v, extra %d) = %+v (err %v), reference entries %v",
+				t.Fatalf("%s: update(medium %d, split %v, poison %v, extra %d) = %+v (err %v), reference entries %v",
 					where, i, mode[0], mode[1], i, got, err, want)
 			}
 		}

@@ -1,8 +1,8 @@
 package routing
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,10 +24,39 @@ func applyMsg(tb *Table, m Message, via netsim.Medium, now float64, cost uint32)
 	return tb.ApplyCost(buf, via, now, cost)
 }
 
-// exportEntries returns the entries of the update tb appends for medium
+// decodeUpdate writes tb's update for medium on message by message, as
+// an agent does, and decodes it: it returns the first message's header
+// with the entries of every message in order, and the message count.
+// Each message must be exactly the Len announced before it was written,
+// and carry the same header as the first.
+func decodeUpdate(tb *Table, router netsim.NodeID, triggered bool, on netsim.Medium, splitHorizon, poisonReverse bool, extra int) (Message, int, error) {
+	var all Message
+	msgs := 0
+	for u := tb.NewUpdate(router, triggered, on, splitHorizon, poisonReverse, extra); u.More(); msgs++ {
+		n := u.Len()
+		buf := u.Append(nil)
+		if len(buf) != n {
+			return all, msgs, fmt.Errorf("message %d is %d bytes, Len announced %d", msgs, len(buf), n)
+		}
+		m, err := Decode(buf)
+		if err != nil {
+			return all, msgs, fmt.Errorf("message %d: %w", msgs, err)
+		}
+		if msgs > 0 && (m.Router != all.Router || m.Triggered != all.Triggered || m.Request != all.Request) {
+			return all, msgs, fmt.Errorf("message %d header %+v differs from the first's %+v", msgs, m, all)
+		}
+		if msgs == 0 {
+			all = Message{Router: m.Router, Triggered: m.Triggered, Request: m.Request}
+		}
+		all.Entries = append(all.Entries, m.Entries...)
+	}
+	return all, msgs, nil
+}
+
+// exportEntries returns the entries of the update tb writes for medium
 // on, decoded.
 func exportEntries(tb *Table, on netsim.Medium, splitHorizon, poisonReverse bool) []Entry {
-	m, err := Decode(tb.AppendUpdate(nil, 0, false, on, splitHorizon, poisonReverse, 0))
+	m, _, err := decodeUpdate(tb, 0, false, on, splitHorizon, poisonReverse, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -256,7 +285,9 @@ func TestTableSteadyStateAllocs(t *testing.T) {
 			tb.ApplyCost(m, media[i%len(media)], now, 1)
 		}
 		for _, m := range media {
-			enc = tb.AppendUpdate(enc[:0], 0, false, m, true, true, 0)
+			for u := tb.NewUpdate(0, false, m, true, true, 0); u.More(); {
+				enc = u.Append(enc[:0])
+			}
 		}
 		tb.Expire(now, 180, 120)
 	}
@@ -269,53 +300,51 @@ func TestTableSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendUpdateTooManyPanics pins the count guard: an update of more
-// than MaxEntries routes, real or synthetic, panics with ErrTooMany
-// instead of writing a wrapped uint16 count, while exactly MaxEntries
-// encodes.
+// TestAppendUpdateTooManyPanics pins how an update past MaxEntries is
+// cut: instead of panicking (or writing a wrapped uint16 count), a table
+// of n routes plus synthetic ones goes out as ⌈n/MaxEntries⌉ messages,
+// every one full but the last, carrying every entry once in table
+// order, while exactly MaxEntries fits one message.
 func TestAppendUpdateTooManyPanics(t *testing.T) {
 	m := &fakeMedium{"lan"}
 	for _, tc := range []struct {
 		name          string
 		routes, extra int
-		ok            bool
+		msgs          int
 	}{
-		{"MaxEntries routes", MaxEntries, 0, true},
-		{"MaxEntries-1 routes plus one extra", MaxEntries - 1, 1, true},
-		{"MaxEntries+1 routes", MaxEntries + 1, 0, false},
-		{"MaxEntries routes plus one extra", MaxEntries, 1, false},
-		{"extra routes alone", 0, MaxEntries + 1, false},
+		{"MaxEntries routes", MaxEntries, 0, 1},
+		{"MaxEntries-1 routes plus one extra", MaxEntries - 1, 1, 1},
+		{"MaxEntries+1 routes", MaxEntries + 1, 0, 2},
+		{"MaxEntries routes plus one extra", MaxEntries, 1, 2},
+		{"extra routes alone", 0, MaxEntries + 1, 2},
+		{"three messages", 2*MaxEntries + 5, 7, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// A sender learned at one hop and the routes it advertised.
+			// A sender learned at one hop and the routes it advertised,
+			// applied in messages EncodeInto accepts.
 			tb := NewTable(16)
-			if tc.routes > 0 {
+			for lo := 2; lo <= tc.routes; lo += MaxEntries {
 				msg := Message{Router: 1}
-				for d := 2; d <= tc.routes; d++ {
+				for d := lo; d <= min(tc.routes, lo+MaxEntries-1); d++ {
 					msg.Entries = append(msg.Entries, Entry{Dest: netsim.NodeID(d), Metric: 1})
 				}
 				applyMsg(tb, msg, m, 0, 1)
 			}
-			var buf []byte
-			err := func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						if err, _ = r.(error); err == nil {
-							err = fmt.Errorf("non-error panic %v", r)
-						}
-					}
-				}()
-				buf = tb.AppendUpdate(nil, 0, false, m, false, false, tc.extra)
-				return nil
-			}()
-			if !tc.ok {
-				if !errors.Is(err, ErrTooMany) {
-					t.Fatalf("AppendUpdate of %d routes + %d extra: err %v, want ErrTooMany", tb.Len(), tc.extra, err)
-				}
-				return
+			if tc.routes > 0 && tb.Len() != tc.routes {
+				t.Fatalf("table holds %d routes, want %d", tb.Len(), tc.routes)
 			}
-			if dec, err := Decode(buf); err != nil || len(dec.Entries) != tc.routes+tc.extra {
-				t.Fatalf("decoded %d entries (err %v), want %d", len(dec.Entries), err, tc.routes+tc.extra)
+			got, msgs, err := decodeUpdate(tb, 0, false, m, false, false, tc.extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Entry
+			for _, r := range tb.Routes() {
+				want = append(want, Entry{Dest: r.Dest, Metric: r.Metric})
+			}
+			want = append(want, syntheticEntries(0, tc.extra, 16)...)
+			if msgs != tc.msgs || !slices.Equal(got.Entries, want) {
+				t.Fatalf("%d routes + %d extra: %d messages carrying %d entries, want %d carrying %d",
+					tb.Len(), tc.extra, msgs, len(got.Entries), tc.msgs, len(want))
 			}
 		})
 	}

@@ -35,7 +35,8 @@ const (
 )
 
 // MaxEntries bounds the routes in one update message (fits a uint16 count
-// with sane packet sizes).
+// with sane packet sizes); a larger table goes out as several messages
+// (see Update).
 const MaxEntries = 4096
 
 // Entry is one advertised route.
@@ -53,8 +54,7 @@ type Message struct {
 	Entries []Entry
 }
 
-// Errors returned by PeekHeader and EncodeInto (Table.AppendUpdate
-// panics with ErrTooMany).
+// Errors returned by PeekHeader and EncodeInto.
 var (
 	ErrTruncated  = errors.New("routing: truncated message")
 	ErrBadMagic   = errors.New("routing: bad magic")
@@ -68,11 +68,10 @@ var (
 //	uint16 magic | uint8 version | uint8 flags | uint32 router |
 //	uint16 count | uint16 reserved | count × (uint32 dest, uint32 metric)
 //
-// Agents encode only table requests this way, into the kernel's Enc
-// scratch; updates go straight from the table onto the wire through
-// Table.AppendUpdate. The returned slice aliases dst's array when it was
-// large enough; callers that keep the bytes past the next encode must
-// copy (netsim.Packet.SetPayload does).
+// Agents encode only table requests this way, straight into the
+// packet's payload; updates go from the table onto the wire through
+// Table.NewUpdate. The returned slice aliases dst's array when it was
+// large enough.
 func EncodeInto(dst []byte, m Message) ([]byte, error) {
 	if len(m.Entries) > MaxEntries {
 		return nil, fmt.Errorf("%w: %d", ErrTooMany, len(m.Entries))
