@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"routesync/internal/des"
 	"routesync/internal/jitter"
@@ -66,11 +67,13 @@ const bgpOrigins = 32
 type BGPScenario struct {
 	Net    *netsim.Network
 	Agents []*pathvector.Agent
-	// FlushTimes[i] collects agent i's update-flush instants; each slice
-	// is appended only from the logical process owning that AS and is
-	// pre-sized for the horizon, so recording never allocates during the
-	// run.
-	FlushTimes [][]float64
+	// flushLast[i] is agent i's last update flush inside measureWindow
+	// (-1: none), written only from the logical process owning that AS.
+	// flushBins counts flushes over the window's 1 s bins; logical
+	// processes share it and add with sync/atomic, so counts are
+	// race-free and independent of the order they land in.
+	flushLast []float64
+	flushBins []int64
 	// StormLast[i] / StormCount[i] record agent i's last best-route
 	// change for the probe origin after the withdrawal (-1: none) and
 	// how many such changes it made — the path-exploration storm.
@@ -114,7 +117,6 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 
 	// Peer lists per AS, in edge-creation order (deterministic).
 	peers := make([][]pathvector.PeerConfig, ases)
-	degree := make([]int, ases)
 	for _, e := range g.Edges {
 		a, b := int(e.A.ID), int(e.B.ID)
 		relA, relB := pathvector.RelPeer, pathvector.RelPeer
@@ -123,8 +125,6 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 		}
 		peers[a] = append(peers[a], pathvector.PeerConfig{Link: e.Link, Rel: relA})
 		peers[b] = append(peers[b], pathvector.PeerConfig{Link: e.Link, Rel: relB})
-		degree[a]++
-		degree[b]++
 	}
 
 	// Bounded origin set spread across the id space: the clique hubs and
@@ -154,6 +154,12 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 	for i := range sc.StormLast {
 		sc.StormLast[i] = -1
 	}
+	lo, hi := sc.measureWindow()
+	sc.flushLast = make([]float64, ases)
+	for i := range sc.flushLast {
+		sc.flushLast[i] = -1
+	}
+	sc.flushBins = make([]int64, int(hi-lo))
 
 	var refreshJit, mraiJit jitter.Policy
 	switch jit {
@@ -173,7 +179,6 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 
 	originSet := pathvector.NewOriginSet(origins)
 	sc.Agents = make([]*pathvector.Agent, ases)
-	sc.FlushTimes = make([][]float64, ases)
 	for i, nd := range g.Nodes {
 		cfg := pathvector.Config{
 			Origins:       originSet,
@@ -188,12 +193,15 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 		}
 		ag := pathvector.NewAgent(nd, cfg)
 		sc.Agents[i] = ag
-		// Worst-case flushes: one per peer per refresh (plus storm
-		// rounds); pre-sizing keeps the recorders allocation-free.
-		sc.FlushTimes[i] = make([]float64, 0, degree[i]*(int(horizon/(bgpRefreshPeriod/2))+8)+32)
 		slot := i
 		ag.OnFlush = func(t float64, _ netsim.NodeID, _, _ int) {
-			sc.FlushTimes[slot] = append(sc.FlushTimes[slot], t)
+			if t < lo || t >= hi {
+				return
+			}
+			sc.flushLast[slot] = t
+			if b := int(t - lo); b < len(sc.flushBins) {
+				atomic.AddInt64(&sc.flushBins[b], 1)
+			}
 		}
 		agent := ag
 		ag.OnBestChange = func(origin netsim.NodeID) {
@@ -230,15 +238,8 @@ func (s *BGPScenario) SyncClusterFraction() float64 {
 	if period <= 0 {
 		period = bgpRefreshPeriod
 	}
-	lo, hi := s.measureWindow()
 	var phases []float64
-	for _, ts := range s.FlushTimes {
-		last := -1.0
-		for _, t := range ts {
-			if t >= lo && t < hi {
-				last = t
-			}
-		}
+	for _, last := range s.flushLast {
 		if last >= 0 {
 			phases = append(phases, math.Mod(last, period))
 		}
@@ -254,33 +255,15 @@ func (s *BGPScenario) SyncClusterFraction() float64 {
 // synchronization almost every bin is empty, so any fixed percentile
 // reads 0 exactly when the traffic is at its burstiest.)
 func (s *BGPScenario) BurstRatio() float64 {
-	lo, hi := s.measureWindow()
-	n := int(hi - lo)
-	if n < 1 {
-		return 0
-	}
-	bins := make([]float64, n)
-	total := 0.0
-	for _, ts := range s.FlushTimes {
-		for _, t := range ts {
-			if t >= lo && t < hi {
-				if b := int(t - lo); b < n {
-					bins[b]++
-					total++
-				}
-			}
-		}
+	var total, peak int64
+	for _, b := range s.flushBins {
+		total += b
+		peak = max(peak, b)
 	}
 	if total == 0 {
 		return 0
 	}
-	peak := 0.0
-	for _, b := range bins {
-		if b > peak {
-			peak = b
-		}
-	}
-	return peak / (total / float64(n))
+	return float64(peak) / (float64(total) / float64(len(s.flushBins)))
 }
 
 // StormLength is the path-exploration storm duration: the time from the

@@ -1,16 +1,70 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
+
+	"routesync/internal/netsim"
 )
+
+// recordFlushes wraps every agent's OnFlush, keeping the metric
+// recorders BuildBGP installed, and returns the per-AS flush timelines
+// it fills as the scenario runs. Each timeline is appended only from
+// the logical process owning its AS.
+func recordFlushes(sc *BGPScenario) [][]float64 {
+	flushes := make([][]float64, len(sc.Agents))
+	for i, ag := range sc.Agents {
+		i, inner := i, ag.OnFlush
+		ag.OnFlush = func(t float64, peer netsim.NodeID, adv, wdr int) {
+			flushes[i] = append(flushes[i], t)
+			inner(t, peer, adv, wdr)
+		}
+	}
+	return flushes
+}
+
+// timelineMetrics recomputes SyncClusterFraction and BurstRatio from
+// whole flush timelines: the reference for the online recorders.
+func timelineMetrics(sc *BGPScenario, flushes [][]float64) (sync, burst float64) {
+	lo, hi := sc.measureWindow()
+	period := sc.MRAI
+	if period <= 0 {
+		period = bgpRefreshPeriod
+	}
+	n := int(hi - lo)
+	bins := make([]float64, n)
+	total := 0.0
+	var phases []float64
+	for _, ts := range flushes {
+		last := -1.0
+		for _, t := range ts {
+			if t >= lo && t < hi {
+				last = t
+				if b := int(t - lo); b < n {
+					bins[b]++
+					total++
+				}
+			}
+		}
+		if last >= 0 {
+			phases = append(phases, math.Mod(last, period))
+		}
+	}
+	peak := 0.0
+	for _, b := range bins {
+		peak = max(peak, b)
+	}
+	return largestPhaseCluster(phases, period, period/30), peak / (total / float64(n))
+}
 
 // TestBGPKInvariant: the path-vector scale scenario's observable outcome
 // — every AS's flush timeline, the storm recorders, and the derived
 // synchronization/burst/storm metrics — is identical for any partition
-// count. This is the property that lets ext_bgp emit Jobs-independent
-// artifacts. CI runs it under -race on both DES backends (the backend is
-// selected by ROUTESYNC_DES_BACKEND).
+// count, and the online sync/burst recorders match a recomputation from
+// the whole timelines. This is the property that lets ext_bgp emit
+// Jobs-independent artifacts. CI runs it under -race on both DES
+// backends (the backend is selected by ROUTESYNC_DES_BACKEND).
 func TestBGPKInvariant(t *testing.T) {
 	type snap struct {
 		flushes [][]float64
@@ -23,10 +77,11 @@ func TestBGPKInvariant(t *testing.T) {
 	}
 	run := func(k int) snap {
 		sc := BuildBGP(220, k, 5, "uniform", 9, 120, nil)
+		flushes := recordFlushes(sc)
 		sc.Run()
 		second := sc.Agents[len(sc.Agents)/bgpOrigins].Node().ID // the origin set's second member
-		return snap{
-			flushes: sc.FlushTimes,
+		s := snap{
+			flushes: flushes,
 			last:    sc.StormLast,
 			count:   sc.StormCount,
 			sync:    sc.SyncClusterFraction(),
@@ -34,6 +89,10 @@ func TestBGPKInvariant(t *testing.T) {
 			storm:   sc.StormLength(),
 			reach:   sc.ReachFraction(second),
 		}
+		if sync, burst := timelineMetrics(sc, flushes); sync != s.sync || burst != s.burst {
+			t.Errorf("k=%d: online sync %v burst %v, timelines give %v and %v", k, s.sync, s.burst, sync, burst)
+		}
+		return s
 	}
 	ref := run(1)
 	total := 0
@@ -63,9 +122,10 @@ func TestBGPKInvariant(t *testing.T) {
 func TestBGPMRAIDampsBursts(t *testing.T) {
 	flushes := func(mrai float64) int {
 		sc := BuildBGP(150, 2, mrai, "none", 4, 90, nil)
+		flushes := recordFlushes(sc)
 		sc.Run()
 		n := 0
-		for _, ts := range sc.FlushTimes {
+		for _, ts := range flushes {
 			n += len(ts)
 		}
 		return n

@@ -32,16 +32,16 @@ func TestSteadyStateFootprint(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	t.Run("netscale", func(t *testing.T) {
-		// Build + convergence + steady windows: the ceiling is ~2.5× the
-		// ~6 MB first observed; the leg now reads 3.45 MB. A leak of even
-		// one small object per packet event adds tens of MB over this
-		// horizon and fails unambiguously.
-		checkGrowth(t, 16, func() { BuildNetScale(500, 25, 4, 1, 600, nil).Run() })
+		// Build + convergence + steady windows: observed 3.42 MB; the
+		// ceiling is ~2.5×. A leak of even one small object per packet
+		// event adds tens of MB over this horizon and fails
+		// unambiguously.
+		checkGrowth(t, 9, func() { BuildNetScale(500, 25, 4, 1, 600, nil).Run() })
 	})
 	t.Run("pathvector", func(t *testing.T) {
 		// 300 ASes at MRAI 5 s, measured from 300 s, well past
 		// convergence, to 1200 s: about 26k update flushes. Observed
-		// 0.14 MB in under 100 allocations; the ceiling is ~2.5×. One
+		// 0.14–0.15 MB in about 100 allocations; the ceiling is ~2.5×. One
 		// allocation per flush, even a 16-byte one, adds over 0.4 MB.
 		sc := BuildBGP(300, 1, 5, "none", 1, 1200, nil)
 		sc.Net.RunUntil(300)

@@ -1,5 +1,7 @@
 package netsim
 
+import "routesync/internal/ring"
+
 // CPUConfig parameterizes a router CPU. A busy CPU stalls forwarding —
 // the pre-fix NEARnet behaviour that caused the paper's Figure 1 losses:
 // data packets arriving meanwhile wait in a bounded input queue, and
@@ -38,12 +40,12 @@ type CPU struct {
 	// steps holds packets popped for per-packet ForwardCost work whose
 	// cpu-work-done event has not fired yet (FIFO: completions are
 	// scheduled in pop order at monotone times).
-	steps ring[*Packet]
+	steps ring.Ring[*Packet]
 	// thens holds the callbacks of work items whose completion event has
 	// not fired yet. Completions land at monotone times under increasing
 	// node keys, so they fire in push order and the hoisted thenFn pops
 	// the head.
-	thens  ring[func()]
+	thens  ring.Ring[func()]
 	thenFn func() // hoisted completion of every item: drain, then callback
 	stepFn func() // hoisted per-packet forward-cost completion
 }
@@ -57,12 +59,12 @@ func newCPU(nd *Node, cfg CPUConfig) *CPU {
 	}
 	c := &CPU{node: nd, cfg: cfg}
 	c.thenFn = func() {
-		fn := c.thens.pop()
+		fn := c.thens.Pop()
 		c.drain()
 		fn()
 	}
 	c.stepFn = func() {
-		pkt := c.steps.pop()
+		pkt := c.steps.Pop()
 		c.node.dispatch(pkt)
 		c.drain()
 	}
@@ -103,7 +105,7 @@ func (c *CPU) OccupyThen(d float64, fn func()) {
 		c.busyUntil = now
 	}
 	c.busyUntil += d
-	c.thens.push(fn)
+	c.thens.Push(fn)
 	c.node.Schedule(c.busyUntil, "cpu-work-done", c.thenFn)
 }
 
@@ -163,6 +165,6 @@ func (c *CPU) drain() {
 		c.queue = c.queue[:0]
 		c.qhead = 0
 	}
-	c.steps.push(pkt)
+	c.steps.Push(pkt)
 	c.OccupyThen(c.cfg.ForwardCost, c.stepFn)
 }

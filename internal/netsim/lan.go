@@ -53,11 +53,11 @@ func (n *Network) NewLAN(members []*Node, cfg LANConfig) *LAN {
 		from, st := m, &transmitter[lanFrame]{}
 		st.txDone = func() {
 			if st.freed() {
-				l.startTx(from, st, st.qpop())
+				l.startTx(from, st, st.queue.Pop())
 			}
 		}
 		st.arrive = func() {
-			fr := st.inflight.pop()
+			fr := st.inflight.Pop()
 			l.deliver(fr.pkt, from, fr.to)
 		}
 		l.tx[m.ID] = st
@@ -105,7 +105,7 @@ func (l *LAN) serialization(pkt *Packet) float64 {
 func (l *LAN) startTx(from *Node, st *transmitter[lanFrame], fr lanFrame) {
 	ser := l.serialization(fr.pkt)
 	sim := from.sim()
-	st.inflight.push(fr)
+	st.inflight.Push(fr)
 	sim.ScheduleKeyed(sim.Now()+ser+l.cfg.Delay, from.nextKey(), "lan-arrival", st.arrive)
 	st.reserve(from, ser)
 }

@@ -1,6 +1,10 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+
+	"routesync/internal/ring"
+)
 
 // LinkConfig parameterizes a point-to-point link.
 type LinkConfig struct {
@@ -94,15 +98,14 @@ type transmitter[T any] struct {
 	// when serialization takes no time; most tx-dones find an empty queue
 	// and are never queued. The handler clears it.
 	done Reservation
-	// queue[qhead:] is the output queue. Popping advances the head index
-	// instead of re-slicing from the front, so the backing array's
-	// capacity survives busy periods and steady state never reallocates.
-	queue []T
-	qhead int
+	// queue is the drop-tail output queue. Its ring grows to the peak
+	// backlog, bounded by the queue limit, and is reused from then on.
+	queue ring.Ring[T]
 	// inflight holds serialized packets in propagation order; arrive pops
 	// the head. Arrival times are monotone per transmitter (it is serial),
-	// so FIFO order is arrival order.
-	inflight ring[T]
+	// so FIFO order is arrival order and the hoisted arrival callback
+	// needs no per-packet closure.
+	inflight ring.Ring[T]
 	// txDone frees the transmitter and pops the queue; arrive delivers
 	// the head in-flight packet. Both are hoisted so each packet
 	// schedules them without allocating a fresh closure.
@@ -110,31 +113,17 @@ type transmitter[T any] struct {
 	arrive func()
 }
 
-func (t *transmitter[T]) qlen() int { return len(t.queue) - t.qhead }
-
-func (t *transmitter[T]) qpop() T {
-	v := t.queue[t.qhead]
-	var zero T
-	t.queue[t.qhead] = zero
-	t.qhead++
-	if t.qhead == len(t.queue) {
-		t.queue = t.queue[:0]
-		t.qhead = 0
-	}
-	return v
-}
-
 // enqueue parks v behind the busy transmitter, queueing its tx-done when
 // v is the first to wait. It reports false, queueing nothing, when the
 // output queue is full.
 func (t *transmitter[T]) enqueue(from *Node, v T, limit int) bool {
-	if t.qlen() >= limit {
+	if t.queue.Len() >= limit {
 		return false
 	}
 	if !t.done.Queued() {
 		t.done.Queue(from, "tx-done", t.txDone)
 	}
-	t.queue = append(t.queue, v)
+	t.queue.Push(v)
 	return true
 }
 
@@ -144,7 +133,7 @@ func (t *transmitter[T]) enqueue(from *Node, v T, limit int) bool {
 // scheduled tx-done would draw it.
 func (t *transmitter[T]) reserve(from *Node, ser float64) {
 	t.done.Reserve(from, ser, "tx-done", t.txDone)
-	if t.qlen() > 0 && !t.done.Queued() {
+	if t.queue.Len() > 0 && !t.done.Queued() {
 		t.done.Queue(from, "tx-done", t.txDone)
 	}
 }
@@ -153,7 +142,7 @@ func (t *transmitter[T]) reserve(from *Node, ser float64) {
 // and reports whether a packet waits to go next.
 func (t *transmitter[T]) freed() bool {
 	t.done = Reservation{}
-	return t.qlen() > 0
+	return t.queue.Len() > 0
 }
 
 // Connect creates a link between a and b. It panics if a == b.
@@ -173,11 +162,11 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 		dst := l.ends[1-d]
 		l.tx[d].txDone = func() {
 			if st := &l.tx[d]; st.freed() {
-				l.startTx(d, st.qpop())
+				l.startTx(d, st.queue.Pop())
 			}
 		}
 		l.tx[d].arrive = func() {
-			pkt := l.tx[d].inflight.pop()
+			pkt := l.tx[d].inflight.Pop()
 			l.deliverTo(dst, pkt)
 		}
 	}
@@ -263,7 +252,7 @@ func (l *Link) startTx(d int, pkt *Packet) {
 	arriveAt := sim.Now() + ser + l.cfg.Delay
 	arriveKey := src.nextKey()
 	if dst.part == src.part {
-		st.inflight.push(pkt)
+		st.inflight.Push(pkt)
 		sim.ScheduleKeyed(arriveAt, arriveKey, "link-arrival", st.arrive)
 	} else {
 		// Cross-partition: hand the arrival to the receiver's logical

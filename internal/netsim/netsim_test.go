@@ -79,7 +79,7 @@ func TestLinkQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		n.Inject(n.NewPacket(KindData, a.ID, b.ID, 1000))
 	}
-	if q := l.tx[l.dir(a)].qlen(); q != 2 {
+	if q := l.tx[l.dir(a)].queue.Len(); q != 2 {
 		t.Fatalf("queue length = %d, want 2", q)
 	}
 	n.RunUntil(1)

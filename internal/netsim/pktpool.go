@@ -226,7 +226,7 @@ func (n *Network) ParkedPackets() int {
 	seen := make(map[Medium]bool)
 	for _, nd := range n.nodes {
 		if nd.CPU != nil {
-			total += nd.CPU.qlen() + nd.CPU.steps.len()
+			total += nd.CPU.qlen() + nd.CPU.steps.Len()
 		}
 		for _, m := range nd.media {
 			if seen[m] {
@@ -237,11 +237,11 @@ func (n *Network) ParkedPackets() int {
 			case *Link:
 				for d := range med.tx {
 					st := &med.tx[d]
-					total += st.qlen() + st.inflight.len()
+					total += st.queue.Len() + st.inflight.Len()
 				}
 			case *LAN:
 				for _, st := range med.tx {
-					total += st.qlen() + st.inflight.len()
+					total += st.queue.Len() + st.inflight.Len()
 				}
 			}
 		}

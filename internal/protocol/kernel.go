@@ -19,37 +19,9 @@ import (
 	"routesync/internal/des"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
+	"routesync/internal/ring"
 	"routesync/internal/rng"
 )
-
-// FIFO is a growable queue with a head index: pops keep the backing
-// array, so steady-state push/pop cycles never allocate. The kernel uses
-// it for work parked behind the CPU-occupancy model, and protocol
-// strategies reuse it for their own pending queues (per-peer MRAI
-// batches, flood backlogs).
-type FIFO[T any] struct {
-	buf  []T
-	head int
-}
-
-// Len returns the number of queued items.
-func (f *FIFO[T]) Len() int { return len(f.buf) - f.head }
-
-// Push appends v.
-func (f *FIFO[T]) Push(v T) { f.buf = append(f.buf, v) }
-
-// Pop removes and returns the head; it panics on an empty FIFO.
-func (f *FIFO[T]) Pop() T {
-	v := f.buf[f.head]
-	var zero T
-	f.buf[f.head] = zero
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return v
-}
 
 // recvItem is one received packet awaiting CPU processing. The agent
 // owns the packet (netsim transferred it at OnRouting) and the kernel
@@ -159,8 +131,8 @@ type Kernel[A any] struct {
 	// recvQ/prepQ park in-flight CPU work; CPU completions are FIFO
 	// (each OccupyThen lands strictly later than the previous), so the
 	// hoisted procFn/prepFn pop their queue heads in scheduling order.
-	recvQ FIFO[recvItem[A]]
-	prepQ FIFO[prepItem]
+	recvQ ring.Ring[recvItem[A]]
+	prepQ ring.Ring[prepItem]
 
 	hooks Hooks[A]
 }

@@ -68,43 +68,6 @@ func TestKernelNewValidation(t *testing.T) {
 	mustPanic(t, "restart running agent", func() { k.Restart() })
 }
 
-func TestFIFOHeadReuse(t *testing.T) {
-	var f FIFO[int]
-	for i := 0; i < 3; i++ {
-		f.Push(i)
-	}
-	if f.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", f.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if got := f.Pop(); got != i {
-			t.Fatalf("Pop #%d = %d, want %d", i, got, i)
-		}
-	}
-	// Draining must reset the head so the backing array is reused from
-	// index 0 — the property that makes steady-state cycles allocation-free.
-	if f.head != 0 || len(f.buf) != 0 || cap(f.buf) == 0 {
-		t.Fatalf("after drain: head=%d len=%d cap=%d, want head 0, len 0, cap kept",
-			f.head, len(f.buf), cap(f.buf))
-	}
-
-	// Warm to the high-water mark, then steady-state push/pop cycles
-	// must not allocate.
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 3; i++ {
-			f.Push(i)
-		}
-		for i := 0; i < 3; i++ {
-			f.Pop()
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state push/pop allocates %.1f/op, want 0", allocs)
-	}
-
-	mustPanic(t, "pop empty", func() { f.Pop() })
-}
-
 // newTimerKernel builds a kernel whose Fire records expiry times and
 // charges cost seconds of preparation CPU.
 func newTimerKernel(tp, cost float64) (*netsim.Network, *Kernel[int], *[]float64) {
