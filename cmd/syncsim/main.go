@@ -21,7 +21,7 @@ import (
 	"math"
 	"os"
 
-	"routesync/internal/core"
+	"routesync"
 	"routesync/internal/trace"
 )
 
@@ -55,12 +55,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	p := core.Params{N: *n, Tp: *tp, Tr: *tr, Tc: *tc, Seed: *seed}
+	p := routesync.Params{N: *n, Tp: *tp, Tr: *tr, Tc: *tc, Seed: *seed}
 	var err error
 	if *ensemble > 0 {
 		err = runEnsemble(p, *ensemble, *horizon, startSync)
 	} else {
-		err = runOne(p, core.SimOptions{
+		err = runOne(p, routesync.SimOptions{
 			Horizon:           *horizon,
 			StartSynchronized: startSync,
 			BrokenThreshold:   *thresh,
@@ -75,15 +75,15 @@ func main() {
 
 // runOne simulates one replication and prints its report, the optional
 // largest-cluster plot, and the optional Markov chain prediction.
-func runOne(p core.Params, opt core.SimOptions, analyze bool) error {
-	rep, err := core.Simulate(p, opt)
+func runOne(p routesync.Params, opt routesync.SimOptions, analyze bool) error {
+	rep, err := routesync.Simulate(p, opt)
 	if err != nil {
 		return err
 	}
 	// Analyze before printing anything, so a failed run leaves stdout empty.
-	var a *core.Analysis
+	var a *routesync.Analysis
 	if analyze {
-		if a, err = core.Analyze(p); err != nil {
+		if a, err = routesync.Analyze(p); err != nil {
 			return fmt.Errorf("analyze: %w", err)
 		}
 	}
@@ -122,8 +122,8 @@ func runOne(p core.Params, opt core.SimOptions, analyze bool) error {
 }
 
 // runEnsemble runs replications and prints the time-to-event quantiles.
-func runEnsemble(p core.Params, replications int, horizon float64, startSync bool) error {
-	res, err := core.SimulateEnsemble(p, replications, horizon, startSync)
+func runEnsemble(p routesync.Params, replications int, horizon float64, startSync bool) error {
+	res, err := routesync.SimulateEnsemble(p, replications, horizon, startSync)
 	if err != nil {
 		return err
 	}

@@ -18,17 +18,16 @@ import (
 	"routesync/internal/rng"
 )
 
-// benchObserver mirrors the runner's Metrics shape — lock-free atomic
-// counters — so the observed-mode benchmarks price the hook cost the
-// real pipeline pays, without this package depending on the runner layer.
+// benchObserver is a des.Observer of lock-free atomic counters, the
+// shape an observer shared by concurrent partitions needs, so the
+// observed-mode DES row prices what such a hook costs per event.
 type benchObserver struct {
-	scheduled, fired, cancelled, rounds atomic.Uint64
+	scheduled, fired, cancelled atomic.Uint64
 }
 
 func (o *benchObserver) EventScheduled(at des.Time, depth int) { o.scheduled.Add(1) }
 func (o *benchObserver) EventFired(at des.Time, depth int)     { o.fired.Add(1) }
 func (o *benchObserver) EventCancelled(at des.Time, depth int) { o.cancelled.Add(1) }
-func (o *benchObserver) RoundCompleted(now float64, size int)  { o.rounds.Add(1) }
 
 // BenchmarkDESScheduleStep measures the des kernel's steady state: one
 // Step plus one Schedule per iteration against a warm event pool. With
@@ -124,11 +123,12 @@ func BenchmarkDESScheduleFire(b *testing.B) {
 // PeriodicSyncRound covers crowded days.
 func BenchmarkPeriodicStep(b *testing.B) { periodicSteps(b, []int{20, 100, 1000}, nil) }
 
-// BenchmarkPeriodicStepObserved is PeriodicStep with a counting
-// observer: the hook adds one branch and one atomic add per cluster
-// firing, and must not change the engine's allocs/op.
+// BenchmarkPeriodicStepObserved is PeriodicStep with one OnEvent
+// subscriber counting rounds: the hook adds one call per cluster firing
+// and must not change the engine's allocs/op.
 func BenchmarkPeriodicStepObserved(b *testing.B) {
-	periodicSteps(b, []int{20, 100, 1000}, &benchObserver{})
+	var rounds uint64
+	periodicSteps(b, []int{20, 100, 1000}, func(periodic.Event) { rounds++ })
 }
 
 // BenchmarkPeriodicStepLargeN is PeriodicStep at bucket-engine scale,
@@ -169,12 +169,14 @@ func BenchmarkPeriodicSyncRound(b *testing.B) {
 	}
 }
 
-func periodicSteps(b *testing.B, ns []int, obs periodic.Observer) {
+// periodicSteps times Step at each n, with onEvent subscribed if non-nil.
+func periodicSteps(b *testing.B, ns []int, onEvent func(periodic.Event)) {
 	for _, n := range ns {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			cfg := periodicBenchConfig(n)
-			cfg.Observer = obs
-			sys := periodic.New(cfg)
+			sys := periodic.New(periodicBenchConfig(n))
+			if onEvent != nil {
+				sys.OnEvent(onEvent)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -191,7 +191,7 @@ func BenchmarkNetsimChurn(b *testing.B) {
 	for _, k := range []int{1, 2, 6} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			benchWindows(b, 400, 700, func(horizon float64) *netsim.Network {
-				return experiments.BuildChurnBench(6, 8, k, 1, 40, pol, horizon, nil).Net
+				return experiments.BuildChurnBench(6, 8, k, 1, 40, pol, horizon).Net
 			})
 		})
 	}

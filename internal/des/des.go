@@ -83,7 +83,8 @@ func (e Event) live() (*event, bool) {
 // operation. A nil observer (the default) costs a single predictable branch
 // per operation and zero allocations; implementations that only bump
 // counters keep the hot paths allocation-free, since the arguments are
-// scalars and the interface call does not escape them.
+// scalars and the interface call does not escape them. Counting itself
+// needs no observer: Counts reads the totals from the Simulator.
 type Observer interface {
 	// EventScheduled fires after Schedule/After queues an event.
 	EventScheduled(at Time, depth int)
@@ -171,9 +172,34 @@ func (s *Simulator) qRemove(slot int32) {
 	s.removeAt(int(s.pool[slot].index))
 }
 
-// Processed returns the number of events executed so far. The netsim
-// CPU tests count fired events with it.
-func (s *Simulator) Processed() uint64 { return s.processed }
+// Counts is the work a Simulator has done so far.
+type Counts struct {
+	Scheduled, Fired, Cancelled uint64
+	// PeakDepth is the most events that were ever pending at once.
+	PeakDepth int
+}
+
+// Add sums o into c; the peak depth is the larger of the two.
+func (c *Counts) Add(o Counts) {
+	c.Scheduled += o.Scheduled
+	c.Fired += o.Fired
+	c.Cancelled += o.Cancelled
+	c.PeakDepth = max(c.PeakDepth, o.PeakDepth)
+}
+
+// Counts reads the Simulator's work from state it keeps anyway: every
+// schedule draws one seq, every fired event bumps processed, and what is
+// neither fired nor pending was cancelled. The pool grows only when every
+// slot holds a pending event, since Step releases a slot before its
+// callback runs, so its length is the peak depth.
+func (s *Simulator) Counts() Counts {
+	return Counts{
+		Scheduled: s.seq,
+		Fired:     s.processed,
+		Cancelled: s.seq - s.processed - uint64(s.Pending()),
+		PeakDepth: len(s.pool),
+	}
+}
 
 // less orders slots by (time, key, insertion order) — the contract shared
 // by both queue backends. Unkeyed events carry key 0, so programs that

@@ -281,7 +281,7 @@ func TestInterleavedScheduleCancelProperty(t *testing.T) {
 			}
 		}
 		s.Run()
-		return int(s.Processed()) == scheduled-cancelled
+		return int(s.Counts().Fired) == scheduled-cancelled
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}

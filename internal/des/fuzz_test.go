@@ -18,7 +18,10 @@ import (
 //   - Cancel answered as the reference did, stale handles included;
 //   - for every reservation, Fired(at, key) equals whether the reference,
 //     which holds each reservation as an ordinary event, has fired it:
-//     that is, fired every event up to (at, key).
+//     that is, fired every event up to (at, key);
+//   - Counts equals the reference's tally of queued, fired and cancelled
+//     events and of the most pending at once. A reservation is no queued
+//     event, so the tally leaves it out.
 //
 // A reservation stands for an event queued when it is drawn, so the
 // program only reserves instants that sort after everything fired so far
@@ -102,6 +105,9 @@ func FuzzDESQueue(f *testing.F) {
 				if !slices.Equal(fired[i], ref.fired) {
 					t.Fatalf("op %d: %v fired %v, reference %v", pos, s.Backend(), fired[i], ref.fired)
 				}
+				if got, want := s.Counts(), ref.counts(); got != want {
+					t.Fatalf("op %d: %v Counts() = %+v, reference %+v", pos, s.Backend(), got, want)
+				}
 				for _, g := range ghosts {
 					e := ref.events[g]
 					if got := s.Fired(e.at, e.key); got != e.done {
@@ -135,6 +141,20 @@ type refQueue struct {
 	// runUntil; only reservations sorting after it are drawn.
 	firedAt  Time
 	firedKey uint64
+	// cancelled counts successful cancels; depth is the real events
+	// pending now and peak the most ever pending.
+	cancelled   uint64
+	depth, peak int
+}
+
+// counts is the reference's Simulator.Counts.
+func (r *refQueue) counts() Counts {
+	return Counts{
+		Scheduled: uint64(len(r.handles)),
+		Fired:     uint64(len(r.fired)),
+		Cancelled: r.cancelled,
+		PeakDepth: r.peak,
+	}
 }
 
 func (r *refQueue) less(a, b int) bool {
@@ -153,6 +173,8 @@ func (r *refQueue) push(at Time, key uint64, ghost bool) int {
 	r.events = append(r.events, refEvent{at: at, key: key, ghost: ghost, queued: true})
 	if !ghost {
 		r.handles = append(r.handles, id)
+		r.depth++
+		r.peak = max(r.peak, r.depth)
 	}
 	i, _ := slices.BinarySearchFunc(r.pending, id, func(p, id int) int {
 		if r.less(p, id) {
@@ -173,6 +195,8 @@ func (r *refQueue) cancel(h int) bool {
 	}
 	r.events[id].queued = false
 	r.pending = slices.DeleteFunc(r.pending, func(p int) bool { return p == id })
+	r.cancelled++
+	r.depth--
 	return true
 }
 
@@ -186,6 +210,7 @@ func (r *refQueue) fireHead() {
 	if e.ghost {
 		return
 	}
+	r.depth--
 	if e.at > r.firedAt || e.key > r.firedKey {
 		r.firedAt, r.firedKey = e.at, e.key
 	}

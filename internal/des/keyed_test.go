@@ -96,7 +96,7 @@ func TestNextAt(t *testing.T) {
 	if s.NextAt() != 3 {
 		t.Fatalf("NextAt = %v, want 3", s.NextAt())
 	}
-	if s.Processed() != 0 {
+	if s.Counts().Fired != 0 {
 		t.Fatal("NextAt must not execute events")
 	}
 }

@@ -31,10 +31,9 @@ func AblationTimerPolicy(c ModelConfig) *Result {
 	for _, mode := range []periodic.TimerReset{periodic.ResetAfterProcessing, periodic.ResetOnExpiry} {
 		cfg := periodic.Config{
 			N: paperN, Tc: paperTc,
-			Jitter:   jitter.Uniform{Tp: paperTp, Tr: c.Tr},
-			Reset:    mode,
-			Seed:     paperSeed,
-			Observer: c.Obs,
+			Jitter: jitter.Uniform{Tp: paperTp, Tr: c.Tr},
+			Reset:  mode,
+			Seed:   paperSeed,
 		}
 		s := periodic.New(cfg)
 		times, sizes := s.LargestPerRound(c.Horizon)
@@ -51,6 +50,7 @@ func AblationTimerPolicy(c ModelConfig) *Result {
 		} else {
 			r.Notef("%s: never synchronized within %.1es", mode, c.Horizon)
 		}
+		r.addRounds(s, s2)
 	}
 	return r
 }

@@ -10,6 +10,7 @@ import (
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
 	"routesync/internal/pathvector"
+	"routesync/internal/runner"
 	"routesync/internal/stats"
 	"routesync/internal/trace"
 )
@@ -46,8 +47,6 @@ type BGPConfig struct {
 	Jobs int
 	// Seed drives topology and jitter randomness.
 	Seed int64
-	// Obs observes every partition's simulator.
-	Obs des.Observer
 }
 
 // bgpJitters is the jitter axis: the deterministic baseline and the
@@ -362,10 +361,11 @@ func ExtBGP(cfg BGPConfig) *Result {
 	type cellOut struct {
 		ases                                int
 		cluster, burst, storm, moves, reach float64
+		counts                              runner.Counts
 	}
 	outs := runCells(len(cells), cfg.Jobs, func(i, k int) cellOut {
 		c := cells[i]
-		sc := BuildBGP(c.size, k, c.mrai, c.jit, cfg.Seed, cfg.Horizon, cfg.Obs)
+		sc := BuildBGP(c.size, k, c.mrai, c.jit, cfg.Seed, cfg.Horizon, nil)
 		sc.Run()
 		return cellOut{
 			ases:    sc.ASes,
@@ -374,6 +374,7 @@ func ExtBGP(cfg BGPConfig) *Result {
 			storm:   sc.StormLength(),
 			moves:   sc.StormChanges(),
 			reach:   sc.ReachFraction(sc.ProbeOrigin),
+			counts:  netCounts(sc.Net),
 		}
 	})
 
@@ -398,6 +399,7 @@ func ExtBGP(cfg BGPConfig) *Result {
 				sync.Append(n, o.cluster)
 				burst.Append(n, o.burst)
 				storm.Append(n, o.storm)
+				res.Counts.Add(o.counts)
 				// A storm still in flight at the horizon is censored: some
 				// ASes still hold a stale route to the withdrawn prefix, so
 				// the reported length is a lower bound.

@@ -65,6 +65,10 @@ func timelineMetrics(sc *BGPScenario, flushes [][]float64) (sync, burst float64)
 // the whole timelines. This is the property that lets ext_bgp emit
 // Jobs-independent artifacts. CI runs it under -race on both DES
 // backends (the backend is selected by ROUTESYNC_DES_BACKEND).
+//
+// At MRAI 5 s the last 1 s bin of the measurement window holds no flush;
+// at MRAI 30 s every bin holds one, so a recorder that drops or misfiles
+// any bin fails the recomputation check there.
 func TestBGPKInvariant(t *testing.T) {
 	type snap struct {
 		flushes [][]float64
@@ -75,43 +79,53 @@ func TestBGPKInvariant(t *testing.T) {
 		storm   float64
 		reach   float64
 	}
-	run := func(k int) snap {
-		sc := BuildBGP(220, k, 5, "uniform", 9, 120, nil)
-		flushes := recordFlushes(sc)
-		sc.Run()
-		second := sc.Agents[len(sc.Agents)/bgpOrigins].Node().ID // the origin set's second member
-		s := snap{
-			flushes: flushes,
-			last:    sc.StormLast,
-			count:   sc.StormCount,
-			sync:    sc.SyncClusterFraction(),
-			burst:   sc.BurstRatio(),
-			storm:   sc.StormLength(),
-			reach:   sc.ReachFraction(second),
+	for _, c := range []struct {
+		mrai     float64
+		everyBin bool
+	}{{5, false}, {30, true}} {
+		run := func(k int) snap {
+			sc := BuildBGP(220, k, c.mrai, "uniform", 9, 120, nil)
+			flushes := recordFlushes(sc)
+			sc.Run()
+			second := sc.Agents[len(sc.Agents)/bgpOrigins].Node().ID // the origin set's second member
+			s := snap{
+				flushes: flushes,
+				last:    sc.StormLast,
+				count:   sc.StormCount,
+				sync:    sc.SyncClusterFraction(),
+				burst:   sc.BurstRatio(),
+				storm:   sc.StormLength(),
+				reach:   sc.ReachFraction(second),
+			}
+			if sync, burst := timelineMetrics(sc, flushes); sync != s.sync || burst != s.burst {
+				t.Errorf("mrai=%g k=%d: online sync %v burst %v, timelines give %v and %v", c.mrai, k, s.sync, s.burst, sync, burst)
+			}
+			for b, n := range sc.flushBins {
+				if c.everyBin && n == 0 {
+					t.Errorf("mrai=%g k=%d: no flush in bin %d of %d", c.mrai, k, b, len(sc.flushBins))
+				}
+			}
+			return s
 		}
-		if sync, burst := timelineMetrics(sc, flushes); sync != s.sync || burst != s.burst {
-			t.Errorf("k=%d: online sync %v burst %v, timelines give %v and %v", k, s.sync, s.burst, sync, burst)
+		ref := run(1)
+		total := 0
+		for _, ts := range ref.flushes {
+			total += len(ts)
 		}
-		return s
-	}
-	ref := run(1)
-	total := 0
-	for _, ts := range ref.flushes {
-		total += len(ts)
-	}
-	if total == 0 {
-		t.Fatal("no flushes recorded; scenario is wired wrong")
-	}
-	if ref.storm <= 0 {
-		t.Fatal("withdrawal caused no path exploration; probe is inert")
-	}
-	if ref.reach < 0.95 {
-		t.Fatalf("only %.0f%% of ASes reach the second origin; policy routing broken", 100*ref.reach)
-	}
-	for _, k := range []int{2, 4} {
-		got := run(k)
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("k=%d: scenario outcome diverges from k=1", k)
+		if total == 0 {
+			t.Fatalf("mrai=%g: no flushes recorded; scenario is wired wrong", c.mrai)
+		}
+		if ref.storm <= 0 {
+			t.Fatalf("mrai=%g: withdrawal caused no path exploration; probe is inert", c.mrai)
+		}
+		if ref.reach < 0.95 {
+			t.Fatalf("mrai=%g: only %.0f%% of ASes reach the second origin; policy routing broken", c.mrai, 100*ref.reach)
+		}
+		for _, k := range []int{2, 4} {
+			got := run(k)
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("mrai=%g k=%d: scenario outcome diverges from k=1", c.mrai, k)
+			}
 		}
 	}
 }

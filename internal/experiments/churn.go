@@ -3,11 +3,11 @@ package experiments
 import (
 	"math"
 
-	"routesync/internal/des"
 	"routesync/internal/faults"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
 	"routesync/internal/routing"
+	"routesync/internal/runner"
 	"routesync/internal/stats"
 	"routesync/internal/trace"
 	"routesync/internal/workload"
@@ -46,9 +46,6 @@ type ChurnConfig struct {
 	Jobs int
 	// Seed drives every random stream: timer jitter and fault timelines.
 	Seed int64
-	// Obs observes every partition's simulator (must be safe for
-	// concurrent use; the runner's metrics observer is).
-	Obs des.Observer
 }
 
 // ChurnPolicy is one point of the protocol-policy matrix the sweep
@@ -131,8 +128,8 @@ func churnLink(a, b *netsim.Node) *netsim.Link {
 // meanUp sets the mean up-time of both the flapped links and the
 // churned routers; outage lengths are fixed (churnMeanDown) so the
 // sweep varies only how often failures arrive.
-func BuildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer) *ChurnScenario {
-	return buildChurn(numAS, perAS, k, seed, meanUp, pol, horizon, obs, true)
+func BuildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64) *ChurnScenario {
+	return buildChurn(numAS, perAS, k, seed, meanUp, pol, horizon, true)
 }
 
 // BuildChurnBench is BuildChurn without the age-of-information monitor:
@@ -140,11 +137,11 @@ func BuildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy
 // observers or sampling events. The benchmark harness uses it to measure
 // the simulator itself — monitor bookkeeping appends to result slices on
 // every route change, which would show up as measurement allocations.
-func BuildChurnBench(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer) *ChurnScenario {
-	return buildChurn(numAS, perAS, k, seed, meanUp, pol, horizon, obs, false)
+func BuildChurnBench(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64) *ChurnScenario {
+	return buildChurn(numAS, perAS, k, seed, meanUp, pol, horizon, false)
 }
 
-func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, obs des.Observer, withMonitor bool) *ChurnScenario {
+func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy, horizon float64, withMonitor bool) *ChurnScenario {
 	if numAS < 4 || perAS < 3 {
 		panic("experiments: BuildChurn needs at least 4 domains of 3 routers")
 	}
@@ -156,9 +153,6 @@ func buildChurn(numAS, perAS, k int, seed int64, meanUp float64, pol ChurnPolicy
 	}
 
 	nw := netsim.NewNetwork(seed)
-	if obs != nil {
-		nw.SetObserver(obs)
-	}
 	topo := nw.BuildTwoLevelAS(netsim.TwoLevelASConfig{
 		NumAS:        numAS,
 		RoutersPerAS: perAS,
@@ -282,10 +276,11 @@ func ExtChurn(cfg ChurnConfig) *Result {
 	type cellOut struct {
 		outages, resurrections         int
 		p95, age, stale50, avail, loss float64
+		counts                         runner.Counts
 	}
 	outs := runCells(len(cells), cfg.Jobs, func(i, k int) cellOut {
 		c := cells[i]
-		sc := BuildChurn(cfg.NumAS, cfg.RoutersPerAS, k, cfg.Seed, c.meanUp, c.pol, cfg.Horizon, cfg.Obs)
+		sc := BuildChurn(cfg.NumAS, cfg.RoutersPerAS, k, cfg.Seed, c.meanUp, c.pol, cfg.Horizon)
 		sc.Run()
 		mon := sc.Monitor
 		durs := mon.OutageDurations()
@@ -301,6 +296,7 @@ func ExtChurn(cfg ChurnConfig) *Result {
 			stale50:       stats.Quantile(mon.StalenessAtFailures(), 0.5),
 			avail:         mon.Availability(),
 			loss:          sc.Pinger.Result().LossRate(),
+			counts:        netCounts(sc.Net),
 		}
 	})
 
@@ -321,6 +317,7 @@ func ExtChurn(cfg ChurnConfig) *Result {
 			rate := 3600 / (meanUp + churnMeanDown)
 			outage.Append(rate, o.p95)
 			age.Append(rate, o.age)
+			res.Counts.Add(o.counts)
 			res.Notef("%s, %.0f failures/h: %d outages (p95 %.1f s), mean age %.2f s, staleness at failure p50 %.2f s, availability %.4f, resurrections %d, ping loss %.2f%%",
 				pol.Label(), rate, o.outages, o.p95, o.age, o.stale50, o.avail, o.resurrections, 100*o.loss)
 		}

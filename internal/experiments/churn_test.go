@@ -23,7 +23,7 @@ func TestChurnKInvariant(t *testing.T) {
 		avail     float64
 	}
 	run := func(k int) snap {
-		sc := BuildChurn(4, 4, k, 3, 35, ChurnPolicy{Triggered: true, HoldDown: 10}, 150, nil)
+		sc := BuildChurn(4, 4, k, 3, 35, ChurnPolicy{Triggered: true, HoldDown: 10}, 150)
 		sc.Run()
 		// Lost pings record NaN, which DeepEqual never equates; encode them
 		// as -1 so identical timelines compare equal.

@@ -12,6 +12,9 @@ import (
 	"path/filepath"
 	"strings"
 
+	"routesync/internal/netsim"
+	"routesync/internal/periodic"
+	"routesync/internal/runner"
 	"routesync/internal/stats"
 	"routesync/internal/trace"
 )
@@ -29,6 +32,22 @@ type Result struct {
 	Notes []string
 	// Plot carries rendering hints.
 	Plot trace.PlotOptions
+	// Counts is the work of the engines the driver ran, read from each
+	// engine once its run ended; the manifest records it.
+	Counts runner.Counts
+}
+
+// addRounds adds the cluster firings of model systems that have run to
+// r's counts.
+func (r *Result) addRounds(systems ...*periodic.System) {
+	for _, s := range systems {
+		r.Counts.Rounds += s.Rounds()
+	}
+}
+
+// netCounts reads the work of a network's engines over its runs.
+func netCounts(nw *netsim.Network) runner.Counts {
+	return runner.Counts{Events: nw.Counts(), Windows: nw.SyncStats().Windows}
 }
 
 // Notef appends a formatted note.

@@ -41,6 +41,7 @@ func ExtCoherence(c ModelConfig) *Result {
 	if len(r) > 0 {
 		res.Notef("R: start %.2f → end %.2f (1/√N = %.2f)", r[0], r[len(r)-1], 1/math.Sqrt(paperN))
 	}
+	res.addRounds(s)
 	return res
 }
 

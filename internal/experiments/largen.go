@@ -29,7 +29,7 @@ import (
 // while an unsynchronized start shows no majority within the run even
 // though equilibrium favors one — the nucleation time f(N) dwarfs any
 // observable horizon.
-func ExtLargeN(ns []int, rounds int, seed int64, obs periodic.Observer) *Result {
+func ExtLargeN(ns []int, rounds int, seed int64) *Result {
 	if len(ns) == 0 {
 		ns = []int{1000, 3162, 10000, 31623, 100000}
 	}
@@ -61,14 +61,14 @@ func ExtLargeN(ns []int, rounds int, seed int64, obs periodic.Observer) *Result 
 		tr := trMult * tc
 		measure := func(start periodic.StartState) (majority, meanLargest float64) {
 			sys := periodic.New(periodic.Config{
-				N:        n,
-				Tc:       tc,
-				Jitter:   jitter.Uniform{Tp: tp, Tr: tr},
-				Start:    start,
-				Seed:     seed,
-				Observer: obs,
+				N:      n,
+				Tc:     tc,
+				Jitter: jitter.Uniform{Tp: tp, Tr: tr},
+				Start:  start,
+				Seed:   seed,
 			})
 			_, sizes := sys.LargestPerRound(float64(rounds) * sys.RoundWindow())
+			res.addRounds(sys)
 			if len(sizes) == 0 {
 				return 0, 0
 			}

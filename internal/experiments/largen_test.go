@@ -13,7 +13,7 @@ func TestExtLargeNMetastability(t *testing.T) {
 	if testing.Short() {
 		ns = []int{200}
 	}
-	r := ExtLargeN(ns, rounds, 1, nil)
+	r := ExtLargeN(ns, rounds, 1)
 	if len(r.Series) != 4 {
 		t.Fatalf("series = %d, want 4", len(r.Series))
 	}
@@ -46,8 +46,8 @@ func TestExtLargeNMetastability(t *testing.T) {
 // with the same seed must agree bit for bit (the runner's incremental
 // re-run machinery depends on it).
 func TestExtLargeNDeterministic(t *testing.T) {
-	a := ExtLargeN([]int{300}, 6, 3, nil)
-	b := ExtLargeN([]int{300}, 6, 3, nil)
+	a := ExtLargeN([]int{300}, 6, 3)
+	b := ExtLargeN([]int{300}, 6, 3)
 	if len(a.Series) != len(b.Series) {
 		t.Fatalf("series count diverged: %d vs %d", len(a.Series), len(b.Series))
 	}

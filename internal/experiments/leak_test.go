@@ -45,7 +45,7 @@ func TestNetScaleReleasesAllPackets(t *testing.T) {
 func TestChurnReleasesAllPackets(t *testing.T) {
 	pol := ChurnPolicy{Triggered: true, HoldDown: 20}
 	for _, k := range []int{1, 2, 4} {
-		sc := BuildChurnBench(6, 8, k, 1, 40, pol, 120, nil)
+		sc := BuildChurnBench(6, 8, k, 1, 40, pol, 120)
 		sc.Net.RunUntil(60)
 		checkNoLeak(t, "churn mid-run", sc.Net.LivePackets(), sc.Net.ParkedPackets(), sc.Agents)
 		sc.Run()

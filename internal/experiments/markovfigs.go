@@ -33,9 +33,6 @@ type MarkovConfig struct {
 	// or negative means one per CPU. Replication s always uses seed
 	// paperSeed+s, so results are identical for every Jobs value.
 	Jobs int
-	// Obs, when non-nil, observes every simulation replication the
-	// driver runs. Instrumentation only: it never affects output.
-	Obs periodic.Observer
 }
 
 // Defaults fills zero fields with the paper's values.
@@ -106,7 +103,7 @@ func Fig10(c MarkovConfig) *Result {
 		Plot:   trace.PlotOptions{XLabel: "time (s)", YLabel: "cluster size i"},
 	}
 	if c.Sims > 0 {
-		avg := simFirstPassageUp(c, tr)
+		avg := simPassages(r, c, tr, periodic.StartUnsynchronized, (*periodic.System).FirstPassageUp)
 		sim := stats.Series{Name: "simulation mean"}
 		for i := 1; i <= c.N; i++ {
 			if !math.IsInf(avg[i], 1) {
@@ -126,35 +123,32 @@ func Fig10(c MarkovConfig) *Result {
 	return r
 }
 
-// simFirstPassageUp averages FirstPassageUp over c.Sims seeds, running
-// the replications on the shared job runner (seed per index, so the
-// averages are identical for any worker count).
-func simFirstPassageUp(c MarkovConfig, tr float64) []float64 {
-	perSim := parallel.Run(c.Sims, c.Jobs, func(s int) []float64 {
+// simPassages runs c.Sims replications from the given start and
+// averages the first-passage times passage measures over c.SimHorizon.
+// The replications run on the shared job runner, seeded by index, so
+// the averages are identical for any worker count; their rounds go into
+// r's counts.
+func simPassages(r *Result, c MarkovConfig, tr float64, start periodic.StartState,
+	passage func(*periodic.System, float64) []float64) []float64 {
+	type replication struct {
+		times  []float64
+		rounds uint64
+	}
+	reps := parallel.Run(c.Sims, c.Jobs, func(s int) replication {
 		sys := periodic.New(periodic.Config{
 			N: c.N, Tc: c.Tc,
-			Jitter:   jitter.Uniform{Tp: paperTp, Tr: tr},
-			Seed:     paperSeed + int64(s),
-			Observer: c.Obs,
+			Jitter: jitter.Uniform{Tp: paperTp, Tr: tr},
+			Start:  start,
+			Seed:   paperSeed + int64(s),
 		})
-		return sys.FirstPassageUp(c.SimHorizon)
+		times := passage(sys, c.SimHorizon)
+		return replication{times, sys.Rounds()}
 	})
-	return averagePassages(perSim, c.N, c.Sims)
-}
-
-// simFirstPassageDown is the synchronized-start counterpart used by
-// Figure 11.
-func simFirstPassageDown(c MarkovConfig, tr float64) []float64 {
-	perSim := parallel.Run(c.Sims, c.Jobs, func(s int) []float64 {
-		sys := periodic.New(periodic.Config{
-			N: c.N, Tc: c.Tc,
-			Jitter:   jitter.Uniform{Tp: paperTp, Tr: tr},
-			Start:    periodic.StartSynchronized,
-			Seed:     paperSeed + int64(s),
-			Observer: c.Obs,
-		})
-		return sys.FirstPassageDown(c.SimHorizon)
-	})
+	perSim := make([][]float64, len(reps))
+	for i, rep := range reps {
+		perSim[i] = rep.times
+		r.Counts.Rounds += rep.rounds
+	}
 	return averagePassages(perSim, c.N, c.Sims)
 }
 
@@ -200,7 +194,7 @@ func Fig11(c MarkovConfig) *Result {
 		Plot:   trace.PlotOptions{XLabel: "time (s)", YLabel: "cluster size i"},
 	}
 	if c.Sims > 0 {
-		avg := simFirstPassageDown(c, tr)
+		avg := simPassages(r, c, tr, periodic.StartSynchronized, (*periodic.System).FirstPassageDown)
 		sim := stats.Series{Name: "simulation mean"}
 		for i := c.N; i >= 1; i-- {
 			if !math.IsInf(avg[i], 1) {
@@ -252,26 +246,27 @@ func Fig12(c MarkovConfig) *Result {
 		// run on the job runner, seeded by index as everywhere else.
 		mark := func(m float64, start periodic.StartState,
 			run func(sys *periodic.System) periodic.SyncResult) (float64, bool) {
-			times := parallel.Run(seeds, c.Jobs, func(s int) float64 {
+			type replication struct {
+				res    periodic.SyncResult
+				rounds uint64
+			}
+			reps := parallel.Run(seeds, c.Jobs, func(s int) replication {
 				sys := periodic.New(periodic.Config{
 					N: c.N, Tc: c.Tc,
-					Jitter:   jitter.Uniform{Tp: paperTp, Tr: m * c.Tc},
-					Start:    start,
-					Seed:     paperSeed + int64(s),
-					Observer: c.Obs,
+					Jitter: jitter.Uniform{Tp: paperTp, Tr: m * c.Tc},
+					Start:  start,
+					Seed:   paperSeed + int64(s),
 				})
 				res := run(sys)
-				if !res.Reached {
-					return math.Inf(1)
-				}
-				return res.Time
+				return replication{res, sys.Rounds()}
 			})
 			var sum float64
 			reached := 0
-			for _, t := range times {
-				if !math.IsInf(t, 1) {
+			for _, rep := range reps {
+				r.Counts.Rounds += rep.rounds
+				if rep.res.Reached {
 					reached++
-					sum += t
+					sum += rep.res.Time
 				}
 			}
 			if reached == 0 {

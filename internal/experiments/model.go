@@ -26,10 +26,6 @@ const (
 type ModelConfig struct {
 	Tr      float64 // random component (paper Fig 4: 0.1 s)
 	Horizon float64 // simulation horizon in seconds
-	// Obs, when non-nil, observes every periodic.System the driver
-	// builds. It is instrumentation, not a model parameter: it never
-	// affects output.
-	Obs periodic.Observer
 }
 
 // Defaults fills zero fields with the paper's §4 values.
@@ -45,12 +41,11 @@ func (c ModelConfig) Defaults() ModelConfig {
 
 func (c ModelConfig) system(start periodic.StartState) *periodic.System {
 	return periodic.New(periodic.Config{
-		N:        paperN,
-		Tc:       paperTc,
-		Jitter:   jitter.Uniform{Tp: paperTp, Tr: c.Tr},
-		Start:    start,
-		Seed:     paperSeed,
-		Observer: c.Obs,
+		N:      paperN,
+		Tc:     paperTc,
+		Jitter: jitter.Uniform{Tp: paperTp, Tr: c.Tr},
+		Start:  start,
+		Seed:   paperSeed,
 	})
 }
 
@@ -83,6 +78,7 @@ func Fig4(c ModelConfig) *Result {
 		r.Notef("did not synchronize within %.0f s", c.Horizon*10)
 	}
 	r.Notef("%d routing messages plotted over %.0f s", ser.Len(), c.Horizon)
+	r.addRounds(s, s2)
 	return r
 }
 
@@ -120,6 +116,7 @@ func Fig5(c ModelConfig, from, to float64) *Result {
 	}
 	r.Notef("%d expirations and %d resets in [%.0f, %.0f]",
 		expiries.Len(), resets.Len(), from, to)
+	r.addRounds(s)
 	return r
 }
 
@@ -147,6 +144,7 @@ func Fig6(c ModelConfig) *Result {
 		last = sizes[len(sizes)-1]
 	}
 	r.Notef("final round largest cluster = %d of %d", last, paperN)
+	r.addRounds(s)
 	return r
 }
 
@@ -185,6 +183,7 @@ func Fig7(c ModelConfig, trOverTc []float64) *Result {
 		} else {
 			r.Notef("Tr=%.1fTc: not synchronized within %.1es", m, c.Horizon)
 		}
+		r.addRounds(s, s2)
 	}
 	return r
 }
@@ -226,6 +225,7 @@ func Fig8(c ModelConfig, trOverTc []float64, brokenThreshold int) *Result {
 		} else {
 			r.Notef("Tr=%.1fTc: synchronization not broken within %.1es", m, c.Horizon)
 		}
+		r.addRounds(s, s2)
 	}
 	return r
 }

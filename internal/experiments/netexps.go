@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"routesync/internal/des"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
 	"routesync/internal/rng"
@@ -42,9 +41,6 @@ type PathConfig struct {
 	// networks were synchronized); false draws offsets over one period.
 	Synchronized bool
 	Seed         int64
-	// Obs, when non-nil, observes the network's event kernel.
-	// Instrumentation only: it never affects output.
-	Obs des.Observer
 }
 
 // pathLinkDelay is the propagation delay, in seconds, of each host link
@@ -83,9 +79,6 @@ type builtPath struct {
 // routing protocol).
 func buildPath(c PathConfig) *builtPath {
 	net := netsim.NewNetwork(c.Seed)
-	if c.Obs != nil {
-		net.SetObserver(c.Obs)
-	}
 	cpuCfg := &netsim.CPUConfig{
 		InputQueueCap: c.InputQueueCap,
 		ForwardCost:   c.ForwardCost,
@@ -99,7 +92,11 @@ func buildPath(c PathConfig) *builtPath {
 	net.NewLAN(routers, netsim.LANConfig{Delay: 0.001})
 	net.Connect(src, routers[0], netsim.LinkConfig{Delay: pathLinkDelay})
 	net.Connect(routers[1], dst, netsim.LinkConfig{Delay: pathLinkDelay})
-	net.InstallStaticRoutes()
+	all := make([]netsim.NodeID, net.NumNodes())
+	for i := range all {
+		all[i] = netsim.NodeID(i)
+	}
+	net.InstallRoutesToward(all)
 	dst.LossProb = c.BackgroundLoss
 
 	agents := make([]*routing.Agent, c.Routers)
@@ -239,6 +236,7 @@ func Fig3(c PathConfig, duration float64) (*Result, workload.AudioResult) {
 		Title:  "audio outage durations with synchronized RIP updates",
 		Series: []stats.Series{ser},
 		Plot:   trace.PlotOptions{XLabel: "time (s)", YLabel: "outage duration (s)"},
+		Counts: netCounts(b.net),
 	}
 	r.Notef("overall loss %.1f%%; outages: %d", 100*res.LossRate(), len(res.Outages()))
 	// Measure loss inside vs outside the periodic busy windows.

@@ -8,6 +8,7 @@ import (
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
 	"routesync/internal/routing"
+	"routesync/internal/runner"
 	"routesync/internal/stats"
 	"routesync/internal/trace"
 	"routesync/internal/workload"
@@ -42,9 +43,6 @@ type NetScaleConfig struct {
 	Jobs int
 	// Seed drives topology-independent randomness (timer jitter streams).
 	Seed int64
-	// Obs observes every partition's simulator (must be safe for
-	// concurrent use; the runner's metrics observer is).
-	Obs des.Observer
 }
 
 // NetScaleScenario is one built instance of the scale scenario, exposed
@@ -121,8 +119,7 @@ func BuildNetScale(routers, perAS, k int, seed int64, horizon float64, obs des.O
 	nw.Connect(hostA, srcRouter, netsim.LinkConfig{Delay: 0.001, Bandwidth: 10e6, QueueCap: 16})
 	nw.Connect(hostB, dstRouter, netsim.LinkConfig{Delay: 0.001, Bandwidth: 10e6, QueueCap: 16})
 	// Forwarding state toward the measured hosts only: Θ(N), not the
-	// all-pairs Θ(N²) a full InstallStaticRoutes would cost at 5000
-	// routers.
+	// Θ(N²) that routes toward every node would cost at 5000 routers.
 	nw.InstallRoutesToward([]netsim.NodeID{hostA.ID, hostB.ID})
 
 	// Partition along domain boundaries; each host joins the partition of
@@ -255,9 +252,10 @@ func ExtNetScale(cfg NetScaleConfig) *Result {
 		routers, domains   int
 		loss, rtt, upd, cl float64
 		forwarded          uint64
+		counts             runner.Counts
 	}
 	outs := runCells(len(cfg.Sizes), cfg.Jobs, func(i, k int) cellOut {
-		sc := BuildNetScale(cfg.Sizes[i], cfg.RoutersPerAS, k, cfg.Seed, cfg.Horizon, cfg.Obs)
+		sc := BuildNetScale(cfg.Sizes[i], cfg.RoutersPerAS, k, cfg.Seed, cfg.Horizon, nil)
 		sc.Run()
 		pr := sc.Pinger.Result()
 		return cellOut{
@@ -268,6 +266,7 @@ func ExtNetScale(cfg NetScaleConfig) *Result {
 			upd:       sc.UpdatesPerRouter(),
 			cl:        sc.SyncClusterFraction(routing.RIP().Period, 1),
 			forwarded: sc.Net.Counters().Forwarded,
+			counts:    netCounts(sc.Net),
 		}
 	})
 
@@ -288,6 +287,7 @@ func ExtNetScale(cfg NetScaleConfig) *Result {
 		rtt.Append(n, o.rtt)
 		upd.Append(n, o.upd)
 		sync.Append(n, o.cl)
+		res.Counts.Add(o.counts)
 		// No K, wall time, or lookahead here: artifacts must be identical
 		// for every -jobs value (the partition engine guarantees the data
 		// is, and lookahead is +Inf at K=1).

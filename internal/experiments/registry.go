@@ -9,15 +9,15 @@ import (
 // figures, claims, ablations, and extensions — with the experiment
 // runner. cmd/figures is a thin frontend that selects from
 // runner.Default by id; all configuration derivation (quick-vs-paper
-// horizons, replication counts, observer wiring) lives here, next to the
-// drivers it parameterizes.
+// horizons, replication counts) lives here, next to the drivers it
+// parameterizes.
 
 func init() { RegisterAll(runner.Default) }
 
 // figModel derives the Periodic Messages model configuration used by the
 // figure drivers (the paper's defaults; Horizon 1e5 at both scales).
 func figModel(spec *runner.Spec) ModelConfig {
-	return ModelConfig{Horizon: 1e5, Obs: spec.PeriodicObserver()}
+	return ModelConfig{Horizon: 1e5}
 }
 
 // figSweepHorizon is the Figure 7/8 sweep horizon: the paper's 10^7 s,
@@ -32,7 +32,7 @@ func figSweepHorizon(spec *runner.Spec) float64 {
 // figMarkov derives the §5 analysis configuration: 20 simulation
 // replications over 5·10^6 s at paper scale, 3 over 10^6 s under -quick.
 func figMarkov(spec *runner.Spec) MarkovConfig {
-	c := MarkovConfig{Sims: 20, SimHorizon: 5e6, Jobs: spec.Jobs, Obs: spec.PeriodicObserver()}
+	c := MarkovConfig{Sims: 20, SimHorizon: 5e6, Jobs: spec.Jobs}
 	if spec.Quick {
 		c.Sims = 3
 		c.SimHorizon = 1e6
@@ -65,9 +65,8 @@ type fig1Out struct {
 
 // fig1Shared computes the packet-level ping run Figures 1 and 2 share —
 // once per runner invocation, by whichever driver gets there first, so
-// `-only fig02` works without also writing fig01. The shared run is not
-// wired to either spec's observer: attribution would depend on worker
-// scheduling.
+// `-only fig02` works without also writing fig01. Fig1 reports no counts:
+// the run belongs to neither figure alone.
 func fig1Shared(spec *runner.Spec) fig1Out {
 	return spec.Shared("fig1-ping", func() any {
 		r, ping := Fig1(PathConfig{}, figPings(spec))
@@ -78,7 +77,7 @@ func fig1Shared(spec *runner.Spec) fig1Out {
 // figNetScale, figChurn and figBGP derive the sweep drivers'
 // configurations: the full sweep, or a reduced one under -quick.
 func figNetScale(spec *runner.Spec) NetScaleConfig {
-	cfg := NetScaleConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
+	cfg := NetScaleConfig{Jobs: spec.Jobs, Seed: 1}
 	if spec.Quick {
 		cfg.Sizes = []int{500, 1000}
 		cfg.Horizon = 65
@@ -87,7 +86,7 @@ func figNetScale(spec *runner.Spec) NetScaleConfig {
 }
 
 func figChurn(spec *runner.Spec) ChurnConfig {
-	cfg := ChurnConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
+	cfg := ChurnConfig{Jobs: spec.Jobs, Seed: 1}
 	if spec.Quick {
 		cfg.NumAS = 4
 		cfg.RoutersPerAS = 6
@@ -98,7 +97,7 @@ func figChurn(spec *runner.Spec) ChurnConfig {
 }
 
 func figBGP(spec *runner.Spec) BGPConfig {
-	cfg := BGPConfig{Jobs: spec.Jobs, Seed: 1, Obs: spec.DESObserver()}
+	cfg := BGPConfig{Jobs: spec.Jobs, Seed: 1}
 	if spec.Quick {
 		cfg.Sizes = []int{300, 800}
 		cfg.MRAIs = []float64{0, 5}
@@ -134,6 +133,7 @@ func finishResult(r *Result, spec *runner.Spec) (*runner.Artifacts, error) {
 		Series: len(r.Series),
 		Points: points,
 		Files:  []string{r.ID + ".csv", r.ID + ".txt"},
+		Counts: r.Counts,
 	}, nil
 }
 
@@ -149,7 +149,7 @@ func RegisterAll(reg *runner.Registry) {
 		return Fig2(fig1Shared(spec).ping, 200)
 	})
 	fig(reg, "fig03", func(spec *runner.Spec) *Result {
-		r, _ := Fig3(PathConfig{Obs: spec.DESObserver()}, figAudioDur(spec))
+		r, _ := Fig3(PathConfig{}, figAudioDur(spec))
 		return r
 	})
 	fig(reg, "fig04", func(spec *runner.Spec) *Result {
@@ -272,6 +272,6 @@ func RegisterAll(reg *runner.Registry) {
 		if spec.Quick {
 			ns, rounds = []int{1000, 3162, 10000}, 12
 		}
-		return ExtLargeN(ns, rounds, 1, spec.PeriodicObserver())
+		return ExtLargeN(ns, rounds, 1)
 	})
 }

@@ -144,7 +144,7 @@ func TestCPUOccupyThenOneEvent(t *testing.T) {
 	if calls != 6 {
 		t.Fatalf("callbacks ran %d times, want 6", calls)
 	}
-	if got := n.Sim.Processed(); got != 7 {
+	if got := n.Sim.Counts().Fired; got != 7 {
 		t.Fatalf("fired %d events for 6 OccupyThen + 1 Occupy, want 7", got)
 	}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -374,8 +374,8 @@ func (n *Network) Inject(pkt *Packet) {
 // SetObserver installs a kernel observer on every simulator this network
 // runs on (the root simulator and every partition's). In a partitioned
 // run the observer is invoked concurrently from all partition goroutines,
-// so implementations must be safe for concurrent use — the runner's
-// atomic metrics observer is.
+// so implementations must be safe for concurrent use. Counting needs no
+// observer: Counts reads what the simulators keep anyway.
 func (n *Network) SetObserver(obs des.Observer) {
 	n.obs = obs
 	n.syncObs, _ = obs.(SyncObserver)
@@ -383,6 +383,18 @@ func (n *Network) SetObserver(obs des.Observer) {
 	for _, p := range n.parts {
 		p.sim.SetObserver(obs)
 	}
+}
+
+// Counts sums the work of every simulator this network runs on (the root
+// simulator and every partition's); the peak depth is the deepest any
+// one queue got. Read it between runs: partition goroutines update the
+// counts during one.
+func (n *Network) Counts() des.Counts {
+	c := n.Sim.Counts()
+	for _, p := range n.parts {
+		c.Add(p.sim.Counts())
+	}
+	return c
 }
 
 // Now returns the current simulation time: the root clock, or — in a

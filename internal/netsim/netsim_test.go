@@ -8,6 +8,16 @@ import (
 	"routesync/internal/rng"
 )
 
+// allNodes lists every node id of nw, to install routes toward all of
+// them.
+func allNodes(nw *Network) []NodeID {
+	ids := make([]NodeID, nw.NumNodes())
+	for i := range ids {
+		ids[i] = NodeID(i)
+	}
+	return ids
+}
+
 // twoHosts builds A —link— B with the given config and static routes.
 func twoHosts(t *testing.T, cfg LinkConfig) (*Network, *Node, *Node, *Link) {
 	t.Helper()
@@ -15,7 +25,7 @@ func twoHosts(t *testing.T, cfg LinkConfig) (*Network, *Node, *Node, *Link) {
 	a := n.NewNode("a", nil)
 	b := n.NewNode("b", nil)
 	l := n.Connect(a, b, cfg)
-	n.InstallStaticRoutes()
+	n.InstallRoutesToward(allNodes(n))
 	return n, a, b, l
 }
 

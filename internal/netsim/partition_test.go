@@ -49,7 +49,7 @@ func runScaleTopo(t *testing.T, backend des.Backend, k int) partitionSnapshot {
 	// Random per-arrival loss at two transit routers.
 	topo.Routers[1][0].LossProb = 0.05
 	topo.Routers[3][1].LossProb = 0.05
-	nw.InstallStaticRoutes()
+	nw.InstallRoutesToward(allNodes(nw))
 
 	if k > 0 {
 		nw.Partition(k, OwnerByBlock(perAS, numAS, k))
@@ -333,7 +333,7 @@ func (b *busySets) EventCancelled(float64, int) {}
 func (b *busySets) SyncWindow(float64, float64, int, float64) {
 	set := 0
 	for i, p := range b.nw.parts {
-		if n := p.sim.Processed(); n != b.last[i] {
+		if n := p.sim.Counts().Fired; n != b.last[i] {
 			set |= 1 << i
 			b.last[i] = n
 		}
@@ -359,7 +359,7 @@ func runIdleLPTopo(t *testing.T, k int, obs des.Observer) (*Network, partitionSn
 	stub := nw.BuildChain([]string{"s0", "s1"}, nil, cfg)
 	nw.Connect(a[3], b[0], LinkConfig{Delay: 0.01, Bandwidth: 1e6, QueueCap: 4})
 	nw.Connect(stub[0], a[0], LinkConfig{Delay: 0.004})
-	nw.InstallStaticRoutes()
+	nw.InstallRoutesToward(allNodes(nw))
 	if k > 0 {
 		owner := func(id NodeID) int {
 			switch {
@@ -490,7 +490,7 @@ func TestPartitionIdleLPWindows(t *testing.T) {
 		if w := nw.SyncStats().Windows; w != want {
 			t.Errorf("k=3: %d windows, want %d from the sequential run's events", w, want)
 		}
-		if n := nw.parts[1].sim.Processed(); n != 0 {
+		if n := nw.parts[1].sim.Counts().Fired; n != 0 {
 			t.Errorf("idle partition 1 fired %d events", n)
 		}
 		for _, set := range []int{0b001, 0b100, 0b101} {

@@ -190,7 +190,7 @@ func TestLivePacketsAcrossPartitions(t *testing.T) {
 	for i := 0; i+1 < 4; i++ {
 		nw.Connect(nodes[i], nodes[i+1], LinkConfig{Delay: 0.01, Bandwidth: 1e6, QueueCap: 8})
 	}
-	nw.InstallStaticRoutes()
+	nw.InstallRoutesToward(allNodes(nw))
 	nw.Partition(2, func(id NodeID) int { return int(id) / 2 })
 
 	// Round trips: n0 → n3 data, delivered (and released) in partition 1.

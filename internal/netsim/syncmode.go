@@ -55,7 +55,7 @@ func (n *Network) SyncMode() SyncMode { return SyncConservative }
 
 // SyncObserver receives one callback per window. A des Observer
 // installed via SetObserver that also implements SyncObserver gets wired
-// up automatically (the runner's metrics observer does). gvt is the
+// up automatically (simbench's tracer does). gvt is the
 // window's end; lag, rollbacks and maxDepth describe speculative
 // execution, which conservative windows never do, so they are always 0.
 // Called only from the coordinator, between windows.

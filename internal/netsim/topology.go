@@ -30,66 +30,20 @@ func (n *Network) adjacency() [][]Egress {
 	return adj
 }
 
-// InstallStaticRoutes fills every node's FIB with shortest-path (hop
-// count) routes computed by breadth-first search over the topology.
-// Experiments that study forwarding behaviour rather than route
-// computation (Figs 1–3) use this instead of running a routing protocol to
-// convergence; the routing protocol's own tests verify it converges to
-// the same routes.
-//
-// The cost is Θ(N·(N+E)) time and Θ(N²) FIB entries, which is fine for
-// figure-scale topologies but not for thousands of routers — large-scale
-// experiments route only toward their measured hosts with
-// InstallRoutesToward instead.
-func (n *Network) InstallStaticRoutes() {
-	// BFS from each source over a pre-built adjacency, with slice-indexed
-	// scratch reused across sources (node ids are dense).
-	type qe struct {
-		node  NodeID
-		first Egress // egress src used to start this branch
-	}
-	adj := n.adjacency()
-	visited := make([]bool, len(n.nodes))
-	queue := make([]qe, 0, len(n.nodes))
-	for _, src := range n.nodes {
-		for i := range visited {
-			visited[i] = false
-		}
-		queue = queue[:0]
-		visited[src.ID] = true
-		for _, eg := range adj[src.ID] {
-			if visited[eg.NextHop] {
-				continue
-			}
-			visited[eg.NextHop] = true
-			src.SetRoute(eg.NextHop, eg.Via, eg.NextHop)
-			queue = append(queue, qe{node: eg.NextHop, first: eg})
-		}
-		for qi := 0; qi < len(queue); qi++ {
-			cur := queue[qi]
-			for _, eg := range adj[cur.node] {
-				if visited[eg.NextHop] {
-					continue
-				}
-				visited[eg.NextHop] = true
-				src.SetRoute(eg.NextHop, cur.first.Via, cur.first.NextHop)
-				queue = append(queue, qe{node: eg.NextHop, first: cur.first})
-			}
-		}
-	}
-}
-
-// InstallRoutesToward installs shortest-path routes from every node
-// toward each of the given destinations only — Θ(D·(N+E)) instead of the
-// all-pairs Θ(N·(N+E)), and Θ(D·N) FIB entries instead of Θ(N²). Used by
-// the large-topology experiments, whose measured traffic flows to a
-// handful of hosts while the routing protocol exercises the full graph.
+// InstallRoutesToward installs shortest-path (hop count) routes from
+// every node toward each of the given destinations: Θ(D·(N+E)) time and
+// Θ(D·N) FIB entries. Experiments that study forwarding rather than route
+// computation (Figs 1–3) route toward every node instead of running a
+// routing protocol to convergence; the routing protocol's own tests
+// verify it converges to the same routes. The large-topology experiments
+// route only toward their measured hosts, since all-pairs routes would
+// cost Θ(N²) entries at thousands of routers.
 //
 // For each destination a reverse BFS labels every node with its
 // distance, and each node routes via its first egress (media order) that
-// decreases the distance. Paths are shortest; among equal-length paths
-// the tie-break is deterministic but may differ from InstallStaticRoutes'
-// branch order.
+// decreases the distance. That is the route a forward BFS from the node
+// picks, visiting its egresses in media order: the first egress whose
+// branch reaches the destination.
 func (n *Network) InstallRoutesToward(dests []NodeID) {
 	adj := n.adjacency()
 	dist := make([]int, len(n.nodes))
@@ -128,7 +82,8 @@ func (n *Network) InstallRoutesToward(dests []NodeID) {
 
 // BuildChain creates a linear chain of nodes connected by identical links:
 // names[0] — names[1] — ... — names[k−1]. cpu[i] configures node i's CPU
-// (nil entries or a short slice mean no CPU). Static routes are installed.
+// (nil entries or a short slice mean no CPU). Static routes toward every
+// node of the network are installed.
 // The paper's Figure 1 path (Berkeley → ... NEARnet cores ... → MIT) is a
 // chain like this.
 func (n *Network) BuildChain(names []string, cpus []*CPUConfig, link LinkConfig) []*Node {
@@ -146,7 +101,11 @@ func (n *Network) BuildChain(names []string, cpus []*CPUConfig, link LinkConfig)
 	for i := 0; i+1 < len(nodes); i++ {
 		n.Connect(nodes[i], nodes[i+1], link)
 	}
-	n.InstallStaticRoutes()
+	all := make([]NodeID, len(n.nodes))
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	n.InstallRoutesToward(all)
 	return nodes
 }
 

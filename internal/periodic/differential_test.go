@@ -46,9 +46,6 @@ func (s *System) stepReference() Event {
 		s.expiry[m.ID] = next
 	}
 	ev.Next = s.referenceNextExpiry()
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.RoundCompleted(s.now, c.Size())
-	}
 	for _, fn := range s.onEvent {
 		fn(ev)
 	}
@@ -143,9 +140,6 @@ func (h *heapSystem) Step() Event {
 		Members:  members[:k],
 		Expiries: expiries[:k],
 		Next:     h.NextExpiry(),
-	}
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.RoundCompleted(s.now, k)
 	}
 	for _, fn := range s.onEvent {
 		fn(ev)

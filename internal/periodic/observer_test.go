@@ -6,17 +6,18 @@ import (
 	"routesync/internal/jitter"
 )
 
+// roundCounter is an OnEvent subscriber that keeps only scalars.
 type roundCounter struct {
-	rounds  int
+	rounds  uint64
 	lastNow float64
 	maxSize int
 }
 
-func (c *roundCounter) RoundCompleted(now float64, size int) {
+func (c *roundCounter) observe(ev Event) {
 	c.rounds++
-	c.lastNow = now
-	if size > c.maxSize {
-		c.maxSize = size
+	c.lastNow = ev.End
+	if ev.Size() > c.maxSize {
+		c.maxSize = ev.Size()
 	}
 }
 
@@ -30,17 +31,21 @@ func observedConfig(n int) Config {
 	}
 }
 
+// TestObserverRoundsMatchSteps: Rounds counts every Step, and equals the
+// number of OnEvent callbacks.
 func TestObserverRoundsMatchSteps(t *testing.T) {
-	cfg := observedConfig(20)
 	obs := &roundCounter{}
-	cfg.Observer = obs
-	sys := New(cfg)
+	sys := New(observedConfig(20))
+	sys.OnEvent(obs.observe)
 	const steps = 500
 	for i := 0; i < steps; i++ {
 		sys.Step()
 	}
-	if obs.rounds != steps {
-		t.Fatalf("observer saw %d rounds over %d steps", obs.rounds, steps)
+	if obs.rounds != steps || sys.Rounds() != steps {
+		t.Fatalf("over %d steps: %d OnEvent callbacks, Rounds() = %d", steps, obs.rounds, sys.Rounds())
+	}
+	if n := sys.RunUntil(sys.Now() + 1e4); sys.Rounds() != steps+n || obs.rounds != sys.Rounds() {
+		t.Fatalf("RunUntil stepped %d more: Rounds() = %d, %d callbacks", n, sys.Rounds(), obs.rounds)
 	}
 	if obs.lastNow != sys.Now() {
 		t.Fatalf("observer lastNow = %v, system now = %v", obs.lastNow, sys.Now())
@@ -50,27 +55,12 @@ func TestObserverRoundsMatchSteps(t *testing.T) {
 	}
 }
 
-func TestSetObserverEquivalentToConfig(t *testing.T) {
-	obs := &roundCounter{}
-	sys := New(observedConfig(20))
-	sys.cfg.Observer = obs
-	sys.Step()
-	if obs.rounds != 1 {
-		t.Fatalf("SetObserver-installed observer saw %d rounds, want 1", obs.rounds)
-	}
-	sys.cfg.Observer = nil
-	sys.Step()
-	if obs.rounds != 1 {
-		t.Fatal("removed observer still notified")
-	}
-}
-
 // TestObserverDoesNotPerturbTrajectory: observation must be pure — the
 // observed and unobserved systems replay identical trajectories.
 func TestObserverDoesNotPerturbTrajectory(t *testing.T) {
 	plain := New(observedConfig(20))
 	watched := New(observedConfig(20))
-	watched.cfg.Observer = &roundCounter{}
+	watched.OnEvent((&roundCounter{}).observe)
 	for i := 0; i < 1000; i++ {
 		plain.Step()
 		watched.Step()
@@ -78,12 +68,14 @@ func TestObserverDoesNotPerturbTrajectory(t *testing.T) {
 			t.Fatalf("trajectories diverged at step %d: %v vs %v", i, plain.Now(), watched.Now())
 		}
 	}
+	if plain.Rounds() != watched.Rounds() {
+		t.Fatalf("Rounds() = %d unobserved, %d observed", plain.Rounds(), watched.Rounds())
+	}
 }
 
-// TestStepObserverAllocParity is the alloc guard for the observer hook:
-// a scalar-counting observer must add zero allocations on top of the
-// engine's own steady-state cost, and the nil-observer path must match
-// the pre-hook baseline exactly.
+// TestStepObserverAllocParity is the alloc guard for the OnEvent hook: a
+// scalar-counting subscriber must add zero allocations on top of the
+// engine's own steady-state cost.
 func TestStepObserverAllocParity(t *testing.T) {
 	plain := New(observedConfig(100))
 	for i := 0; i < 200; i++ { // settle into steady state
@@ -92,13 +84,13 @@ func TestStepObserverAllocParity(t *testing.T) {
 	base := testing.AllocsPerRun(2000, func() { plain.Step() })
 
 	watched := New(observedConfig(100))
-	watched.cfg.Observer = &roundCounter{}
+	watched.OnEvent((&roundCounter{}).observe)
 	for i := 0; i < 200; i++ {
 		watched.Step()
 	}
 	observed := testing.AllocsPerRun(2000, func() { watched.Step() })
 
 	if observed != base {
-		t.Fatalf("observer changed Step allocs: %v → %v allocs/op", base, observed)
+		t.Fatalf("OnEvent subscriber changed Step allocs: %v → %v allocs/op", base, observed)
 	}
 }

@@ -94,19 +94,6 @@ type Config struct {
 	// Seed drives all randomness. Two runs with equal Config replay
 	// identically.
 	Seed int64
-	// Observer, when non-nil, is notified after every cluster firing.
-	// Unlike OnEvent callbacks it receives only scalars, so counting
-	// rounds costs no allocations. Nil (the default) costs one branch.
-	Observer Observer
-}
-
-// Observer receives model lifecycle notifications. Methods are called
-// synchronously from Step; implementations must not call back into the
-// System. A nil observer is free apart from a single branch per event.
-type Observer interface {
-	// RoundCompleted fires after each cluster event: now is the busy-window
-	// end the clock advanced to, size the number of routers in the cluster.
-	RoundCompleted(now float64, size int)
 }
 
 // Event describes one cluster firing: the routers whose timers expired in
@@ -144,6 +131,8 @@ type System struct {
 	r      *rng.Source
 	expiry []float64 // next timer expiration per router
 	now    float64
+	// rounds counts Steps: the cluster firings so far.
+	rounds uint64
 	// onEvent observers are invoked, in registration order, after every
 	// cluster firing.
 	onEvent []func(Event)
@@ -222,6 +211,9 @@ func (s *System) NextExpiry() float64 { return s.bucket.min }
 
 // OnEvent registers an observer invoked after every cluster firing.
 func (s *System) OnEvent(fn func(Event)) { s.onEvent = append(s.onEvent, fn) }
+
+// Rounds returns the number of cluster firings (Steps) so far.
+func (s *System) Rounds() uint64 { return s.rounds }
 
 // TriggerUpdate models a major network change (§3 step 4): every router
 // sends a triggered update immediately, without waiting for its timer. All
@@ -322,9 +314,7 @@ func (s *System) Step() Event {
 		Expiries: expiries[:k],
 		Next:     next,
 	}
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.RoundCompleted(s.now, k)
-	}
+	s.rounds++
 	for _, fn := range s.onEvent {
 		fn(ev)
 	}

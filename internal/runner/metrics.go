@@ -1,65 +1,23 @@
 package runner
 
-import (
-	"sync/atomic"
+import "routesync/internal/des"
 
-	"routesync/internal/des"
-)
-
-// Metrics accumulates engine observer notifications for one experiment
-// run. It implements both des.Observer and periodic.Observer (des.Time is
-// a float64 alias, so plain float64 signatures satisfy both interfaces).
-// All methods are lock-free atomic updates: the simulation thread pays a
-// few nanoseconds per event and zero allocations, and an experiment's
-// concurrent replications may observe into one Metrics.
-type Metrics struct {
-	scheduled atomic.Uint64
-	fired     atomic.Uint64
-	cancelled atomic.Uint64
-	rounds    atomic.Uint64
-	maxDepth  atomic.Int64
-
-	// syncWindows counts partition windows, fed by netsim.SyncObserver
-	// callbacks (one per window, from the coordinator only).
-	syncWindows atomic.Uint64
+// Counts is the work an experiment's engines did: the DES events of its
+// packet simulations, their partition windows, and the cluster firings
+// (rounds) of its Periodic Messages models. Each engine keeps its counts
+// as it runs; the experiment reads them once its runs end and adds up
+// its cells and replications in index order.
+type Counts struct {
+	Events  des.Counts
+	Windows uint64
+	Rounds  uint64
 }
 
-// EventScheduled implements des.Observer.
-func (m *Metrics) EventScheduled(at float64, depth int) {
-	m.scheduled.Add(1)
-	m.bumpDepth(int64(depth))
-}
-
-// EventFired implements des.Observer.
-func (m *Metrics) EventFired(at float64, depth int) {
-	m.fired.Add(1)
-}
-
-// EventCancelled implements des.Observer.
-func (m *Metrics) EventCancelled(at float64, depth int) {
-	m.cancelled.Add(1)
-}
-
-// RoundCompleted implements periodic.Observer.
-func (m *Metrics) RoundCompleted(now float64, size int) {
-	m.rounds.Add(1)
-}
-
-// SyncWindow implements netsim.SyncObserver: one call per window of a
-// partitioned run.
-func (m *Metrics) SyncWindow(gvt, lag float64, rollbacks int, maxDepth float64) {
-	m.syncWindows.Add(1)
-}
-
-// bumpDepth is a CAS max: concurrent engines (replications on the job
-// runner) may observe into one Metrics.
-func (m *Metrics) bumpDepth(d int64) {
-	for {
-		cur := m.maxDepth.Load()
-		if d <= cur || m.maxDepth.CompareAndSwap(cur, d) {
-			return
-		}
-	}
+// Add sums o into c.
+func (c *Counts) Add(o Counts) {
+	c.Events.Add(o.Events)
+	c.Windows += o.Windows
+	c.Rounds += o.Rounds
 }
 
 // MetricsSnapshot is the manifest's per-experiment metrics block.
@@ -80,23 +38,20 @@ type MetricsSnapshot struct {
 	SyncWindows uint64 `json:"sync_windows,omitempty"`
 }
 
-// Snapshot returns the current counts, or nil if nothing was observed —
-// experiments whose engines aren't instrumented get no metrics block
-// rather than a block of zeros.
-func (m *Metrics) Snapshot() *MetricsSnapshot {
-	if m == nil {
+// snapshot returns the counts as a metrics block, or nil if they are all
+// zero: experiments that run none of the counting engines get no metrics
+// block rather than a block of zeros.
+func (c Counts) snapshot() *MetricsSnapshot {
+	if c == (Counts{}) {
 		return nil
 	}
 	s := &MetricsSnapshot{
-		EventsScheduled:     m.scheduled.Load(),
-		EventsFired:         m.fired.Load(),
-		EventsCancelled:     m.cancelled.Load(),
-		EventQueuePeakDepth: m.maxDepth.Load(),
-		RoundsCompleted:     m.rounds.Load(),
-		SyncWindows:         m.syncWindows.Load(),
-	}
-	if *s == (MetricsSnapshot{}) {
-		return nil
+		EventsScheduled:     c.Events.Scheduled,
+		EventsFired:         c.Events.Fired,
+		EventsCancelled:     c.Events.Cancelled,
+		EventQueuePeakDepth: int64(c.Events.PeakDepth),
+		RoundsCompleted:     c.Rounds,
+		SyncWindows:         c.Windows,
 	}
 	if s.EventsScheduled > 0 {
 		s.DESBackend = des.DefaultBackend().String()

@@ -27,6 +27,9 @@ type Artifacts struct {
 	Points int
 	// Files lists the names (relative to Spec.OutDir) this run wrote.
 	Files []string
+	// Counts is the work the run's engines did, recorded as the
+	// manifest's metrics block.
+	Counts Counts
 }
 
 // DriverTiming is one entry of TIMINGS.json (schema unchanged from when
@@ -154,11 +157,10 @@ func Run(opts Options) (*Summary, error) {
 			}
 		}
 		spec := &Spec{
-			Quick:   opts.Quick,
-			Jobs:    opts.Jobs,
-			OutDir:  opts.OutDir,
-			Metrics: &Metrics{},
-			shared:  shared,
+			Quick:  opts.Quick,
+			Jobs:   opts.Jobs,
+			OutDir: opts.OutDir,
+			shared: shared,
 		}
 		start := time.Now()
 		art, err := e.Run(spec)
@@ -176,7 +178,7 @@ func Run(opts Options) (*Summary, error) {
 			Points:      art.Points,
 			Notes:       art.Notes,
 			Files:       map[string]string{},
-			Metrics:     spec.Metrics.Snapshot(),
+			Metrics:     art.Counts.snapshot(),
 		}
 		for _, name := range art.Files {
 			h, herr := HashFile(filepath.Join(opts.OutDir, name))

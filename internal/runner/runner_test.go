@@ -7,27 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"routesync/internal/des"
+	"routesync/internal/jitter"
 	"routesync/internal/netsim"
+	"routesync/internal/periodic"
 )
-
-// The metrics observer must satisfy the partition engine's sync hook so
-// netsim.SetObserver wires it up automatically.
-var _ netsim.SyncObserver = (*Metrics)(nil)
-
-func TestMetricsSyncWindow(t *testing.T) {
-	m := &Metrics{}
-	for w := 1; w <= 3; w++ {
-		m.SyncWindow(float64(w), 0, 0, 0)
-	}
-	s := m.Snapshot()
-	if s == nil || s.SyncWindows != 3 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-}
 
 // countingRegistry builds a registry of n file-writing experiments and
 // returns per-experiment run counters.
@@ -326,31 +314,14 @@ func TestRunDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-func TestSpecObserversUntypedNil(t *testing.T) {
-	spec := &Spec{} // Metrics off
-	if spec.DESObserver() != nil {
-		t.Fatal("DESObserver() with nil Metrics must be an untyped nil interface")
-	}
-	if spec.PeriodicObserver() != nil {
-		t.Fatal("PeriodicObserver() with nil Metrics must be an untyped nil interface")
-	}
-	spec.Metrics = &Metrics{}
-	if spec.DESObserver() == nil || spec.PeriodicObserver() == nil {
-		t.Fatal("observers must be non-nil when Metrics is set")
-	}
-}
-
 func TestMetricsSnapshot(t *testing.T) {
-	m := &Metrics{}
-	if m.Snapshot() != nil {
-		t.Fatal("all-zero metrics must snapshot to nil")
+	if (Counts{}).snapshot() != nil {
+		t.Fatal("all-zero counts must snapshot to nil")
 	}
-	m.EventScheduled(1.0, 5)
-	m.EventScheduled(2.0, 3) // depth max stays 5
-	m.EventFired(2.0, 2)
-	m.EventCancelled(3.0, 1)
-	m.RoundCompleted(4.0, 7)
-	s := m.Snapshot()
+	var c Counts
+	c.Add(Counts{Events: des.Counts{Scheduled: 2, Fired: 1, PeakDepth: 5}})
+	c.Add(Counts{Events: des.Counts{Cancelled: 1, PeakDepth: 3}, Rounds: 1}) // depth max stays 5
+	s := c.snapshot()
 	if s == nil || s.EventsScheduled != 2 || s.EventsFired != 1 ||
 		s.EventsCancelled != 1 || s.EventQueuePeakDepth != 5 || s.RoundsCompleted != 1 {
 		t.Fatalf("snapshot = %+v", s)
@@ -359,10 +330,105 @@ func TestMetricsSnapshot(t *testing.T) {
 		t.Fatalf("DESBackend = %q, want %q", s.DESBackend, des.DefaultBackend().String())
 	}
 	// An experiment that never touched the DES kernel records no backend.
-	rounds := &Metrics{}
-	rounds.RoundCompleted(1.0, 3)
-	if s := rounds.Snapshot(); s == nil || s.DESBackend != "" {
+	if s := (Counts{Rounds: 3}).snapshot(); s == nil || s.DESBackend != "" {
 		t.Fatalf("rounds-only snapshot = %+v, want empty DESBackend", s)
+	}
+}
+
+func TestMetricsSyncWindow(t *testing.T) {
+	var c Counts
+	for w := 1; w <= 3; w++ {
+		c.Add(Counts{Windows: 1})
+	}
+	if s := c.snapshot(); s == nil || s.SyncWindows != 3 {
+		t.Fatalf("snapshot = %+v", s)
+	}
+}
+
+// pushCounter counts what the engines push through their observer
+// hooks. Partitions call it concurrently.
+type pushCounter struct {
+	mu sync.Mutex
+	c  Counts
+}
+
+func (o *pushCounter) EventScheduled(at float64, depth int) {
+	o.mu.Lock()
+	o.c.Events.Scheduled++
+	o.c.Events.PeakDepth = max(o.c.Events.PeakDepth, depth)
+	o.mu.Unlock()
+}
+
+func (o *pushCounter) EventFired(at float64, depth int) {
+	o.mu.Lock()
+	o.c.Events.Fired++
+	o.mu.Unlock()
+}
+
+func (o *pushCounter) EventCancelled(at float64, depth int) {
+	o.mu.Lock()
+	o.c.Events.Cancelled++
+	o.mu.Unlock()
+}
+
+func (o *pushCounter) SyncWindow(gvt, lag float64, rollbacks int, maxDepth float64) {
+	o.c.Windows++ // the coordinator's, between windows
+}
+
+// TestManifestMetricsFromEngines runs a registered experiment that reads
+// its counts from a bare simulator, a partitioned network and a model
+// system once they have run. Its manifest block must equal what the
+// engines' observer hooks saw.
+func TestManifestMetricsFromEngines(t *testing.T) {
+	push := &pushCounter{}
+	reg := NewRegistry()
+	reg.Register(Experiment{
+		ID: "engines",
+		Run: func(spec *Spec) (*Artifacts, error) {
+			sim := des.New()
+			sim.SetObserver(push)
+			evs := make([]des.Event, 8)
+			for i := range evs {
+				evs[i] = sim.Schedule(float64(i%4), "e", func() {})
+			}
+			sim.Cancel(evs[5])
+			sim.RunUntil(2) // one event stays pending
+
+			nw := netsim.NewNetwork(1)
+			nw.SetObserver(push)
+			nodes := nw.BuildChain([]string{"a", "b", "c", "d"}, nil,
+				netsim.LinkConfig{Delay: 0.01, Bandwidth: 1e6, QueueCap: 8})
+			nw.Partition(2, func(id netsim.NodeID) int { return int(id) / 2 })
+			for i := 0; i < 5; i++ {
+				nw.Inject(nw.NewPacket(netsim.KindData, nodes[0].ID, nodes[3].ID, 1000))
+			}
+			nw.RunUntil(1)
+
+			sys := periodic.New(periodic.Config{
+				N: 20, Tc: 0.11, Jitter: jitter.Uniform{Tp: 121, Tr: 0.1}, Seed: 1,
+			})
+			sys.OnEvent(func(periodic.Event) { push.c.Rounds++ })
+			sys.RunUntil(1e4)
+
+			c := Counts{Events: sim.Counts(), Rounds: sys.Rounds()}
+			c.Add(Counts{Events: nw.Counts(), Windows: nw.SyncStats().Windows})
+			return &Artifacts{Title: "engines", Counts: c}, nil
+		},
+	})
+	dir := t.TempDir()
+	if _, err := Run(Options{Registry: reg, OutDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	got := LoadManifest(dir).Experiments["engines"].Metrics
+	want := push.c
+	if want.Events.Cancelled == 0 || want.Windows == 0 || want.Rounds == 0 || want.Events.PeakDepth < 2 {
+		t.Fatalf("the scenario must exercise every count: %+v", want)
+	}
+	if got == nil || got.EventsScheduled != want.Events.Scheduled || got.EventsFired != want.Events.Fired ||
+		got.EventsCancelled != want.Events.Cancelled || got.EventQueuePeakDepth != int64(want.Events.PeakDepth) ||
+		got.SyncWindows != want.Windows || got.RoundsCompleted != want.Rounds ||
+		got.DESBackend != des.DefaultBackend().String() {
+		t.Fatalf("manifest metrics = %+v, observers counted %+v", got, want)
 	}
 }
 

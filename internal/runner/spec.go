@@ -1,11 +1,6 @@
 package runner
 
-import (
-	"sync"
-
-	"routesync/internal/des"
-	"routesync/internal/periodic"
-)
+import "sync"
 
 // Spec carries everything an experiment Run function may depend on.
 // Quick and the experiment's id form the params hash that drives
@@ -18,31 +13,8 @@ type Spec struct {
 	Jobs int
 	// OutDir is where the experiment writes its files.
 	OutDir string
-	// Metrics, when non-nil, accumulates engine observer counts for the
-	// manifest metrics block.
-	Metrics *Metrics
 
 	shared *sharedCache
-}
-
-// DESObserver returns the Spec's metrics as a des.Observer, or an
-// untyped nil when metrics are off. Always use this helper rather than
-// assigning Spec.Metrics directly: a nil *Metrics stored in an interface
-// is a non-nil interface, which would defeat the engines' nil check.
-func (s *Spec) DESObserver() des.Observer {
-	if s == nil || s.Metrics == nil {
-		return nil
-	}
-	return s.Metrics
-}
-
-// PeriodicObserver returns the Spec's metrics as a periodic.Observer, or
-// an untyped nil when metrics are off.
-func (s *Spec) PeriodicObserver() periodic.Observer {
-	if s == nil || s.Metrics == nil {
-		return nil
-	}
-	return s.Metrics
 }
 
 // Shared memoizes compute under key for the duration of one runner.Run

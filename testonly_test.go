@@ -22,7 +22,6 @@ import (
 // it waits for a decision on its whole mechanism.
 var testOnlyAllowed = map[string]string{
 	"cluster.Grow":                            "the ClusterGrow benchmark rows and periodic's reference stepper run the unsorted cluster rule",
-	"des.Simulator.Processed":                 "netsim's CPU tests count fired events",
 	"experiments.BuildChurnBench":             "the NetsimChurn benchmark rows and the leak test build the churn scenario without its monitor",
 	"experiments.NetScaleConfig.RoutersPerAS": "tests shrink the routing domains to keep the sweep small",
 	"experiments.PathConfig.Profile":          "crossvalidation_test runs the path scenario on a compressed protocol profile",
@@ -44,7 +43,7 @@ var testOnlyAllowed = map[string]string{
 	"rng.Source.Split":                        "the parallel package's seeded-run tests derive streams",
 	"runner.Options.Errout":                   "runner tests capture per-experiment failures instead of writing them to stderr",
 	"runner.Options.Registry":                 "runner tests run fresh registries of stub experiments instead of Default",
-	"stats.Series.YRange":                     "core and experiments tests bound figure series",
+	"stats.Series.YRange":                     "root-package and experiments tests bound figure series",
 }
 
 // TestNoTestOnlyAPI fails when a function, method or struct field
