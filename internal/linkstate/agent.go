@@ -2,6 +2,7 @@ package linkstate
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"routesync/internal/jitter"
@@ -37,18 +38,11 @@ type spfQE struct {
 	first netsim.NodeID
 }
 
-// lsAux caches the fields of a received LSA's header decoded at
-// receive time, so the CPU-completion path needn't re-parse.
-type lsAux struct {
-	origin netsim.NodeID
-	seq    uint32
-}
-
 // Agent is one router's link-state process: a link-state protocol
 // strategy over the shared protocol kernel, which owns the timer, CPU
 // and crash/restart machinery.
 type Agent struct {
-	k   *protocol.Kernel[lsAux]
+	k   *protocol.Kernel
 	cfg Config
 
 	lsdb map[netsim.NodeID]lsdbEntry
@@ -102,7 +96,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		RearmLabel: "lsa-rearm-wait",
 		SweepLabel: "lsa-sweep",
 		SweepEvery: cfg.RefreshPeriod,
-	}, protocol.Hooks[lsAux]{
+	}, protocol.Hooks{
 		Fire:    a.originate,
 		Receive: a.receive,
 		Process: a.process,
@@ -259,7 +253,7 @@ func (a *Agent) reflood(payload []byte, except netsim.Medium) {
 // here; the duplicate path — the common case on a broadcast segment —
 // never touches the neighbor list. netsim transfers packet ownership
 // here; every path ends in ReleasePacket — immediately for malformed
-// frames and synchronous processing, or from the kernel's pending FIFO
+// frames and synchronous processing, or from the kernel's work handler
 // once the CPU finishes for queued work.
 func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 	origin, seq, err := PeekHeader(pkt.Payload)
@@ -267,13 +261,18 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 		a.k.Node().ReleasePacket(pkt)
 		return
 	}
-	a.k.Process(pkt, via, lsAux{origin: origin, seq: seq}, a.cfg.ProcessCost)
+	// The kernel's aux packs origin above seq, so the completion
+	// needn't re-parse; a wider origin would alias another router's.
+	if uint64(origin) > math.MaxUint32 {
+		panic(fmt.Sprintf("linkstate: origin %d does not fit in 32 bits", origin))
+	}
+	a.k.Process(pkt, via, uint64(origin)<<32|uint64(seq), a.cfg.ProcessCost)
 }
 
 // process is the kernel's processing completion: integrate the LSA
-// using the header fields cached at receive time.
-func (a *Agent) process(pkt *netsim.Packet, via netsim.Medium, aux lsAux) {
-	a.integrate(pkt.Payload, aux.origin, aux.seq, via)
+// using the header fields receive packed into aux.
+func (a *Agent) process(pkt *netsim.Packet, via netsim.Medium, aux uint64) {
+	a.integrate(pkt.Payload, netsim.NodeID(aux>>32), uint32(aux), via)
 }
 
 func (a *Agent) integrate(payload []byte, origin netsim.NodeID, seq uint32, via netsim.Medium) {

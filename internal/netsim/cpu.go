@@ -19,35 +19,49 @@ type CPUConfig struct {
 	ForwardCost float64
 }
 
+// WorkKind tags a CPU work record with what its completion does:
+// nothing (WorkOccupy), dispatch a parked data packet (workForward), or
+// hand the record to the node's OnWork handler (WorkReceive, a routing
+// packet's processing; WorkPrepare, an update's preparation).
+type WorkKind uint8
+
+const (
+	WorkOccupy WorkKind = iota
+	workForward
+	WorkReceive
+	WorkPrepare
+)
+
+// Work is one CPU work item awaiting completion, a 48 B record with no
+// callback. Ref and Via are a forward step's or receive's packet and
+// arrival medium; Gen is the submitting agent's lifetime, so its handler
+// can skip work of a previous life; Aux is the submitter's own.
+type Work struct {
+	Ref  PacketRef
+	Via  Medium
+	Aux  uint64
+	Gen  uint32
+	Kind WorkKind
+}
+
 // CPU models the router processor: routing-update work occupies it for
 // real simulated time, serialized FIFO. Every work item completes with
 // one event that drains the input queue and then runs the item's
-// callback (a no-op for Occupy).
+// action.
 type CPU struct {
 	node      *Node
 	cfg       CPUConfig
 	busyUntil float64
-	// queue[qhead:] is the input queue of packets parked while forwarding
-	// is stalled. The head index (instead of re-slicing from the front)
-	// keeps the backing array's capacity, so enqueue/drain cycles stop
-	// allocating once the queue has reached its high-water size.
-	queue []*Packet
-	qhead int
-	// scratch is the drain double buffer: drain swaps it with queue so
-	// dispatching can re-enter enqueueOrDrop without aliasing, and both
-	// backing arrays are reused forever.
-	scratch []*Packet
-	// steps holds packets popped for per-packet ForwardCost work whose
-	// cpu-work-done event has not fired yet (FIFO: completions are
-	// scheduled in pop order at monotone times).
-	steps ring.Ring[*Packet]
-	// thens holds the callbacks of work items whose completion event has
-	// not fired yet. Completions land at monotone times under increasing
-	// node keys, so they fire in push order and the hoisted thenFn pops
-	// the head.
-	thens  ring.Ring[func()]
-	thenFn func() // hoisted completion of every item: drain, then callback
-	stepFn func() // hoisted per-packet forward-cost completion
+	// in is the input queue of packets parked while forwarding is
+	// stalled.
+	in ring.Ring[*Packet]
+	// work holds the items whose completion event has not fired yet.
+	// Completions land at monotone times under increasing node keys, so
+	// they fire in push order and the hoisted doneFn pops the head.
+	work ring.Ring[Work]
+	// forwarding counts the workForward items in work.
+	forwarding int
+	doneFn     func()
 }
 
 func newCPU(nd *Node, cfg CPUConfig) *CPU {
@@ -58,15 +72,18 @@ func newCPU(nd *Node, cfg CPUConfig) *CPU {
 		panic("netsim: negative forward cost")
 	}
 	c := &CPU{node: nd, cfg: cfg}
-	c.thenFn = func() {
-		fn := c.thens.Pop()
+	c.doneFn = func() {
+		w := c.work.Pop()
 		c.drain()
-		fn()
-	}
-	c.stepFn = func() {
-		pkt := c.steps.Pop()
-		c.node.dispatch(pkt)
-		c.drain()
+		switch w.Kind {
+		case WorkOccupy:
+		case workForward:
+			c.forwarding--
+			c.node.dispatch(w.Ref.Get())
+			c.drain()
+		default:
+			c.node.OnWork(w)
+		}
 	}
 	return c
 }
@@ -77,26 +94,23 @@ func (c *CPU) Busy() bool { return c.busyUntil > c.node.Now() }
 // BusyUntil returns the time the current work backlog completes.
 func (c *CPU) BusyUntil() float64 { return c.busyUntil }
 
-// nop is the completion callback of Occupy's work items.
-var nop = func() {}
-
-// Occupy appends d seconds of work to the CPU's FIFO backlog and returns
-// the absolute time this work item completes. Negative d panics. No
-// production path calls it; the netsim and workload tests use it to
-// stall a router.
+// Occupy appends d seconds of WorkOccupy to the CPU's FIFO backlog and
+// returns the absolute time it completes. Negative d panics.
 func (c *CPU) Occupy(d float64) float64 {
-	c.OccupyThen(d, nop)
+	c.OccupyThen(d, Work{})
 	return c.busyUntil
 }
 
-// OccupyThen is Occupy plus a completion callback, used by routing agents
-// to re-arm their timers only after their processing finishes (the
-// paper's §3 step 3 coupling). The item completes with a single event
-// that drains the input queue and then runs fn; the drain is a no-op if
-// further work arrived in the meantime (a later completion handles the
-// queue). Completions land at monotone times under increasing node
-// keys, so callbacks run in call order. Negative d panics.
-func (c *CPU) OccupyThen(d float64, fn func()) {
+// OccupyThen appends d seconds of work to the CPU's FIFO backlog and
+// completes w once it has run: routing agents submit their received
+// packets and timer re-arms this way, so the timer is re-armed only
+// after their processing finishes (the paper's §3 step 3 coupling). The
+// item completes with a single event that drains the input queue and
+// then runs w's action; the drain is a no-op if further work arrived in
+// the meantime (a later completion handles the queue). Completions land
+// at monotone times under increasing node keys, so items complete in
+// call order. Negative d panics.
+func (c *CPU) OccupyThen(d float64, w Work) {
 	if d < 0 {
 		panic("netsim: negative CPU occupancy")
 	}
@@ -105,33 +119,25 @@ func (c *CPU) OccupyThen(d float64, fn func()) {
 		c.busyUntil = now
 	}
 	c.busyUntil += d
-	c.thens.Push(fn)
-	c.node.Schedule(c.busyUntil, "cpu-work-done", c.thenFn)
+	c.work.Push(w)
+	c.node.Schedule(c.busyUntil, "cpu-work-done", c.doneFn)
 }
-
-// qlen returns the current input-queue occupancy.
-func (c *CPU) qlen() int { return len(c.queue) - c.qhead }
 
 // enqueueOrDrop buffers a data packet that arrived while forwarding is
 // stalled, dropping on overflow.
 func (c *CPU) enqueueOrDrop(pkt *Packet) {
-	if c.qlen() >= c.cfg.InputQueueCap {
+	if c.in.Len() >= c.cfg.InputQueueCap {
 		c.node.dropHere(pkt, DropCPUBusy)
 		return
 	}
-	c.queue = append(c.queue, pkt)
+	c.in.Push(pkt)
 }
 
-// flushQueue drops every queued packet (node crash), keeping the backing
-// array's capacity for the node's next life.
+// flushQueue drops every queued packet (node crash).
 func (c *CPU) flushQueue(why DropReason) {
-	for i := c.qhead; i < len(c.queue); i++ {
-		pkt := c.queue[i]
-		c.queue[i] = nil
-		c.node.dropHere(pkt, why)
+	for c.in.Len() > 0 {
+		c.node.dropHere(c.in.Pop(), why)
 	}
-	c.queue = c.queue[:0]
-	c.qhead = 0
 }
 
 // drain dispatches buffered packets once the CPU becomes idle. With a
@@ -143,28 +149,15 @@ func (c *CPU) drain() {
 		return // more work arrived; its own drain will run later
 	}
 	if c.cfg.ForwardCost == 0 {
-		// Swap to the scratch buffer before dispatching: packets injected
-		// by delivery handlers may re-enter enqueueOrDrop, which must not
-		// append to the slice being iterated.
-		q := c.queue[c.qhead:]
-		c.queue, c.scratch = c.scratch[:0], c.queue
-		c.qhead = 0
-		for i, pkt := range q {
-			q[i] = nil
-			c.node.dispatch(pkt)
+		// Dispatch only the packets queued now; one parked meanwhile
+		// waits for the next drain.
+		for n := c.in.Len(); n > 0; n-- {
+			c.node.dispatch(c.in.Pop())
 		}
 		return
 	}
-	if c.qlen() == 0 {
-		return
+	if c.in.Len() > 0 {
+		c.forwarding++
+		c.OccupyThen(c.cfg.ForwardCost, Work{Ref: c.in.Pop().Ref(), Kind: workForward})
 	}
-	pkt := c.queue[c.qhead]
-	c.queue[c.qhead] = nil
-	c.qhead++
-	if c.qhead == len(c.queue) {
-		c.queue = c.queue[:0]
-		c.qhead = 0
-	}
-	c.steps.Push(pkt)
-	c.OccupyThen(c.cfg.ForwardCost, c.stepFn)
 }

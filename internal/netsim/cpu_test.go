@@ -11,11 +11,12 @@ import (
 // complete FIFO (same-instant and zero-cost ones included), and packets
 // parked behind a stall dispatch as the drains reach them. The router r
 // in h1 — r is the packets' destination, so a dispatch is the local
-// delivery inside the draining event itself.
+// delivery inside the draining event itself. Callbacks run from r's
+// OnWork handler, which looks each item's callback up by its Aux.
 func TestCPUCompletionOrder(t *testing.T) {
 	type env struct {
 		r    *Node
-		then func(what string, next func()) func()
+		then func(what string, next func()) Work
 	}
 	cases := []struct {
 		name        string
@@ -104,13 +105,16 @@ func TestCPUCompletionOrder(t *testing.T) {
 			r.OnDeliver = map[Kind]func(*Packet){
 				KindData: func(p *Packet) { log(fmt.Sprintf("p%d", p.Size)) },
 			}
-			e := env{r: r, then: func(what string, next func()) func() {
-				return func() {
+			var callbacks []func()
+			r.OnWork = func(w Work) { callbacks[w.Aux]() }
+			e := env{r: r, then: func(what string, next func()) Work {
+				callbacks = append(callbacks, func() {
 					log(what)
 					if next != nil {
 						next()
 					}
-				}
+				})
+				return Work{Aux: uint64(len(callbacks) - 1), Kind: WorkPrepare}
 			}}
 			for i, at := range tc.packets {
 				size := i
@@ -134,7 +138,8 @@ func TestCPUOccupyThenOneEvent(t *testing.T) {
 	n := NewNetwork(62)
 	r := n.NewNode("r", &CPUConfig{})
 	calls := 0
-	fn := func() { calls++ }
+	r.OnWork = func(Work) { calls++ }
+	fn := Work{Kind: WorkPrepare}
 	for i := 0; i < 5; i++ {
 		r.CPU.OccupyThen(0.1, fn)
 	}

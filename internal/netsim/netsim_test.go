@@ -281,7 +281,8 @@ func TestCPUOccupySerializesFIFO(t *testing.T) {
 		t.Fatalf("completion times %v, %v; want 1, 3", done1, done2)
 	}
 	var order []int
-	r.CPU.OccupyThen(1, func() { order = append(order, 3) })
+	r.OnWork = func(Work) { order = append(order, 3) }
+	r.CPU.OccupyThen(1, Work{Kind: WorkPrepare})
 	n.RunUntil(10)
 	if r.CPU.Busy() {
 		t.Fatal("CPU still busy after horizon")

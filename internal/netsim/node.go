@@ -67,6 +67,12 @@ type Node struct {
 	// nil, routing packets are counted delivered and discarded.
 	OnRouting func(*Packet, Medium)
 
+	// OnWork completes the CPU's WorkReceive and WorkPrepare items,
+	// popped in submission order once their cost has run. The agent
+	// kernel installs it for the node's lifetime, so items a crashed
+	// agent left behind still release their packets.
+	OnWork func(Work)
+
 	// OnDeliver receives non-routing packets whose Dst is this node,
 	// keyed by packet kind; missing kinds are counted delivered and
 	// discarded.

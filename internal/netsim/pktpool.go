@@ -203,9 +203,9 @@ func (n *Network) clonePacket(nd *Node, pkt *Packet) *Packet {
 // not yet released, summed over every logical process's pool. At a
 // quiescent point (after RunUntil returns) every live packet must be
 // parked somewhere — a transmit queue, an in-flight window, a CPU input
-// queue, a boundary outbox or arrival, or a routing agent's pending
-// queue — which is exactly what the leak tests assert against
-// ParkedPackets.
+// queue or forward step, a boundary outbox or arrival, or a routing
+// agent's receive work on its CPU — which is exactly what the leak
+// tests assert against ParkedPackets.
 func (n *Network) LivePackets() int {
 	created, free := n.pool.created, len(n.pool.free)+len(n.pool.foreign)
 	for _, p := range n.parts {
@@ -226,7 +226,7 @@ func (n *Network) ParkedPackets() int {
 	seen := make(map[Medium]bool)
 	for _, nd := range n.nodes {
 		if nd.CPU != nil {
-			total += nd.CPU.qlen() + nd.CPU.steps.Len()
+			total += nd.CPU.in.Len() + nd.CPU.forwarding
 		}
 		for _, m := range nd.media {
 			if seen[m] {

@@ -178,12 +178,6 @@ const (
 	bestSelf = -2 // self-originated
 )
 
-// pvAux carries the sending peer's index, resolved at receive time so
-// the CPU-completion path needn't re-search.
-type pvAux struct {
-	peer int
-}
-
 type peerState struct {
 	link *netsim.Link
 	id   netsim.NodeID
@@ -207,7 +201,7 @@ type peerState struct {
 // and crash/restart machinery. MRAI timers are the agent's own — one
 // per peer, outside the kernel's single periodic timer.
 type Agent struct {
-	k   *protocol.Kernel[pvAux]
+	k   *protocol.Kernel
 	cfg Config
 
 	peers []peerState
@@ -302,7 +296,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		RearmLabel: "pv-rearm-wait",
 		SweepLabel: "pv-hold-sweep",
 		SweepEvery: cfg.RefreshPeriod,
-	}, protocol.Hooks[pvAux]{
+	}, protocol.Hooks{
 		Fire:    a.refresh,
 		Receive: a.receive,
 		Process: a.process,
@@ -577,15 +571,19 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 		a.k.Node().ReleasePacket(pkt)
 		return
 	}
-	a.k.Process(pkt, via, pvAux{peer: int(a.peerAt[i])}, a.cfg.ProcessCost)
+	// The kernel's aux carries the peer index, resolved here so the
+	// CPU-completion path needn't re-search.
+	a.k.Process(pkt, via, uint64(a.peerAt[i]), a.cfg.ProcessCost)
 }
 
-// process is the kernel's processing completion: integrate each entry,
-// re-run selection for touched origins, and propagate changes.
-func (a *Agent) process(pkt *netsim.Packet, _ netsim.Medium, aux pvAux) {
+// process is the kernel's processing completion: integrate each entry
+// from the peer at index aux, re-run selection for touched origins, and
+// propagate changes.
+func (a *Agent) process(pkt *netsim.Packet, _ netsim.Medium, aux uint64) {
 	if a.k.Stopped() {
 		return
 	}
+	peer := int(aux)
 	now := a.k.Node().Now()
 	changed := false
 	for c := NewCursor(pkt.Payload); c.Next(); {
@@ -595,12 +593,12 @@ func (a *Agent) process(pkt *netsim.Packet, _ netsim.Medium, aux pvAux) {
 			continue // outside the configured origin set
 		}
 		if c.Withdraw() {
-			if a.clearAdj(o, aux.peer) && a.reselect(o, -1) {
+			if a.clearAdj(o, peer) && a.reselect(o, -1) {
 				changed = true
 			}
 			continue
 		}
-		if a.integrate(o, aux.peer, &c, now) && a.reselect(o, aux.peer) {
+		if a.integrate(o, peer, &c, now) && a.reselect(o, peer) {
 			changed = true
 		}
 	}

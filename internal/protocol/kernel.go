@@ -1,9 +1,9 @@
 // Package protocol is the protocol-agnostic agent kernel: the shared
 // lifecycle machinery every routing-protocol family on the netsim
 // substrate needs — periodic/triggered timer arming with jitter
-// policies, the CPU-model pending FIFO holding received packets by
-// generation-checked handle, the routing-packet send path, Crash/Restart
-// with cold start, and zero-cost observer hooks.
+// policies, the CPU work its agent submits (received packets held by
+// generation-checked handle, update preparations), the routing-packet
+// send path, and Crash/Restart with cold start.
 //
 // The distance-vector (internal/routing), link-state
 // (internal/linkstate) and path-vector (internal/pathvector) agents are
@@ -16,35 +16,17 @@
 package protocol
 
 import (
+	"math"
+
 	"routesync/internal/des"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
-	"routesync/internal/ring"
 	"routesync/internal/rng"
 )
 
-// recvItem is one received packet awaiting CPU processing. The agent
-// owns the packet (netsim transferred it at OnRouting) and the kernel
-// holds it by generation-checked handle until the work completes, then
-// releases it. Aux carries protocol-decoded header fields (the
-// link-state family caches origin/seq, path-vector the peer) so the
-// completion needn't re-parse.
-type recvItem[A any] struct {
-	ref netsim.PacketRef
-	via netsim.Medium
-	gen uint64
-	aux A
-}
-
-// prepItem is one pending update-preparation completion.
-type prepItem struct {
-	resetTimer bool
-	gen        uint64
-}
-
 // Hooks are the protocol strategy callbacks a family plugs into its
 // kernel. Fire, Receive and Process are required; the rest are optional.
-type Hooks[A any] struct {
+type Hooks struct {
 	// Fire runs at each periodic-timer expiration (never after Stop):
 	// the protocol prepares and sends its own update, then calls
 	// FinishSend to charge the preparation cost and re-arm.
@@ -55,10 +37,11 @@ type Hooks[A any] struct {
 	// synchronous work, or via Kernel.Process for CPU-queued work.
 	Receive func(pkt *netsim.Packet, via netsim.Medium)
 	// Process runs when a queued packet's CPU cost has drained (from the
-	// generation current when it was queued). The kernel releases the
-	// packet when Process returns; implementations keeping payload bytes
-	// must copy them.
-	Process func(pkt *netsim.Packet, via netsim.Medium, aux A)
+	// generation current when it was queued), with the aux the family
+	// passed to Kernel.Process. The kernel releases the packet when
+	// Process returns; implementations keeping payload bytes must copy
+	// them.
+	Process func(pkt *netsim.Packet, via netsim.Medium, aux uint64)
 	// Sweep runs at each housekeeping expiration (route aging, LSA
 	// MaxAge, stale-path GC); the kernel re-schedules the next sweep.
 	Sweep func()
@@ -96,9 +79,8 @@ type Config struct {
 	SweepEvery float64
 }
 
-// Kernel owns one agent's protocol-agnostic lifecycle. The type
-// parameter A is the aux data carried alongside CPU-queued packets.
-type Kernel[A any] struct {
+// Kernel owns one agent's protocol-agnostic lifecycle.
+type Kernel struct {
 	node *netsim.Node
 	r    *rng.Source
 	jit  jitter.Policy
@@ -113,11 +95,14 @@ type Kernel[A any] struct {
 	sweepEv des.Event
 	waitEv  des.Event
 	stopped bool
-	// gen counts agent lifetimes: Stop bumps it, and CPU-completion
-	// callbacks issued before the stop compare their captured gen so a
-	// reboot (Crash/Restart) never processes work from a previous life.
-	gen         uint64
+	// gen counts agent lifetimes: Stop bumps it, and CPU work records
+	// carry the gen they were submitted under, so a reboot
+	// (Crash/Restart) never processes work from a previous life.
+	gen         uint32
 	timerResets uint64
+	// pending counts the WorkReceive items submitted to the CPU and not
+	// yet completed: packets the agent owns but has not released.
+	pending int
 
 	// Hoisted closures: one allocation per agent lifetime, not per
 	// event. timerFn is the onTimer method value armAt re-schedules
@@ -125,22 +110,14 @@ type Kernel[A any] struct {
 	rearmFn func()
 	sweepFn func()
 	timerFn func()
-	procFn  func()
-	prepFn  func()
 
-	// recvQ/prepQ park in-flight CPU work; CPU completions are FIFO
-	// (each OccupyThen lands strictly later than the previous), so the
-	// hoisted procFn/prepFn pop their queue heads in scheduling order.
-	recvQ ring.Ring[recvItem[A]]
-	prepQ ring.Ring[prepItem]
-
-	hooks Hooks[A]
+	hooks Hooks
 }
 
 // New creates a kernel on cfg.Node and installs hooks.Receive as the
 // node's routing handler. Call StartTimer/ScheduleSweep (usually from
 // the family's Start) to begin. It panics on an invalid configuration.
-func New[A any](cfg Config, hooks Hooks[A]) *Kernel[A] {
+func New(cfg Config, hooks Hooks) *Kernel {
 	if cfg.Node == nil {
 		panic(cfg.Name + ": kernel needs a node")
 	}
@@ -153,7 +130,7 @@ func New[A any](cfg Config, hooks Hooks[A]) *Kernel[A] {
 	if cfg.SweepEvery > 0 && hooks.Sweep == nil {
 		panic(cfg.Name + ": sweep interval without a Sweep hook")
 	}
-	k := &Kernel[A]{
+	k := &Kernel{
 		node:       cfg.Node,
 		r:          rng.New(cfg.Seed),
 		jit:        cfg.Jitter,
@@ -173,51 +150,57 @@ func New[A any](cfg Config, hooks Hooks[A]) *Kernel[A] {
 		k.hooks.Sweep()
 		k.ScheduleSweep()
 	}
-	k.procFn = func() {
-		it := k.recvQ.Pop()
-		pkt := it.ref.Get()
-		if k.gen == it.gen {
-			k.hooks.Process(pkt, it.via, it.aux)
-		}
-		k.node.ReleasePacket(pkt)
-	}
-	k.prepFn = func() {
-		it := k.prepQ.Pop()
-		if it.resetTimer && k.gen == it.gen {
-			k.rearmWhenIdle()
-		}
-	}
 	cfg.Node.OnRouting = hooks.Receive
+	cfg.Node.OnWork = k.onWork
 	return k
 }
 
+// onWork completes the CPU work this kernel submitted, in submission
+// order. Work from a previous life skips the Process hook and the
+// re-arm, but a received packet is released either way.
+func (k *Kernel) onWork(w netsim.Work) {
+	switch w.Kind {
+	case netsim.WorkReceive:
+		k.pending--
+		pkt := w.Ref.Get()
+		if w.Gen == k.gen {
+			k.hooks.Process(pkt, w.Via, w.Aux)
+		}
+		k.node.ReleasePacket(pkt)
+	case netsim.WorkPrepare:
+		if w.Gen == k.gen {
+			k.rearmWhenIdle()
+		}
+	}
+}
+
 // Node returns the agent's node.
-func (k *Kernel[A]) Node() *netsim.Node { return k.node }
+func (k *Kernel) Node() *netsim.Node { return k.node }
 
 // RNG returns the kernel's private random stream — the one the jitter
 // policy draws from. Families needing extra randomness (per-peer MRAI
 // jitter) share it so an agent's draw sequence stays a pure function of
 // its seed.
-func (k *Kernel[A]) RNG() *rng.Source { return k.r }
+func (k *Kernel) RNG() *rng.Source { return k.r }
 
 // Stopped reports whether the agent is stopped.
-func (k *Kernel[A]) Stopped() bool { return k.stopped }
+func (k *Kernel) Stopped() bool { return k.stopped }
 
 // TimerResets returns the number of periodic-timer arms over the
 // agent's lifetimes.
-func (k *Kernel[A]) TimerResets() uint64 { return k.timerResets }
+func (k *Kernel) TimerResets() uint64 { return k.timerResets }
 
 // PendingPackets returns the number of received packets the kernel is
 // holding while their processing cost drains through the CPU model —
 // packets the agent owns but has not released yet. Leak audits add it
 // to netsim's parked counts.
-func (k *Kernel[A]) PendingPackets() int { return k.recvQ.Len() }
+func (k *Kernel) PendingPackets() int { return k.pending }
 
 // StartTimer arms the first periodic expiration startOffset seconds
 // from now. A shared startOffset of 0 across agents models the
 // post-restart synchronized state; drawing offsets from U[0, Period]
 // models the unsynchronized state.
-func (k *Kernel[A]) StartTimer(startOffset float64) {
+func (k *Kernel) StartTimer(startOffset float64) {
 	if startOffset < 0 {
 		panic(k.name + ": negative start offset")
 	}
@@ -226,20 +209,20 @@ func (k *Kernel[A]) StartTimer(startOffset float64) {
 
 // ScheduleSweep arms the next housekeeping sweep (a no-op when the
 // configuration disables sweeping).
-func (k *Kernel[A]) ScheduleSweep() {
+func (k *Kernel) ScheduleSweep() {
 	if k.stopped || k.sweepEvery <= 0 {
 		return
 	}
 	k.sweepEv = k.node.After(k.sweepEvery, k.sweepLabel, k.sweepFn)
 }
 
-func (k *Kernel[A]) armAt(at float64) {
+func (k *Kernel) armAt(at float64) {
 	k.timerEv = k.node.Schedule(at, k.timerLabel, k.timerFn)
 	k.timerResets++
 }
 
 // onTimer fires at a periodic timer expiration.
-func (k *Kernel[A]) onTimer() {
+func (k *Kernel) onTimer() {
 	if k.stopped {
 		return
 	}
@@ -251,18 +234,18 @@ func (k *Kernel[A]) onTimer() {
 // (the router's own preparation plus any incoming updates that arrived
 // during it) drains — the coupling mechanism of the paper (§3 step 3).
 // Without a CPU (or with zero cost) the re-arm happens synchronously.
-func (k *Kernel[A]) FinishSend(cost float64, resetTimer bool) {
-	if k.node.CPU != nil && cost > 0 {
-		k.prepQ.Push(prepItem{resetTimer: resetTimer, gen: k.gen})
-		k.node.CPU.OccupyThen(cost, k.prepFn)
-		return
-	}
-	if resetTimer {
+func (k *Kernel) FinishSend(cost float64, resetTimer bool) {
+	switch {
+	case k.node.CPU != nil && cost > 0 && resetTimer:
+		k.node.CPU.OccupyThen(cost, netsim.Work{Gen: k.gen, Kind: netsim.WorkPrepare})
+	case k.node.CPU != nil && cost > 0:
+		k.node.CPU.Occupy(cost)
+	case resetTimer:
 		k.rearmWhenIdle()
 	}
 }
 
-func (k *Kernel[A]) rearmWhenIdle() {
+func (k *Kernel) rearmWhenIdle() {
 	if k.stopped {
 		return
 	}
@@ -275,14 +258,14 @@ func (k *Kernel[A]) rearmWhenIdle() {
 }
 
 // Process routes an arrived packet through the CPU model: with a CPU
-// and a positive cost the packet parks on the pending FIFO — held by
+// and a positive cost the packet parks in the CPU's work FIFO — held by
 // generation-checked handle — and hooks.Process runs when the cost
 // drains; otherwise it runs synchronously. Either way the kernel
 // releases the packet slot when processing completes.
-func (k *Kernel[A]) Process(pkt *netsim.Packet, via netsim.Medium, aux A, cost float64) {
+func (k *Kernel) Process(pkt *netsim.Packet, via netsim.Medium, aux uint64, cost float64) {
 	if k.node.CPU != nil && cost > 0 {
-		k.recvQ.Push(recvItem[A]{ref: pkt.Ref(), via: via, gen: k.gen, aux: aux})
-		k.node.CPU.OccupyThen(cost, k.procFn)
+		k.pending++
+		k.node.CPU.OccupyThen(cost, netsim.Work{Ref: pkt.Ref(), Via: via, Aux: aux, Gen: k.gen, Kind: netsim.WorkReceive})
 		return
 	}
 	k.hooks.Process(pkt, via, aux)
@@ -300,7 +283,7 @@ const wireOverhead = 28
 // and hands the result to Send. The draw takes the node's next packet
 // id, so draw only for a message that will be sent, at the point it is
 // sent.
-func (k *Kernel[A]) Begin(to netsim.NodeID, n int) (pkt *netsim.Packet, buf []byte) {
+func (k *Kernel) Begin(to netsim.NodeID, n int) (pkt *netsim.Packet, buf []byte) {
 	pkt = k.node.Net().NewPacket(netsim.KindRouting, k.node.ID, to, wireOverhead+n)
 	return pkt, pkt.PayloadArena(n)
 }
@@ -308,7 +291,7 @@ func (k *Kernel[A]) Begin(to netsim.NodeID, n int) (pkt *netsim.Packet, buf []by
 // Send commits payload — the buffer Begin returned, with the message
 // appended — as pkt's payload and transmits pkt on m, charging its
 // length plus the framing overhead on the wire.
-func (k *Kernel[A]) Send(m netsim.Medium, pkt *netsim.Packet, payload []byte) {
+func (k *Kernel) Send(m netsim.Medium, pkt *netsim.Packet, payload []byte) {
 	pkt.CommitPayload(payload)
 	pkt.Size = wireOverhead + len(payload)
 	k.node.SendOn(m, pkt.Dst, pkt)
@@ -320,7 +303,10 @@ func (k *Kernel[A]) Send(m netsim.Medium, pkt *netsim.Packet, payload []byte) {
 // left as-is for post-mortem inspection. Stop models an administrative
 // shutdown; the neighbors' aging machinery times the dead router's
 // routes out.
-func (k *Kernel[A]) Stop() {
+func (k *Kernel) Stop() {
+	if k.gen == math.MaxUint32 {
+		panic(k.name + ": agent generation wrapped")
+	}
 	k.stopped = true
 	k.gen++
 	k.node.Cancel(k.timerEv)
@@ -338,7 +324,7 @@ func (k *Kernel[A]) Stop() {
 // the data plane drops every arrival (DropNodeDown) until Restart. Call
 // it from an event executing at the agent's node (internal/faults
 // schedules exactly that) or from a single-threaded phase.
-func (k *Kernel[A]) Crash() {
+func (k *Kernel) Crash() {
 	k.Stop()
 	k.node.ClearRoutes()
 	if k.hooks.ResetVolatile != nil {
@@ -354,9 +340,10 @@ func (k *Kernel[A]) Crash() {
 // Crash the agent comes back with whatever ResetVolatile left — empty
 // tables, as a real router reboot would; after a plain Stop it keeps
 // its state (an administrative restart). Stats counters accumulate
-// across reboots, and observer hooks stay installed. It panics on a
-// running agent.
-func (k *Kernel[A]) Restart() {
+// across reboots, and the node's OnWork handler stays installed
+// throughout, so work left from the previous life still releases its
+// packets. It panics on a running agent.
+func (k *Kernel) Restart() {
 	if !k.stopped {
 		panic(k.name + ": Restart on a running agent")
 	}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"testing"
 
 	"routesync/internal/jitter"
@@ -9,11 +10,11 @@ import (
 
 // testHooks returns a minimal valid hook set; fire/process default to
 // no-ops the caller can override before New.
-func testHooks() Hooks[int] {
-	return Hooks[int]{
+func testHooks() Hooks {
+	return Hooks{
 		Fire:    func() {},
 		Receive: func(pkt *netsim.Packet, via netsim.Medium) {},
-		Process: func(pkt *netsim.Packet, via netsim.Medium, aux int) {},
+		Process: func(pkt *netsim.Packet, via netsim.Medium, aux uint64) {},
 	}
 }
 
@@ -70,11 +71,11 @@ func TestKernelNewValidation(t *testing.T) {
 
 // newTimerKernel builds a kernel whose Fire records expiry times and
 // charges cost seconds of preparation CPU.
-func newTimerKernel(tp, cost float64) (*netsim.Network, *Kernel[int], *[]float64) {
+func newTimerKernel(tp, cost float64) (*netsim.Network, *Kernel, *[]float64) {
 	net := netsim.NewNetwork(1)
 	node := net.NewNode("r0", &netsim.CPUConfig{InputQueueCap: 4})
 	fires := &[]float64{}
-	var k *Kernel[int]
+	var k *Kernel
 	h := testHooks()
 	h.Fire = func() {
 		*fires = append(*fires, node.Now())
@@ -126,7 +127,7 @@ func TestKernelStopInvalidatesPendingWork(t *testing.T) {
 	node := net.NewNode("r0", &netsim.CPUConfig{InputQueueCap: 4})
 	processed := false
 	h := testHooks()
-	h.Process = func(pkt *netsim.Packet, via netsim.Medium, aux int) { processed = true }
+	h.Process = func(pkt *netsim.Packet, via netsim.Medium, aux uint64) { processed = true }
 	k := New(Config{Name: "test", Node: node, Jitter: jitter.None{Tp: 10}}, h)
 
 	pkt := net.NewPacket(netsim.KindRouting, node.ID, node.ID, 64)
@@ -153,9 +154,9 @@ func TestKernelStopInvalidatesPendingWork(t *testing.T) {
 func TestKernelProcessSynchronousWithoutCPU(t *testing.T) {
 	net := netsim.NewNetwork(1)
 	node := net.NewNode("h0", nil)
-	var gotAux int
+	var gotAux uint64
 	h := testHooks()
-	h.Process = func(pkt *netsim.Packet, via netsim.Medium, aux int) { gotAux = aux }
+	h.Process = func(pkt *netsim.Packet, via netsim.Medium, aux uint64) { gotAux = aux }
 	k := New(Config{Name: "test", Node: node, Jitter: jitter.None{Tp: 10}}, h)
 
 	pkt := net.NewPacket(netsim.KindRouting, node.ID, node.ID, 64)
@@ -208,4 +209,16 @@ func TestKernelCrashRestart(t *testing.T) {
 	if k.gen != 1 {
 		t.Fatalf("gen = %d after one reboot, want 1", k.gen)
 	}
+}
+
+// TestKernelStopPanicsOnGenerationWrap checks that the 32-bit agent
+// generation CPU work records carry never wraps: a wrapped Stop would
+// let work from 2^32 lives ago pass as current.
+func TestKernelStopPanicsOnGenerationWrap(t *testing.T) {
+	net := netsim.NewNetwork(1)
+	k := New(Config{Name: "test", Node: net.NewNode("r0", nil), Jitter: jitter.None{Tp: 10}}, testHooks())
+	k.gen = math.MaxUint32 - 1
+	k.Stop()
+	k.Restart()
+	mustPanic(t, "generation wrap", k.Stop)
 }

@@ -1,7 +1,7 @@
 // Package ring is the growable circular FIFO behind every queue on the
 // simulator's packet and protocol hot path: link and LAN output queues
-// and in-flight packets, CPU completions, and the agent kernel's parked
-// CPU work.
+// and in-flight packets, and each router CPU's work queue (forward
+// steps and the agent kernel's receives and preparations).
 package ring
 
 // Ring is a growable circular FIFO. Its capacity is a power of two,

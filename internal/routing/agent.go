@@ -72,7 +72,7 @@ type Stats struct {
 // strategy over the shared protocol kernel, which owns the timer, CPU
 // and crash/restart machinery.
 type Agent struct {
-	k   *protocol.Kernel[struct{}]
+	k   *protocol.Kernel
 	cfg Config
 
 	table    *Table
@@ -121,7 +121,7 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		RearmLabel: "routing-rearm-wait",
 		SweepLabel: "routing-sweep",
 		SweepEvery: cfg.Profile.Period,
-	}, protocol.Hooks[struct{}]{
+	}, protocol.Hooks{
 		Fire:    a.onTimer,
 		Receive: a.receive,
 		Process: a.process,
@@ -248,7 +248,7 @@ func (a *Agent) broadcast(triggered bool) {
 // update into the table (§3 steps 2/4). netsim transfers packet
 // ownership here; every path ends in ReleasePacket — immediately for
 // drops, synchronous processing and request replies, or from the
-// kernel's pending FIFO once the CPU finishes for queued work.
+// kernel's work handler once the CPU finishes for queued work.
 func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 	node := a.k.Node()
 	router, _, request, count, err := PeekHeader(pkt.Payload)
@@ -272,12 +272,12 @@ func (a *Agent) receive(pkt *netsim.Packet, via netsim.Medium) {
 	}
 	proc := math.Max(a.cfg.Costs.MinProcess,
 		a.cfg.Costs.PerRouteProcess*float64(count))
-	a.k.Process(pkt, via, struct{}{}, proc)
+	a.k.Process(pkt, via, 0, proc)
 }
 
 // process is the kernel's processing completion: integrate the
 // validated update (the synchronous no-CPU path lands here too).
-func (a *Agent) process(pkt *netsim.Packet, via netsim.Medium, _ struct{}) {
+func (a *Agent) process(pkt *netsim.Packet, via netsim.Medium, _ uint64) {
 	a.integrate(pkt.Payload, via)
 }
 

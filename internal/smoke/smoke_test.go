@@ -1,8 +1,9 @@
-// Package smoke exercises the five command-line frontends end to end:
-// each test execs a freshly built binary and checks exit codes, the
-// tools' exact stdout against golden files, flag validation, and the
-// incremental-manifest contract of cmd/figures. These are the tests that
-// would catch a flag wiring regression no unit test sees.
+// Package smoke exercises the five command-line frontends and the eight
+// example walkthroughs end to end: each test execs a freshly built
+// binary and checks exit codes, the programs' exact stdout against
+// golden files, flag validation, and the incremental-manifest contract
+// of cmd/figures. These are the tests that would catch a flag wiring
+// regression no unit test sees.
 package smoke
 
 import (
@@ -17,10 +18,15 @@ import (
 	"testing"
 )
 
-// binDir holds the five binaries TestMain builds.
+// binDir holds the binaries TestMain builds, each named after the last
+// element of its package path.
 var binDir string
 
-var commands = []string{"figures", "syncsim", "markovtool", "netexp", "scenarios"}
+var programs = []string{
+	"cmd/figures", "cmd/syncsim", "cmd/markovtool", "cmd/netexp", "cmd/scenarios",
+	"examples/audiocast", "examples/jitterplan", "examples/lsarefresh", "examples/nearnet",
+	"examples/phasetransition", "examples/quickstart", "examples/spriteserver", "examples/tcpglobalsync",
+}
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "smoke-bin-")
@@ -30,11 +36,11 @@ func TestMain(m *testing.M) {
 	}
 	defer os.RemoveAll(dir)
 	binDir = dir
-	for _, name := range commands {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
+	for _, pkg := range programs {
+		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, filepath.Base(pkg)), "./"+pkg)
 		cmd.Dir = "../.." // module root
 		if out, err := cmd.CombinedOutput(); err != nil {
-			fmt.Fprintf(os.Stderr, "smoke: build %s: %v\n%s", name, err, out)
+			fmt.Fprintf(os.Stderr, "smoke: build %s: %v\n%s", pkg, err, out)
 			os.Exit(1)
 		}
 	}
@@ -60,9 +66,10 @@ func run(t *testing.T, name string, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestToolGolden pins each tool's stdout byte for byte. The golden files
-// under testdata/ were recorded from the tools' output; regenerate one by
-// running its invocation and redirecting stdout into the file.
+// TestToolGolden pins the stdout of each tool and example byte for byte.
+// The golden files under testdata/ were recorded from the programs'
+// output; regenerate one by running its invocation and redirecting
+// stdout into the file.
 func TestToolGolden(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -78,6 +85,14 @@ func TestToolGolden(t *testing.T) {
 		{"netexp_ping", "netexp", []string{"-scenario", "ping", "-pings", "40", "-routes", "50", "-plot=false"}},
 		{"netexp_audio", "netexp", []string{"-scenario", "audio", "-duration", "60", "-routes", "50"}},
 		{"scenarios_all", "scenarios", []string{"-which", "all"}},
+		{"example_audiocast", "audiocast", nil},
+		{"example_jitterplan", "jitterplan", nil},
+		{"example_lsarefresh", "lsarefresh", nil},
+		{"example_nearnet", "nearnet", nil},
+		{"example_phasetransition", "phasetransition", nil},
+		{"example_quickstart", "quickstart", nil},
+		{"example_spriteserver", "spriteserver", nil},
+		{"example_tcpglobalsync", "tcpglobalsync", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {

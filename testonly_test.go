@@ -25,7 +25,6 @@ var testOnlyAllowed = map[string]string{
 	"experiments.BuildChurnBench":             "the NetsimChurn benchmark rows and the leak test build the churn scenario without its monitor",
 	"experiments.NetScaleConfig.RoutersPerAS": "tests shrink the routing domains to keep the sweep small",
 	"experiments.PathConfig.Profile":          "crossvalidation_test runs the path scenario on a compressed protocol profile",
-	"netsim.CPU.Occupy":                       "netsim and workload tests stall a router's CPU",
 	"netsim.Link.SetDown":                     "routing, linkstate and workload tests fail links during setup",
 	"netsim.LANConfig.QueueCap":               "the tx-done boundary tests need a one-packet LAN queue to tell a busy transmitter from a free one",
 	"netsim.Network.BuildChain":               "netsim and workload tests and the NetsimForward benchmark build chains",
